@@ -68,9 +68,9 @@ def cmd_check(args) -> int:
     if report.verdict == "indeterminate":
         print(f"indeterminate: {report.detail}")
         return EXIT_UNKNOWN
-    cycles = enumerate_basic_cycles(pf.graph)
-    normal = is_non_overlapping(pf.graph)
     if report.accepted:
+        cycles = enumerate_basic_cycles(pf.graph)
+        normal = is_non_overlapping(pf.graph)
         plural = "" if len(cycles) == 1 else "s"
         print(f"accepted; {len(cycles)} basic cycle{plural};"
               f" {'normal' if normal else 'overlapping'}")

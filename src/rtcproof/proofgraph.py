@@ -3,8 +3,8 @@
 A node is either internal (carries a rule instance whose premises are its
 children, in order) or a bud: an open leaf pointing back at a syntactically
 equal internal node, its companion.  `validate_structure` checks the graph
-invariants plus every rule instance; `trace_relation` computes the
-per-edge trace pairs between antecedent rtc formulas.
+invariants plus every rule instance; `edge_trace_steps` gives the trace
+pairs between antecedent rtc formulas across one premise of a rule.
 """
 
 from __future__ import annotations
@@ -33,9 +33,6 @@ class ProofNode:
 class ProofGraph:
     nodes: dict[int, ProofNode]
     root: int
-
-    def node(self, nid: int) -> ProofNode:
-        return self.nodes[nid]
 
     def internal_ids(self) -> list[int]:
         return [i for i in sorted(self.nodes) if not self.nodes[i].is_bud]
@@ -107,32 +104,25 @@ def validate_structure(g: ProofGraph, theory: tuple[Sequent, ...] = (),
         except Exception as exc:  # freshness, unknown axiom, arity...
             errors.append(GraphError("KernelError", nid, f"{type(exc).__name__}: {exc}"))
 
-    reachable = set()
-    stack = [g.root]
-    while stack:
-        nid = stack.pop()
-        if nid in reachable or nid not in g.nodes:
-            continue
-        reachable.add(nid)
-        stack.extend(g.nodes[nid].children)
-    for nid in sorted(set(g.nodes) - reachable):
+    # one DFS from the root must reach every node and find no link back to a
+    # grey node (one on the walk): premise links form a DAG, cycles use buds
+    color = {g.root: "grey"}
+    work = [(g.root, iter(g.nodes[g.root].children))]
+    cyclic = False
+    while work:
+        nid, kids = work[-1]
+        for c in kids:
+            if c in g.nodes and c not in color:
+                color[c] = "grey"
+                work.append((c, iter(g.nodes[c].children)))
+                break
+            cyclic = cyclic or color.get(c) == "grey"
+        else:
+            color[nid] = "black"
+            work.pop()
+    for nid in sorted(set(g.nodes) - set(color)):
         errors.append(GraphError("UnreachableNode", nid, "not reachable from root"))
-
-    # premise links must form a DAG: cycles are expressed through buds only
-    color: dict[int, int] = {}
-
-    def cyclic(nid: int) -> bool:
-        state = color.get(nid, 0)
-        if state == 1:
-            return True
-        if state == 2 or nid not in g.nodes:
-            return False
-        color[nid] = 1
-        bad = any(cyclic(c) for c in g.nodes[nid].children)
-        color[nid] = 2
-        return bad
-
-    if cyclic(g.root):
+    if cyclic:
         errors.append(GraphError("BadPremiseLink", g.root,
                                  "premise links contain a cycle (use buds)"))
     return errors
@@ -173,24 +163,6 @@ def edge_trace_steps(rule: RuleInstance, premise_index: int) -> tuple[TraceStep,
         if f in prem_set:
             steps.append(TraceStep(f, f, False))
     return tuple(steps)
-
-
-TraceRelation = dict[tuple[int, int], tuple[TraceStep, ...]]
-
-
-def trace_relation(g: ProofGraph) -> TraceRelation:
-    """Per (node, premise-index) trace pairs; bud edges carry identity steps."""
-    rel: TraceRelation = {}
-    for nid in sorted(g.nodes):
-        node = g.nodes[nid]
-        if node.is_bud:
-            steps = tuple(TraceStep(f, f, False)
-                          for f in node.sequent.antecedent if isinstance(f, Rtc))
-            rel[(nid, 0)] = steps
-        else:
-            for i in range(len(node.children)):
-                rel[(nid, i)] = edge_trace_steps(node.rule, i)
-    return rel
 
 
 # ---------------------------------------------------------------------------
@@ -269,18 +241,15 @@ def renumber(g: ProofGraph) -> ProofGraph:
     """Renumber nodes into a stable preorder walk from the root (0, 1, ...)."""
     order: list[int] = []
     seen: set[int] = set()
-
-    def walk(nid: int) -> None:
+    # the root, then unvisited nodes by id; children pop in order, as in recursion
+    stack = sorted(g.nodes, reverse=True) + [g.root]
+    while stack:
+        nid = stack.pop()
         if nid in seen:
-            return
+            continue
         seen.add(nid)
         order.append(nid)
-        for c in g.nodes[nid].children:
-            walk(c)
-
-    walk(g.root)
-    for nid in sorted(g.nodes):
-        walk(nid)
+        stack.extend(reversed(g.nodes[nid].children))
     mapping = {old: new for new, old in enumerate(order)}
     nodes = {}
     for old, node in g.nodes.items():

@@ -19,14 +19,13 @@ from typing import Callable, Iterator
 from .errors import BudgetExceeded, NotApplicable, RtcError
 from .kernel import (RuleId, RuleInstance, make_subst, match_sequent,
                      rule_instance)
-from .proofgraph import (GraphBuilder, ProofGraph, edge_trace_steps,
-                         renumber, validate_structure)
+from .proofgraph import GraphBuilder, ProofGraph, renumber, validate_structure
 from .semantics import FiniteModel, Valuation, find_counter_model
 from .syntax import (And, App, Eq, Exists, Forall, Formula, Implies, Not,
                      Or, Pred, Rtc, Sequent, Signature, Term, Var,
                      formula_subterms, free_vars, fresh_name, substitute,
                      term_key, term_vars)
-from .tracecheck import EdgeMatrix, check_global_trace_condition
+from .tracecheck import EdgeMatrix, check_global_trace_condition, edge_matrix
 
 
 @dataclass
@@ -136,16 +135,8 @@ class Move:
     params: object = None
 
 
-def _steps_matrix(rule: RuleInstance, i: int) -> EdgeMatrix:
-    entries: dict[tuple[str, str], bool] = {}
-    for st in edge_trace_steps(rule, i):
-        key = (st.from_formula.key(), st.to_formula.key())
-        entries[key] = entries.get(key, False) or st.progressing
-    return EdgeMatrix(entries)
-
-
 def _rule_move(rule: RuleInstance) -> Move:
-    mats = tuple(_steps_matrix(rule, i) for i in range(len(rule.premises)))
+    mats = tuple(edge_matrix(rule, i) for i in range(len(rule.premises)))
     return Move(rule.premises, mats, lambda kids, r=rule: _node(r, *kids),
                 rule.rule, rule.params)
 
@@ -163,7 +154,7 @@ def _chain_matrix(plan: Plan) -> EdgeMatrix:
     mat: EdgeMatrix | None = None
     p = plan
     while p.rule is not None and p.children:
-        m = _steps_matrix(p.rule, 0)
+        m = edge_matrix(p.rule, 0)
         mat = m if mat is None else mat.compose(m)
         p = p.children[0]
     if mat is None:

@@ -3,8 +3,8 @@
 The primary procedure is a Ramsey-style composition closure over per-edge
 trace matrices: the pre-proof is accepted iff every idempotent composed
 matrix describing a cycle contains a progressing diagonal pair.  A bounded
-ultimately-periodic path enumeration provides an independent cross-check,
-and Johnson-style basic-cycle enumeration supports the normality test.
+ultimately-periodic path enumeration provides an independent cross-check;
+basic cycles and the normality test rest on one iterative SCC pass.
 """
 
 from __future__ import annotations
@@ -12,9 +12,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .errors import BudgetExceeded
+from .kernel import RuleInstance
 from .proofgraph import ProofGraph, edge_trace_steps
 
 
@@ -96,23 +95,67 @@ class CycleReport:
         return self.verdict == "accepted"
 
 
+def edge_matrix(rule: RuleInstance, i: int) -> EdgeMatrix:
+    """Trace matrix across premise i of a rule instance."""
+    entries: dict[tuple[str, str], bool] = {}
+    for st in edge_trace_steps(rule, i):
+        key = (st.from_formula.key(), st.to_formula.key())
+        entries[key] = entries.get(key, False) or st.progressing
+    return EdgeMatrix(entries)
+
+
 def flow_edges(g: ProofGraph) -> list[FlowEdge]:
     """Edges of the unfolded graph; a premise landing on a bud continues to
     the bud's companion (the bud-to-companion step is an identity matrix)."""
     out: list[FlowEdge] = []
-    for nid in sorted(g.nodes):
+    for nid in g.internal_ids():
         node = g.nodes[nid]
-        if node.is_bud:
-            continue
         for i, cid in enumerate(node.children):
-            steps = edge_trace_steps(node.rule, i)
-            entries: dict[tuple[str, str], bool] = {}
-            for st in steps:
-                key = (st.from_formula.key(), st.to_formula.key())
-                entries[key] = entries.get(key, False) or st.progressing
             child = g.nodes[cid]
             dst = child.companion if child.is_bud else cid
-            out.append(FlowEdge(nid, dst, EdgeMatrix(entries)))
+            out.append(FlowEdge(nid, dst, edge_matrix(node.rule, i)))
+    return out
+
+
+def _flow_succ(g: ProofGraph) -> dict[int, list[int]]:
+    """Sorted successors of each non-bud node, each distinct flow edge once."""
+    succ: dict[int, set[int]] = {n: set() for n in g.internal_ids()}
+    for e in flow_edges(g):
+        succ[e.src].add(e.dst)
+    return {n: sorted(s) for n, s in succ.items()}
+
+
+def _sccs(succ: dict[int, list[int]]) -> list[list[int]]:
+    """Strongly connected components (Tarjan, SIAM J. Comput. 1972), with a
+    work stack of (node, successor iterator, stack height) for recursion.
+    A node whose component is out gets a low link above every index."""
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    out: list[list[int]] = []
+    for root in succ:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(succ[root]), 0)]
+        while work:
+            v, it, height = work[-1]
+            w = next(it, None)
+            if w is None:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == index[v]:
+                    out.append(stack[height:])
+                    del stack[height:]
+                    low.update(dict.fromkeys(out[-1], len(succ)))
+            elif w not in index:
+                work.append((w, iter(succ[w]), len(stack)))
+                index[w] = low[w] = len(index)
+                stack.append(w)
+            else:
+                low[v] = min(low[v], low[w])
     return out
 
 
@@ -204,19 +247,10 @@ def check_by_path_enumeration(g: ProofGraph, max_period: int) -> CycleReport:
     for lst in succ.values():
         lst.sort(key=lambda e: e.dst)
 
-    nxg = nx.DiGraph()
-    nxg.add_nodes_from(n for n in g.nodes if not g.nodes[n].is_bud)
-    nxg.add_edges_from((e.src, e.dst) for e in edges)
-    scc_of: dict[int, frozenset[int]] = {}
-    for comp in nx.strongly_connected_components(nxg):
-        fs = frozenset(comp)
-        for n in comp:
-            scc_of[n] = fs
-
-    def dist_back(start: int, allowed: frozenset[int]) -> dict[int, int]:
+    def dist_back(start: int) -> dict[int, int]:
         pred: dict[int, list[int]] = {}
         for e in edges:
-            if e.src in allowed and e.dst in allowed:
+            if e.src >= start and e.dst >= start:
                 pred.setdefault(e.dst, []).append(e.src)
         dist = {start: 0}
         queue = deque([start])
@@ -228,17 +262,12 @@ def check_by_path_enumeration(g: ProofGraph, max_period: int) -> CycleReport:
                     queue.append(p)
         return dist
 
-    for start in sorted(n for n in nxg.nodes):
-        comp = scc_of[start]
-        if len(comp) == 1 and not any(e.src == start and e.dst == start for e in edges):
-            continue
-        allowed = frozenset(n for n in comp if n >= start)
-        if start not in allowed:
-            continue
-        back = dist_back(start, allowed)
+    for start in g.internal_ids():
+        back = dist_back(start)
 
         # DFS over edge walks start -> ... -> start of length <= max_period,
-        # visiting only nodes >= start (each cyclic walk counted once)
+        # visiting only nodes >= start (each cyclic walk counted once); the
+        # distances back to start keep every walk inside start's SCC
         stack: list[tuple[int, tuple[FlowEdge, ...]]] = [(start, ())]
         while stack:
             node, walk = stack.pop()
@@ -253,7 +282,7 @@ def check_by_path_enumeration(g: ProofGraph, max_period: int) -> CycleReport:
                         prefix = _shortest_path(edges, _flow_root(g), start)
                         return CycleReport("rejected", prefix, period, cyc,
                                            detail="bad period found by enumeration")
-                if e.dst in allowed and e.dst != start:
+                if e.dst > start:
                     needed = back.get(e.dst)
                     if needed is not None and len(walk) + 1 + needed <= max_period:
                         stack.append((e.dst, walk + (e,)))
@@ -262,29 +291,39 @@ def check_by_path_enumeration(g: ProofGraph, max_period: int) -> CycleReport:
 
 def enumerate_basic_cycles(g: ProofGraph, cap: int = 100_000) -> list[tuple[int, ...]]:
     """All basic cycles of the unfolded graph, canonically rotated so the
-    smallest node id comes first, in deterministic order."""
-    edges = flow_edges(g)
-    nxg = nx.DiGraph()
-    nxg.add_nodes_from(n for n in g.nodes if not g.nodes[n].is_bud)
-    nxg.add_edges_from((e.src, e.dst) for e in edges)
+    smallest node id comes first, in deterministic order.  Each is found once
+    from its smallest node, by a DFS over simple paths through larger members
+    of that node's SCC."""
+    succ = _flow_succ(g)
     out: list[tuple[int, ...]] = []
-    for cyc in nx.simple_cycles(nxg):
-        k = cyc.index(min(cyc))
-        out.append(tuple(cyc[k:] + cyc[:k]))
-        if len(out) > cap:
-            raise BudgetExceeded(f"more than {cap} basic cycles")
+    for comp in _sccs(succ):
+        members = set(comp)
+        for start in sorted(comp):
+            path, work = [start], [iter(succ[start])]
+            while work:
+                w = next(work[-1], None)
+                if w is None:
+                    work.pop()
+                    path.pop()
+                elif w == start:
+                    out.append(tuple(path))
+                    if len(out) > cap:
+                        raise BudgetExceeded(f"more than {cap} basic cycles")
+                elif w > start and w in members and w not in path:
+                    path.append(w)
+                    work.append(iter(succ[w]))
     out.sort(key=lambda c: (len(c), c))
     return out
 
 
-def is_non_overlapping(g: ProofGraph, cap: int = 100_000) -> bool:
-    """True iff no two distinct basic cycles share a node."""
-    cycles = enumerate_basic_cycles(g, cap)
-    seen: set[int] = set()
-    for cyc in cycles:
-        if seen & set(cyc):
+def is_non_overlapping(g: ProofGraph) -> bool:
+    """True iff no two distinct basic cycles share a node: iff no SCC has more
+    distinct internal edges than nodes (else it holds a cycle and an ear on it)."""
+    succ = _flow_succ(g)
+    for comp in _sccs(succ):
+        members = set(comp)
+        if sum(w in members for v in comp for w in succ[v]) > len(comp):
             return False
-        seen |= set(cyc)
     return True
 
 

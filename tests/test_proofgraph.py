@@ -2,8 +2,7 @@ import pytest
 
 from rtcproof.kernel import RuleId, make_subst, rule_instance
 from rtcproof.proofgraph import (GraphBuilder, ProofGraph, ProofNode,
-                                 edge_trace_steps, renumber, trace_relation,
-                                 validate_structure)
+                                 edge_trace_steps, renumber, validate_structure)
 from rtcproof.syntax import (Rtc, Signature, Var, parse_formula, parse_sequent)
 
 from conftest import ACCEPTED, REJECTED, load_corpus
@@ -142,18 +141,6 @@ class TestTraceSteps:
         assert steps[0].to_formula == parse_formula("(rtc u v. p(u, v))(x, w)", SIG)
         assert not steps[0].progressing
 
-    def test_trace_relation_buds_identity(self, corpus_graphs):
-        g, sig, theory = corpus_graphs["transitivity.tcp"]
-        rel = trace_relation(g)
-        for nid in g.bud_ids():
-            steps = rel[(nid, 0)]
-            assert steps and all(st.from_formula == st.to_formula
-                                 and not st.progressing for st in steps)
-
-    def test_trace_relation_deterministic(self, corpus_graphs):
-        g, sig, theory = corpus_graphs["two_loops.tcp"]
-        assert trace_relation(g) == trace_relation(g)
-
 
 class TestRenumber:
     def test_preorder_stable(self, corpus_graphs):
@@ -164,3 +151,20 @@ class TestRenumber:
             assert sorted(r.nodes) == list(range(len(g.nodes)))
             assert renumber(r).nodes.keys() == r.nodes.keys()
             assert validate_structure(r, theory, sig) == []
+
+    def test_long_chain_no_recursion_limit(self):
+        # a linear Subst chain far deeper than the interpreter's recursion limit
+        b = GraphBuilder()
+        cur = S("q(x0) |- q(x0)")
+        nid = b.add_internal(rule_instance(RuleId.Axiom, cur))
+        for i in range(1, 1200):
+            theta = make_subst({f"x{i - 1}": Var(f"x{i}")})
+            sub = rule_instance(RuleId.Subst, cur.substituted(dict(theta)),
+                                substitution=theta, source=cur)
+            nid = b.add_internal(sub, (nid,))
+            cur = sub.conclusion
+        g = b.graph(nid)
+        assert validate_structure(g, (), SIG) == []
+        r = renumber(g)
+        assert r.root == 0 and r.nodes[1199].rule.rule is RuleId.Axiom
+        assert validate_structure(r, (), SIG) == []

@@ -1,9 +1,11 @@
+import random
+
 import pytest
 
 from rtcproof.kernel import RuleId, make_subst, rule_instance
-from rtcproof.proofgraph import GraphBuilder
+from rtcproof.proofgraph import GraphBuilder, validate_structure
 from rtcproof.syntax import Signature, Var, parse_formula, parse_sequent
-from rtcproof.tracecheck import (EdgeMatrix, check_by_path_enumeration,
+from rtcproof.tracecheck import (EdgeMatrix, _sccs, check_by_path_enumeration,
                                  check_global_trace_condition,
                                  enumerate_basic_cycles, is_non_overlapping,
                                  replay_witness)
@@ -11,6 +13,36 @@ from rtcproof.tracecheck import (EdgeMatrix, check_by_path_enumeration,
 from conftest import ACCEPTED, REJECTED, load_corpus
 
 SIG = Signature.make(predicates={"p": 2, "q": 1})
+
+
+def overlap_graph():
+    """Two basic cycles through one node.
+
+    Two self-loops on one node via parallel derivations is impossible with
+    our schemas, so overlap is staged with two interleaved cycles."""
+    b = GraphBuilder()
+    sig = SIG
+    s0 = parse_sequent("q(a), q(b), q(d) |-", sig)
+    n0 = b.reserve()
+    # cycle 1: drop q(b), substitute it back
+    wl1 = rule_instance(RuleId.WL, s0, principal=parse_formula("q(b)", sig))
+    sub1 = rule_instance(RuleId.Subst, wl1.premises[0],
+                         substitution=make_subst({"b": Var("a")}), source=s0)
+    bud1 = b.add_bud(s0, n0)
+    nsub1 = b.add_internal(sub1, (bud1,))
+    # cycle 2 shares n0: drop q(d) instead
+    wl2 = rule_instance(RuleId.WL, s0, principal=parse_formula("q(d)", sig))
+    sub2 = rule_instance(RuleId.Subst, wl2.premises[0],
+                         substitution=make_subst({"d": Var("a")}), source=s0)
+    bud2 = b.add_bud(s0, n0)
+    nsub2 = b.add_internal(sub2, (bud2,))
+    # tie both under one branching node
+    cut = rule_instance(RuleId.Cut, s0, cut_formula=parse_formula("q(b)", sig))
+    # cheat: cut premises are s0 +/- q(b); reuse weakenings to match
+    w1 = b.add_weakening_chain(cut.premises[0], nsub1)
+    w2 = b.add_weakening_chain(cut.premises[1], nsub2)
+    b.fill_internal(n0, cut, (w1, w2))
+    return b.graph(n0)
 
 
 class TestEdgeMatrix:
@@ -92,33 +124,8 @@ class TestBasicCycles:
         assert is_non_overlapping(g)
 
     def test_two_loops_same_node_overlap(self):
-        # two self-loops on one node via parallel derivations is impossible
-        # with our schemas, so overlap is staged with two interleaved cycles
-        b = GraphBuilder()
-        sig = SIG
-        s0 = parse_sequent("q(a), q(b), q(d) |-", sig)
-        n0 = b.reserve()
-        # cycle 1: drop q(b), substitute it back
-        wl1 = rule_instance(RuleId.WL, s0, principal=parse_formula("q(b)", sig))
-        sub1 = rule_instance(RuleId.Subst, wl1.premises[0],
-                             substitution=make_subst({"b": Var("a")}), source=s0)
-        bud1 = b.add_bud(s0, n0)
-        nsub1 = b.add_internal(sub1, (bud1,))
-        # cycle 2 shares n0: drop q(d) instead
-        wl2 = rule_instance(RuleId.WL, s0, principal=parse_formula("q(d)", sig))
-        sub2 = rule_instance(RuleId.Subst, wl2.premises[0],
-                             substitution=make_subst({"d": Var("a")}), source=s0)
-        bud2 = b.add_bud(s0, n0)
-        nsub2 = b.add_internal(sub2, (bud2,))
-        # tie both under one branching node
-        cut = rule_instance(RuleId.Cut, s0, cut_formula=parse_formula("q(b)", sig))
-        # cheat: cut premises are s0 +/- q(b); reuse weakenings to match
-        from rtcproof.proofgraph import validate_structure
-        w1 = b.add_weakening_chain(cut.premises[0], nsub1)
-        w2 = b.add_weakening_chain(cut.premises[1], nsub2)
-        b.fill_internal(n0, cut, (w1, w2))
-        g = b.graph(n0)
-        assert validate_structure(g, (), sig) == []
+        g = overlap_graph()
+        assert validate_structure(g, (), SIG) == []
         cycles = enumerate_basic_cycles(g)
         assert len(cycles) == 2
         assert not is_non_overlapping(g)
@@ -127,6 +134,37 @@ class TestBasicCycles:
         g = corpus_graphs["two_loops.tcp"][0]
         for cyc in enumerate_basic_cycles(g):
             assert cyc[0] == min(cyc)
+
+    def test_non_overlapping_iff_cycles_disjoint(self, corpus_graphs):
+        graphs = {name: entry[0] for name, entry in corpus_graphs.items()}
+        graphs["overlap"] = overlap_graph()
+        for name, g in graphs.items():
+            cycles = [set(c) for c in enumerate_basic_cycles(g)]
+            disjoint = all(not (a & b) for i, a in enumerate(cycles)
+                           for b in cycles[i + 1:])
+            assert is_non_overlapping(g) == disjoint, name
+
+
+class TestSCC:
+    def test_matches_mutual_reachability(self):
+        for seed in range(300):
+            rng = random.Random(seed)
+            n = rng.randint(1, 9)
+            p = rng.uniform(0.05, 0.5)
+            succ = {v: sorted(w for w in range(n) if rng.random() < p)
+                    for v in range(n)}
+            reach = {v: {v} for v in succ}
+            for _ in range(n):
+                for v in succ:
+                    for w in succ[v]:
+                        reach[v] |= reach[w]
+            comps = _sccs(succ)
+            assert sorted(v for c in comps for v in c) == list(range(n)), seed
+            comp_of = {v: i for i, c in enumerate(comps) for v in c}
+            for u in succ:
+                for v in succ:
+                    mutual = v in reach[u] and u in reach[v]
+                    assert (comp_of[u] == comp_of[v]) == mutual, seed
 
 
 class TestReduction:
