@@ -6,12 +6,15 @@ class RtcError(Exception):
 
 
 class ParseError(RtcError):
-    """Input text does not conform to the grammar."""
+    """Input text does not conform to the grammar; `line` is the 1-based line
+    of a multi-line input, where known."""
 
-    def __init__(self, position: int, message: str):
-        super().__init__(f"at offset {position}: {message}")
+    def __init__(self, position: int, message: str, line: int | None = None):
+        where = f"at offset {position}" if line is None else f"line {line}, offset {position}"
+        super().__init__(f"{where}: {message}")
         self.position = position
         self.message = message
+        self.line = line
 
 
 class UnknownSymbol(RtcError):

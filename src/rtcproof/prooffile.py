@@ -27,11 +27,10 @@ import os
 from dataclasses import dataclass
 
 from .errors import ParseError, RtcError
-from .kernel import (RuleId, RuleInstance, RuleParams, Substitution,
-                     subst_dict)
+from .kernel import RuleId, RuleInstance, RuleParams
 from .proofgraph import ProofGraph, ProofNode
-from .syntax import (Formula, Sequent, Signature, Term, _Parser, pretty,
-                     pretty_sequent, pretty_term)
+from .syntax import (Sequent, Signature, Term, _Parser, pretty, pretty_sequent,
+                     pretty_term)
 
 
 @dataclass(frozen=True)
@@ -50,6 +49,17 @@ class ProofFile:
 
 # ---------------------------------------------------------------------------
 # Signature lines
+
+def _number(text: str, pos: int, what: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise ParseError(pos, f"{what} must be a number, found {text!r}")
+    return int(text)
+
+
+def _expect_number(p: _Parser, what: str) -> int:
+    pos = p.peek()[2]
+    return _number(p.expect_ident(), pos, what)
+
 
 def _parse_sig_line(p: _Parser) -> Signature:
     consts: set[str] = set()
@@ -71,7 +81,7 @@ def _parse_sig_line(p: _Parser) -> Signature:
             while True:
                 name = p.expect_ident()
                 p.expect("/")
-                fns[name] = int(p.expect_ident())
+                fns[name] = _expect_number(p, "arity")
                 if p.peek()[1] != ",":
                     break
                 p.next()
@@ -80,7 +90,7 @@ def _parse_sig_line(p: _Parser) -> Signature:
             while True:
                 name = p.expect_ident()
                 p.expect("/")
-                preds[name] = int(p.expect_ident())
+                preds[name] = _expect_number(p, "arity")
                 if p.peek()[1] != ",":
                     break
                 p.next()
@@ -121,12 +131,15 @@ def parse_theory(text: str) -> TheoryFile:
     name = None
     sig = Signature.make()
     axioms: list[Sequent] = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("theory"):
-            name = line.split(None, 1)[1].strip()
+            words = line.split(None, 1)
+            if len(words) < 2:
+                raise ParseError(len(line), "expected a theory name", lineno)
+            name = words[1]
         elif line.startswith("sig"):
             p = _Parser(line[3:].strip(), Signature.make())
             sig = _parse_sig_line(p)
@@ -141,12 +154,6 @@ def parse_theory(text: str) -> TheoryFile:
     if name is None:
         raise RtcError("theory file has no 'theory <name>' line")
     return TheoryFile(name, sig, tuple(axioms))
-
-
-def serialize_theory(th: TheoryFile) -> str:
-    lines = [f"theory {th.name}", _sig_line(th.signature)]
-    lines += [f"axiom {pretty_sequent(ax, th.signature)}" for ax in th.axioms]
-    return "\n".join(lines) + "\n"
 
 
 def bundled_theory_path(name: str) -> str | None:
@@ -269,89 +276,111 @@ def serialize_proof(pf: ProofFile) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_node(p: _Parser) -> tuple[Sequent, int | None,
+                                     tuple[RuleId, RuleParams] | None, tuple[int, ...]]:
+    """(sequent, companion, (rule id, params), premise ids) of a node body;
+    a bud has a companion and no rule."""
+    seq = p.sequent()
+    p.expect(";")
+    if p.peek()[1] == "bud":
+        p.next()
+        p.expect("->")
+        return seq, _expect_number(p, "companion id"), None, ()
+    kind, val, pos = p.peek()
+    if val != "rule":
+        raise ParseError(pos, "expected 'rule=' or 'bud ->'")
+    p.next()
+    p.expect("=")
+    pos = p.peek()[2]
+    rule_name = p.expect_ident()
+    try:
+        rid = RuleId(rule_name)
+    except ValueError:
+        raise ParseError(pos, f"unknown rule id {rule_name!r}") from None
+    p.expect(";")
+    kind, val, pos = p.peek()
+    if val != "params":
+        raise ParseError(pos, "expected 'params='")
+    p.next()
+    p.expect("=")
+    params = _parse_params(p)
+    p.expect(";")
+    kind, val, pos = p.peek()
+    if val != "premises":
+        raise ParseError(pos, "expected 'premises='")
+    p.next()
+    p.expect("=")
+    p.expect("[")
+    children: list[int] = []
+    while p.peek()[1] != "]":
+        children.append(_expect_number(p, "premise id"))
+        if p.peek()[1] == ",":
+            p.next()
+    p.expect("]")
+    return seq, None, (rid, params), tuple(children)
+
+
 def parse_proof(text: str) -> ProofFile:
+    """Parse a .tcp file; malformed input raises a ParseError naming its
+    line (offsets count from the start of that line)."""
     sig = Signature.make()
     theory_name: str | None = None
     root: int | None = None
-    raw_nodes: list[tuple[int, str]] = []
+    bodies: dict[int, tuple[int, int, str]] = {}   # id -> (line, offset, body)
     saw_header = False
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        words = raw.split(None, 1)
+        if not words or words[0].startswith("#"):
             continue
-        if line.startswith("tcp"):
-            if line.split() != ["tcp", "1"]:
-                raise RtcError(f"unsupported proof format version: {line!r}")
-            saw_header = True
-        elif line.startswith("sig"):
-            p = _Parser(line[3:].strip(), Signature.make())
-            sig = _parse_sig_line(p)
-        elif line.startswith("theory"):
-            val = line.split(None, 1)[1].strip()
-            theory_name = None if val == "-" else val
-        elif line.startswith("root"):
-            root = int(line.split(None, 1)[1].strip())
-        elif line.startswith("node"):
-            head, rest = line.split(None, 1)[1].split(":", 1)
-            raw_nodes.append((int(head.strip()), rest.strip()))
-        else:
-            raise RtcError(f"unrecognized proof line: {line!r}")
+        keyword, rest = words[0], (words[1] if len(words) > 1 else "")
+        if keyword not in ("tcp", "sig", "theory", "root", "node"):
+            raise ParseError(len(raw) - len(raw.lstrip()),
+                             f"unrecognized proof line {raw.strip()!r}", lineno)
+        at = len(raw) - len(rest) if rest else len(raw.rstrip())
+        rest = rest.rstrip()
+        try:
+            if keyword == "tcp":
+                if rest != "1":
+                    raise ParseError(0, f"unsupported proof format version {rest!r}")
+                saw_header = True
+            elif keyword == "sig":
+                sig = _parse_sig_line(_Parser(rest, Signature.make()))
+            elif keyword == "theory":
+                if not rest:
+                    raise ParseError(0, "expected a theory name or '-'")
+                theory_name = None if rest == "-" else rest
+            elif keyword == "root":
+                root = _number(rest, 0, "root id")
+            else:
+                head, colon, body = rest.partition(":")
+                if not colon:
+                    raise ParseError(len(rest), "expected ':' after the node id")
+                nid = _number(head.strip(), 0, "node id")
+                if nid in bodies:
+                    raise ParseError(0, f"duplicate node id {nid}"
+                                        f" (first on line {bodies[nid][0]})")
+                bodies[nid] = (lineno, at + len(head) + 1, body)
+        except ParseError as exc:
+            raise ParseError(at + exc.position, exc.message, lineno) from None
     if not saw_header:
         raise RtcError("missing 'tcp 1' header")
     if root is None:
         raise RtcError("missing 'root' line")
 
-    nodes: dict[int, ProofNode] = {}
-    for nid, body in raw_nodes:
-        p = _Parser(body, sig)
-        seq = p.sequent()
-        p.expect(";")
-        if p.peek()[1] == "bud":
-            p.next()
-            p.expect("->")
-            comp = int(p.expect_ident())
-            nodes[nid] = ProofNode(seq, None, (), comp)
-            continue
-        kind, val, pos = p.peek()
-        if val != "rule":
-            raise ParseError(pos, "expected 'rule=' or 'bud ->'")
-        p.next()
-        p.expect("=")
-        rule_name = p.expect_ident()
+    parsed = {}
+    for nid, (lineno, at, body) in bodies.items():
         try:
-            rid = RuleId(rule_name)
-        except ValueError:
-            raise RtcError(f"unknown rule id {rule_name!r}") from None
-        p.expect(";")
-        kind, val, pos = p.peek()
-        if val != "params":
-            raise ParseError(pos, "expected 'params='")
-        p.next()
-        p.expect("=")
-        params = _parse_params(p)
-        p.expect(";")
-        kind, val, pos = p.peek()
-        if val != "premises":
-            raise ParseError(pos, "expected 'premises='")
-        p.next()
-        p.expect("=")
-        p.expect("[")
-        children: list[int] = []
-        while p.peek()[1] != "]":
-            children.append(int(p.expect_ident()))
-            if p.peek()[1] == ",":
-                p.next()
-        p.expect("]")
-        nodes[nid] = ProofNode(seq, None, tuple(children), None)
-        # premises are the children's sequents; resolved in a second pass
-        nodes[nid].rule = (rid, params)  # type: ignore[assignment]
-
-    for nid, node in nodes.items():
-        if isinstance(node.rule, tuple):
-            rid, params = node.rule
-            try:
-                prems = tuple(nodes[c].sequent for c in node.children)
-            except KeyError as exc:
-                raise RtcError(f"node {nid}: child {exc.args[0]} missing") from None
-            node.rule = RuleInstance(rid, node.sequent, prems, params)
+            parsed[nid] = _parse_node(_Parser(body, sig))
+        except ParseError as exc:
+            raise ParseError(at + exc.position, exc.message, lineno) from None
+    nodes: dict[int, ProofNode] = {}
+    for nid, (seq, companion, rule, children) in parsed.items():
+        if rule is None:
+            nodes[nid] = ProofNode(seq, None, (), companion)
+            continue
+        try:
+            prems = tuple(parsed[c][0] for c in children)
+        except KeyError as exc:
+            raise RtcError(f"node {nid}: child {exc.args[0]} missing") from None
+        nodes[nid] = ProofNode(seq, RuleInstance(rule[0], seq, prems, rule[1]), children)
     return ProofFile(ProofGraph(nodes, root), sig, theory_name)

@@ -456,16 +456,6 @@ def sequent_holds(ev: Evaluator, v: Valuation, s: Sequent) -> bool:
             or any(ev.holds(f, v) for f in s.succedent))
 
 
-def theory_satisfied(ev: Evaluator, theory: tuple[Sequent, ...], n: int) -> bool:
-    """Axioms are schematic: they must hold under all valuations."""
-    for ax in theory:
-        fvs = sorted(ax.free_vars())
-        for vals in itertools.product(range(n), repeat=len(fvs)):
-            if not sequent_holds(ev, dict(zip(fvs, vals)), ax):
-                return False
-    return True
-
-
 def find_counter_model(s: Sequent, max_size: int, theory: tuple[Sequent, ...] = (),
                        sig: Signature | None = None, budget: int = 2_000_000,
                        up_to_iso: bool = False) -> tuple[FiniteModel, Valuation] | None:

@@ -853,14 +853,6 @@ class _Parser:
         return self.peek()[0] == "eof"
 
 
-def parse_term(text: str, sig: Signature) -> Term:
-    p = _Parser(text, sig)
-    t = p.term()
-    if not p.at_eof():
-        raise ParseError(p.peek()[2], "trailing input after term")
-    return t
-
-
 def parse_formula(text: str, sig: Signature) -> Formula:
     p = _Parser(text, sig)
     f = p.formula()

@@ -2,14 +2,18 @@
 
 The primary procedure is a Ramsey-style composition closure over per-edge
 trace matrices: the pre-proof is accepted iff every idempotent composed
-matrix describing a cycle contains a progressing diagonal pair.  A bounded
-ultimately-periodic path enumeration provides an independent cross-check;
-basic cycles and the normality test rest on one iterative SCC pass.
+matrix describing a cycle contains a progressing diagonal pair.  The closure
+starts at companions only and follows only edges inside one strongly
+connected component; that is exact, since a cycle never leaves its component
+and always passes through a companion.  A bounded ultimately-periodic path
+enumeration provides an independent cross-check; the closure, basic cycles
+and the normality test rest on one iterative SCC pass.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
@@ -104,24 +108,28 @@ def edge_matrix(rule: RuleInstance, i: int) -> EdgeMatrix:
     return EdgeMatrix(entries)
 
 
-def flow_edges(g: ProofGraph) -> list[FlowEdge]:
-    """Edges of the unfolded graph; a premise landing on a bud continues to
-    the bud's companion (the bud-to-companion step is an identity matrix)."""
-    out: list[FlowEdge] = []
+def _flow_links(g: ProofGraph) -> Iterator[tuple[int, int, int]]:
+    """(source, premise index, target) for every premise of every non-bud
+    node; a premise landing on a bud continues to the bud's companion (the
+    bud-to-companion step is an identity matrix)."""
     for nid in g.internal_ids():
         node = g.nodes[nid]
         for i, cid in enumerate(node.children):
             child = g.nodes[cid]
-            dst = child.companion if child.is_bud else cid
-            out.append(FlowEdge(nid, dst, edge_matrix(node.rule, i)))
-    return out
+            yield nid, i, (child.companion if child.is_bud else cid)
+
+
+def flow_edges(g: ProofGraph) -> list[FlowEdge]:
+    """Edges of the unfolded graph with their trace matrices."""
+    return [FlowEdge(src, dst, edge_matrix(g.nodes[src].rule, i))
+            for src, i, dst in _flow_links(g)]
 
 
 def _flow_succ(g: ProofGraph) -> dict[int, list[int]]:
     """Sorted successors of each non-bud node, each distinct flow edge once."""
     succ: dict[int, set[int]] = {n: set() for n in g.internal_ids()}
-    for e in flow_edges(g):
-        succ[e.src].add(e.dst)
+    for src, _, dst in _flow_links(g):
+        succ[src].add(dst)
     return {n: sorted(s) for n, s in succ.items()}
 
 
@@ -164,17 +172,14 @@ def _flow_root(g: ProofGraph) -> int:
     return node.companion if node.is_bud else g.root
 
 
-def _shortest_path(edges: list[FlowEdge], src: int, dst: int) -> tuple[int, ...]:
+def _shortest_path(succ: dict[int, list[int]], src: int, dst: int) -> tuple[int, ...]:
     if src == dst:
         return (src,)
-    succ: dict[int, list[int]] = {}
-    for e in edges:
-        succ.setdefault(e.src, []).append(e.dst)
     prev: dict[int, int] = {src: src}
     queue = deque([src])
     while queue:
         u = queue.popleft()
-        for w in sorted(succ.get(u, ())):
+        for w in succ[u]:
             if w not in prev:
                 prev[w] = u
                 if w == dst:
@@ -189,48 +194,56 @@ def _shortest_path(edges: list[FlowEdge], src: int, dst: int) -> tuple[int, ...]
 def check_global_trace_condition(g: ProofGraph, closure_cap: int = 500_000) -> CycleReport:
     """Composition-closure decision of the global trace condition.
 
-    Accepted iff every idempotent path matrix looping at a node has a
-    progressing diagonal pair; a violating idempotent yields a rejection
-    witness (an ultimately periodic path).  Above closure_cap distinct path
-    matrices the verdict is indeterminate.
+    Accepted iff every idempotent path matrix looping at a companion has a
+    progressing diagonal pair.  The closure starts at companions and keeps to
+    flow edges inside one SCC; this is exact, since every infinite path ends
+    in one SCC and visits some companion infinitely often (every flow cycle
+    enters a companion from a bud).  A rejection's witness is the shortest bad
+    idempotent loop at the smallest companion that has one, after a shortest
+    flow path from the root.  Above closure_cap distinct path matrices the
+    verdict is indeterminate.
     """
-    edges = flow_edges(g)
-    # closure elements: (src, dst, matrix) with a representative edge path
-    paths: dict[tuple[int, int, frozenset], tuple[FlowEdge, ...]] = {}
-    queue: deque[tuple[int, int, EdgeMatrix]] = deque()
+    succ = _flow_succ(g)
+    comp_of = {v: i for i, comp in enumerate(_sccs(succ)) for v in comp}
+    out: dict[int, list[FlowEdge]] = {}
+    for src, i, dst in _flow_links(g):
+        if comp_of[src] == comp_of[dst]:
+            out.setdefault(src, []).append(
+                FlowEdge(src, dst, edge_matrix(g.nodes[src].rule, i)))
+    companions = sorted({n.companion for n in g.nodes.values() if n.is_bud})
+    # closure elements (src, dst, matrix key) -> matrix and a representative
+    # edge path, extended by single edges on the right (left-linear closure is
+    # enough: every path is a left fold of its edges)
+    closure: dict[tuple[int, int, frozenset], tuple[EdgeMatrix, tuple[FlowEdge, ...]]] = {}
+    queue: deque[tuple[int, int, frozenset]] = deque()
 
-    def add(src: int, dst: int, mat: EdgeMatrix, path: tuple[FlowEdge, ...]) -> bool:
-        key = (src, dst, mat._key)
-        if key in paths:
-            return False
-        if len(paths) >= closure_cap:
+    def add(src: int, mat: EdgeMatrix, path: tuple[FlowEdge, ...]) -> None:
+        key = (src, path[-1].dst, mat._key)
+        if key in closure:
+            return
+        if len(closure) >= closure_cap:
             raise BudgetExceeded("closure cap reached")
-        paths[key] = path
-        queue.append((src, dst, mat))
-        return True
+        closure[key] = (mat, path)
+        queue.append(key)
 
     try:
-        for e in edges:
-            add(e.src, e.dst, e.matrix, (e,))
+        for c in companions:
+            for e in out.get(c, ()):
+                add(c, e.matrix, (e,))
         while queue:
-            src, dst, mat = queue.popleft()
-            # compose with single edges on the right (left-linear closure is
-            # enough: every path is a left fold of its edges)
-            for e in edges:
-                if e.src == dst:
-                    add(src, e.dst, mat.compose(e.matrix),
-                        paths[(src, dst, mat._key)] + (e,))
+            key = queue.popleft()
+            mat, path = closure[key]
+            for e in out.get(key[1], ()):
+                add(key[0], mat.compose(e.matrix), path + (e,))
     except BudgetExceeded:
         return CycleReport("indeterminate", detail="closure cap exceeded")
 
-    for (src, dst, mkey), path in sorted(paths.items(),
-                                         key=lambda kv: (kv[0][0], len(kv[1]))):
-        if src != dst:
-            continue
-        mat = EdgeMatrix(dict(mkey))
-        if mat.is_idempotent() and not mat.has_progressing_diagonal():
+    loops = [(src, mat, path) for (src, dst, _), (mat, path) in closure.items()
+             if src == dst]
+    for src, mat, path in sorted(loops, key=lambda t: (t[0], len(t[2]))):
+        if not mat.has_progressing_diagonal() and mat.is_idempotent():
             period = (src,) + tuple(e.dst for e in path)
-            prefix = _shortest_path(edges, _flow_root(g), src)
+            prefix = _shortest_path(succ, _flow_root(g), src)
             return CycleReport("rejected", prefix, period, path,
                                detail="idempotent cycle without progress")
     return CycleReport("accepted")
@@ -279,7 +292,7 @@ def check_by_path_enumeration(g: ProofGraph, max_period: int) -> CycleReport:
                         mat = mat.compose(e2.matrix)
                     if not mat.idempotent_power().has_progressing_diagonal():
                         period = (start,) + tuple(x.dst for x in cyc)
-                        prefix = _shortest_path(edges, _flow_root(g), start)
+                        prefix = _shortest_path(_flow_succ(g), _flow_root(g), start)
                         return CycleReport("rejected", prefix, period, cyc,
                                            detail="bad period found by enumeration")
                 if e.dst > start:

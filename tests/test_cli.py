@@ -84,3 +84,27 @@ def test_cli_import_needs_only_stdlib():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+# one malformed edit of TWO_THREADS per case: (text replaced, replacement,
+# line number the error must name)
+MALFORMED = {
+    "root_not_a_number": ("root 0", "root x", 4),
+    "bare_theory": ("theory -", "theory", 3),
+    "bud_target_not_a_number": ("bud -> 0", "bud -> q", 10),
+    "arity_not_a_number": ("sig pred p/2, q/1", "sig fn s/x ; pred p/2, q/1", 2),
+    "duplicate_node_id": ("node 10 :", "node 9 :", 15),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_check_malformed_is_usage_error(case, tmp_path, capsys):
+    old, new, line = MALFORMED[case]
+    assert old in TWO_THREADS
+    path = tmp_path / f"{case}.tcp"
+    path.write_text(TWO_THREADS.replace(old, new, 1), encoding="utf-8")
+    assert main(["check", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: line {line}, ")
+    assert "Traceback" not in captured.err

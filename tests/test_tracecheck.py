@@ -1,9 +1,12 @@
+import dataclasses
 import random
+from collections import deque
 
 import pytest
 
 from rtcproof.kernel import RuleId, make_subst, rule_instance
-from rtcproof.proofgraph import GraphBuilder, validate_structure
+from rtcproof.prooffile import parse_proof
+from rtcproof.proofgraph import GraphBuilder, ProofGraph, validate_structure
 from rtcproof.syntax import Signature, Var, parse_formula, parse_sequent
 from rtcproof.tracecheck import (EdgeMatrix, _sccs, check_by_path_enumeration,
                                  check_global_trace_condition,
@@ -11,6 +14,7 @@ from rtcproof.tracecheck import (EdgeMatrix, _sccs, check_by_path_enumeration,
                                  replay_witness)
 
 from conftest import ACCEPTED, REJECTED, load_corpus
+from preproofs import subst_chain, thread_proof
 
 SIG = Signature.make(predicates={"p": 2, "q": 1})
 
@@ -190,3 +194,78 @@ class TestReduction:
                     found = found or power.has_progressing_diagonal()
                 ok = ok and found
             assert ok == check_global_trace_condition(g).accepted, name
+
+
+def relabel(g: ProofGraph) -> ProofGraph:
+    """The same graph with node ids reversed, so the root gets the largest."""
+    top = max(g.nodes)
+    return ProofGraph({top - n: dataclasses.replace(
+        node, children=tuple(top - c for c in node.children),
+        companion=None if node.companion is None else top - node.companion)
+        for n, node in g.nodes.items()}, top - g.root)
+
+
+def thread_graphs(ks, rejected: bool) -> dict[str, ProofGraph]:
+    out = {}
+    for k in ks:
+        g = parse_proof(thread_proof(k, rejected)).graph
+        assert validate_structure(g, (), SIG) == []
+        name = f"threads{k}{'_bad' if rejected else ''}"
+        out[name], out[name + "_relabelled"] = g, relabel(g)
+    return out
+
+
+def flow_distances(g: ProofGraph) -> tuple[dict[int, list[int]], dict[int, int]]:
+    """Flow successors (buds continue to their companions) and the BFS
+    distance of every node from the root."""
+    def target(c):
+        return g.nodes[c].companion if g.nodes[c].is_bud else c
+    succ = {n: [target(c) for c in node.children]
+            for n, node in g.nodes.items() if not node.is_bud}
+    dist = {target(g.root): 0}
+    queue = deque(dist)
+    while queue:
+        u = queue.popleft()
+        for w in succ[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return succ, dist
+
+
+class TestRestrictedClosure:
+    def test_long_acyclic_chain_needs_no_closure(self):
+        g = parse_proof(subst_chain(3000)).graph
+        assert enumerate_basic_cycles(g) == []
+        assert check_global_trace_condition(g, closure_cap=0).accepted
+
+    @pytest.mark.parametrize("rejected", [False, True])
+    def test_six_threads_within_small_cap(self, rejected):
+        g = parse_proof(thread_proof(6, rejected)).graph
+        rep = check_global_trace_condition(g, closure_cap=2000)
+        assert rep.verdict == ("rejected" if rejected else "accepted")
+
+    def test_agrees_with_path_enumeration(self):
+        # test_method_agreement_corpus covers the corpus
+        for rejected in (False, True):
+            for name, g in thread_graphs(range(2, 6), rejected).items():
+                a = check_global_trace_condition(g)
+                b = check_by_path_enumeration(g, len(g.nodes) + 1)
+                assert a.accepted != rejected, name
+                assert a.verdict == b.verdict, name
+
+    def test_rejection_witness(self, corpus_graphs):
+        graphs = {name: corpus_graphs[name][0] for name in REJECTED}
+        graphs.update(thread_graphs(range(1, 6), True))
+        for name, g in graphs.items():
+            rep = check_global_trace_condition(g)
+            assert replay_witness(rep), name
+            companions = {n.companion for n in g.nodes.values() if n.is_bud}
+            period, prefix = rep.witness_period, rep.witness_prefix
+            assert period[0] == period[-1] and period[0] in companions, name
+            succ, dist = flow_distances(g)
+            assert dist[prefix[0]] == 0, name
+            assert prefix[-1] == period[0], name
+            assert len(prefix) == dist[period[0]] + 1, name
+            for path in (prefix, period):
+                assert all(b in succ[a] for a, b in zip(path, path[1:])), name
