@@ -3,7 +3,8 @@
 Commands: check, prove, refute, translate-ind, translate-beta, render.
 Exit codes: 0 success / verdict positive; 1 verdict negative (invalid proof,
 counter-model found, refutation exists); 2 unknown / budget exceeded;
-3 usage or I/O error.
+3 usage or I/O error; 4 internal error (a bug: any other exception, reported
+as one `internal error: <Type>: <message>` line on stderr).
 """
 
 from __future__ import annotations
@@ -14,16 +15,16 @@ import sys
 from .errors import BudgetExceeded, RtcError
 from .prooffile import (ProofFile, load_theory, parse_proof, serialize_proof)
 from .proofgraph import validate_structure
-from .prover import Proved, Refuted, SearchConfig, Unknown, prove
+from .prover import Proved, Refuted, SearchConfig, prove
 from .render import to_dot, to_latex
 from .semantics import find_counter_model
 from .syntax import (Signature, parse_formula_infer, parse_sequent_infer,
-                     pretty, pretty_sequent)
+                     pretty)
 from .tracecheck import (check_global_trace_condition, enumerate_basic_cycles,
                          is_non_overlapping)
 from .translate import BetaConfig, beta_translate, explicit_to_cyclic
 
-EXIT_OK, EXIT_NEGATIVE, EXIT_UNKNOWN, EXIT_USAGE = 0, 1, 2, 3
+EXIT_OK, EXIT_NEGATIVE, EXIT_UNKNOWN, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 
 def _read_input(arg: str) -> str:
@@ -244,6 +245,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, RtcError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from .errors import (FreshnessViolation, NotApplicable, SchemaMismatch,
                      UnknownTheoryAxiom)
 from .syntax import (And, App, Const, Eq, Exists, Forall, Formula, Implies,
                      Not, Or, Pred, Rtc, Sequent, Signature, Term, Var,
-                     free_vars, substitute, term_vars)
+                     free_vars, parts, substitute, term_vars)
 
 
 class RuleId(Enum):
@@ -378,7 +378,7 @@ def check_rule_instance(r: RuleInstance, theory: tuple[Sequent, ...] = (),
 # First-order matching (for theory axioms and cycle formation)
 
 def match_term(pat: Term, tgt: Term, theta: dict[str, Term],
-               bound: dict[str, str], tgt_bound: set[str]) -> dict[str, Term] | None:
+               bound: dict[str, str], tgt_bound: frozenset[str]) -> dict[str, Term] | None:
     match pat:
         case Var(name):
             if name in bound:
@@ -408,36 +408,28 @@ def match_formula(pat: Formula, tgt: Formula, theta: dict[str, Term],
                   bound: dict[str, str] | None = None,
                   tgt_bound: frozenset[str] = frozenset()) -> dict[str, Term] | None:
     """Match pat against tgt instantiating pat's free variables; None on failure."""
+    if pat.__class__ is not tgt.__class__:
+        return None
+    if pat.__class__ is Pred and pat.name != tgt.name:
+        return None
+    pbind, psubs, pterms = parts(pat)
+    tbind, tsubs, tterms = parts(tgt)
+    if len(pterms) != len(tterms):
+        return None
     bound = bound or {}
-    match pat, tgt:
-        case (Eq(l1, r1), Eq(l2, r2)):
-            t1 = match_term(l1, l2, theta, bound, set(tgt_bound))
-            return None if t1 is None else match_term(r1, r2, t1, bound, set(tgt_bound))
-        case (Pred(n1, a1), Pred(n2, a2)) if n1 == n2 and len(a1) == len(a2):
-            for pa, ta in zip(a1, a2):
-                nxt = match_term(pa, ta, theta, bound, set(tgt_bound))
-                if nxt is None:
-                    return None
-                theta = nxt
-            return theta
-        case (Not(s1), Not(s2)):
-            return match_formula(s1, s2, theta, bound, tgt_bound)
-        case (And(l1, r1), And(l2, r2)) | (Or(l1, r1), Or(l2, r2)) | \
-             (Implies(l1, r1), Implies(l2, r2)):
-            t1 = match_formula(l1, l2, theta, bound, tgt_bound)
-            return None if t1 is None else match_formula(r1, r2, t1, bound, tgt_bound)
-        case (Forall(x1, b1), Forall(x2, b2)) | (Exists(x1, b1), Exists(x2, b2)):
-            return match_formula(b1, b2, theta, {**bound, x1: x2}, tgt_bound | {x2})
-        case (Rtc(x1, y1, b1, s1, t1), Rtc(x2, y2, b2, s2, t2)):
-            th = match_formula(b1, b2, theta, {**bound, x1: x2, y1: y2},
-                               tgt_bound | {x2, y2})
-            if th is None:
-                return None
-            th = match_term(s1, s2, th, bound, set(tgt_bound))
-            return None if th is None else match_term(t1, t2, th, bound, set(tgt_bound))
-    if pat.__class__ is tgt.__class__ and pat == tgt:  # Top, Bot
-        return theta
-    return None
+    inner, inner_tgt = bound, tgt_bound
+    if pbind:
+        inner = {**bound, **dict(zip(pbind, tbind))}
+        inner_tgt = tgt_bound | set(tbind)
+    for p, t in zip(psubs, tsubs):
+        theta = match_formula(p, t, theta, inner, inner_tgt)
+        if theta is None:
+            return None
+    for p, t in zip(pterms, tterms):
+        theta = match_term(p, t, theta, bound, tgt_bound)
+        if theta is None:
+            return None
+    return theta
 
 
 def _match_formula_sets(pats: tuple[Formula, ...], targets: tuple[Formula, ...],

@@ -9,7 +9,7 @@ pairs between antecedent rtc formulas across one premise of a rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import SchemaMismatch
 from .kernel import (RuleId, RuleInstance, check_rule_instance, rule_instance,
@@ -36,9 +36,6 @@ class ProofGraph:
 
     def internal_ids(self) -> list[int]:
         return [i for i in sorted(self.nodes) if not self.nodes[i].is_bud]
-
-    def bud_ids(self) -> list[int]:
-        return [i for i in sorted(self.nodes) if self.nodes[i].is_bud]
 
     def end_sequent(self) -> Sequent:
         return self.nodes[self.root].sequent
@@ -211,26 +208,6 @@ class GraphBuilder:
                     rule_instance(RuleId.WR, parent, principal=f), (nid,))
                 current = parent
         assert current == seq
-        return nid
-
-    def add_weakening_chain(self, target: Sequent, child_id: int) -> int:
-        """Grow child's sequent up to target with WL/WR; child must be contained."""
-        nid = child_id
-        current = self.nodes[child_id].sequent
-        assert target.contains(current), "weakening chain needs a contained child"
-        for f in target.antecedent:
-            if f not in set(current.antecedent):
-                parent = current.with_ant(f)
-                nid = self.add_internal(
-                    rule_instance(RuleId.WL, parent, principal=f), (nid,))
-                current = parent
-        for f in target.succedent:
-            if f not in set(current.succedent):
-                parent = current.with_succ(f)
-                nid = self.add_internal(
-                    rule_instance(RuleId.WR, parent, principal=f), (nid,))
-                current = parent
-        assert current == target
         return nid
 
     def graph(self, root: int) -> ProofGraph:

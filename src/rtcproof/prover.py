@@ -16,14 +16,14 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .errors import BudgetExceeded, NotApplicable, RtcError
+from .errors import BudgetExceeded, RtcError
 from .kernel import (RuleId, RuleInstance, make_subst, match_sequent,
                      rule_instance)
 from .proofgraph import GraphBuilder, ProofGraph, renumber, validate_structure
 from .semantics import FiniteModel, Valuation, find_counter_model
 from .syntax import (And, App, Eq, Exists, Forall, Formula, Implies, Not,
-                     Or, Pred, Rtc, Sequent, Signature, Term, Var,
-                     formula_subterms, free_vars, fresh_name, substitute,
+                     Or, Rtc, Sequent, Signature, Term, Var, formula_subterms,
+                     free_vars, fresh_name, parts, rebuild, substitute,
                      term_key, term_vars)
 from .tracecheck import EdgeMatrix, check_global_trace_condition, edge_matrix
 
@@ -190,27 +190,10 @@ def _replace_term(f: Formula, old: Term, new: Term) -> Formula:
         return t
 
     def go(g: Formula) -> Formula:
-        match g:
-            case Eq(l, r):
-                return Eq(goterm(l), goterm(r))
-            case Pred(name, args):
-                return Pred(name, tuple(goterm(a) for a in args))
-            case Not(s):
-                return Not(go(s))
-            case And(l, r):
-                return And(go(l), go(r))
-            case Or(l, r):
-                return Or(go(l), go(r))
-            case Implies(l, r):
-                return Implies(go(l), go(r))
-            case Forall(x, b):
-                return g if x in blocked else Forall(x, go(b))
-            case Exists(x, b):
-                return g if x in blocked else Exists(x, go(b))
-            case Rtc(x, y, b, s, t):
-                body = b if {x, y} & blocked else go(b)
-                return Rtc(x, y, body, goterm(s), goterm(t))
-        return g
+        binders, subs, terms = parts(g)
+        if blocked.isdisjoint(binders):
+            subs = tuple(go(h) for h in subs)
+        return rebuild(g, binders, subs, tuple(goterm(t) for t in terms))
 
     return go(f)
 
@@ -396,15 +379,12 @@ def moves(seq: Sequent, ancestors: tuple[Ancestor, ...],
 
 
 def _subformulas(f: Formula) -> Iterator[Formula]:
+    """f and its subformulas under propositional connectives only."""
     yield f
-    match f:
-        case Not(s):
-            yield from _subformulas(s)
-        case And(l, r) | Or(l, r) | Implies(l, r):
-            yield from _subformulas(l)
-            yield from _subformulas(r)
-        case _:
-            pass
+    binders, subs, _ = parts(f)
+    if not binders:
+        for g in subs:
+            yield from _subformulas(g)
 
 
 # ---------------------------------------------------------------------------

@@ -104,15 +104,20 @@ def to_latex(g: ProofGraph, sig: Signature | None = None) -> str:
     dagger = {cid: i + 1 for i, cid in enumerate(companions)}
     lines = [r"% requires \usepackage{bussproofs}", r"\begin{prooftree}"]
 
-    def walk(nid: int) -> None:
+    # post-order over the tree unfolding: a node's lines follow its children's
+    stack = [(g.root, False)]
+    while stack:
+        nid, expanded = stack.pop()
         node = g.nodes[nid]
+        if not (node.is_bud or expanded):
+            stack.append((nid, True))
+            stack.extend((cid, False) for cid in reversed(node.children))
+            continue
         seq = latex_sequent(node.sequent, sig)
         if node.is_bud:
             mark = rf"\dagger_{dagger[node.companion]}"
             lines.append(rf"\AxiomC{{$({mark}) \; {seq}$}}")
-            return
-        for cid in node.children:
-            walk(cid)
+            continue
         label = node.rule.rule.value
         if nid in dagger:
             label += rf" \; \dagger_{dagger[nid]}"
@@ -128,6 +133,5 @@ def to_latex(g: ProofGraph, sig: Signature | None = None) -> str:
         else:
             lines.append(rf"\TrinaryInfC{{${seq}$}}")
 
-    walk(g.root)
     lines.append(r"\end{prooftree}")
     return "\n".join(lines) + "\n"

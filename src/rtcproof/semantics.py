@@ -28,7 +28,8 @@ from .errors import (BudgetExceeded, NoCounterexample, NotAnRtcFormula,
 from .kernel import RuleId, RuleInstance, subst_dict
 from .syntax import (And, App, Bot, Const, Eq, Exists, Forall, Formula,
                      Implies, Not, Or, Pred, Rtc, Sequent, Signature, Term,
-                     Top, Var, free_vars, fresh_name, substitute)
+                     Top, Var, free_vars, fresh_name, parts, rebuild,
+                     substitute)
 
 Valuation = dict[str, int]
 
@@ -180,15 +181,17 @@ def evaluate(m: FiniteModel, v: Valuation, f: Formula) -> bool:
 
 
 def evaluate_warshall(m: FiniteModel, v: Valuation, f: Formula) -> bool:
-    """Independent evaluator: rtc via Floyd-Warshall boolean closure."""
+    """Independent evaluator: rtc via Floyd-Warshall boolean closure; terms
+    are read through `Evaluator.term`."""
+    term = _evaluator(m).term
     match f:
         case Eq(l, r):
-            return _t(m, v, l) == _t(m, v, r)
+            return term(l, v) == term(r, v)
         case Pred(name, args):
             rel = m.pred_interp.get(name)
             if rel is None:
                 raise SignatureMismatch(f"predicate {name!r} not interpreted")
-            return tuple(_t(m, v, a) for a in args) in rel
+            return tuple(term(a, v) for a in args) in rel
         case Top():
             return True
         case Bot():
@@ -217,26 +220,9 @@ def evaluate_warshall(m: FiniteModel, v: Valuation, f: Formula) -> bool:
                         for j in range(n):
                             if ck[j]:
                                 ci[j] = True
-            sv, tv = _t(m, v, s), _t(m, v, t)
+            sv, tv = term(s, v), term(t, v)
             return sv == tv or closure[sv][tv]
     raise TypeError(f"not a formula: {f!r}")
-
-
-def _t(m: FiniteModel, v: Valuation, t: Term) -> int:
-    match t:
-        case Var(name):
-            if name not in v:
-                raise UnboundVariable(f"variable {name!r} has no value")
-            return v[name]
-        case Const(name):
-            if name not in m.const_interp:
-                raise SignatureMismatch(f"constant {name!r} not interpreted")
-            return m.const_interp[name]
-        case App(fn, args):
-            if fn not in m.fn_interp:
-                raise SignatureMismatch(f"function {fn!r} not interpreted")
-            return m.fn_interp[fn][tuple(_t(m, v, a) for a in args)]
-    raise TypeError(f"not a term: {t!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -301,28 +287,9 @@ def _replace_consts(f: Formula, mapping: Mapping[str, str]) -> Formula:
                 return App(fn, tuple(goterm(a) for a in args))
         raise TypeError
 
-    match f:
-        case Eq(l, r):
-            return Eq(goterm(l), goterm(r))
-        case Pred(name, args):
-            return Pred(name, tuple(goterm(a) for a in args))
-        case Top() | Bot():
-            return f
-        case Not(s):
-            return Not(_replace_consts(s, mapping))
-        case And(l, r):
-            return And(_replace_consts(l, mapping), _replace_consts(r, mapping))
-        case Or(l, r):
-            return Or(_replace_consts(l, mapping), _replace_consts(r, mapping))
-        case Implies(l, r):
-            return Implies(_replace_consts(l, mapping), _replace_consts(r, mapping))
-        case Forall(x, b):
-            return Forall(x, _replace_consts(b, mapping))
-        case Exists(x, b):
-            return Exists(x, _replace_consts(b, mapping))
-        case Rtc(x, y, b, s, t):
-            return Rtc(x, y, _replace_consts(b, mapping), goterm(s), goterm(t))
-    raise TypeError
+    binders, subs, terms = parts(f)
+    return rebuild(f, binders, tuple(_replace_consts(g, mapping) for g in subs),
+                   tuple(goterm(t) for t in terms))
 
 
 def used_signature(sequents: tuple[Sequent, ...], sig: Signature) -> Signature:
@@ -343,23 +310,13 @@ def used_signature(sequents: tuple[Sequent, ...], sig: Signature) -> Signature:
                 pass
 
     def scan(f: Formula) -> None:
-        match f:
-            case Eq(l, r):
-                scan_term(l), scan_term(r)
-            case Pred(name, args):
-                preds[name] = len(args)
-                for a in args:
-                    scan_term(a)
-            case Not(s):
-                scan(s)
-            case And(l, r) | Or(l, r) | Implies(l, r):
-                scan(l), scan(r)
-            case Forall(_, b) | Exists(_, b):
-                scan(b)
-            case Rtc(_, _, b, s, t):
-                scan(b), scan_term(s), scan_term(t)
-            case _:
-                pass
+        if isinstance(f, Pred):
+            preds[f.name] = len(f.args)
+        _, subs, terms = parts(f)
+        for g in subs:
+            scan(g)
+        for t in terms:
+            scan_term(t)
 
     for seq in sequents:
         for f in seq.antecedent + seq.succedent:

@@ -6,6 +6,16 @@ all go through a de-Bruijn-style canonical key, so two alpha-equivalent
 formulas are interchangeable everywhere.  `canon` additionally rebuilds a
 formula with deterministic bound-variable names (idempotent).
 
+`parts(f)` gives the binders, subformulas and terms of f's top constructor
+and `rebuild(f, ...)` applies that constructor to new ones.  Their table,
+`_SHAPES`, is the one place that knows each constructor's shape; every
+function that only collects or maps over structure walks through them.  Five
+functions keep a `match` per constructor, because each constructor prints or
+means something different there: `_formula_key` (its strings fix sequent
+order, and so the printed output), `pretty` and `render.latex_formula`
+(notation and precedence), `semantics.Evaluator.holds` and
+`semantics.evaluate_warshall` (truth conditions).
+
 Concrete grammar (ASCII):
 
     term  := ident | ident "(" term ("," term)* ")" | "<" term "," term ">"
@@ -25,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ArityMismatch, ParseError, UnknownSymbol
@@ -236,49 +246,77 @@ def alpha_eq(f: Formula, g: Formula) -> bool:
     return f.key() == g.key()
 
 
+# ---------------------------------------------------------------------------
+# The shape table: `parts` and `rebuild` are the only code that knows which
+# fields of each constructor are binders, subformulas and terms.
+
+_SHAPES = {
+    Eq: (lambda f: ((), (), (f.lhs, f.rhs)),
+         lambda f, b, s, t: Eq(*t)),
+    Pred: (lambda f: ((), (), f.args),
+           lambda f, b, s, t: Pred(f.name, tuple(t))),
+    Top: (lambda f: ((), (), ()),
+          lambda f, b, s, t: f),
+    Bot: (lambda f: ((), (), ()),
+          lambda f, b, s, t: f),
+    Not: (lambda f: ((), (f.sub,), ()),
+          lambda f, b, s, t: Not(*s)),
+    And: (lambda f: ((), (f.left, f.right), ()),
+          lambda f, b, s, t: And(*s)),
+    Or: (lambda f: ((), (f.left, f.right), ()),
+         lambda f, b, s, t: Or(*s)),
+    Implies: (lambda f: ((), (f.left, f.right), ()),
+              lambda f, b, s, t: Implies(*s)),
+    Forall: (lambda f: ((f.var,), (f.body,), ()),
+             lambda f, b, s, t: Forall(*b, *s)),
+    Exists: (lambda f: ((f.var,), (f.body,), ()),
+             lambda f, b, s, t: Exists(*b, *s)),
+    Rtc: (lambda f: ((f.x, f.y), (f.body,), (f.src, f.dst)),
+          lambda f, b, s, t: Rtc(*b, *s, *t)),
+}
+_PARTS = {cls: p for cls, (p, _) in _SHAPES.items()}
+_REBUILD = {cls: r for cls, (_, r) in _SHAPES.items()}
+
+
+def parts(f: Formula) -> tuple[tuple[str, ...], tuple[Formula, ...], tuple[Term, ...]]:
+    """(binders, subformulas, terms) of f's top constructor.  The binders
+    scope over the subformulas only; the terms (atom arguments, rtc
+    endpoints) lie outside them."""
+    try:
+        return _PARTS[f.__class__](f)
+    except KeyError:
+        raise TypeError(f"not a formula: {f!r}") from None
+
+
+def rebuild(f: Formula, binders: tuple[str, ...], subformulas: tuple[Formula, ...],
+            terms: tuple[Term, ...]) -> Formula:
+    """f's constructor applied to new parts, as `parts` returns them."""
+    try:
+        return _REBUILD[f.__class__](f, binders, subformulas, terms)
+    except KeyError:
+        raise TypeError(f"not a formula: {f!r}") from None
+
+
 def free_vars(f: Formula) -> set[str]:
-    match f:
-        case Eq(l, r):
-            return term_vars(l) | term_vars(r)
-        case Pred(_, args):
-            out: set[str] = set()
-            for a in args:
-                out |= term_vars(a)
-            return out
-        case Top() | Bot():
-            return set()
-        case Not(s):
-            return free_vars(s)
-        case And(l, r) | Or(l, r) | Implies(l, r):
-            return free_vars(l) | free_vars(r)
-        case Forall(x, b) | Exists(x, b):
-            return free_vars(b) - {x}
-        case Rtc(x, y, b, s, t):
-            return (free_vars(b) - {x, y}) | term_vars(s) | term_vars(t)
-    raise TypeError(f"not a formula: {f!r}")
+    binders, subs, terms = parts(f)
+    out: set[str] = set()
+    for g in subs:
+        out |= free_vars(g)
+    out.difference_update(binders)
+    for t in terms:
+        out |= term_vars(t)
+    return out
 
 
 def all_names(f: Formula) -> set[str]:
     """Every variable name occurring in f, bound or free."""
-    match f:
-        case Eq(l, r):
-            return term_vars(l) | term_vars(r)
-        case Pred(_, args):
-            out: set[str] = set()
-            for a in args:
-                out |= term_vars(a)
-            return out
-        case Top() | Bot():
-            return set()
-        case Not(s):
-            return all_names(s)
-        case And(l, r) | Or(l, r) | Implies(l, r):
-            return all_names(l) | all_names(r)
-        case Forall(x, b) | Exists(x, b):
-            return all_names(b) | {x}
-        case Rtc(x, y, b, s, t):
-            return all_names(b) | {x, y} | term_vars(s) | term_vars(t)
-    raise TypeError(f"not a formula: {f!r}")
+    binders, subs, terms = parts(f)
+    out = set(binders)
+    for g in subs:
+        out |= all_names(g)
+    for t in terms:
+        out |= term_vars(t)
+    return out
 
 
 def fresh_name(avoid: set[str], hint: str = "_v") -> str:
@@ -299,32 +337,15 @@ def substitute(f: Formula, theta: Mapping[str, Term]) -> Formula:
     def go(g: Formula, th: dict[str, Term]) -> Formula:
         if not th:
             return g
-        match g:
-            case Eq(l, r):
-                return Eq(subst_term(l, th), subst_term(r, th))
-            case Pred(name, args):
-                return Pred(name, tuple(subst_term(a, th) for a in args))
-            case Top() | Bot():
-                return g
-            case Not(s):
-                return Not(go(s, th))
-            case And(l, r):
-                return And(go(l, th), go(r, th))
-            case Or(l, r):
-                return Or(go(l, th), go(r, th))
-            case Implies(l, r):
-                return Implies(go(l, th), go(r, th))
-            case Forall(x, b):
-                (x2,), b2, th2 = _push((x,), b, th)
-                return Forall(x2, go(b2, th2))
-            case Exists(x, b):
-                (x2,), b2, th2 = _push((x,), b, th)
-                return Exists(x2, go(b2, th2))
-            case Rtc(x, y, b, s, t):
-                s2, t2 = subst_term(s, th), subst_term(t, th)
-                (x2, y2), b2, th2 = _push((x, y), b, th)
-                return Rtc(x2, y2, go(b2, th2), s2, t2)
-        raise TypeError(f"not a formula: {g!r}")
+        binders, subs, terms = parts(g)
+        terms = tuple(subst_term(t, th) for t in terms)
+        if binders:
+            (body,) = subs
+            binders, body, th = _push(binders, body, th)
+            subs = (go(body, th),)
+        else:
+            subs = tuple(go(h, th) for h in subs)
+        return rebuild(g, binders, subs, terms)
 
     def _push(binders: tuple[str, ...], body: Formula, th: dict[str, Term]):
         """Restrict th to the binder scope, renaming binders that would capture."""
@@ -370,58 +391,24 @@ def canon(f: Formula) -> Formula:
         raise TypeError(f"not a term: {t!r}")
 
     def go(g: Formula, env: Mapping[str, str]) -> Formula:
-        match g:
-            case Eq(l, r):
-                return Eq(goterm(l, env), goterm(r, env))
-            case Pred(name, args):
-                return Pred(name, tuple(goterm(a, env) for a in args))
-            case Top() | Bot():
-                return g
-            case Not(s):
-                return Not(go(s, env))
-            case And(l, r):
-                return And(go(l, env), go(r, env))
-            case Or(l, r):
-                return Or(go(l, env), go(r, env))
-            case Implies(l, r):
-                return Implies(go(l, env), go(r, env))
-            case Forall(x, b):
-                nx = next_name()
-                return Forall(nx, go(b, {**env, x: nx}))
-            case Exists(x, b):
-                nx = next_name()
-                return Exists(nx, go(b, {**env, x: nx}))
-            case Rtc(x, y, b, s, t):
-                nx, ny = next_name(), next_name()
-                return Rtc(nx, ny, go(b, {**env, x: nx, y: ny}),
-                           goterm(s, env), goterm(t, env))
-        raise TypeError(f"not a formula: {g!r}")
+        binders, subs, terms = parts(g)
+        terms = tuple(goterm(t, env) for t in terms)
+        if binders:
+            fresh = tuple(next_name() for _ in binders)
+            env = {**env, **dict(zip(binders, fresh))}
+            binders = fresh
+        return rebuild(g, binders, tuple(go(h, env) for h in subs), terms)
 
     return go(f, {})
 
 
 def formula_subterms(f: Formula) -> Iterator[Term]:
     """All term occurrences in f, including inside binders."""
-    match f:
-        case Eq(l, r):
-            yield from subterms(l)
-            yield from subterms(r)
-        case Pred(_, args):
-            for a in args:
-                yield from subterms(a)
-        case Top() | Bot():
-            return
-        case Not(s):
-            yield from formula_subterms(s)
-        case And(l, r) | Or(l, r) | Implies(l, r):
-            yield from formula_subterms(l)
-            yield from formula_subterms(r)
-        case Forall(_, b) | Exists(_, b):
-            yield from formula_subterms(b)
-        case Rtc(_, _, b, s, t):
-            yield from formula_subterms(b)
-            yield from subterms(s)
-            yield from subterms(t)
+    _, subs, terms = parts(f)
+    for g in subs:
+        yield from formula_subterms(g)
+    for t in terms:
+        yield from subterms(t)
 
 
 # ---------------------------------------------------------------------------
@@ -509,30 +496,19 @@ def validate_formula(f: Formula, sig: Signature) -> None:
                 for a in args:
                     vterm(a)
 
-    match f:
-        case Eq(l, r):
-            vterm(l), vterm(r)
-        case Pred(name, args):
-            ar = sig.pred_arity(name)
-            if ar is None:
-                raise UnknownSymbol(f"predicate {name!r} not declared")
-            if ar != len(args):
-                raise ArityMismatch(f"predicate {name!r} expects {ar} args, got {len(args)}")
-            for a in args:
-                vterm(a)
-        case Top() | Bot():
-            pass
-        case Not(s):
-            validate_formula(s, sig)
-        case And(l, r) | Or(l, r) | Implies(l, r):
-            validate_formula(l, sig), validate_formula(r, sig)
-        case Forall(_, b) | Exists(_, b):
-            validate_formula(b, sig)
-        case Rtc(x, y, b, s, t):
-            if x == y:
-                raise ParseError(0, "rtc binders must be distinct")
-            validate_formula(b, sig)
-            vterm(s), vterm(t)
+    if isinstance(f, Pred):
+        ar = sig.pred_arity(f.name)
+        if ar is None:
+            raise UnknownSymbol(f"predicate {f.name!r} not declared")
+        if ar != len(f.args):
+            raise ArityMismatch(f"predicate {f.name!r} expects {ar} args, got {len(f.args)}")
+    binders, subs, terms = parts(f)
+    if len(set(binders)) != len(binders):
+        raise ParseError(0, "rtc binders must be distinct")
+    for g in subs:
+        validate_formula(g, sig)
+    for t in terms:
+        vterm(t)
 
 
 # ---------------------------------------------------------------------------

@@ -339,13 +339,3 @@ def is_non_overlapping(g: ProofGraph) -> bool:
             return False
     return True
 
-
-def replay_witness(report: CycleReport) -> bool:
-    """Recompose the rejection witness and confirm no idempotent power of the
-    period matrix has a progressing diagonal pair."""
-    if report.verdict != "rejected" or not report.witness_edges:
-        return False
-    mat = report.witness_edges[0].matrix
-    for e in report.witness_edges[1:]:
-        mat = mat.compose(e.matrix)
-    return not mat.idempotent_power().has_progressing_diagonal()

@@ -16,13 +16,12 @@ from dataclasses import dataclass, field
 
 from .errors import (FreshnessViolation, MissingPairSymbol, NotApplicable,
                      SignatureMismatch, VariableClash)
-from .kernel import (RuleId, RuleInstance, RuleParams, make_subst,
-                     rule_instance)
+from .kernel import RuleId, make_subst, rule_instance
 from .proofgraph import GraphBuilder, ProofGraph, ProofNode, renumber
 from .syntax import (And, App, Const, Eq, Exists, Forall, Formula, Implies,
                      Not, Or, Pred, Rtc, Sequent, Signature, Term, Var,
                      all_names, formula_subterms, free_vars, fresh_name,
-                     substitute, term_vars)
+                     parts, rebuild, substitute, term_vars)
 
 ARITH_SIGNATURE = Signature.make(constants={"0"}, functions={"s": 1, "add": 2})
 
@@ -38,22 +37,27 @@ class Fragment:
 
     def close(self, subproof: ProofGraph) -> ProofGraph:
         """Splice subproof (whose end-sequent must equal the open premise)."""
-        if subproof.end_sequent() != self.open_sequent:
+        nodes = dict(subproof.nodes)
+        root = self.graft(nodes, max(subproof.nodes) + 1, subproof.root)
+        return renumber(ProofGraph(nodes, root))
+
+    def graft(self, nodes: dict[int, ProofNode], base: int, sub_root: int) -> int:
+        """Copy the fragment into nodes at ids base + i, its open premise
+        replaced by the node sub_root of nodes; returns the new root id."""
+        if nodes[sub_root].sequent != self.open_sequent:
             raise NotApplicable(
-                f"subproof concludes {subproof.end_sequent()}, "
+                f"subproof concludes {nodes[sub_root].sequent}, "
                 f"fragment needs {self.open_sequent}")
-        base = max(self.nodes) + 1
-        mapping = {}
-        for old in sorted(subproof.nodes):
-            mapping[old] = self.open_id if old == subproof.root else base + old
-        nodes = dict(self.nodes)
-        del nodes[self.open_id]
-        for old, node in subproof.nodes.items():
-            nodes[mapping[old]] = ProofNode(
-                node.sequent, node.rule,
-                tuple(mapping[c] for c in node.children),
-                None if node.companion is None else mapping[node.companion])
-        return renumber(ProofGraph(nodes, self.root))
+
+        def new_id(old: int) -> int:
+            return sub_root if old == self.open_id else base + old
+
+        for old, node in self.nodes.items():
+            if old != self.open_id:
+                nodes[base + old] = ProofNode(
+                    node.sequent, node.rule, tuple(new_id(c) for c in node.children),
+                    None if node.companion is None else new_id(node.companion))
+        return base + self.root
 
 
 def derive_induction(gamma: tuple[Formula, ...], delta: tuple[Formula, ...],
@@ -153,25 +157,25 @@ def explicit_to_cyclic(p: ProofGraph, sig: Signature | None = None) -> ProofGrap
     if any(node.is_bud for node in p.nodes.values()):
         raise NotApplicable("input proof must be finite (no buds)")
 
-    def rebuild(nid: int) -> ProofGraph:
+    nodes: dict[int, ProofNode] = {}
+    done: list[int] = []   # new ids of translated subtrees, in post-order
+    base = 0               # the next free id
+    # post-order over the tree unfolding: a node after all its children
+    stack = [(p.root, False)]
+    while stack:
+        nid, expanded = stack.pop()
         node = p.nodes[nid]
-        children = [rebuild(c) for c in node.children]
+        if not expanded:
+            stack.append((nid, True))
+            stack.extend((c, False) for c in reversed(node.children))
+            continue
+        kids = done[len(done) - len(node.children):]
+        del done[len(done) - len(node.children):]
         if node.rule.rule is not RuleId.RtcInd:
-            b = GraphBuilder()
-            root = b.reserve()
-            child_ids = []
-            for sub in children:
-                base = b._next
-                for old in sorted(sub.nodes):
-                    b.reserve()
-                for old, sn in sub.nodes.items():
-                    b.nodes[base + old] = ProofNode(
-                        sn.sequent, sn.rule,
-                        tuple(base + c for c in sn.children),
-                        None if sn.companion is None else base + sn.companion)
-                child_ids.append(base + sub.root)
-            b.fill_internal(root, node.rule, tuple(child_ids))
-            return b.graph(root)
+            nodes[base] = ProofNode(node.rule.conclusion, node.rule, tuple(kids))
+            done.append(base)
+            base += 1
+            continue
         params = node.rule.params
         prin: Rtc = params.principal
         psi_tmpl, tvar = params.template
@@ -185,9 +189,10 @@ def explicit_to_cyclic(p: ProofGraph, sig: Signature | None = None) -> ProofGrap
         delta = tuple(f for f in concl.succedent if f != psi_t)
         frag = derive_induction(gamma, delta, phi_xy, psi_x, x, y,
                                 prin.src, prin.dst)
-        return frag.close(children[0])
+        done.append(frag.graft(nodes, base, kids[0]))
+        base += max(frag.nodes) + 1
 
-    return renumber(rebuild(p.root))
+    return renumber(ProofGraph(nodes, done[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -250,25 +255,11 @@ def beta_translate(f: Formula, cfg: BetaConfig | None = None, mode: str = "pa") 
     _check_arith(f)
 
     def tr(g: Formula, avoid: set[str]) -> Formula:
-        match g:
-            case Eq(_, _) | Pred(_, _):
-                return g
-            case Not(sub):
-                return Not(tr(sub, avoid))
-            case And(l, r):
-                return And(tr(l, avoid), tr(r, avoid))
-            case Or(l, r):
-                return Or(tr(l, avoid), tr(r, avoid))
-            case Implies(l, r):
-                return Implies(tr(l, avoid), tr(r, avoid))
-            case Forall(xv, b):
-                return Forall(xv, tr(b, avoid | {xv}))
-            case Exists(xv, b):
-                return Exists(xv, tr(b, avoid | {xv}))
-            case Rtc(xv, yv, body, src, dst):
-                inner = tr(body, avoid | {xv, yv})
-                return _expand_rtc(xv, yv, inner, src, dst, avoid)
-        return g  # Top, Bot
+        binders, subs, terms = parts(g)
+        subs = tuple(tr(h, avoid | set(binders)) for h in subs)
+        if isinstance(g, Rtc):
+            return _expand_rtc(*binders, *subs, *terms, avoid)
+        return rebuild(g, binders, subs, terms)
 
     def _expand_rtc(xv: str, yv: str, body: Formula, src: Term, dst: Term,
                     avoid: set[str]) -> Formula:

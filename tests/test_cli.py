@@ -4,9 +4,12 @@ import sys
 
 import pytest
 
+import rtcproof.cli
 from rtcproof.cli import main
+from rtcproof.prooffile import parse_proof, serialize_proof
 
 from conftest import corpus_path
+from preproofs import subst_chain
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -108,3 +111,34 @@ def test_check_malformed_is_usage_error(case, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"error: line {line}, ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_CHECK))
+def test_corpus_file_round_trips(name):
+    with open(corpus_path(name), encoding="utf-8") as fh:
+        text = fh.read()
+    assert serialize_proof(parse_proof(text)) == text
+
+
+def test_deep_proof_render_and_translate(tmp_path, capsys):
+    # a 3000-node chain is far deeper than the interpreter's recursion limit
+    path = tmp_path / "chain.tcp"
+    path.write_text(subst_chain(3000), encoding="utf-8")
+    assert main(["render", "--format", "tex", str(path)]) == 0
+    assert capsys.readouterr().out.count("UnaryInfC") == 3000
+    out = tmp_path / "translated.tcp"
+    assert main(["translate-ind", str(path), "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").count("\nnode ") == 3000
+    assert main(["check", str(out)]) == 0
+    assert capsys.readouterr().out == "accepted; 0 basic cycles; normal\n"
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    def broken(*args):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(rtcproof.cli, "to_latex", broken)
+    assert main(["render", "--format", "tex", corpus_path("refl.tcp")]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: ZeroDivisionError: boom\n"

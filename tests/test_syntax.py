@@ -3,10 +3,11 @@ import random
 import pytest
 
 from rtcproof.errors import ArityMismatch, ParseError, UnknownSymbol
-from rtcproof.syntax import (And, App, Const, Eq, Exists, Forall, Not, Or,
-                             Pred, Rtc, Sequent, Signature, Var, alpha_eq,
-                             canon, free_vars, parse_formula, parse_sequent,
-                             parse_sequent_infer, pretty, pretty_sequent,
+from rtcproof.syntax import (And, App, Bot, Const, Eq, Exists, Forall,
+                             Implies, Not, Or, Pred, Rtc, Sequent, Signature,
+                             Top, Var, alpha_eq, canon, free_vars,
+                             parse_formula, parse_sequent, parse_sequent_infer,
+                             parts, pretty, pretty_sequent, rebuild,
                              substitute, term_vars)
 
 SIG = Signature.make(constants={"0"},
@@ -216,3 +217,51 @@ class TestSequent:
         assert pretty_sequent(parse_sequent("|- q(a)", SIG)) == "|- q(a)"
         assert pretty_sequent(parse_sequent("q(a) |-", SIG)) == "q(a) |-"
         assert pretty_sequent(Sequent((), ())) == "|- "
+
+
+class TestShape:
+    # one formula per constructor, Implies, Top and Bot included
+    EXAMPLES = [
+        "s(x) = y", "p(x, 0)", "top", "bot", "~q(x)", "q(x) /\\ q(y)",
+        "q(x) \\/ q(y)", "q(x) -> q(y)", "forall x. p(x, y)",
+        "exists y. p(x, y)", "(rtc x y. p(x, y))(s(0), z)",
+    ]
+
+    def test_examples_cover_every_constructor(self):
+        assert {type(F(t)) for t in self.EXAMPLES} == {
+            Eq, Pred, Top, Bot, Not, And, Or, Implies, Forall, Exists, Rtc}
+
+    @pytest.mark.parametrize("text", EXAMPLES)
+    def test_rebuild_from_own_parts(self, text):
+        f = F(text)
+        g = rebuild(f, *parts(f))
+        assert g == f
+        assert type(g) is type(f)
+        assert pretty(g, SIG) == pretty(f, SIG)
+
+    def test_rebuild_random(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            stack = [_random_formula(rng, rng.randrange(4))]
+            while stack:
+                f = stack.pop()
+                g = rebuild(f, *parts(f))
+                assert type(g) is type(f) and pretty(g) == pretty(f)
+                stack.extend(parts(f)[1])
+
+    def test_rtc_parts(self):
+        f = F("(rtc x y. p(x, y))(s(0), z)")
+        assert parts(f) == (("x", "y"), (f.body,), (f.src, f.dst))
+
+    def test_rebuild_new_parts(self):
+        f = F("forall x. q(x)")
+        g = rebuild(f, ("y",), (F("q(y) /\\ q(z)"),), ())
+        assert pretty(g) == "forall y. q(y) /\\ q(z)"
+        h = rebuild(F("p(x, y)"), (), (), (Var("u"), Const("0")))
+        assert pretty(h) == "p(u, 0)"
+
+    def test_not_a_formula(self):
+        with pytest.raises(TypeError):
+            parts(Var("x"))
+        with pytest.raises(TypeError):
+            rebuild(Var("x"), (), (), ())
