@@ -9,6 +9,7 @@ pre-proofs that fail the global trace condition.
 
 import os
 import sys
+from dataclasses import replace
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -233,11 +234,9 @@ def ind_double():
         for old in sorted(sub.nodes):
             b.reserve()
         for old, node in sub.nodes.items():
-            from rtcproof.proofgraph import ProofNode
-            b.nodes[offset + old] = ProofNode(
-                node.sequent, node.rule,
-                tuple(offset + c for c in node.children),
-                None if node.companion is None else offset + node.companion)
+            b.nodes[offset + old] = replace(
+                node, children=tuple(offset + c for c in node.children),
+                companion=None if node.companion is None else offset + node.companion)
         kids.append(offset + sub.root)
     nid = b.add_internal(andr, tuple(kids))
     save("ind_double.tcp", b.graph(nid), sig)

@@ -27,7 +27,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import ParseError, RtcError
-from .kernel import RuleId, RuleInstance, RuleParams
+from .kernel import RuleId, RuleParams
 from .proofgraph import ProofGraph, ProofNode
 from .syntax import (Sequent, Signature, Term, _Parser, pretty, pretty_sequent,
                      pretty_term)
@@ -270,22 +270,20 @@ def serialize_proof(pf: ProofFile) -> str:
             lines.append(f"node {nid} : {seq} ; bud -> {node.companion}")
         else:
             prem = "[" + ", ".join(str(c) for c in node.children) + "]"
-            lines.append(f"node {nid} : {seq} ; rule={node.rule.rule.value}"
-                         f" ; params={_params_text(node.rule.params, sig)}"
+            lines.append(f"node {nid} : {seq} ; rule={node.rule.value}"
+                         f" ; params={_params_text(node.params, sig)}"
                          f" ; premises={prem}")
     return "\n".join(lines) + "\n"
 
 
-def _parse_node(p: _Parser) -> tuple[Sequent, int | None,
-                                     tuple[RuleId, RuleParams] | None, tuple[int, ...]]:
-    """(sequent, companion, (rule id, params), premise ids) of a node body;
-    a bud has a companion and no rule."""
+def _parse_node(p: _Parser) -> ProofNode:
+    """The node of a node body; a bud has a companion and no rule."""
     seq = p.sequent()
     p.expect(";")
     if p.peek()[1] == "bud":
         p.next()
         p.expect("->")
-        return seq, _expect_number(p, "companion id"), None, ()
+        return ProofNode(seq, companion=_expect_number(p, "companion id"))
     kind, val, pos = p.peek()
     if val != "rule":
         raise ParseError(pos, "expected 'rule=' or 'bud ->'")
@@ -317,7 +315,7 @@ def _parse_node(p: _Parser) -> tuple[Sequent, int | None,
         if p.peek()[1] == ",":
             p.next()
     p.expect("]")
-    return seq, None, (rid, params), tuple(children)
+    return ProofNode(seq, rid, params, tuple(children))
 
 
 def parse_proof(text: str) -> ProofFile:
@@ -367,20 +365,14 @@ def parse_proof(text: str) -> ProofFile:
     if root is None:
         raise RtcError("missing 'root' line")
 
-    parsed = {}
+    nodes: dict[int, ProofNode] = {}
     for nid, (lineno, at, body) in bodies.items():
         try:
-            parsed[nid] = _parse_node(_Parser(body, sig))
+            nodes[nid] = _parse_node(_Parser(body, sig))
         except ParseError as exc:
             raise ParseError(at + exc.position, exc.message, lineno) from None
-    nodes: dict[int, ProofNode] = {}
-    for nid, (seq, companion, rule, children) in parsed.items():
-        if rule is None:
-            nodes[nid] = ProofNode(seq, None, (), companion)
-            continue
-        try:
-            prems = tuple(parsed[c][0] for c in children)
-        except KeyError as exc:
-            raise RtcError(f"node {nid}: child {exc.args[0]} missing") from None
-        nodes[nid] = ProofNode(seq, RuleInstance(rule[0], seq, prems, rule[1]), children)
+    for nid, node in nodes.items():
+        for c in node.children:
+            if c not in nodes:
+                raise RtcError(f"node {nid}: child {c} missing")
     return ProofFile(ProofGraph(nodes, root), sig, theory_name)

@@ -1,26 +1,29 @@
 """Cyclic pre-proofs as finite graphs with bud/companion assignment.
 
-A node is either internal (carries a rule instance whose premises are its
-children, in order) or a bud: an open leaf pointing back at a syntactically
-equal internal node, its companion.  `validate_structure` checks the graph
-invariants plus every rule instance; `edge_trace_steps` gives the trace
-pairs between antecedent rtc formulas across one premise of a rule.
+A node is either internal (carries a rule id and parameters; its premises
+are its children's sequents, in order) or a bud: an open leaf pointing back
+at a syntactically equal internal node, its companion.  Each fact is stored
+once: `ProofGraph.instance` assembles a node's rule instance from the node
+and its children.  `validate_structure` checks the graph invariants plus
+every rule instance; `edge_trace_steps` gives the trace pairs between
+antecedent rtc formulas across one premise of a rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from .errors import SchemaMismatch
-from .kernel import (RuleId, RuleInstance, check_rule_instance, rule_instance,
-                     subst_dict)
+from .kernel import (RuleId, RuleInstance, RuleParams, check_rule_instance,
+                     rule_instance, subst_dict)
 from .syntax import Formula, Rtc, Sequent, Signature, Var, substitute
 
 
 @dataclass
 class ProofNode:
     sequent: Sequent
-    rule: RuleInstance | None = None      # None for buds
+    rule: RuleId | None = None            # None for buds
+    params: RuleParams = field(default_factory=RuleParams)
     children: tuple[int, ...] = ()
     companion: int | None = None          # set for buds
 
@@ -39,6 +42,14 @@ class ProofGraph:
 
     def end_sequent(self) -> Sequent:
         return self.nodes[self.root].sequent
+
+    def instance(self, nid: int) -> RuleInstance:
+        """The rule instance at internal node nid: its conclusion is the
+        node's sequent and its premises are the children's sequents."""
+        node = self.nodes[nid]
+        return RuleInstance(node.rule, node.sequent,
+                            tuple(self.nodes[c].sequent for c in node.children),
+                            node.params)
 
 
 @dataclass(frozen=True)
@@ -76,26 +87,13 @@ def validate_structure(g: ProofGraph, theory: tuple[Sequent, ...] = (),
             if node.children:
                 errors.append(GraphError("BadPremiseLink", nid, "bud has children"))
             continue
-        rule = node.rule
-        if rule.conclusion != node.sequent:
-            errors.append(GraphError(
-                "BadPremiseLink", nid,
-                f"stored sequent {node.sequent} differs from rule conclusion {rule.conclusion}"))
-        if len(node.children) != len(rule.premises):
-            errors.append(GraphError(
-                "BadPremiseLink", nid,
-                f"{len(rule.premises)} premises but {len(node.children)} children"))
-        else:
-            for i, (cid, prem) in enumerate(zip(node.children, rule.premises)):
-                if cid not in g.nodes:
-                    errors.append(GraphError("BadPremiseLink", nid,
-                                             f"child {cid} does not exist"))
-                elif g.nodes[cid].sequent != prem:
-                    errors.append(GraphError(
-                        "BadPremiseLink", nid,
-                        f"premise {i} is {prem} but child {cid} holds {g.nodes[cid].sequent}"))
+        missing = [c for c in node.children if c not in g.nodes]
+        for cid in missing:
+            errors.append(GraphError("BadPremiseLink", nid, f"child {cid} does not exist"))
+        if missing:
+            continue
         try:
-            check_rule_instance(rule, theory, sig)
+            check_rule_instance(g.instance(nid), theory, sig)
         except SchemaMismatch as exc:
             errors.append(GraphError("KernelError", nid, str(exc)))
         except Exception as exc:  # freshness, unknown axiom, arity...
@@ -178,11 +176,11 @@ class GraphBuilder:
         return nid
 
     def fill_internal(self, nid: int, rule: RuleInstance, children: tuple[int, ...]) -> int:
-        self.nodes[nid] = ProofNode(rule.conclusion, rule, children)
+        self.nodes[nid] = ProofNode(rule.conclusion, rule.rule, rule.params, children)
         return nid
 
     def fill_bud(self, nid: int, seq: Sequent, companion: int) -> int:
-        self.nodes[nid] = ProofNode(seq, None, (), companion)
+        self.nodes[nid] = ProofNode(seq, companion=companion)
         return nid
 
     def add_internal(self, rule: RuleInstance, children: tuple[int, ...] = ()) -> int:
@@ -230,8 +228,7 @@ def renumber(g: ProofGraph) -> ProofGraph:
     mapping = {old: new for new, old in enumerate(order)}
     nodes = {}
     for old, node in g.nodes.items():
-        nodes[mapping[old]] = ProofNode(
-            node.sequent, node.rule,
-            tuple(mapping[c] for c in node.children),
-            None if node.companion is None else mapping[node.companion])
+        nodes[mapping[old]] = replace(
+            node, children=tuple(mapping[c] for c in node.children),
+            companion=None if node.companion is None else mapping[node.companion])
     return ProofGraph(nodes, mapping[g.root])

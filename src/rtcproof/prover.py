@@ -38,7 +38,6 @@ class SearchConfig:
     refute_size: int = 3
     fresh_pool: int = 1
     global_companions: bool = False
-    closure_cap: int = 500_000
 
 
 @dataclass
@@ -455,7 +454,7 @@ def prove(goal: Sequent, cfg: SearchConfig) -> SearchOutcome:
                 errs = validate_structure(g, cfg.theory, cfg.sig)
                 if errs:
                     raise AssertionError(f"prover built an invalid graph: {errs[0]}")
-                if check_global_trace_condition(g, cfg.closure_cap).accepted:
+                if check_global_trace_condition(g).accepted:
                     return Proved(renumber(g))
         except BudgetExceeded:
             exhausted_depth = False
@@ -470,8 +469,3 @@ def prove(goal: Sequent, cfg: SearchConfig) -> SearchOutcome:
                 pass
     return Unknown("depth" if exhausted_depth else "budget")
 
-
-def expand_fair(node: Sequent, cfg: SearchConfig) -> list[tuple[RuleId, object]]:
-    """The deterministic candidate ordering exposed for inspection: every
-    applicable (rule, parameter) pair in the order the search tries them."""
-    return [(m.rid, m.params) for m in moves(node, (), (), cfg)]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from .errors import RtcError
 from .proofgraph import ProofGraph, edge_trace_steps
 from .syntax import (And, App, Bot, Const, Eq, Exists, Forall, Formula,
                      Implies, Not, Or, Pred, Rtc, Signature, Term, Top, Var,
@@ -21,15 +22,15 @@ def to_dot(g: ProofGraph, sig: Signature | None = None) -> str:
         if node.is_bud:
             lines.append(f'  n{nid} [label="{label}", style=dotted];')
         else:
-            rule = node.rule.rule.value
-            lines.append(f'  n{nid} [label="{label}\\n({rule})"];')
+            lines.append(f'  n{nid} [label="{label}\\n({node.rule.value})"];')
     for nid in sorted(g.nodes):
         node = g.nodes[nid]
         if node.is_bud:
             lines.append(f"  n{nid} -> n{node.companion} [style=dashed, constraint=false];")
             continue
+        rule = g.instance(nid)
         for i, cid in enumerate(node.children):
-            progressing = any(st.progressing for st in edge_trace_steps(node.rule, i))
+            progressing = any(st.progressing for st in edge_trace_steps(rule, i))
             attrs = ' [color=red, penwidth=2.0, label="progress"]' if progressing else ""
             lines.append(f"  n{nid} -> n{cid}{attrs};")
     lines.append("}")
@@ -104,21 +105,29 @@ def to_latex(g: ProofGraph, sig: Signature | None = None) -> str:
     dagger = {cid: i + 1 for i, cid in enumerate(companions)}
     lines = [r"% requires \usepackage{bussproofs}", r"\begin{prooftree}"]
 
-    # post-order over the tree unfolding: a node's lines follow its children's
+    # post-order over the tree unfolding: a node's lines follow its children's;
+    # path holds the expanded nodes still on the stack, the current ancestors
     stack = [(g.root, False)]
+    path: set[int] = set()
     while stack:
         nid, expanded = stack.pop()
+        if nid not in g.nodes:
+            raise RtcError(f"node {nid} does not exist")
         node = g.nodes[nid]
         if not (node.is_bud or expanded):
+            if nid in path:
+                raise RtcError(f"premise links through node {nid} form a cycle")
+            path.add(nid)
             stack.append((nid, True))
             stack.extend((cid, False) for cid in reversed(node.children))
             continue
+        path.discard(nid)
         seq = latex_sequent(node.sequent, sig)
         if node.is_bud:
             mark = rf"\dagger_{dagger[node.companion]}"
             lines.append(rf"\AxiomC{{$({mark}) \; {seq}$}}")
             continue
-        label = node.rule.rule.value
+        label = node.rule.value
         if nid in dagger:
             label += rf" \; \dagger_{dagger[nid]}"
         lines.append(rf"\RightLabel{{\small {label}}}")

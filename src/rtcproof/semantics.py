@@ -1,9 +1,10 @@
 """Brute-force evaluation in finite first-order structures.
 
 Provides the truth oracle used to sanity-check the proof systems: formula
-evaluation (with rtc handled by graph reachability), the degree of an rtc
-formula under a model/valuation, bounded counter-model search, and the
-descending-counter-model witness for locally valid rule instances.
+evaluation (with rtc handled by graph reachability) and bounded
+counter-model search.  The degree of an rtc formula and the descending
+counter-model witness for locally valid rule instances are test oracles in
+`tests/oracles.py`.
 
 Model enumeration order (documented contract): by domain size, then per
 size lexicographically over table encodings in the order (function tables,
@@ -23,13 +24,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
-from .errors import (BudgetExceeded, NoCounterexample, NotAnRtcFormula,
-                     NotApplicable, SignatureMismatch, UnboundVariable)
-from .kernel import RuleId, RuleInstance, subst_dict
+from .errors import BudgetExceeded, SignatureMismatch, UnboundVariable
 from .syntax import (And, App, Bot, Const, Eq, Exists, Forall, Formula,
                      Implies, Not, Or, Pred, Rtc, Sequent, Signature, Term,
-                     Top, Var, free_vars, fresh_name, parts, rebuild,
-                     substitute)
+                     Top, Var, free_vars, fresh_name, parts, rebuild)
 
 Valuation = dict[str, int]
 
@@ -180,99 +178,6 @@ def evaluate(m: FiniteModel, v: Valuation, f: Formula) -> bool:
     return _evaluator(m).holds(f, v)
 
 
-def evaluate_warshall(m: FiniteModel, v: Valuation, f: Formula) -> bool:
-    """Independent evaluator: rtc via Floyd-Warshall boolean closure; terms
-    are read through `Evaluator.term`."""
-    term = _evaluator(m).term
-    match f:
-        case Eq(l, r):
-            return term(l, v) == term(r, v)
-        case Pred(name, args):
-            rel = m.pred_interp.get(name)
-            if rel is None:
-                raise SignatureMismatch(f"predicate {name!r} not interpreted")
-            return tuple(term(a, v) for a in args) in rel
-        case Top():
-            return True
-        case Bot():
-            return False
-        case Not(s):
-            return not evaluate_warshall(m, v, s)
-        case And(l, r):
-            return evaluate_warshall(m, v, l) and evaluate_warshall(m, v, r)
-        case Or(l, r):
-            return evaluate_warshall(m, v, l) or evaluate_warshall(m, v, r)
-        case Implies(l, r):
-            return (not evaluate_warshall(m, v, l)) or evaluate_warshall(m, v, r)
-        case Exists(x, b):
-            return any(evaluate_warshall(m, {**v, x: a}, b) for a in range(m.domain_size))
-        case Forall(x, b):
-            return all(evaluate_warshall(m, {**v, x: a}, b) for a in range(m.domain_size))
-        case Rtc(x, y, b, s, t):
-            n = m.domain_size
-            closure = [[evaluate_warshall(m, {**v, x: i, y: j}, b) for j in range(n)]
-                       for i in range(n)]
-            for k in range(n):
-                ck = closure[k]
-                for i in range(n):
-                    if closure[i][k]:
-                        ci = closure[i]
-                        for j in range(n):
-                            if ck[j]:
-                                ci[j] = True
-            sv, tv = term(s, v), term(t, v)
-            return sv == tv or closure[sv][tv]
-    raise TypeError(f"not a formula: {f!r}")
-
-
-# ---------------------------------------------------------------------------
-# Degree and minimal chains
-
-def degree(m: FiniteModel, v: Valuation, f: Formula) -> int | None:
-    """Length of a minimal witnessing chain; 0 iff endpoint values coincide;
-    None when the rtc formula is unsatisfied."""
-    chain = minimal_chain(m, v, f)
-    return None if chain is None else len(chain) - 1
-
-
-def minimal_chain(m: FiniteModel, v: Valuation, f: Formula) -> list[int] | None:
-    """The lexicographically least minimal-length witnessing element sequence
-    [a_0..a_n], or None if the formula is false.  [a_0] when v(src)=v(dst)."""
-    if not isinstance(f, Rtc):
-        raise NotAnRtcFormula(f"degree is defined for rtc formulas, not {f}")
-    ev = _evaluator(m)
-    sv, tv = ev.term(f.src, v), ev.term(f.dst, v)
-    if sv == tv:
-        return [sv]
-    adj = ev.adjacency(f, v)
-    n = m.domain_size
-    # BFS backwards from tv: dist[b] = fewest steps from b to tv
-    dist: list[int | None] = [None] * n
-    dist[tv] = 0
-    frontier = [tv]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for b in range(n):
-                if adj[b][u] and dist[b] is None:
-                    dist[b] = dist[u] + 1
-                    nxt.append(b)
-        frontier = nxt
-    if dist[sv] is None:
-        return None
-    chain = [sv]
-    cur, remaining = sv, dist[sv]
-    while cur != tv:
-        for b in range(n):
-            if adj[cur][b] and dist[b] == remaining - 1:
-                chain.append(b)
-                cur, remaining = b, remaining - 1
-                break
-        else:
-            raise AssertionError("BFS invariant broken")
-    return chain
-
-
 # ---------------------------------------------------------------------------
 # Model enumeration and counter-model search
 
@@ -330,37 +235,10 @@ def _tuples(n: int, arity: int) -> list[tuple[int, ...]]:
     return list(itertools.product(range(n), repeat=arity))
 
 
-def _perm_maps(n: int, arity: int) -> list[list[int]]:
-    """For each non-identity permutation of the domain, the induced map on
-    tuple indices (lexicographic order)."""
-    tups = _tuples(n, arity)
-    index = {t: i for i, t in enumerate(tups)}
-    maps = []
-    for perm in itertools.permutations(range(n)):
-        if perm == tuple(range(n)):
-            continue
-        maps.append([index[tuple(perm[x] for x in t)] for t in tups])
-    return maps
-
-
-def iter_skeletons(sig: Signature, n: int, up_to_iso: bool = False
-                   ) -> Iterator[tuple[dict, dict]]:
-    """(fn_interp, pred_interp) pairs in documented lexicographic order.
-
-    With up_to_iso (only honoured for function-free signatures) predicate
-    tables that are not lexicographically minimal under domain permutations
-    are skipped; sound for existence queries since constants and valuations
-    are enumerated separately.
-    """
+def iter_skeletons(sig: Signature, n: int) -> Iterator[tuple[dict, dict]]:
+    """(fn_interp, pred_interp) pairs in documented lexicographic order."""
     fns = sorted(sig.function_map.items())
     preds = sorted(sig.predicate_map.items())
-    prune = up_to_iso and not fns and n > 1
-    n_perms = 0
-    perm_maps: dict[int, list[list[int]]] = {}
-    if prune:
-        perm_maps = {ar: _perm_maps(n, ar) for _, ar in preds}
-        n_perms = next(iter(perm_maps.values()), [])
-        n_perms = len(n_perms)
     tuples_of = {ar: _tuples(n, ar) for _, ar in itertools.chain(fns, preds)}
 
     def fn_tables() -> Iterator[dict]:
@@ -369,29 +247,9 @@ def iter_skeletons(sig: Signature, n: int, up_to_iso: bool = False
             yield {name: dict(zip(tuples_of[ar], flat))
                    for (name, ar), flat in zip(fns, combo)}
 
-    def _canonical(masks: tuple[int, ...]) -> bool:
-        arities = [ar for _, ar in preds]
-        for pi in range(n_perms):
-            mapped = []
-            for k, mask in enumerate(masks):
-                pm = perm_maps[arities[k]][pi]
-                out = 0
-                msk, i = mask, 0
-                while msk:
-                    if msk & 1:
-                        out |= 1 << pm[i]
-                    msk >>= 1
-                    i += 1
-                mapped.append(out)
-            if tuple(mapped) < tuple(masks):
-                return False
-        return True
-
     def pred_tables() -> Iterator[dict]:
         sizes = [2 ** (n ** ar) for _, ar in preds]
         for masks in itertools.product(*(range(sz) for sz in sizes)):
-            if prune and preds and not _canonical(masks):
-                continue
             yield {name: frozenset(t for i, t in enumerate(tuples_of[ar]) if masks[k] >> i & 1)
                    for k, (name, ar) in enumerate(preds)}
 
@@ -400,29 +258,20 @@ def iter_skeletons(sig: Signature, n: int, up_to_iso: bool = False
             yield fn_i, pred_i
 
 
-def iter_models(sig: Signature, n: int) -> Iterator[FiniteModel]:
-    """All models of size n over sig in documented enumeration order."""
-    consts = sorted(sig.constants)
-    for fn_i, pred_i in iter_skeletons(sig, n):
-        for cvals in itertools.product(range(n), repeat=len(consts)):
-            yield FiniteModel(n, dict(zip(consts, cvals)), fn_i, pred_i)
-
-
 def sequent_holds(ev: Evaluator, v: Valuation, s: Sequent) -> bool:
     return (not all(ev.holds(f, v) for f in s.antecedent)
             or any(ev.holds(f, v) for f in s.succedent))
 
 
 def find_counter_model(s: Sequent, max_size: int, theory: tuple[Sequent, ...] = (),
-                       sig: Signature | None = None, budget: int = 2_000_000,
-                       up_to_iso: bool = False) -> tuple[FiniteModel, Valuation] | None:
+                       sig: Signature | None = None, budget: int = 2_000_000
+                       ) -> tuple[FiniteModel, Valuation] | None:
     """First model/valuation (in enumeration order) satisfying the theory and
     every antecedent of s but no succedent; None if none exists within the
     size bound.  Absence is NOT a validity proof.
 
     Raises BudgetExceeded when more than `budget` candidate models would be
-    examined.  With up_to_iso, isomorphic predicate tables are skipped
-    (function-free signatures only); the answer's existence is unaffected.
+    examined.
     """
     if sig is None:
         raise SignatureMismatch("find_counter_model requires a signature")
@@ -443,7 +292,7 @@ def find_counter_model(s: Sequent, max_size: int, theory: tuple[Sequent, ...] = 
     goal_fvs = sorted(s.free_vars())
     count = 0
     for n in range(1, max_size + 1):
-        for fn_i, pred_i in iter_skeletons(sig, n, up_to_iso=up_to_iso):
+        for fn_i, pred_i in iter_skeletons(sig, n):
             skeleton = FiniteModel(n, {}, fn_i, pred_i)
             ev = Evaluator(skeleton)
             for cvals in itertools.product(range(n), repeat=len(consts)):
@@ -469,116 +318,3 @@ def _theory_ok(ev: Evaluator, theory: tuple[Sequent, ...], base: Valuation, n: i
             if not sequent_holds(ev, {**base, **dict(zip(fvs, vals))}, ax):
                 return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Descending counter-models
-
-def invalidates(m: FiniteModel, v: Valuation, s: Sequent) -> bool:
-    ev = _evaluator(m)
-    return (all(ev.holds(f, v) for f in s.antecedent)
-            and not any(ev.holds(f, v) for f in s.succedent))
-
-
-def descent_witness(r: RuleInstance, m: FiniteModel, v: Valuation
-                    ) -> tuple[int, FiniteModel, Valuation]:
-    """Given (m, v) invalidating r's conclusion, return (premise_index, m', v')
-    invalidating that premise, with degrees non-increasing along trace pairs
-    and strictly decreasing along progressing ones."""
-    if r.rule is RuleId.RtcRefl:
-        raise NotApplicable("the conclusion of reflexivity has no counter-model")
-    if not invalidates(m, v, r.conclusion):
-        raise NoCounterexample("the given pair does not invalidate the conclusion")
-    if not r.premises:
-        raise NotApplicable(f"{r.rule.value} has no premises to descend into")
-    ev = _evaluator(m)
-    p = r.params
-    # rule parameters (cut formulas, witness terms) may introduce variables
-    # absent from the conclusion; fix them to 0 ahead of premise selection
-    needed = set()
-    for prem in r.premises:
-        needed |= prem.free_vars()
-    v = {**{x: 0 for x in sorted(needed - set(v))}, **v}
-
-    def holds(f: Formula) -> bool:
-        return ev.holds(f, v)
-
-    idx, v2 = 0, dict(v)
-    match r.rule:
-        case (RuleId.WL | RuleId.WR | RuleId.AndL | RuleId.OrR | RuleId.ImpR
-              | RuleId.NotL | RuleId.NotR | RuleId.AllL | RuleId.ExR
-              | RuleId.EqL1 | RuleId.EqL2 | RuleId.PairInj):
-            pass
-
-        case RuleId.AndR:
-            idx = 0 if not holds(p.principal.left) else 1
-
-        case RuleId.OrL:
-            idx = 0 if holds(p.principal.left) else 1
-
-        case RuleId.ImpL:
-            idx = 0 if not holds(p.principal.left) else 1
-
-        case RuleId.Cut:
-            idx = 0 if not holds(p.cut_formula) else 1
-
-        case RuleId.ExL:
-            inst = substitute(p.principal.body, {p.principal.var: Var(p.eigenvar)})
-            for a in range(m.domain_size):
-                if ev.holds(inst, {**v, p.eigenvar: a}):
-                    v2 = {**v, p.eigenvar: a}
-                    break
-            else:
-                raise AssertionError("existential was true but no witness element found")
-
-        case RuleId.AllR:
-            inst = substitute(p.principal.body, {p.principal.var: Var(p.eigenvar)})
-            for a in range(m.domain_size):
-                if not ev.holds(inst, {**v, p.eigenvar: a}):
-                    v2 = {**v, p.eigenvar: a}
-                    break
-            else:
-                raise AssertionError("universal was false on every element?")
-
-        case RuleId.Subst:
-            theta = subst_dict(p.substitution)
-            v2 = {x: ev.term(theta.get(x, Var(x)), v) for x in p.source.free_vars()}
-
-        case RuleId.RtcStep:
-            f = p.principal
-            mid = Rtc(f.x, f.y, f.body, f.src, p.witness)
-            idx = 0 if not holds(mid) else 1
-
-        case RuleId.RtcCase:
-            chain = minimal_chain(m, v, p.principal)
-            if chain is None:
-                raise AssertionError("rtc antecedent was true but has no chain")
-            if len(chain) == 1:
-                idx = 0
-            else:
-                # penultimate element of the minimal chain: the principal's
-                # degree strictly decreases on the progressing trace pair
-                idx, v2 = 1, {**v, p.eigenvar: chain[-2]}
-
-        case RuleId.RtcInd:
-            chain = minimal_chain(m, v, p.principal)
-            if chain is None:
-                raise AssertionError("rtc antecedent was true but has no chain")
-            x, y = p.eigenvar, p.eigenvar2
-            for i in range(len(chain) - 1):
-                cand = {**v, x: chain[i], y: chain[i + 1]}
-                if invalidates(m, cand, r.premises[0]):
-                    v2 = cand
-                    break
-            else:
-                raise AssertionError("no failing induction step along the minimal chain")
-
-        case _:
-            raise NotApplicable(f"descent not defined for {r.rule.value}")
-
-    if not invalidates(m, v2, r.premises[idx]):
-        if r.rule is RuleId.PairInj:
-            raise NotApplicable("pairing is not injective in this finite model")
-        raise AssertionError(
-            f"{r.rule.value}: chosen premise {idx} not invalidated; unsound instance?")
-    return idx, m, v2

@@ -13,8 +13,8 @@ function that only collects or maps over structure walks through them.  Five
 functions keep a `match` per constructor, because each constructor prints or
 means something different there: `_formula_key` (its strings fix sequent
 order, and so the printed output), `pretty` and `render.latex_formula`
-(notation and precedence), `semantics.Evaluator.holds` and
-`semantics.evaluate_warshall` (truth conditions).
+(notation and precedence), `semantics.Evaluator.holds` and the test
+oracle `evaluate_warshall` in `tests/oracles.py` (truth conditions).
 
 Concrete grammar (ASCII):
 

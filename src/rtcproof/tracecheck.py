@@ -5,9 +5,10 @@ trace matrices: the pre-proof is accepted iff every idempotent composed
 matrix describing a cycle contains a progressing diagonal pair.  The closure
 starts at companions only and follows only edges inside one strongly
 connected component; that is exact, since a cycle never leaves its component
-and always passes through a companion.  A bounded ultimately-periodic path
-enumeration provides an independent cross-check; the closure, basic cycles
-and the normality test rest on one iterative SCC pass.
+and always passes through a companion.  The closure, basic cycles and the
+normality test rest on one iterative SCC pass.  The tests cross-check the
+closure against a bounded enumeration of ultimately periodic paths
+(`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def _flow_links(g: ProofGraph) -> Iterator[tuple[int, int, int]]:
 
 def flow_edges(g: ProofGraph) -> list[FlowEdge]:
     """Edges of the unfolded graph with their trace matrices."""
-    return [FlowEdge(src, dst, edge_matrix(g.nodes[src].rule, i))
+    return [FlowEdge(src, dst, edge_matrix(g.instance(src), i))
             for src, i, dst in _flow_links(g)]
 
 
@@ -209,7 +210,7 @@ def check_global_trace_condition(g: ProofGraph, closure_cap: int = 500_000) -> C
     for src, i, dst in _flow_links(g):
         if comp_of[src] == comp_of[dst]:
             out.setdefault(src, []).append(
-                FlowEdge(src, dst, edge_matrix(g.nodes[src].rule, i)))
+                FlowEdge(src, dst, edge_matrix(g.instance(src), i)))
     companions = sorted({n.companion for n in g.nodes.values() if n.is_bud})
     # closure elements (src, dst, matrix key) -> matrix and a representative
     # edge path, extended by single edges on the right (left-linear closure is
@@ -246,59 +247,6 @@ def check_global_trace_condition(g: ProofGraph, closure_cap: int = 500_000) -> C
             prefix = _shortest_path(succ, _flow_root(g), src)
             return CycleReport("rejected", prefix, period, path,
                                detail="idempotent cycle without progress")
-    return CycleReport("accepted")
-
-
-def check_by_path_enumeration(g: ProofGraph, max_period: int) -> CycleReport:
-    """Bounded independent check: examine every ultimately periodic path with
-    period length <= max_period; a period is bad iff the idempotent power of
-    its composed matrix lacks a progressing diagonal pair."""
-    edges = flow_edges(g)
-    succ: dict[int, list[FlowEdge]] = {}
-    for e in edges:
-        succ.setdefault(e.src, []).append(e)
-    for lst in succ.values():
-        lst.sort(key=lambda e: e.dst)
-
-    def dist_back(start: int) -> dict[int, int]:
-        pred: dict[int, list[int]] = {}
-        for e in edges:
-            if e.src >= start and e.dst >= start:
-                pred.setdefault(e.dst, []).append(e.src)
-        dist = {start: 0}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for p in pred.get(u, ()):
-                if p not in dist:
-                    dist[p] = dist[u] + 1
-                    queue.append(p)
-        return dist
-
-    for start in g.internal_ids():
-        back = dist_back(start)
-
-        # DFS over edge walks start -> ... -> start of length <= max_period,
-        # visiting only nodes >= start (each cyclic walk counted once); the
-        # distances back to start keep every walk inside start's SCC
-        stack: list[tuple[int, tuple[FlowEdge, ...]]] = [(start, ())]
-        while stack:
-            node, walk = stack.pop()
-            for e in succ.get(node, ()):
-                if e.dst == start:
-                    cyc = walk + (e,)
-                    mat = cyc[0].matrix
-                    for e2 in cyc[1:]:
-                        mat = mat.compose(e2.matrix)
-                    if not mat.idempotent_power().has_progressing_diagonal():
-                        period = (start,) + tuple(x.dst for x in cyc)
-                        prefix = _shortest_path(_flow_succ(g), _flow_root(g), start)
-                        return CycleReport("rejected", prefix, period, cyc,
-                                           detail="bad period found by enumeration")
-                if e.dst > start:
-                    needed = back.get(e.dst)
-                    if needed is not None and len(walk) + 1 + needed <= max_period:
-                        stack.append((e.dst, walk + (e,)))
     return CycleReport("accepted")
 
 

@@ -12,7 +12,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import (FreshnessViolation, MissingPairSymbol, NotApplicable,
                      SignatureMismatch, VariableClash)
@@ -54,9 +54,9 @@ class Fragment:
 
         for old, node in self.nodes.items():
             if old != self.open_id:
-                nodes[base + old] = ProofNode(
-                    node.sequent, node.rule, tuple(new_id(c) for c in node.children),
-                    None if node.companion is None else new_id(node.companion))
+                nodes[base + old] = replace(
+                    node, children=tuple(new_id(c) for c in node.children),
+                    companion=None if node.companion is None else new_id(node.companion))
         return base + self.root
 
 
@@ -144,7 +144,7 @@ def derive_induction(gamma: tuple[Formula, ...], delta: tuple[Formula, ...],
                               substitution=make_subst({v: s, w: t}),
                               source=companion_seq)
     b.fill_internal(root, root_rule, (companion,))
-    b.nodes[open_id] = ProofNode(open_seq, None, (), None)  # placeholder
+    b.nodes[open_id] = ProofNode(open_seq)  # placeholder
     return Fragment(b.nodes, root, open_id, open_seq)
 
 
@@ -171,18 +171,18 @@ def explicit_to_cyclic(p: ProofGraph, sig: Signature | None = None) -> ProofGrap
             continue
         kids = done[len(done) - len(node.children):]
         del done[len(done) - len(node.children):]
-        if node.rule.rule is not RuleId.RtcInd:
-            nodes[base] = ProofNode(node.rule.conclusion, node.rule, tuple(kids))
+        if node.rule is not RuleId.RtcInd:
+            nodes[base] = replace(node, children=tuple(kids))
             done.append(base)
             base += 1
             continue
-        params = node.rule.params
+        params = node.params
         prin: Rtc = params.principal
         psi_tmpl, tvar = params.template
         x, y = params.eigenvar, params.eigenvar2
         psi_x = substitute(psi_tmpl, {tvar: Var(x)})
         phi_xy = substitute(prin.body, {prin.x: Var(x), prin.y: Var(y)})
-        concl = node.rule.conclusion
+        concl = node.sequent
         psi_s = substitute(psi_tmpl, {tvar: prin.src})
         psi_t = substitute(psi_tmpl, {tvar: prin.dst})
         gamma = tuple(f for f in concl.antecedent if f not in (psi_s, prin))

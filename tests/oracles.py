@@ -1,0 +1,291 @@
+"""Test oracles: reference implementations that the tests compare the
+package against; the program never runs them.  `check_by_path_enumeration`
+cross-checks the trace-condition closure and `evaluate_warshall` the
+reachability evaluator.  `degree`, `minimal_chain`, `invalidates` and
+`descent_witness` build the descending counter-models of Brotherston &
+Simpson (J. Logic Comput. 2011).  `expand_fair` lists the prover's moves in
+search order."""
+
+import itertools
+from collections import deque
+from collections.abc import Iterator
+
+from rtcproof.errors import (NoCounterexample, NotAnRtcFormula, NotApplicable,
+                             SignatureMismatch)
+from rtcproof.kernel import RuleId, RuleInstance, subst_dict
+from rtcproof.proofgraph import ProofGraph
+from rtcproof.prover import SearchConfig, moves
+from rtcproof.semantics import (FiniteModel, Valuation, _evaluator,
+                                iter_skeletons)
+from rtcproof.syntax import (And, Bot, Eq, Exists, Forall, Formula, Implies,
+                             Not, Or, Pred, Rtc, Sequent, Signature, Top, Var,
+                             substitute)
+from rtcproof.tracecheck import (CycleReport, FlowEdge, _flow_root, _flow_succ,
+                                 _shortest_path, flow_edges)
+
+
+def check_by_path_enumeration(g: ProofGraph, max_period: int) -> CycleReport:
+    """Bounded independent check: examine every ultimately periodic path with
+    period length <= max_period; a period is bad iff the idempotent power of
+    its composed matrix lacks a progressing diagonal pair."""
+    edges = flow_edges(g)
+    succ: dict[int, list[FlowEdge]] = {}
+    for e in edges:
+        succ.setdefault(e.src, []).append(e)
+    for lst in succ.values():
+        lst.sort(key=lambda e: e.dst)
+
+    def dist_back(start: int) -> dict[int, int]:
+        pred: dict[int, list[int]] = {}
+        for e in edges:
+            if e.src >= start and e.dst >= start:
+                pred.setdefault(e.dst, []).append(e.src)
+        dist = {start: 0}
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for p in pred.get(u, ()):
+                if p not in dist:
+                    dist[p] = dist[u] + 1
+                    queue.append(p)
+        return dist
+
+    for start in g.internal_ids():
+        back = dist_back(start)
+
+        # DFS over edge walks start -> ... -> start of length <= max_period,
+        # visiting only nodes >= start (each cyclic walk counted once); the
+        # distances back to start keep every walk inside start's SCC
+        stack: list[tuple[int, tuple[FlowEdge, ...]]] = [(start, ())]
+        while stack:
+            node, walk = stack.pop()
+            for e in succ.get(node, ()):
+                if e.dst == start:
+                    cyc = walk + (e,)
+                    mat = cyc[0].matrix
+                    for e2 in cyc[1:]:
+                        mat = mat.compose(e2.matrix)
+                    if not mat.idempotent_power().has_progressing_diagonal():
+                        period = (start,) + tuple(x.dst for x in cyc)
+                        prefix = _shortest_path(_flow_succ(g), _flow_root(g), start)
+                        return CycleReport("rejected", prefix, period, cyc,
+                                           detail="bad period found by enumeration")
+                if e.dst > start:
+                    needed = back.get(e.dst)
+                    if needed is not None and len(walk) + 1 + needed <= max_period:
+                        stack.append((e.dst, walk + (e,)))
+    return CycleReport("accepted")
+
+
+def evaluate_warshall(m: FiniteModel, v: Valuation, f: Formula) -> bool:
+    """Independent evaluator: rtc via Floyd-Warshall boolean closure; terms
+    are read through `Evaluator.term`."""
+    term = _evaluator(m).term
+    match f:
+        case Eq(l, r):
+            return term(l, v) == term(r, v)
+        case Pred(name, args):
+            rel = m.pred_interp.get(name)
+            if rel is None:
+                raise SignatureMismatch(f"predicate {name!r} not interpreted")
+            return tuple(term(a, v) for a in args) in rel
+        case Top():
+            return True
+        case Bot():
+            return False
+        case Not(s):
+            return not evaluate_warshall(m, v, s)
+        case And(l, r):
+            return evaluate_warshall(m, v, l) and evaluate_warshall(m, v, r)
+        case Or(l, r):
+            return evaluate_warshall(m, v, l) or evaluate_warshall(m, v, r)
+        case Implies(l, r):
+            return (not evaluate_warshall(m, v, l)) or evaluate_warshall(m, v, r)
+        case Exists(x, b):
+            return any(evaluate_warshall(m, {**v, x: a}, b) for a in range(m.domain_size))
+        case Forall(x, b):
+            return all(evaluate_warshall(m, {**v, x: a}, b) for a in range(m.domain_size))
+        case Rtc(x, y, b, s, t):
+            n = m.domain_size
+            closure = [[evaluate_warshall(m, {**v, x: i, y: j}, b) for j in range(n)]
+                       for i in range(n)]
+            for k in range(n):
+                ck = closure[k]
+                for i in range(n):
+                    if closure[i][k]:
+                        ci = closure[i]
+                        for j in range(n):
+                            if ck[j]:
+                                ci[j] = True
+            sv, tv = term(s, v), term(t, v)
+            return sv == tv or closure[sv][tv]
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def iter_models(sig: Signature, n: int) -> Iterator[FiniteModel]:
+    """All models of size n over sig in documented enumeration order."""
+    consts = sorted(sig.constants)
+    for fn_i, pred_i in iter_skeletons(sig, n):
+        for cvals in itertools.product(range(n), repeat=len(consts)):
+            yield FiniteModel(n, dict(zip(consts, cvals)), fn_i, pred_i)
+
+
+def degree(m: FiniteModel, v: Valuation, f: Formula) -> int | None:
+    """Length of a minimal witnessing chain; 0 iff endpoint values coincide;
+    None when the rtc formula is unsatisfied."""
+    chain = minimal_chain(m, v, f)
+    return None if chain is None else len(chain) - 1
+
+
+def minimal_chain(m: FiniteModel, v: Valuation, f: Formula) -> list[int] | None:
+    """The lexicographically least minimal-length witnessing element sequence
+    [a_0..a_n], or None if the formula is false.  [a_0] when v(src)=v(dst)."""
+    if not isinstance(f, Rtc):
+        raise NotAnRtcFormula(f"degree is defined for rtc formulas, not {f}")
+    ev = _evaluator(m)
+    sv, tv = ev.term(f.src, v), ev.term(f.dst, v)
+    if sv == tv:
+        return [sv]
+    adj = ev.adjacency(f, v)
+    n = m.domain_size
+    # BFS backwards from tv: dist[b] = fewest steps from b to tv
+    dist: list[int | None] = [None] * n
+    dist[tv] = 0
+    frontier = [tv]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for b in range(n):
+                if adj[b][u] and dist[b] is None:
+                    dist[b] = dist[u] + 1
+                    nxt.append(b)
+        frontier = nxt
+    if dist[sv] is None:
+        return None
+    chain = [sv]
+    cur, remaining = sv, dist[sv]
+    while cur != tv:
+        for b in range(n):
+            if adj[cur][b] and dist[b] == remaining - 1:
+                chain.append(b)
+                cur, remaining = b, remaining - 1
+                break
+        else:
+            raise AssertionError("BFS invariant broken")
+    return chain
+
+
+def invalidates(m: FiniteModel, v: Valuation, s: Sequent) -> bool:
+    ev = _evaluator(m)
+    return (all(ev.holds(f, v) for f in s.antecedent)
+            and not any(ev.holds(f, v) for f in s.succedent))
+
+
+def descent_witness(r: RuleInstance, m: FiniteModel, v: Valuation
+                    ) -> tuple[int, FiniteModel, Valuation]:
+    """Given (m, v) invalidating r's conclusion, return (premise_index, m', v')
+    invalidating that premise, with degrees non-increasing along trace pairs
+    and strictly decreasing along progressing ones."""
+    if r.rule is RuleId.RtcRefl:
+        raise NotApplicable("the conclusion of reflexivity has no counter-model")
+    if not invalidates(m, v, r.conclusion):
+        raise NoCounterexample("the given pair does not invalidate the conclusion")
+    if not r.premises:
+        raise NotApplicable(f"{r.rule.value} has no premises to descend into")
+    ev = _evaluator(m)
+    p = r.params
+    # rule parameters (cut formulas, witness terms) may introduce variables
+    # absent from the conclusion; fix them to 0 ahead of premise selection
+    needed = set()
+    for prem in r.premises:
+        needed |= prem.free_vars()
+    v = {**{x: 0 for x in sorted(needed - set(v))}, **v}
+
+    def holds(f: Formula) -> bool:
+        return ev.holds(f, v)
+
+    idx, v2 = 0, dict(v)
+    match r.rule:
+        case (RuleId.WL | RuleId.WR | RuleId.AndL | RuleId.OrR | RuleId.ImpR
+              | RuleId.NotL | RuleId.NotR | RuleId.AllL | RuleId.ExR
+              | RuleId.EqL1 | RuleId.EqL2 | RuleId.PairInj):
+            pass
+
+        case RuleId.AndR:
+            idx = 0 if not holds(p.principal.left) else 1
+
+        case RuleId.OrL:
+            idx = 0 if holds(p.principal.left) else 1
+
+        case RuleId.ImpL:
+            idx = 0 if not holds(p.principal.left) else 1
+
+        case RuleId.Cut:
+            idx = 0 if not holds(p.cut_formula) else 1
+
+        case RuleId.ExL:
+            inst = substitute(p.principal.body, {p.principal.var: Var(p.eigenvar)})
+            for a in range(m.domain_size):
+                if ev.holds(inst, {**v, p.eigenvar: a}):
+                    v2 = {**v, p.eigenvar: a}
+                    break
+            else:
+                raise AssertionError("existential was true but no witness element found")
+
+        case RuleId.AllR:
+            inst = substitute(p.principal.body, {p.principal.var: Var(p.eigenvar)})
+            for a in range(m.domain_size):
+                if not ev.holds(inst, {**v, p.eigenvar: a}):
+                    v2 = {**v, p.eigenvar: a}
+                    break
+            else:
+                raise AssertionError("universal was false on every element?")
+
+        case RuleId.Subst:
+            theta = subst_dict(p.substitution)
+            v2 = {x: ev.term(theta.get(x, Var(x)), v) for x in p.source.free_vars()}
+
+        case RuleId.RtcStep:
+            f = p.principal
+            mid = Rtc(f.x, f.y, f.body, f.src, p.witness)
+            idx = 0 if not holds(mid) else 1
+
+        case RuleId.RtcCase:
+            chain = minimal_chain(m, v, p.principal)
+            if chain is None:
+                raise AssertionError("rtc antecedent was true but has no chain")
+            if len(chain) == 1:
+                idx = 0
+            else:
+                # penultimate element of the minimal chain: the principal's
+                # degree strictly decreases on the progressing trace pair
+                idx, v2 = 1, {**v, p.eigenvar: chain[-2]}
+
+        case RuleId.RtcInd:
+            chain = minimal_chain(m, v, p.principal)
+            if chain is None:
+                raise AssertionError("rtc antecedent was true but has no chain")
+            x, y = p.eigenvar, p.eigenvar2
+            for i in range(len(chain) - 1):
+                cand = {**v, x: chain[i], y: chain[i + 1]}
+                if invalidates(m, cand, r.premises[0]):
+                    v2 = cand
+                    break
+            else:
+                raise AssertionError("no failing induction step along the minimal chain")
+
+        case _:
+            raise NotApplicable(f"descent not defined for {r.rule.value}")
+
+    if not invalidates(m, v2, r.premises[idx]):
+        if r.rule is RuleId.PairInj:
+            raise NotApplicable("pairing is not injective in this finite model")
+        raise AssertionError(
+            f"{r.rule.value}: chosen premise {idx} not invalidated; unsound instance?")
+    return idx, m, v2
+
+
+def expand_fair(node: Sequent, cfg: SearchConfig) -> list[tuple[RuleId, object]]:
+    """The deterministic candidate ordering exposed for inspection: every
+    applicable (rule, parameter) pair in the order the search tries them."""
+    return [(m.rid, m.params) for m in moves(node, (), (), cfg)]

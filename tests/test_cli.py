@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -142,3 +143,104 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: ZeroDivisionError: boom\n"
+
+
+# graph faults in copies of nat_p.tcp: (text replaced, replacement, the lines
+# `rtcproof check` prints before "invalid")
+N4 = "s(_v0) = n, p(0), (rtc x y. s(x) = y)(0, _v0) |- p(_v0), p(n)"
+N8 = "s(_v0) = n, p(0), p(_v0), (rtc x y. s(x) = y)(0, _v0) |- p(n)"
+CYCLE = "BadPremiseLink at node 0: premise links contain a cycle (use buds)"
+
+
+def unreachable(*nodes):
+    return [f"UnreachableNode at node {n}: not reachable from root" for n in nodes]
+
+
+BAD_GRAPHS = {
+    "extra_child": ("premises=[6]", "premises=[6, 2]",
+                    ["KernelError at node 5: WL takes 1 premises, got 2"]),
+    "swapped_children": ("premises=[4, 8]", "premises=[8, 4]",
+                         [f"KernelError at node 3: Cut: premises ['{N8}', '{N4}']"
+                          f" do not match the schema's ['{N4}', '{N8}']"]),
+    "too_few_children": ("premises=[4, 8]", "premises=[4]",
+                         ["KernelError at node 3: Cut takes 2 premises, got 1",
+                          *unreachable(8, 9, 10)]),
+    "changed_child_sequent": ("node 2 : p(0) |- p(0)", "node 2 : p(n) |- p(n)",
+                              ["KernelError at node 1: EqL1: premises ['p(n) |- p(n)']"
+                               " do not match the schema's ['p(0) |- p(0)']"]),
+    "companion_is_bud": ("bud -> 0", "bud -> 7",
+                         ["BudMismatch at node 7: companion 7 is itself a bud"]),
+    "companion_missing": ("bud -> 0", "bud -> 42",
+                          ["BudMismatch at node 7: companion missing"]),
+    "self_loop": ("premises=[9]", "premises=[8]",
+                  [f"KernelError at node 8: WL: premises ['{N8}'] do not match"
+                   " the schema's ['s(_v0) = n, p(0), p(_v0) |- p(n)']",
+                   *unreachable(9, 10), CYCLE]),
+    "back_link": ("premises=[10]", "premises=[3]",
+                  ["KernelError at node 9: WL: premises ['s(_v0) = n, p(0),"
+                   " (rtc x y. s(x) = y)(0, _v0) |- p(n)'] do not match the"
+                   " schema's ['s(_v0) = n, p(_v0) |- p(n)']",
+                   *unreachable(10), CYCLE]),
+    "unreachable_node": ("node 10 :", "node 11 : p(0) |- p(0) ; rule=Axiom ;"
+                         " params={} ; premises=[]\nnode 10 :", unreachable(11)),
+    "root_is_bud": ("root 0", "root 7", unreachable(0, 1, 2, 3, 4, 5, 6, 8, 9, 10)),
+    "missing_root": ("root 0", "root 77",
+                     ["BadPremiseLink at node 77: root node does not exist"]),
+}
+
+
+def nat_p_variant(tmp_path, old, new) -> str:
+    with open(corpus_path("nat_p.tcp"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert old in text
+    path = tmp_path / "variant.tcp"
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GRAPHS))
+def test_check_bad_graph_messages(case, tmp_path, capsys):
+    old, new, lines = BAD_GRAPHS[case]
+    assert main(["check", nat_p_variant(tmp_path, old, new)]) == 1
+    assert capsys.readouterr() == ("\n".join(lines) + "\ninvalid\n", "")
+
+
+def test_check_dangling_child(tmp_path, capsys):
+    path = nat_p_variant(tmp_path, "premises=[10]", "premises=[11]")
+    assert main(["check", path]) == 3
+    assert capsys.readouterr() == ("", "error: node 9: child 11 missing\n")
+
+
+# `rtcproof render --format tex` on graphs it cannot unfold: the message after "error: "
+RENDER_TEX_ERRORS = {
+    "self_loop": "premise links through node 8 form a cycle",
+    "back_link": "premise links through node 3 form a cycle",
+    "missing_root": "node 77 does not exist",
+}
+
+
+@pytest.mark.parametrize("case", sorted(RENDER_TEX_ERRORS))
+def test_render_tex_bad_graph_is_usage_error(case, tmp_path):
+    # the tree unfolding of a premise cycle never ends, so a regression would
+    # hang: run in a child process with a timeout
+    old, new, _ = BAD_GRAPHS[case]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "rtcproof.cli", "render", "--format",
+                           "tex", nat_p_variant(tmp_path, old, new)],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (3, "", f"error: {RENDER_TEX_ERRORS[case]}\n")
+
+
+def test_gen_corpus_writes_the_corpus(tmp_path):
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "gen_corpus.py")
+    spec = importlib.util.spec_from_file_location("gen_corpus", script)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    gen.OUT = str(tmp_path)
+    gen.main()
+    assert sorted(os.listdir(tmp_path)) == sorted(CORPUS_CHECK)
+    for name in CORPUS_CHECK:
+        with open(corpus_path(name), "rb") as fh:
+            assert (tmp_path / name).read_bytes() == fh.read(), name

@@ -8,12 +8,12 @@ from rtcproof.kernel import RuleId, make_subst, rule_instance
 from rtcproof.prooffile import parse_proof
 from rtcproof.proofgraph import ProofGraph, validate_structure
 from rtcproof.syntax import Signature, Var, parse_formula, parse_sequent
-from rtcproof.tracecheck import (EdgeMatrix, _sccs, check_by_path_enumeration,
-                                 check_global_trace_condition,
+from rtcproof.tracecheck import (EdgeMatrix, _sccs, check_global_trace_condition,
                                  enumerate_basic_cycles, is_non_overlapping)
 
 from conftest import ACCEPTED, REJECTED, load_corpus
 from helpers import GraphBuilder, replay_witness
+from oracles import check_by_path_enumeration
 from preproofs import subst_chain, thread_proof
 
 SIG = Signature.make(predicates={"p": 2, "q": 1})

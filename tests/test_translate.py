@@ -78,10 +78,10 @@ class TestExplicitToCyclic:
     def test_corpus_induction_proofs(self, name, corpus_graphs):
         g, sig, theory = corpus_graphs[name]
         n_ind = sum(1 for nid in g.internal_ids()
-                    if g.nodes[nid].rule.rule is RuleId.RtcInd)
+                    if g.nodes[nid].rule is RuleId.RtcInd)
         out = explicit_to_cyclic(g, sig)
         assert validate_structure(out, theory, sig) == [], name
-        assert all(out.nodes[nid].rule.rule is not RuleId.RtcInd
+        assert all(out.nodes[nid].rule is not RuleId.RtcInd
                    for nid in out.internal_ids())
         assert check_global_trace_condition(out).accepted
         assert is_non_overlapping(out)
