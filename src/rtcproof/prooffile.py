@@ -17,20 +17,23 @@ Theory file:
     axiom |- add(x, 0) = x
 
 A `sig` or `theory` value of `-` means empty/none.  Blank lines and lines
-starting with `#` are ignored.
+starting with `#` are ignored.  Every other line starts with a keyword; a
+malformed line raises a ParseError naming it, offsets counting from its start.
 """
 
 from __future__ import annotations
 
 import importlib.resources
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import ParseError, RtcError
 from .kernel import RuleId, RuleParams
 from .proofgraph import ProofGraph, ProofNode
-from .syntax import (Sequent, Signature, Term, _Parser, pretty, pretty_sequent,
-                     pretty_term)
+from .syntax import (Formula, Sequent, Signature, Term, _Parser, parse_sequent,
+                     pretty, pretty_sequent, pretty_term)
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,36 @@ class ProofFile:
     graph: ProofGraph
     signature: Signature
     theory_name: str | None = None
+
+
+# ---------------------------------------------------------------------------
+# Lines
+
+def _lines(text: str, kind: str, keywords: tuple[str, ...]
+           ) -> Iterator[tuple[int, int, str, str]]:
+    """(line number, offset of the rest, keyword, rest) of each line that is
+    not blank or a comment.  The keyword is the line's whole first word and
+    must be one of `keywords`."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        words = raw.split(None, 1)
+        if not words or words[0].startswith("#"):
+            continue
+        keyword, rest = words[0], (words[1] if len(words) > 1 else "")
+        if keyword not in keywords:
+            raise ParseError(len(raw) - len(raw.lstrip()),
+                             f"unrecognized {kind} line {raw.strip()!r}", lineno)
+        at = len(raw) - len(rest) if rest else len(raw.rstrip())
+        yield lineno, at, keyword, rest.rstrip()
+
+
+@contextmanager
+def _on_line(lineno: int, at: int) -> Iterator[None]:
+    """Re-raise a ParseError in the text at offset `at` of a line as one
+    naming the line, its offset counted from the line's start."""
+    try:
+        yield
+    except ParseError as exc:
+        raise ParseError(at + exc.position, exc.message, lineno) from None
 
 
 # ---------------------------------------------------------------------------
@@ -76,21 +109,13 @@ def _parse_sig_line(p: _Parser) -> Signature:
             while p.peek()[1] == ",":
                 p.next()
                 consts.add(p.expect_ident())
-        elif val == "fn":
+        elif val in ("fn", "pred"):
             p.next()
+            arities = fns if val == "fn" else preds
             while True:
                 name = p.expect_ident()
                 p.expect("/")
-                fns[name] = _expect_number(p, "arity")
-                if p.peek()[1] != ",":
-                    break
-                p.next()
-        elif val == "pred":
-            p.next()
-            while True:
-                name = p.expect_ident()
-                p.expect("/")
-                preds[name] = _expect_number(p, "arity")
+                arities[name] = _expect_number(p, "arity")
                 if p.peek()[1] != ",":
                     break
                 p.next()
@@ -131,26 +156,16 @@ def parse_theory(text: str) -> TheoryFile:
     name = None
     sig = Signature.make()
     axioms: list[Sequent] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("theory"):
-            words = line.split(None, 1)
-            if len(words) < 2:
-                raise ParseError(len(line), "expected a theory name", lineno)
-            name = words[1]
-        elif line.startswith("sig"):
-            p = _Parser(line[3:].strip(), Signature.make())
-            sig = _parse_sig_line(p)
-        elif line.startswith("axiom"):
-            p = _Parser(line[5:].strip(), sig)
-            seq = p.sequent()
-            if not p.at_eof():
-                raise ParseError(p.peek()[2], "trailing input after axiom")
-            axioms.append(seq)
-        else:
-            raise RtcError(f"unrecognized theory line: {line!r}")
+    for lineno, at, keyword, rest in _lines(text, "theory", ("theory", "sig", "axiom")):
+        with _on_line(lineno, at):
+            if keyword == "theory":
+                if not rest:
+                    raise ParseError(0, "expected a theory name")
+                name = rest
+            elif keyword == "sig":
+                sig = _parse_sig_line(_Parser(rest, Signature.make()))
+            else:
+                axioms.append(parse_sequent(rest, sig))
     if name is None:
         raise RtcError("theory file has no 'theory <name>' line")
     return TheoryFile(name, sig, tuple(axioms))
@@ -174,33 +189,61 @@ def load_theory(name_or_path: str) -> TheoryFile:
 
 
 # ---------------------------------------------------------------------------
-# Rule parameter serialization
+# Rule parameters
+
+def _parse_template(p: _Parser) -> tuple[Formula, str]:
+    p.expect("(")
+    f = p.formula()
+    p.expect(")")
+    p.expect(",")
+    return f, p.expect_ident()
+
+
+def _parse_subst(p: _Parser) -> tuple[tuple[str, Term], ...]:
+    pairs: list[tuple[str, Term]] = []
+    while p.peek()[1] != "]":
+        v = p.expect_ident()
+        p.expect(":=")
+        pairs.append((v, p.term()))
+        if p.peek()[1] == ",":
+            p.next()
+    return tuple(sorted(pairs))
+
+
+# kind -> (opening bracket, closing bracket, printer, parser of what lies between)
+_KINDS = {
+    "ident": ("", "", lambda x, sig: x, _Parser.expect_ident),
+    "formula": ("(", ")", pretty, _Parser.formula),
+    "term": ("(", ")", pretty_term, _Parser.term),
+    "sequent": ("(", ")", pretty_sequent, _Parser.sequent),
+    "template": ("(", ")", lambda fx, sig: f"({pretty(fx[0], sig)}), {fx[1]}",
+                 _parse_template),
+    "subst": ("[", "]", lambda th, sig: ", ".join(f"{v} := {pretty_term(t, sig)}"
+                                                  for v, t in th), _parse_subst),
+}
+# (key in the file, RuleParams field, kind), in printed order
+_PARAMS = (
+    ("principal", "principal", "formula"),
+    ("witness", "witness", "term"),
+    ("eigenvar", "eigenvar", "ident"),
+    ("eigenvar2", "eigenvar2", "ident"),
+    ("template", "template", "template"),
+    ("subst", "substitution", "subst"),
+    ("source", "source", "sequent"),
+    ("cut", "cut_formula", "formula"),
+    ("cutleft", "cut_left", "sequent"),
+    ("cutright", "cut_right", "sequent"),
+)
+_PARAM_KEYS = {key: (field, kind) for key, field, kind in _PARAMS}
+
 
 def _params_text(params: RuleParams, sig: Signature) -> str:
     out = []
-    if params.principal is not None:
-        out.append(f"principal=({pretty(params.principal, sig)})")
-    if params.witness is not None:
-        out.append(f"witness=({pretty_term(params.witness, sig)})")
-    if params.eigenvar is not None:
-        out.append(f"eigenvar={params.eigenvar}")
-    if params.eigenvar2 is not None:
-        out.append(f"eigenvar2={params.eigenvar2}")
-    if params.template is not None:
-        f, x = params.template
-        out.append(f"template=(({pretty(f, sig)}), {x})")
-    if params.substitution is not None:
-        items = ", ".join(f"{v} := {pretty_term(t, sig)}"
-                          for v, t in params.substitution)
-        out.append(f"subst=[{items}]")
-    if params.source is not None:
-        out.append(f"source=({pretty_sequent(params.source, sig)})")
-    if params.cut_formula is not None:
-        out.append(f"cut=({pretty(params.cut_formula, sig)})")
-    if params.cut_left is not None:
-        out.append(f"cutleft=({pretty_sequent(params.cut_left, sig)})")
-    if params.cut_right is not None:
-        out.append(f"cutright=({pretty_sequent(params.cut_right, sig)})")
+    for key, field, kind in _PARAMS:
+        value = getattr(params, field)
+        if value is not None:
+            opening, closing, show, _ = _KINDS[kind]
+            out.append(f"{key}={opening}{show(value, sig)}{closing}")
     return "{" + " ; ".join(out) + "}"
 
 
@@ -210,47 +253,15 @@ def _parse_params(p: _Parser) -> RuleParams:
     while p.peek()[1] != "}":
         key = p.expect_ident()
         p.expect("=")
-        if key in ("eigenvar", "eigenvar2"):
-            kw[key] = p.expect_ident()
-        elif key in ("principal", "cut"):
-            p.expect("(")
-            f = p.formula()
-            p.expect(")")
-            kw["principal" if key == "principal" else "cut_formula"] = f
-        elif key == "witness":
-            p.expect("(")
-            t = p.term()
-            p.expect(")")
-            kw["witness"] = t
-        elif key == "template":
-            p.expect("(")
-            p.expect("(")
-            f = p.formula()
-            p.expect(")")
-            p.expect(",")
-            x = p.expect_ident()
-            p.expect(")")
-            kw["template"] = (f, x)
-        elif key == "subst":
-            p.expect("[")
-            pairs: list[tuple[str, Term]] = []
-            while p.peek()[1] != "]":
-                v = p.expect_ident()
-                p.expect(":=")
-                pairs.append((v, p.term()))
-                if p.peek()[1] == ",":
-                    p.next()
-            p.expect("]")
-            kw["substitution"] = tuple(sorted(pairs))
-        elif key in ("source", "cutleft", "cutright"):
-            p.expect("(")
-            seq = p.sequent()
-            p.expect(")")
-            field = {"source": "source", "cutleft": "cut_left",
-                     "cutright": "cut_right"}[key]
-            kw[field] = seq
-        else:
+        if key not in _PARAM_KEYS:
             raise ParseError(p.peek()[2], f"unknown parameter {key!r}")
+        field, kind = _PARAM_KEYS[key]
+        opening, closing, _, parse = _KINDS[kind]
+        if opening:
+            p.expect(opening)
+        kw[field] = parse(p)
+        if closing:
+            p.expect(closing)
         if p.peek()[1] == ";":
             p.next()
     p.expect("}")
@@ -319,24 +330,15 @@ def _parse_node(p: _Parser) -> ProofNode:
 
 
 def parse_proof(text: str) -> ProofFile:
-    """Parse a .tcp file; malformed input raises a ParseError naming its
-    line (offsets count from the start of that line)."""
+    """Parse a .tcp file; malformed input raises a ParseError naming its line."""
     sig = Signature.make()
     theory_name: str | None = None
     root: int | None = None
     bodies: dict[int, tuple[int, int, str]] = {}   # id -> (line, offset, body)
     saw_header = False
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        words = raw.split(None, 1)
-        if not words or words[0].startswith("#"):
-            continue
-        keyword, rest = words[0], (words[1] if len(words) > 1 else "")
-        if keyword not in ("tcp", "sig", "theory", "root", "node"):
-            raise ParseError(len(raw) - len(raw.lstrip()),
-                             f"unrecognized proof line {raw.strip()!r}", lineno)
-        at = len(raw) - len(rest) if rest else len(raw.rstrip())
-        rest = rest.rstrip()
-        try:
+    keywords = ("tcp", "sig", "theory", "root", "node")
+    for lineno, at, keyword, rest in _lines(text, "proof", keywords):
+        with _on_line(lineno, at):
             if keyword == "tcp":
                 if rest != "1":
                     raise ParseError(0, f"unsupported proof format version {rest!r}")
@@ -358,8 +360,6 @@ def parse_proof(text: str) -> ProofFile:
                     raise ParseError(0, f"duplicate node id {nid}"
                                         f" (first on line {bodies[nid][0]})")
                 bodies[nid] = (lineno, at + len(head) + 1, body)
-        except ParseError as exc:
-            raise ParseError(at + exc.position, exc.message, lineno) from None
     if not saw_header:
         raise RtcError("missing 'tcp 1' header")
     if root is None:
@@ -367,10 +367,8 @@ def parse_proof(text: str) -> ProofFile:
 
     nodes: dict[int, ProofNode] = {}
     for nid, (lineno, at, body) in bodies.items():
-        try:
+        with _on_line(lineno, at):
             nodes[nid] = _parse_node(_Parser(body, sig))
-        except ParseError as exc:
-            raise ParseError(at + exc.position, exc.message, lineno) from None
     for nid, node in nodes.items():
         for c in node.children:
             if c not in nodes:

@@ -166,7 +166,7 @@ def _term_pool(seq: Sequent, cfg: SearchConfig) -> list[Term]:
     terms: dict[str, Term] = {}
     for f in seq.antecedent + seq.succedent:
         for t in formula_subterms(f):
-            terms.setdefault(term_key(t), t)
+            terms.setdefault(term_key(t, {}), t)
     pool = [terms[k] for k in sorted(terms)]
     avoid = seq.free_vars()
     for _ in range(cfg.fresh_pool):

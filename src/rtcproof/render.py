@@ -1,12 +1,15 @@
-"""DOT and LaTeX emitters for proof graphs."""
+"""DOT and LaTeX emitters for proof graphs.
+
+Formulas are printed by `syntax.pretty`; `TEX` is its LaTeX notation, so the
+precedence and parenthesisation rules live in `syntax` alone.
+"""
 
 from __future__ import annotations
 
 from .errors import RtcError
 from .proofgraph import ProofGraph, edge_trace_steps
-from .syntax import (And, App, Bot, Const, Eq, Exists, Forall, Formula,
-                     Implies, Not, Or, Pred, Rtc, Signature, Term, Top, Var,
-                     pretty_sequent)
+from .syntax import (And, App, Bot, Eq, Exists, Forall, Implies, Not, Notation,
+                     Or, Rtc, Sequent, Signature, Top, pretty, pretty_sequent)
 
 
 def _dot_escape(s: str) -> str:
@@ -37,64 +40,22 @@ def to_dot(g: ProofGraph, sig: Signature | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def latex_term(t: Term, sig: Signature | None = None) -> str:
-    match t:
-        case Var(name) | Const(name):
-            return _tex_name(name)
-        case App(fn, args):
-            if sig is not None and sig.pair_symbol == fn and len(args) == 2:
-                return (rf"\langle {latex_term(args[0], sig)}, "
-                        rf"{latex_term(args[1], sig)} \rangle")
-            return rf"\mathit{{{_tex_name(fn)}}}({', '.join(latex_term(a, sig) for a in args)})"
-    raise TypeError(f"not a term: {t!r}")
-
-
 def _tex_name(name: str) -> str:
     return name.replace("_", r"\_")
 
 
-def latex_formula(f: Formula, sig: Signature | None = None) -> str:
-    def go(g: Formula, level: int) -> str:
-        match g:
-            case Eq(l, r):
-                return f"{latex_term(l, sig)} = {latex_term(r, sig)}"
-            case Pred(name, args):
-                if not args:
-                    return rf"\mathit{{{_tex_name(name)}}}"
-                inner = ", ".join(latex_term(a, sig) for a in args)
-                return rf"\mathit{{{_tex_name(name)}}}({inner})"
-            case Top():
-                return r"\top"
-            case Bot():
-                return r"\bot"
-            case Not(s):
-                return rf"\neg {go(s, 4)}"
-            case And(l, r):
-                text = rf"{go(l, 3)} \wedge {go(r, 4)}"
-                return rf"({text})" if level > 3 else text
-            case Or(l, r):
-                text = rf"{go(l, 2)} \vee {go(r, 3)}"
-                return rf"({text})" if level > 2 else text
-            case Implies(l, r):
-                text = rf"{go(l, 2)} \rightarrow {go(r, 1)}"
-                return rf"({text})" if level > 1 else text
-            case Forall(x, b):
-                text = rf"\forall {_tex_name(x)}.\, {go(b, 1)}"
-                return rf"({text})" if level > 1 else text
-            case Exists(x, b):
-                text = rf"\exists {_tex_name(x)}.\, {go(b, 1)}"
-                return rf"({text})" if level > 1 else text
-            case Rtc(x, y, b, s, t):
-                return (rf"(\mathsf{{rtc}}_{{{_tex_name(x)},{_tex_name(y)}}}\, {go(b, 1)})"
-                        rf"({latex_term(s, sig)}, {latex_term(t, sig)})")
-        raise TypeError(f"not a formula: {g!r}")
-
-    return go(f, 1)
+TEX = Notation({
+    Eq: "{} = {}", Top: r"\top", Bot: r"\bot", Not: r"\neg {}", And: r"{} \wedge {}",
+    Or: r"{} \vee {}", Implies: r"{} \rightarrow {}", Forall: r"\forall {}.\, {}",
+    Exists: r"\exists {}.\, {}", Rtc: r"(\mathsf{{rtc}}_{{{},{}}}\, {})({}, {})",
+    App: "{}({})",
+}, pair=r"\langle {}, {} \rangle", name=_tex_name,
+    symbol=lambda s: rf"\mathit{{{_tex_name(s)}}}")
 
 
-def latex_sequent(s, sig: Signature | None = None) -> str:
-    ant = ", ".join(latex_formula(f, sig) for f in s.antecedent)
-    suc = ", ".join(latex_formula(f, sig) for f in s.succedent)
+def latex_sequent(s: Sequent, sig: Signature | None = None) -> str:
+    ant = ", ".join(pretty(f, sig, TEX) for f in s.antecedent)
+    suc = ", ".join(pretty(f, sig, TEX) for f in s.succedent)
     return rf"{ant} \vdash {suc}"
 
 
@@ -131,16 +92,10 @@ def to_latex(g: ProofGraph, sig: Signature | None = None) -> str:
         if nid in dagger:
             label += rf" \; \dagger_{dagger[nid]}"
         lines.append(rf"\RightLabel{{\small {label}}}")
-        n = len(node.children)
-        if n == 0:
-            lines.append(rf"\AxiomC{{}}")
-            lines.append(rf"\UnaryInfC{{${seq}$}}")
-        elif n == 1:
-            lines.append(rf"\UnaryInfC{{${seq}$}}")
-        elif n == 2:
-            lines.append(rf"\BinaryInfC{{${seq}$}}")
-        else:
-            lines.append(rf"\TrinaryInfC{{${seq}$}}")
+        if not node.children:
+            lines.append(r"\AxiomC{}")
+        inference = ("Unary", "Unary", "Binary", "Trinary")[min(len(node.children), 3)]
+        lines.append(rf"\{inference}InfC{{${seq}$}}")
 
     lines.append(r"\end{prooftree}")
     return "\n".join(lines) + "\n"

@@ -27,7 +27,8 @@ from typing import Iterator, Mapping
 from .errors import BudgetExceeded, SignatureMismatch, UnboundVariable
 from .syntax import (And, App, Bot, Const, Eq, Exists, Forall, Formula,
                      Implies, Not, Or, Pred, Rtc, Sequent, Signature, Term,
-                     Top, Var, free_vars, fresh_name, parts, rebuild)
+                     Top, Var, formula_subterms, free_vars, fresh_name, parts,
+                     rebuild)
 
 Valuation = dict[str, int]
 
@@ -203,29 +204,20 @@ def used_signature(sequents: tuple[Sequent, ...], sig: Signature) -> Signature:
     fns: dict[str, int] = {}
     preds: dict[str, int] = {}
 
-    def scan_term(t: Term) -> None:
-        match t:
-            case Const(name):
-                consts.add(name)
-            case App(fn, args):
-                fns[fn] = len(args)
-                for a in args:
-                    scan_term(a)
-            case _:
-                pass
-
     def scan(f: Formula) -> None:
         if isinstance(f, Pred):
             preds[f.name] = len(f.args)
-        _, subs, terms = parts(f)
-        for g in subs:
+        for g in parts(f)[1]:
             scan(g)
-        for t in terms:
-            scan_term(t)
 
     for seq in sequents:
         for f in seq.antecedent + seq.succedent:
             scan(f)
+            for t in formula_subterms(f):
+                if isinstance(t, Const):
+                    consts.add(t.name)
+                elif isinstance(t, App):
+                    fns[t.fn] = len(t.args)
     pair = sig.pair_symbol if sig.pair_symbol in fns else None
     pair_const = sig.pair_constant if pair and sig.pair_constant in consts else None
     return Signature.make(consts, fns, preds, pair, pair_const)

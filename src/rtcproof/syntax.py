@@ -9,12 +9,14 @@ formula with deterministic bound-variable names (idempotent).
 `parts(f)` gives the binders, subformulas and terms of f's top constructor
 and `rebuild(f, ...)` applies that constructor to new ones.  Their table,
 `_SHAPES`, is the one place that knows each constructor's shape; every
-function that only collects or maps over structure walks through them.  Five
-functions keep a `match` per constructor, because each constructor prints or
-means something different there: `_formula_key` (its strings fix sequent
-order, and so the printed output), `pretty` and `render.latex_formula`
-(notation and precedence), `semantics.Evaluator.holds` and the test
-oracle `evaluate_warshall` in `tests/oracles.py` (truth conditions).
+function that only collects or maps over structure walks through them.
+`pretty` does too: a `Notation` gives one format string per constructor,
+and `_PRECEDENCE` one precedence for both notations, plain text (`TEXT`)
+and LaTeX (`render.TEX`).  Three functions keep a `match` per constructor,
+because each constructor means something different there: `_formula_key`
+(its strings fix sequent order, and so the printed output),
+`semantics.Evaluator.holds` and the test oracle `evaluate_warshall` in
+`tests/oracles.py` (truth conditions).
 
 Concrete grammar (ASCII):
 
@@ -36,7 +38,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import ArityMismatch, ParseError, UnknownSymbol
 
@@ -86,18 +88,6 @@ def subst_term(t: Term, theta: Mapping[str, Term]) -> Term:
             return t
         case App(fn, args):
             return App(fn, tuple(subst_term(a, theta) for a in args))
-    raise TypeError(f"not a term: {t!r}")
-
-
-def term_key(t: Term) -> str:
-    """Total-order key for terms; structural."""
-    match t:
-        case Var(name):
-            return f"(v {name})"
-        case Const(name):
-            return f"(c {name})"
-        case App(fn, args):
-            return f"(f {fn} {' '.join(term_key(a) for a in args)})"
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -201,7 +191,9 @@ class Rtc(Formula):
     dst: Term
 
 
-def _term_dbkey(t: Term, env: Mapping[str, int]) -> str:
+def term_key(t: Term, env: Mapping[str, int]) -> str:
+    """Total-order key for terms; a variable bound at de Bruijn level n in
+    `env` reads `(b n)`.  `term_key(t, {})` is the structural key."""
     match t:
         case Var(name):
             lvl = env.get(name)
@@ -209,16 +201,16 @@ def _term_dbkey(t: Term, env: Mapping[str, int]) -> str:
         case Const(name):
             return f"(c {name})"
         case App(fn, args):
-            return f"(f {fn} {' '.join(_term_dbkey(a, env) for a in args)})"
+            return f"(f {fn} {' '.join(term_key(a, env) for a in args)})"
     raise TypeError(f"not a term: {t!r}")
 
 
 def _formula_key(f: Formula, env: Mapping[str, int], depth: int) -> str:
     match f:
         case Eq(l, r):
-            return f"(= {_term_dbkey(l, env)} {_term_dbkey(r, env)})"
+            return f"(= {term_key(l, env)} {term_key(r, env)})"
         case Pred(name, args):
-            return f"(p {name} {' '.join(_term_dbkey(a, env) for a in args)})"
+            return f"(p {name} {' '.join(term_key(a, env) for a in args)})"
         case Top():
             return "(top)"
         case Bot():
@@ -237,7 +229,7 @@ def _formula_key(f: Formula, env: Mapping[str, int], depth: int) -> str:
             return f"(ex {_formula_key(b, {**env, x: depth}, depth + 1)})"
         case Rtc(x, y, b, s, t):
             bk = _formula_key(b, {**env, x: depth, y: depth + 1}, depth + 2)
-            return f"(rtc {bk} {_term_dbkey(s, env)} {_term_dbkey(t, env)})"
+            return f"(rtc {bk} {term_key(s, env)} {term_key(t, env)})"
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -380,22 +372,12 @@ def canon(f: Formula) -> Formula:
             if n not in free:
                 return n
 
-    def goterm(t: Term, env: Mapping[str, str]) -> Term:
-        match t:
-            case Var(name):
-                return Var(env.get(name, name))
-            case Const(_):
-                return t
-            case App(fn, args):
-                return App(fn, tuple(goterm(a, env) for a in args))
-        raise TypeError(f"not a term: {t!r}")
-
-    def go(g: Formula, env: Mapping[str, str]) -> Formula:
+    def go(g: Formula, env: Mapping[str, Term]) -> Formula:
         binders, subs, terms = parts(g)
-        terms = tuple(goterm(t, env) for t in terms)
+        terms = tuple(subst_term(t, env) for t in terms)
         if binders:
             fresh = tuple(next_name() for _ in binders)
-            env = {**env, **dict(zip(binders, fresh))}
+            env = {**env, **{x: Var(n) for x, n in zip(binders, fresh)}}
             binders = fresh
         return rebuild(g, binders, tuple(go(h, env) for h in subs), terms)
 
@@ -479,23 +461,6 @@ class Signature:
 
 def validate_formula(f: Formula, sig: Signature) -> None:
     """Check arities and declaredness of every symbol in f."""
-
-    def vterm(t: Term) -> None:
-        match t:
-            case Var(_):
-                return
-            case Const(name):
-                if name not in sig.constants:
-                    raise UnknownSymbol(f"constant {name!r} not declared")
-            case App(fn, args):
-                ar = sig.fn_arity(fn)
-                if ar is None:
-                    raise UnknownSymbol(f"function {fn!r} not declared")
-                if ar != len(args):
-                    raise ArityMismatch(f"function {fn!r} expects {ar} args, got {len(args)}")
-                for a in args:
-                    vterm(a)
-
     if isinstance(f, Pred):
         ar = sig.pred_arity(f.name)
         if ar is None:
@@ -508,7 +473,16 @@ def validate_formula(f: Formula, sig: Signature) -> None:
     for g in subs:
         validate_formula(g, sig)
     for t in terms:
-        vterm(t)
+        for u in subterms(t):
+            if isinstance(u, Const) and u.name not in sig.constants:
+                raise UnknownSymbol(f"constant {u.name!r} not declared")
+            if isinstance(u, App):
+                ar = sig.fn_arity(u.fn)
+                if ar is None:
+                    raise UnknownSymbol(f"function {u.fn!r} not declared")
+                if ar != len(u.args):
+                    raise ArityMismatch(f"function {u.fn!r} expects {ar} args,"
+                                        f" got {len(u.args)}")
 
 
 # ---------------------------------------------------------------------------
@@ -682,12 +656,7 @@ class _Parser:
             raise ParseError(pos, f"expected term, found {val or 'end of input'!r}")
         name = self.expect_ident()
         if self.peek()[1] == "(":
-            self.next()
-            args = [self.term()]
-            while self.peek()[1] == ",":
-                self.next()
-                args.append(self.term())
-            self.expect(")")
+            args = self._args()
             ar = self._fn_arity(name)
             if ar is None:
                 if not self.infer or self._pred_arity(name) is not None:
@@ -695,10 +664,20 @@ class _Parser:
                 self._fns[name] = ar = len(args)
             if ar != len(args):
                 raise ArityMismatch(f"function {name!r} expects {ar} args, got {len(args)}")
-            return App(name, tuple(args))
+            return App(name, args)
         if name in self.sig.constants:
             return Const(name)
         return Var(name)
+
+    def _args(self) -> tuple[Term, ...]:
+        """The parenthesised argument list of a function or predicate."""
+        self.expect("(")
+        args = [self.term()]
+        while self.peek()[1] == ",":
+            self.next()
+            args.append(self.term())
+        self.expect(")")
+        return tuple(args)
 
     # -- formulas (precedence climbing)
 
@@ -781,19 +760,14 @@ class _Parser:
                     as_pred = True
                 if as_pred:
                     self.next()
-                    self.next()
-                    args = [self.term()]
-                    while self.peek()[1] == ",":
-                        self.next()
-                        args.append(self.term())
-                    self.expect(")")
+                    args = self._args()
                     ar = self._pred_arity(name)
                     if ar is None:
                         self._preds[name] = ar = len(args)
                     if ar != len(args):
                         raise ArityMismatch(
                             f"predicate {name!r} expects {ar} args, got {len(args)}")
-                    return Pred(name, tuple(args))
+                    return Pred(name, args)
                 return self._equation()
             if self._pred_arity(name) == 0:
                 self.next()
@@ -829,102 +803,112 @@ class _Parser:
         return self.peek()[0] == "eof"
 
 
-def parse_formula(text: str, sig: Signature) -> Formula:
-    p = _Parser(text, sig)
-    f = p.formula()
+def _parse_whole(text: str, sig: Signature, item: str, infer: bool = False):
+    """All of text read as one `item` ('formula' or 'sequent'), with every
+    symbol checked against sig and, when infer is set, the symbols it
+    declared; returns the item and the signature it was checked against."""
+    p = _Parser(text, sig, infer)
+    out = getattr(p, item)()
     if not p.at_eof():
-        raise ParseError(p.peek()[2], "trailing input after formula")
-    validate_formula(f, sig)
-    return f
+        raise ParseError(p.peek()[2], f"trailing input after {item}")
+    sig = p.inferred_signature()
+    for f in (out.antecedent + out.succedent) if item == "sequent" else (out,):
+        validate_formula(f, sig)
+    return out, sig
+
+
+def parse_formula(text: str, sig: Signature) -> Formula:
+    return _parse_whole(text, sig, "formula")[0]
 
 
 def parse_sequent(text: str, sig: Signature) -> Sequent:
-    p = _Parser(text, sig)
-    s = p.sequent()
-    if not p.at_eof():
-        raise ParseError(p.peek()[2], "trailing input after sequent")
-    for f in s.antecedent + s.succedent:
-        validate_formula(f, sig)
-    return s
+    return _parse_whole(text, sig, "sequent")[0]
 
 
 def parse_sequent_infer(text: str, base: Signature) -> tuple[Sequent, Signature]:
     """Parse a sequent, inferring undeclared applied symbols: an application
     followed by '=' is a function, otherwise a predicate; bare undeclared
     identifiers are variables."""
-    p = _Parser(text, base, infer=True)
-    s = p.sequent()
-    if not p.at_eof():
-        raise ParseError(p.peek()[2], "trailing input after sequent")
-    sig = p.inferred_signature()
-    for f in s.antecedent + s.succedent:
-        validate_formula(f, sig)
-    return s, sig
+    return _parse_whole(text, base, "sequent", infer=True)
 
 
 def parse_formula_infer(text: str, base: Signature) -> tuple[Formula, Signature]:
-    p = _Parser(text, base, infer=True)
-    f = p.formula()
-    if not p.at_eof():
-        raise ParseError(p.peek()[2], "trailing input after formula")
-    sig = p.inferred_signature()
-    validate_formula(f, sig)
-    return f, sig
+    return _parse_whole(text, base, "formula", infer=True)
 
 
 # ---------------------------------------------------------------------------
-# Printing
+# Printing: one precedence walk; a `Notation` holds the concrete symbols
 
-def pretty_term(t: Term, sig: Signature | None = None) -> str:
+@dataclass(frozen=True)
+class Notation:
+    """How `pretty` writes formulas.  `formats` has a format string per
+    formula class, filled with the printed binders, subformulas and terms of
+    `parts` in that order, and one for `App`, filled with a symbol and its
+    argument list, which predicates with arguments use too.  `pair` writes
+    pair sugar, `name` variables, constants and binders, and `symbol`
+    function and predicate symbols; `str` leaves a name as it is."""
+
+    formats: Mapping[type, str]
+    pair: str
+    name: Callable[[str], str] = str
+    symbol: Callable[[str], str] = str
+
+
+TEXT = Notation({
+    Eq: "{} = {}", Top: "top", Bot: "bot", Not: "~{}", And: "{} /\\ {}",
+    Or: "{} \\/ {}", Implies: "{} -> {}", Forall: "forall {}. {}",
+    Exists: "exists {}. {}", Rtc: "(rtc {} {}. {})({}, {})", App: "{}({})",
+}, pair="<{}, {}>")
+
+_ATOM = 5
+# class -> (its level, the level each subformula is printed at); a formula is
+# parenthesised where a higher level is asked for, and a class not listed is
+# atomic.  /\ and \/ associate to the left, -> to the right.
+_PRECEDENCE = {
+    Not: (_ATOM, (4,)),
+    And: (3, (3, 4)),
+    Or: (2, (2, 3)),
+    Implies: (1, (2, 1)),
+    Forall: (1, (1,)),
+    Exists: (1, (1,)),
+    Rtc: (_ATOM, (1,)),
+}
+
+
+def pretty_term(t: Term, sig: Signature | None = None, notation: Notation = TEXT) -> str:
     match t:
         case Var(name) | Const(name):
-            return name
+            return notation.name(name)
         case App(fn, args):
             if sig is not None and sig.pair_symbol == fn and len(args) == 2:
-                return f"<{pretty_term(args[0], sig)}, {pretty_term(args[1], sig)}>"
-            return f"{fn}({', '.join(pretty_term(a, sig) for a in args)})"
+                return notation.pair.format(pretty_term(args[0], sig, notation),
+                                            pretty_term(args[1], sig, notation))
+            return notation.formats[App].format(
+                notation.symbol(fn), ", ".join(pretty_term(a, sig, notation) for a in args))
     raise TypeError(f"not a term: {t!r}")
 
 
-_LVL_IMP, _LVL_OR, _LVL_AND, _LVL_NOT, _LVL_ATOM = 1, 2, 3, 4, 5
+def pretty(f: Formula, sig: Signature | None = None, notation: Notation = TEXT) -> str:
+    formats, name = notation.formats, notation.name
 
+    def term(t: Term) -> str:
+        # a variable or constant, the commonest term, is written here directly
+        return pretty_term(t, sig, notation) if t.__class__ is App else name(t.name)
 
-def pretty(f: Formula, sig: Signature | None = None) -> str:
-    def go(g: Formula, minlvl: int) -> str:
-        match g:
-            case Eq(l, r):
-                return f"{pretty_term(l, sig)} = {pretty_term(r, sig)}"
-            case Pred(name, args):
-                if not args:
-                    return name
-                return f"{name}({', '.join(pretty_term(a, sig) for a in args)})"
-            case Top():
-                return "top"
-            case Bot():
-                return "bot"
-            case Not(s):
-                return f"~{go(s, _LVL_NOT)}"
-            case And(l, r):
-                text = f"{go(l, _LVL_AND)} /\\ {go(r, _LVL_AND + 1)}"
-                return f"({text})" if minlvl > _LVL_AND else text
-            case Or(l, r):
-                text = f"{go(l, _LVL_OR)} \\/ {go(r, _LVL_OR + 1)}"
-                return f"({text})" if minlvl > _LVL_OR else text
-            case Implies(l, r):
-                text = f"{go(l, _LVL_IMP + 1)} -> {go(r, _LVL_IMP)}"
-                return f"({text})" if minlvl > _LVL_IMP else text
-            case Forall(x, b):
-                text = f"forall {x}. {go(b, _LVL_IMP)}"
-                return f"({text})" if minlvl > _LVL_IMP else text
-            case Exists(x, b):
-                text = f"exists {x}. {go(b, _LVL_IMP)}"
-                return f"({text})" if minlvl > _LVL_IMP else text
-            case Rtc(x, y, b, s, t):
-                return (f"(rtc {x} {y}. {go(b, _LVL_IMP)})"
-                        f"({pretty_term(s, sig)}, {pretty_term(t, sig)})")
-        raise TypeError(f"not a formula: {g!r}")
+    def go(g: Formula, level: int) -> str:
+        cls = g.__class__
+        if cls is Pred:
+            text = notation.symbol(g.name)
+            if g.args:
+                text = formats[App].format(text, ", ".join(map(term, g.args)))
+            return text
+        binders, subs, terms = parts(g)
+        own, sublevels = _PRECEDENCE.get(cls, (_ATOM, ()))
+        text = formats[cls].format(*map(name, binders), *map(go, subs, sublevels),
+                                   *map(term, terms))
+        return f"({text})" if level > own else text
 
-    return go(f, _LVL_IMP)
+    return go(f, 1)
 
 
 def pretty_sequent(s: Sequent, sig: Signature | None = None) -> str:

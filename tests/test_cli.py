@@ -244,3 +244,61 @@ def test_gen_corpus_writes_the_corpus(tmp_path):
     for name in CORPUS_CHECK:
         with open(corpus_path(name), "rb") as fh:
             assert (tmp_path / name).read_bytes() == fh.read(), name
+
+
+# one malformed rule parameter per case: (corpus file, text replaced,
+# replacement, the line `rtcproof check` prints on stderr)
+PARAM_EDITS = {
+    "unknown_key": ("nat_p.tcp", "principal=(", "principle=(",
+                    "error: line 5, offset 84: unknown parameter 'principle'"),
+    "bracketed_ident": ("nat_p.tcp", "eigenvar=", "eigenvar=(",
+                        "error: line 5, offset 123: expected identifier, found '('"),
+    "subst_parenthesised": ("nat_p.tcp", "subst=[", "subst=(",
+                            "error: line 11, offset 82: expected '[', found '('"),
+    "template_one_paren": ("nat_p.tcp", "template=((", "template=(",
+                           "error: line 6, offset 81: expected '(', found 'p'"),
+    "bare_witness": ("transitivity.tcp", "witness=(", "witness=",
+                     "error: line 8, offset 173: expected '(', found '_v0'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARAM_EDITS))
+def test_check_malformed_params(case, tmp_path, capsys):
+    name, old, new, message = PARAM_EDITS[case]
+    with open(corpus_path(name), encoding="utf-8") as fh:
+        text = fh.read()
+    assert old in text
+    path = tmp_path / name
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    assert main(["check", str(path)]) == 3
+    assert capsys.readouterr() == ("", message + "\n")
+
+
+THEORY = "theory t\nsig pred q/1\naxiom |- q(0)\naxiom q(x) |- q(x)\n"
+
+# one malformed line per case: (text replaced, replacement, the line
+# `rtcproof prove --theory` prints on stderr)
+BAD_THEORIES = {
+    "keyword_prefix": ("axiom |-", "axioms |-",
+                       "error: line 3, offset 0: unrecognized theory line 'axioms |- q(0)'"),
+    "sig_prefix": ("sig pred", "signature pred",
+                   "error: line 2, offset 0: unrecognized theory line 'signature pred q/1'"),
+    "stray_paren": ("|- q(x)\n", "|- q(x))\n",
+                    "error: line 4, offset 18: trailing input after sequent"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_THEORIES))
+def test_prove_malformed_theory(case, tmp_path, capsys):
+    old, new, message = BAD_THEORIES[case]
+    path = tmp_path / "t.tc"
+    path.write_text(THEORY.replace(old, new, 1), encoding="utf-8")
+    assert main(["prove", "q(a) |- q(a)", "--theory", str(path)]) == 3
+    assert capsys.readouterr() == ("", message + "\n")
+
+
+def test_prove_with_theory_file(tmp_path, capsys):
+    path = tmp_path / "t.tc"
+    path.write_text(THEORY, encoding="utf-8")
+    assert main(["prove", "|- q(0)", "--theory", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("proved")

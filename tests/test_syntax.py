@@ -3,6 +3,7 @@ import random
 import pytest
 
 from rtcproof.errors import ArityMismatch, ParseError, UnknownSymbol
+from rtcproof.render import latex_sequent
 from rtcproof.syntax import (And, App, Bot, Const, Eq, Exists, Forall,
                              Implies, Not, Or, Pred, Rtc, Sequent, Signature,
                              Top, Var, alpha_eq, canon, free_vars,
@@ -265,3 +266,51 @@ class TestShape:
             parts(Var("x"))
         with pytest.raises(TypeError):
             rebuild(Var("x"), (), (), ())
+
+
+# symbols with "_" (escaped in LaTeX) and a zero-ary predicate, on top of SIG
+NOTATION_SIG = SIG.merge(Signature.make(constants={"c_1"}, functions={"f_g": 1},
+                                        predicates={"z_0": 0}))
+
+# formula -> (pretty, latex_sequent of "|- formula" after its " \vdash ")
+NOTATIONS = {
+    "s(x) = y": ("s(x) = y", r"\mathit{s}(x) = y"),
+    "p(x, 0)": ("p(x, 0)", r"\mathit{p}(x, 0)"),
+    "top": ("top", r"\top"),
+    "bot": ("bot", r"\bot"),
+    "~q(x)": ("~q(x)", r"\neg \mathit{q}(x)"),
+    "q(x) /\\ q(y)": ("q(x) /\\ q(y)", r"\mathit{q}(x) \wedge \mathit{q}(y)"),
+    "q(x) \\/ q(y)": ("q(x) \\/ q(y)", r"\mathit{q}(x) \vee \mathit{q}(y)"),
+    "q(x) -> q(y)": ("q(x) -> q(y)", r"\mathit{q}(x) \rightarrow \mathit{q}(y)"),
+    "forall x. p(x, y)": ("forall x. p(x, y)", r"\forall x.\, \mathit{p}(x, y)"),
+    "exists y. p(x, y)": ("exists y. p(x, y)", r"\exists y.\, \mathit{p}(x, y)"),
+    "(rtc x y. p(x, y))(s(0), z)": (
+        "(rtc x y. p(x, y))(s(0), z)",
+        r"(\mathsf{rtc}_{x,y}\, \mathit{p}(x, y))(\mathit{s}(0), z)"),
+    "<a, <b, 0>> = pair(a, b)": (
+        "<a, <b, 0>> = <a, b>",
+        r"\langle a, \langle b, 0 \rangle \rangle = \langle a, b \rangle"),
+    "z_0 -> ~(z_0 /\\ q(c_1))": (
+        "z_0 -> ~(z_0 /\\ q(c_1))",
+        r"\mathit{z\_0} \rightarrow \neg (\mathit{z\_0} \wedge \mathit{q}(c\_1))"),
+    "forall x_1. (rtc u_v w. E(u_v, f_g(w)))(x_1, c_1) \\/ q(_v0)": (
+        "forall x_1. (rtc u_v w. E(u_v, f_g(w)))(x_1, c_1) \\/ q(_v0)",
+        r"\forall x\_1.\, (\mathsf{rtc}_{u\_v,w}\, \mathit{E}(u\_v, \mathit{f\_g}(w)))"
+        r"(x\_1, c\_1) \vee \mathit{q}(\_v0)"),
+    "(q(a) -> q(b)) -> ~(q(a) \\/ q(b)) /\\ (exists y. q(y))": (
+        "(q(a) -> q(b)) -> ~(q(a) \\/ q(b)) /\\ (exists y. q(y))",
+        r"(\mathit{q}(a) \rightarrow \mathit{q}(b)) \rightarrow \neg (\mathit{q}(a)"
+        r" \vee \mathit{q}(b)) \wedge (\exists y.\, \mathit{q}(y))"),
+}
+
+
+def test_notations_cover_the_shape_examples():
+    assert set(TestShape.EXAMPLES) <= set(NOTATIONS)
+
+
+@pytest.mark.parametrize("text", sorted(NOTATIONS))
+def test_text_and_latex_notation(text):
+    f = parse_formula(text, NOTATION_SIG)
+    shown, tex = NOTATIONS[text]
+    assert pretty(f, NOTATION_SIG) == shown
+    assert latex_sequent(Sequent((), (f,)), NOTATION_SIG) == r" \vdash " + tex
