@@ -88,10 +88,8 @@ def cmd_prove(args) -> int:
     base = _merged_sig(Signature.make(), theory)
     goal, sig = parse_sequent_infer(_read_input(args.goal), base)
     cfg = SearchConfig(max_depth=args.depth, max_nodes=args.max_nodes,
-                       allow_cut=args.allow_cut,
                        theory=theory.axioms if theory else (), sig=sig,
-                       refute_size=args.model_size,
-                       global_companions=args.global_companions)
+                       refute_size=args.model_size)
     outcome = prove(goal, cfg)
     if isinstance(outcome, Proved):
         text = serialize_proof(ProofFile(outcome.graph, sig,
@@ -200,8 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-nodes", type=int, default=100_000)
     p.add_argument("--model-size", type=int, default=3,
                    help="interleaved refutation size bound")
-    p.add_argument("--allow-cut", action="store_true")
-    p.add_argument("--global-companions", action="store_true")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_prove)
 

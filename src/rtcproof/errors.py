@@ -6,23 +6,36 @@ class RtcError(Exception):
 
 
 class ParseError(RtcError):
-    """Input text does not conform to the grammar; `line` is the 1-based line
-    of a multi-line input, where known."""
+    """Input text does not conform to the grammar or to its signature;
+    `position` is the offset of the fault and `line` the 1-based line of a
+    multi-line input, where known."""
 
-    def __init__(self, position: int, message: str, line: int | None = None):
-        where = f"at offset {position}" if line is None else f"line {line}, offset {position}"
-        super().__init__(f"{where}: {message}")
+    def __init__(self, position: int | None, message: str, line: int | None = None):
+        if position is None:
+            where = ""
+        elif line is None:
+            where = f"at offset {position}: "
+        else:
+            where = f"line {line}, offset {position}: "
+        super().__init__(where + message)
         self.position = position
         self.message = message
         self.line = line
 
 
-class UnknownSymbol(RtcError):
-    pass
+class UnknownSymbol(ParseError):
+    """A symbol the signature does not declare; `position` is set when the
+    symbol was read from text."""
+
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(position, message)
 
 
-class ArityMismatch(RtcError):
-    pass
+class ArityMismatch(ParseError):
+    """A symbol applied to, or declared with, the wrong number of arguments."""
+
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(position, message)
 
 
 class UnboundVariable(RtcError):

@@ -70,10 +70,6 @@ def make_subst(theta: Mapping[str, Term]) -> Substitution:
     return tuple(sorted(theta.items()))
 
 
-def subst_dict(theta: Substitution) -> dict[str, Term]:
-    return dict(theta)
-
-
 @dataclass(frozen=True)
 class RuleParams:
     """Rule-specific parameters; unused fields stay None."""
@@ -253,7 +249,7 @@ def expected_premises(rule: RuleId, conclusion: Sequent, params: RuleParams,
         case RuleId.Subst:
             _need(p.substitution is not None, "Subst requires a substitution")
             _need(p.source is not None, "Subst requires its source sequent")
-            inst = p.source.substituted(subst_dict(p.substitution))
+            inst = p.source.substituted(dict(p.substitution))
             _need(inst == conclusion, "conclusion is not the stated instance of the source")
             return [p.source]
 

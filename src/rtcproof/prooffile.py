@@ -72,11 +72,13 @@ def _lines(text: str, kind: str, keywords: tuple[str, ...]
 
 @contextmanager
 def _on_line(lineno: int, at: int) -> Iterator[None]:
-    """Re-raise a ParseError in the text at offset `at` of a line as one
-    naming the line, its offset counted from the line's start."""
+    """Re-raise a ParseError with a position in the text at offset `at` of a
+    line as one naming the line, its offset counted from the line's start."""
     try:
         yield
     except ParseError as exc:
+        if exc.position is None:
+            raise
         raise ParseError(at + exc.position, exc.message, lineno) from None
 
 
@@ -100,37 +102,39 @@ def _parse_sig_line(p: _Parser) -> Signature:
     preds: dict[str, int] = {}
     pair_symbol = pair_constant = None
     if p.peek()[1] == "-":
-        return Signature.make()
-    while True:
-        kind, val, pos = p.peek()
-        if val == "const":
-            p.next()
-            consts.add(p.expect_ident())
-            while p.peek()[1] == ",":
+        p.next()
+    else:
+        while True:
+            kind, val, pos = p.peek()
+            if val == "const":
                 p.next()
                 consts.add(p.expect_ident())
-        elif val in ("fn", "pred"):
-            p.next()
-            arities = fns if val == "fn" else preds
-            while True:
-                name = p.expect_ident()
-                p.expect("/")
-                arities[name] = _expect_number(p, "arity")
-                if p.peek()[1] != ",":
-                    break
+                while p.peek()[1] == ",":
+                    p.next()
+                    consts.add(p.expect_ident())
+            elif val in ("fn", "pred"):
                 p.next()
-        elif val == "pair":
+                arities = fns if val == "fn" else preds
+                while True:
+                    name = p.expect_ident()
+                    p.expect("/")
+                    arities[name] = _expect_number(p, "arity")
+                    if p.peek()[1] != ",":
+                        break
+                    p.next()
+            elif val == "pair":
+                p.next()
+                pair_symbol = p.expect_ident()
+            elif val == "pairconst":
+                p.next()
+                pair_constant = p.expect_ident()
+            else:
+                raise ParseError(pos, f"unknown signature section {val!r}")
+            if p.peek()[1] != ";":
+                break
             p.next()
-            pair_symbol = p.expect_ident()
-        elif val == "pairconst":
-            p.next()
-            pair_constant = p.expect_ident()
-        else:
-            raise ParseError(pos, f"unknown signature section {val!r}")
-        if p.peek()[1] == ";":
-            p.next()
-            continue
-        break
+    if not p.at_eof():
+        raise ParseError(p.peek()[2], "trailing input after signature")
     return Signature.make(consts, fns, preds, pair_symbol, pair_constant)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import SchemaMismatch
 from .kernel import (RuleId, RuleInstance, RuleParams, check_rule_instance,
-                     rule_instance, subst_dict)
+                     rule_instance)
 from .syntax import Formula, Rtc, Sequent, Signature, Var, substitute
 
 
@@ -142,7 +142,7 @@ def edge_trace_steps(rule: RuleInstance, premise_index: int) -> tuple[TraceStep,
     prem_rtcs = [f for f in rule.premises[premise_index].antecedent if isinstance(f, Rtc)]
     steps: list[TraceStep] = []
     if rule.rule is RuleId.Subst:
-        theta = subst_dict(rule.params.substitution)
+        theta = dict(rule.params.substitution)
         concl_set = set(concl_rtcs)
         for tp in prem_rtcs:
             inst = substitute(tp, theta)

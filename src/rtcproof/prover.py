@@ -1,20 +1,25 @@
-"""Bounded automated search for cut-free cyclic (and finite) proofs.
+"""Bounded automated search for cyclic (and finite) proofs.
 
-Iterative deepening over a deterministic, fair move order: closure moves
-(axioms, theory instances), cycle formation against ancestors, invertible
-propositional rules, case unfolding, equality rewrites, then witness rules
-round-robined over a finite term pool.  Cycle formation is pre-filtered by
-the composed trace matrix of the would-be cycle and every complete
-candidate is re-checked by the structural validator and the global trace
-condition before being accepted.  Counter-model search runs interleaved
-with the deepening, so invalid goals are refuted quickly.
+One search path: iterative deepening over a deterministic, fair move order.
+A move is either a closed `Plan` (an axiom leaf or theory instance, or a
+bud closing a cycle against an ancestor, under the weakenings it needs) or
+a `RuleInstance` whose premises are the subgoals.  The order is: closure
+moves, cycle formation, invertible propositional rules, case unfolding,
+equality rewrites, witness rules round-robined over a finite term pool,
+then analytic cuts on theory axioms.  Buds close only against ancestors, so
+a subgoal's proofs depend on the subgoal and its ancestors alone.  Cycle
+formation is pre-filtered by the composed trace matrix of the would-be
+cycle and every complete candidate is re-checked by the structural
+validator and the global trace condition before being accepted.
+Counter-model search runs interleaved with the deepening, so invalid goals
+are refuted quickly.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .errors import BudgetExceeded, RtcError
 from .kernel import (RuleId, RuleInstance, make_subst, match_sequent,
@@ -32,12 +37,9 @@ from .tracecheck import EdgeMatrix, check_global_trace_condition, edge_matrix
 class SearchConfig:
     max_depth: int = 12
     max_nodes: int = 100_000
-    allow_cut: bool = False
     theory: tuple[Sequent, ...] = ()
     sig: Signature = field(default_factory=Signature.make)
     refute_size: int = 3
-    fresh_pool: int = 1
-    global_companions: bool = False
 
 
 @dataclass
@@ -74,33 +76,20 @@ class Plan:
         return self.rule.conclusion if self.rule is not None else self.sequent
 
 
-def _leaf(rule: RuleInstance) -> Plan:
-    return Plan(rule)
-
-
-def _node(rule: RuleInstance, *children: Plan) -> Plan:
-    return Plan(rule, tuple(children))
-
-
-def _weaken_plan(target: Sequent, inner: Plan, theory=(), sig=None) -> Plan:
+def _weaken_plan(target: Sequent, inner: Plan) -> Plan:
     """Wrap inner in WL/WR nodes until its conclusion grows to target."""
     plan = inner
     current = inner.conclusion()
     for f in target.antecedent:
         if f not in set(current.antecedent):
             current = current.with_ant(f)
-            plan = _node(rule_instance(RuleId.WL, current, theory, sig, principal=f), plan)
+            plan = Plan(rule_instance(RuleId.WL, current, principal=f), (plan,))
     for f in target.succedent:
         if f not in set(current.succedent):
             current = current.with_succ(f)
-            plan = _node(rule_instance(RuleId.WR, current, theory, sig, principal=f), plan)
+            plan = Plan(rule_instance(RuleId.WR, current, principal=f), (plan,))
     assert current == target
     return plan
-
-
-def _axiom_plan(seq: Sequent, phi: Formula) -> Plan:
-    core = Sequent((phi,), (phi,))
-    return _weaken_plan(seq, _leaf(rule_instance(RuleId.Axiom, core)))
 
 
 def assemble(plan: Plan) -> ProofGraph:
@@ -125,27 +114,14 @@ def assemble(plan: Plan) -> ProofGraph:
 # ---------------------------------------------------------------------------
 # Moves
 
-@dataclass
-class Move:
-    subgoals: tuple[Sequent, ...]
-    matrices: tuple[EdgeMatrix, ...]
-    build: Callable[[list[Plan]], Plan]
-    rid: RuleId | None = None
-    params: object = None
-
-
-def _rule_move(rule: RuleInstance) -> Move:
-    mats = tuple(edge_matrix(rule, i) for i in range(len(rule.premises)))
-    return Move(rule.premises, mats, lambda kids, r=rule: _node(r, *kids),
-                rule.rule, rule.params)
-
-
-def _try_rule(out: list[Move], rid: RuleId, concl: Sequent, cfg: SearchConfig,
-              **params) -> None:
+def _rule(rid: RuleId, seq: Sequent, cfg: SearchConfig,
+          **params) -> Iterator[RuleInstance]:
+    """The instance of rid concluding seq, if the rule applies."""
     try:
-        out.append(_rule_move(rule_instance(rid, concl, cfg.theory, cfg.sig, **params)))
+        inst = rule_instance(rid, seq, cfg.theory, cfg.sig, **params)
     except RtcError:
-        pass
+        return
+    yield inst
 
 
 def _chain_matrix(plan: Plan) -> EdgeMatrix:
@@ -162,18 +138,14 @@ def _chain_matrix(plan: Plan) -> EdgeMatrix:
     return mat
 
 
-def _term_pool(seq: Sequent, cfg: SearchConfig) -> list[Term]:
+def _term_pool(seq: Sequent) -> list[Term]:
+    """The sequent's terms in key order, then one fresh variable."""
     terms: dict[str, Term] = {}
     for f in seq.antecedent + seq.succedent:
         for t in formula_subterms(f):
             terms.setdefault(term_key(t, {}), t)
     pool = [terms[k] for k in sorted(terms)]
-    avoid = seq.free_vars()
-    for _ in range(cfg.fresh_pool):
-        name = fresh_name(avoid, hint="_v")
-        avoid = avoid | {name}
-        pool.append(Var(name))
-    return pool
+    return pool + [Var(fresh_name(seq.free_vars(), hint="_v"))]
 
 
 def _replace_term(f: Formula, old: Term, new: Term) -> Formula:
@@ -205,118 +177,89 @@ class Ancestor:
 
 
 def _bud_moves(seq: Sequent, ancestors: tuple[Ancestor, ...],
-               registry: tuple[tuple[Sequent, int], ...],
-               cfg: SearchConfig) -> Iterator[Move]:
-    def closure_plan(target: Sequent, comp_seq: Sequent, token: int,
-                     theta: dict[str, Term]) -> Plan:
-        bud = Plan(None, (), token, comp_seq)
-        inst = comp_seq.substituted(theta)
-        inner = bud if not theta and inst == comp_seq else _node(
-            rule_instance(RuleId.Subst, inst, cfg.theory, cfg.sig,
-                          substitution=make_subst(theta), source=comp_seq), bud)
-        return _weaken_plan(target, inner, cfg.theory, cfg.sig)
-
+               cfg: SearchConfig) -> Iterator[Plan]:
+    """Buds closing seq against an ancestor whose cycle progresses."""
     for anc in ancestors:
         for theta in match_sequent(anc.sequent, seq):
-            plan = closure_plan(seq, anc.sequent, anc.token, theta)
+            bud = Plan(None, (), anc.token, anc.sequent)
+            inst = anc.sequent.substituted(theta)
+            inner = bud if not theta and inst == anc.sequent else Plan(
+                rule_instance(RuleId.Subst, inst, cfg.theory, cfg.sig,
+                              substitution=make_subst(theta), source=anc.sequent),
+                (bud,))
+            plan = _weaken_plan(seq, inner)
             cyc = anc.matrix.compose(_chain_matrix(plan))
             if cyc.idempotent_power().has_progressing_diagonal():
-                yield Move((), (), lambda kids, p=plan: p, RuleId.Subst, theta)
-    if cfg.global_companions:
-        anc_tokens = {a.token for a in ancestors}
-        for comp_seq, token in registry:
-            if token in anc_tokens:
-                continue
-            for theta in match_sequent(comp_seq, seq):
-                plan = closure_plan(seq, comp_seq, token, theta)
-                yield Move((), (), lambda kids, p=plan: p, RuleId.Subst, theta)
-                break  # one instance per companion is plenty
+                yield plan
 
 
 def moves(seq: Sequent, ancestors: tuple[Ancestor, ...],
-          registry: tuple[tuple[Sequent, int], ...],
-          cfg: SearchConfig) -> Iterator[Move]:
+          cfg: SearchConfig) -> Iterator[Plan | RuleInstance]:
     """Deterministic fair candidate ordering: closures and theory leaves,
     cycle formation, invertible rules, case unfolding, equality rewrites,
-    then (rule, witness) pairs round-robined over the term pool."""
+    (rule, witness) pairs round-robined over the term pool, then cuts
+    driven by theory axioms.  A closed move is a Plan; any other move is a
+    RuleInstance whose premises are the subgoals."""
     ant, suc = seq.antecedent, seq.succedent
     ant_set, suc_set = set(ant), set(suc)
 
     # 1. closure moves
     for f in ant:
         if f in suc_set:
-            yield Move((), (), lambda kids, p=_axiom_plan(seq, f): p, RuleId.Axiom, f)
+            yield _weaken_plan(seq, Plan(rule_instance(RuleId.Axiom, Sequent((f,), (f,)))))
             break
     for f in suc:
         if isinstance(f, Eq) and f.lhs == f.rhs:
-            core = Sequent((), (f,))
-            leaf = _leaf(rule_instance(RuleId.EqR, core))
-            yield Move((), (), lambda kids, p=_weaken_plan(seq, leaf): p, RuleId.EqR, f)
+            yield _weaken_plan(seq, Plan(rule_instance(RuleId.EqR, Sequent((), (f,)))))
             break
     for f in suc:
         if isinstance(f, Rtc) and f.src == f.dst:
-            try:
-                leaf = _leaf(rule_instance(RuleId.RtcRefl, seq, cfg.theory,
-                                           cfg.sig, principal=f))
-            except RtcError:
-                continue
-            yield Move((), (), lambda kids, p=leaf: p, RuleId.RtcRefl, f)
+            yield from map(Plan, _rule(RuleId.RtcRefl, seq, cfg, principal=f))
     if cfg.sig.pair_symbol and cfg.sig.pair_constant:
-        for f in ant:
-            try:
-                leaf = _leaf(rule_instance(RuleId.PairConstAx, seq, cfg.theory,
-                                           cfg.sig, principal=f))
-            except RtcError:
-                continue
-            yield Move((), (), lambda kids, p=leaf: p, RuleId.PairConstAx, f)
-            break
+        leaves = (r for f in ant for r in _rule(RuleId.PairConstAx, seq, cfg, principal=f))
+        yield from map(Plan, itertools.islice(leaves, 1))
     for ax in cfg.theory:
         for theta in match_sequent(ax, seq):
             inst = ax.substituted(theta)
-            leaf = _leaf(rule_instance(RuleId.TheoryAxiom, inst, cfg.theory, cfg.sig))
-            yield Move((), (), lambda kids, p=_weaken_plan(seq, leaf, cfg.theory, cfg.sig): p,
-                       RuleId.TheoryAxiom, inst)
+            yield _weaken_plan(seq, Plan(rule_instance(RuleId.TheoryAxiom, inst,
+                                                       cfg.theory, cfg.sig)))
 
     # 2. cycle formation
-    yield from _bud_moves(seq, ancestors, registry, cfg)
+    yield from _bud_moves(seq, ancestors, cfg)
 
     # 3. invertible rules
-    out: list[Move] = []
     for f in ant:
         if isinstance(f, And):
-            _try_rule(out, RuleId.AndL, seq, cfg, principal=f)
+            yield from _rule(RuleId.AndL, seq, cfg, principal=f)
         elif isinstance(f, Not):
-            _try_rule(out, RuleId.NotL, seq, cfg, principal=f)
+            yield from _rule(RuleId.NotL, seq, cfg, principal=f)
         elif isinstance(f, Exists):
             z = fresh_name(seq.free_vars(), hint="_v")
-            _try_rule(out, RuleId.ExL, seq, cfg, principal=f, eigenvar=z)
+            yield from _rule(RuleId.ExL, seq, cfg, principal=f, eigenvar=z)
     for f in suc:
         if isinstance(f, Or):
-            _try_rule(out, RuleId.OrR, seq, cfg, principal=f)
+            yield from _rule(RuleId.OrR, seq, cfg, principal=f)
         elif isinstance(f, Implies):
-            _try_rule(out, RuleId.ImpR, seq, cfg, principal=f)
+            yield from _rule(RuleId.ImpR, seq, cfg, principal=f)
         elif isinstance(f, Not):
-            _try_rule(out, RuleId.NotR, seq, cfg, principal=f)
+            yield from _rule(RuleId.NotR, seq, cfg, principal=f)
         elif isinstance(f, Forall):
             z = fresh_name(seq.free_vars(), hint="_v")
-            _try_rule(out, RuleId.AllR, seq, cfg, principal=f, eigenvar=z)
+            yield from _rule(RuleId.AllR, seq, cfg, principal=f, eigenvar=z)
     for f in suc:
         if isinstance(f, And):
-            _try_rule(out, RuleId.AndR, seq, cfg, principal=f)
+            yield from _rule(RuleId.AndR, seq, cfg, principal=f)
     for f in ant:
         if isinstance(f, Or):
-            _try_rule(out, RuleId.OrL, seq, cfg, principal=f)
+            yield from _rule(RuleId.OrL, seq, cfg, principal=f)
         elif isinstance(f, Implies):
-            _try_rule(out, RuleId.ImpL, seq, cfg, principal=f)
-    yield from out
+            yield from _rule(RuleId.ImpL, seq, cfg, principal=f)
 
     # 4. case unfolding of antecedent closures
     for f in ant:
         if isinstance(f, Rtc):
             z = fresh_name(seq.free_vars(), hint="_v")
-            caseout: list[Move] = []
-            _try_rule(caseout, RuleId.RtcCase, seq, cfg, principal=f, eigenvar=z)
-            yield from caseout
+            yield from _rule(RuleId.RtcCase, seq, cfg, principal=f, eigenvar=z)
 
     # 5. equality rewrites (all-occurrence templates, both directions)
     for eq in ant:
@@ -324,30 +267,23 @@ def moves(seq: Sequent, ancestors: tuple[Ancestor, ...],
             continue
         hole = fresh_name(seq.free_vars(), hint="_h")
         for target in suc:
-            eqout: list[Move] = []
             tmpl1 = _replace_term(target, eq.rhs, Var(hole))
             if tmpl1 != target:
-                _try_rule(eqout, RuleId.EqL1, seq, cfg, principal=eq,
-                          template=(tmpl1, hole))
+                yield from _rule(RuleId.EqL1, seq, cfg, principal=eq, template=(tmpl1, hole))
             tmpl2 = _replace_term(target, eq.lhs, Var(hole))
             if tmpl2 != target:
-                _try_rule(eqout, RuleId.EqL2, seq, cfg, principal=eq,
-                          template=(tmpl2, hole))
-            yield from eqout
+                yield from _rule(RuleId.EqL2, seq, cfg, principal=eq, template=(tmpl2, hole))
 
     # 6. witness rules, round-robined so every (rule, witness) pair appears
-    pool = _term_pool(seq, cfg)
-    for w in pool:
-        wout: list[Move] = []
+    for w in _term_pool(seq):
         for f in suc:
             if isinstance(f, Rtc):
-                _try_rule(wout, RuleId.RtcStep, seq, cfg, principal=f, witness=w)
+                yield from _rule(RuleId.RtcStep, seq, cfg, principal=f, witness=w)
             elif isinstance(f, Exists):
-                _try_rule(wout, RuleId.ExR, seq, cfg, principal=f, witness=w)
+                yield from _rule(RuleId.ExR, seq, cfg, principal=f, witness=w)
         for f in ant:
             if isinstance(f, Forall):
-                _try_rule(wout, RuleId.AllL, seq, cfg, principal=f, witness=w)
-        yield from wout
+                yield from _rule(RuleId.AllL, seq, cfg, principal=f, witness=w)
 
     # 7. analytic cuts driven by theory axioms: when all but one antecedent
     # formula of an axiom instance is already present, cut in the missing one
@@ -358,32 +294,8 @@ def moves(seq: Sequent, ancestors: tuple[Ancestor, ...],
                 if not free_vars(missing) <= set(theta):
                     continue
                 cut_f = substitute(missing, theta)
-                if cut_f in ant_set:
-                    continue
-                cutout: list[Move] = []
-                _try_rule(cutout, RuleId.Cut, seq, cfg, cut_formula=cut_f)
-                yield from cutout
-
-    # 8. experimental unrestricted cuts over sequent subformulas
-    if cfg.allow_cut:
-        seen: set[str] = set()
-        for f in ant + suc:
-            for sub in _subformulas(f):
-                if sub.key() in seen or sub in ant_set:
-                    continue
-                seen.add(sub.key())
-                cutout = []
-                _try_rule(cutout, RuleId.Cut, seq, cfg, cut_formula=sub)
-                yield from cutout
-
-
-def _subformulas(f: Formula) -> Iterator[Formula]:
-    """f and its subformulas under propositional connectives only."""
-    yield f
-    binders, subs, _ = parts(f)
-    if not binders:
-        for g in subs:
-            yield from _subformulas(g)
+                if cut_f not in ant_set:
+                    yield from _rule(RuleId.Cut, seq, cfg, cut_formula=cut_f)
 
 
 # ---------------------------------------------------------------------------
@@ -401,45 +313,29 @@ class _Budget:
 
 
 def _search(seq: Sequent, depth: int, ancestors: tuple[Ancestor, ...],
-            registry: tuple[tuple[Sequent, int], ...], cfg: SearchConfig,
-            budget: _Budget, tokens: itertools.count) -> Iterator[Plan]:
+            cfg: SearchConfig, budget: _Budget, tokens: itertools.count) -> Iterator[Plan]:
     token = next(tokens)
-    for move in moves(seq, ancestors, registry, cfg):
+    for move in moves(seq, ancestors, cfg):
         budget.spend()
-        if not move.subgoals:
-            plan = move.build([])
-            plan.token = token
-            yield plan
+        if isinstance(move, Plan):
+            move.token = token
+            yield move
             continue
         if depth == 0:
             continue
+        mats = [edge_matrix(move, i) for i in range(len(move.premises))]
 
-        def expand(i: int, acc: list[Plan],
-                   reg: tuple[tuple[Sequent, int], ...]) -> Iterator[Plan]:
-            if i == len(move.subgoals):
-                plan = move.build(acc)
-                plan.token = token
-                yield plan
+        def expand(i: int, acc: tuple[Plan, ...]) -> Iterator[Plan]:
+            if i == len(move.premises):
+                yield Plan(move, acc, token=token)
                 return
-            next_anc = tuple(Ancestor(a.sequent, a.token,
-                                      a.matrix.compose(move.matrices[i]))
+            next_anc = tuple(Ancestor(a.sequent, a.token, a.matrix.compose(mats[i]))
                              for a in ancestors)
-            next_anc += (Ancestor(seq, token, move.matrices[i]),)
-            for sub in _search(move.subgoals[i], depth - 1, next_anc, reg,
-                               cfg, budget, tokens):
-                sub_reg = reg
-                if cfg.global_companions:
-                    sub_reg = reg + tuple(_collect_tokens(sub))
-                yield from expand(i + 1, acc + [sub], sub_reg)
+            next_anc += (Ancestor(seq, token, mats[i]),)
+            for sub in _search(move.premises[i], depth - 1, next_anc, cfg, budget, tokens):
+                yield from expand(i + 1, acc + (sub,))
 
-        yield from expand(0, [], registry)
-
-
-def _collect_tokens(plan: Plan) -> Iterator[tuple[Sequent, int]]:
-    if plan.rule is not None and plan.token is not None:
-        yield plan.conclusion(), plan.token
-    for c in plan.children:
-        yield from _collect_tokens(c)
+        yield from expand(0, ())
 
 
 def prove(goal: Sequent, cfg: SearchConfig) -> SearchOutcome:
@@ -449,7 +345,7 @@ def prove(goal: Sequent, cfg: SearchConfig) -> SearchOutcome:
     exhausted_depth = True
     for depth in range(1, cfg.max_depth + 1):
         try:
-            for plan in _search(goal, depth, (), (), cfg, budget, itertools.count()):
+            for plan in _search(goal, depth, (), cfg, budget, itertools.count()):
                 g = assemble(plan)
                 errs = validate_structure(g, cfg.theory, cfg.sig)
                 if errs:

@@ -507,11 +507,6 @@ class Sequent:
     def __hash__(self) -> int:
         return hash((self.antecedent, self.succedent))
 
-    def key(self) -> str:
-        ak = ",".join(f.key() for f in self.antecedent)
-        sk = ",".join(f.key() for f in self.succedent)
-        return ak + " |- " + sk
-
     def __str__(self) -> str:
         return pretty_sequent(self)
 
@@ -548,10 +543,6 @@ def _normalize(fs: Iterable[Formula]) -> tuple[Formula, ...]:
     for f in fs:
         seen.setdefault(f.key(), f)
     return tuple(seen[k] for k in sorted(seen))
-
-
-def sequent(ant: Iterable[Formula], suc: Iterable[Formula]) -> Sequent:
-    return Sequent(tuple(ant), tuple(suc))
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +641,7 @@ class _Parser:
             b = self.term()
             self.expect(">")
             if self.sig.pair_symbol is None:
-                raise UnknownSymbol("pair syntax used but signature has no pair symbol")
+                raise UnknownSymbol("pair syntax used but signature has no pair symbol", pos)
             return App(self.sig.pair_symbol, (a, b))
         if kind != "ident" or val in _KEYWORDS:
             raise ParseError(pos, f"expected term, found {val or 'end of input'!r}")
@@ -660,10 +651,11 @@ class _Parser:
             ar = self._fn_arity(name)
             if ar is None:
                 if not self.infer or self._pred_arity(name) is not None:
-                    raise UnknownSymbol(f"function {name!r} not declared")
+                    raise UnknownSymbol(f"function {name!r} not declared", pos)
                 self._fns[name] = ar = len(args)
             if ar != len(args):
-                raise ArityMismatch(f"function {name!r} expects {ar} args, got {len(args)}")
+                raise ArityMismatch(
+                    f"function {name!r} expects {ar} args, got {len(args)}", pos)
             return App(name, args)
         if name in self.sig.constants:
             return Const(name)
@@ -766,7 +758,7 @@ class _Parser:
                         self._preds[name] = ar = len(args)
                     if ar != len(args):
                         raise ArityMismatch(
-                            f"predicate {name!r} expects {ar} args, got {len(args)}")
+                            f"predicate {name!r} expects {ar} args, got {len(args)}", pos)
                     return Pred(name, args)
                 return self._equation()
             if self._pred_arity(name) == 0:

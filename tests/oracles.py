@@ -12,9 +12,9 @@ from collections.abc import Iterator
 
 from rtcproof.errors import (NoCounterexample, NotAnRtcFormula, NotApplicable,
                              SignatureMismatch)
-from rtcproof.kernel import RuleId, RuleInstance, subst_dict
+from rtcproof.kernel import RuleId, RuleInstance
 from rtcproof.proofgraph import ProofGraph
-from rtcproof.prover import SearchConfig, moves
+from rtcproof.prover import Plan, SearchConfig, moves
 from rtcproof.semantics import (FiniteModel, Valuation, _evaluator,
                                 iter_skeletons)
 from rtcproof.syntax import (And, Bot, Eq, Exists, Forall, Formula, Implies,
@@ -242,7 +242,7 @@ def descent_witness(r: RuleInstance, m: FiniteModel, v: Valuation
                 raise AssertionError("universal was false on every element?")
 
         case RuleId.Subst:
-            theta = subst_dict(p.substitution)
+            theta = dict(p.substitution)
             v2 = {x: ev.term(theta.get(x, Var(x)), v) for x in p.source.free_vars()}
 
         case RuleId.RtcStep:
@@ -287,5 +287,12 @@ def descent_witness(r: RuleInstance, m: FiniteModel, v: Valuation
 
 def expand_fair(node: Sequent, cfg: SearchConfig) -> list[tuple[RuleId, object]]:
     """The deterministic candidate ordering exposed for inspection: every
-    applicable (rule, parameter) pair in the order the search tries them."""
-    return [(m.rid, m.params) for m in moves(node, (), (), cfg)]
+    applicable (rule, parameters) pair in the order the search tries them.
+    A closed move is named by its core rule, below its weakenings."""
+    out = []
+    for m in moves(node, (), cfg):
+        while isinstance(m, Plan) and m.rule.rule in (RuleId.WL, RuleId.WR):
+            m = m.children[0]
+        rule = m.rule if isinstance(m, Plan) else m
+        out.append((rule.rule, rule.params))
+    return out

@@ -246,8 +246,8 @@ def test_gen_corpus_writes_the_corpus(tmp_path):
             assert (tmp_path / name).read_bytes() == fh.read(), name
 
 
-# one malformed rule parameter per case: (corpus file, text replaced,
-# replacement, the line `rtcproof check` prints on stderr)
+# one malformed rule parameter, signature or symbol per case: (corpus file,
+# text replaced, replacement, the line `rtcproof check` prints on stderr)
 PARAM_EDITS = {
     "unknown_key": ("nat_p.tcp", "principal=(", "principle=(",
                     "error: line 5, offset 84: unknown parameter 'principle'"),
@@ -259,6 +259,10 @@ PARAM_EDITS = {
                            "error: line 6, offset 81: expected '(', found 'p'"),
     "bare_witness": ("transitivity.tcp", "witness=(", "witness=",
                      "error: line 8, offset 173: expected '(', found '_v0'"),
+    "sig_trailing_text": ("nat_p.tcp", "sig const 0 ;", "sig const 0 zzz ;",
+                          "error: line 2, offset 12: trailing input after signature"),
+    "undeclared_function": ("nat_p.tcp", "s(x)", "t(x)",
+                            "error: line 5, offset 25: function 't' not declared"),
 }
 
 
@@ -285,6 +289,12 @@ BAD_THEORIES = {
                    "error: line 2, offset 0: unrecognized theory line 'signature pred q/1'"),
     "stray_paren": ("|- q(x)\n", "|- q(x))\n",
                     "error: line 4, offset 18: trailing input after sequent"),
+    "sig_trailing_text": ("sig pred q/1", "sig pred q/1 extra",
+                          "error: line 2, offset 13: trailing input after signature"),
+    "undeclared_function": ("|- q(0)", "|- q(s(0))",
+                            "error: line 3, offset 11: function 's' not declared"),
+    "arity_mismatch": ("|- q(0)", "|- q(0, 0)",
+                       "error: line 3, offset 9: predicate 'q' expects 1 args, got 2"),
 }
 
 
@@ -302,3 +312,34 @@ def test_prove_with_theory_file(tmp_path, capsys):
     path.write_text(THEORY, encoding="utf-8")
     assert main(["prove", "|- q(0)", "--theory", str(path)]) == 0
     assert capsys.readouterr().out.startswith("proved")
+
+
+R = "(rtc x y. p(x, y))"
+# (exit code, `rtcproof prove` argv) per case; tests/golden/prove_<case>.out
+# holds the full stdout, recorded before the prover lost its cut and
+# global-companion modes
+PROVE_GOLDEN = {
+    "trans": (0, [f"{R}(a, b), {R}(b, c) |- {R}(a, c)"]),
+    "trans_and": (0, [f"{R}(a, b), {R}(b, c) |- {R}(a, c) /\\ {R}(a, c)"]),
+    "and_swap": (0, ["q(a) /\\ q(b) |- q(b) /\\ q(a)"]),
+    "eq_rewrite": (0, ["a = b, q(a) |- q(b)"]),
+    "nat_step": (0, ["p(0), (rtc x y. s(x) = y)(0, n) |- p(n)", "--theory", "step"]),
+    "exists_forall": (1, ["exists x. q(x) |- forall x. q(x)"]),
+    "budget": (2, [f"{R}(a, b) |- {R}(a, c)", "--max-nodes", "50", "--model-size", "0"]),
+}
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize("case", sorted(PROVE_GOLDEN))
+def test_prove_golden(case, capsys):
+    code, argv = PROVE_GOLDEN[case]
+    with open(os.path.join(GOLDEN, f"prove_{case}.out"), encoding="utf-8") as fh:
+        want = fh.read()
+    assert main(["prove"] + argv) == code
+    assert capsys.readouterr() == (want, "")
+
+
+@pytest.mark.parametrize("flag", ["--allow-cut", "--global-companions"])
+def test_prove_removed_flags_are_usage_errors(flag, capsys):
+    assert main(["prove", "q(a) |- q(a)", flag]) == 3
+    assert "unrecognized arguments" in capsys.readouterr().err

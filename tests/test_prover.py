@@ -135,9 +135,9 @@ class TestExpandFair:
 
     def test_every_witness_pair_proposed(self):
         seq = S("forall x. q(x) |- (rtc x y. p(x, y))(a, b), exists y. q(y)")
-        pairs = expand_fair(seq, SearchConfig(sig=SIG, fresh_pool=2))
+        pairs = expand_fair(seq, SearchConfig(sig=SIG))
         from rtcproof.prover import _term_pool
-        pool = _term_pool(seq, SearchConfig(sig=SIG, fresh_pool=2))
+        pool = _term_pool(seq)
         for rid, want in ((RuleId.AllL, len(pool)), (RuleId.ExR, len(pool)),
                           (RuleId.RtcStep, len(pool))):
             got = [p.witness for r, p in pairs if r is rid]
@@ -153,16 +153,3 @@ class TestExpandFair:
         rules = [r for r, _ in expand_fair(seq, SearchConfig(sig=SIG))]
         assert rules[0] is RuleId.Axiom
 
-
-class TestGlobalCompanions:
-    def test_cross_branch_bud(self):
-        # same goal twice under a conjunction: global mode may reuse the
-        # first branch's internal node as a companion
-        goal = S(TRANS.replace("|-", "|-").replace(
-            "(rtc x y. p(x, y))(a, c)",
-            "(rtc x y. p(x, y))(a, c) /\\ (rtc x y. p(x, y))(a, c)"))
-        cfg = SearchConfig(sig=SIG, max_depth=12, global_companions=True)
-        out = prove(goal, cfg)
-        assert isinstance(out, Proved)
-        assert validate_structure(out.graph, (), SIG) == []
-        assert check_global_trace_condition(out.graph).accepted
