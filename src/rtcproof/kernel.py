@@ -106,13 +106,16 @@ def rule_instance(rule: RuleId, conclusion: Sequent, theory: tuple[Sequent, ...]
 # Schema instantiation
 
 def _need(cond: bool, detail: str) -> None:
+    """Raise NotApplicable(detail) unless cond; a message that formats a
+    formula is raised at its own site, so that it is built only on failure."""
     if not cond:
         raise NotApplicable(detail)
 
 
 def _principal_in(f: Formula | None, side: tuple[Formula, ...], where: str) -> Formula:
     _need(f is not None, "principal formula required")
-    _need(f in side, f"principal {f} not in {where}")
+    if f not in side:
+        raise NotApplicable(f"principal {f} not in {where}")
     return f
 
 
@@ -234,7 +237,8 @@ def expected_premises(rule: RuleId, conclusion: Sequent, params: RuleParams,
                 shown, rewritten = phi_t, phi_s
             else:
                 shown, rewritten = phi_s, phi_t
-            _need(shown in suc, f"rewritten formula {shown} not in succedent")
+            if shown not in suc:
+                raise NotApplicable(f"rewritten formula {shown} not in succedent")
             return [conclusion.without_ant(eq).without_succ(shown).with_succ(rewritten)]
 
         case RuleId.Cut:
@@ -294,8 +298,10 @@ def expected_premises(rule: RuleId, conclusion: Sequent, params: RuleParams,
             psi_x = substitute(psi, {tvar: Var(x)})
             psi_s = substitute(psi, {tvar: f.src})
             psi_t = substitute(psi, {tvar: f.dst})
-            _need(psi_s in ant, f"{psi_s} not in antecedent")
-            _need(psi_t in suc, f"{psi_t} not in succedent")
+            if psi_s not in ant:
+                raise NotApplicable(f"{psi_s} not in antecedent")
+            if psi_t not in suc:
+                raise NotApplicable(f"{psi_t} not in succedent")
             gamma = conclusion.without_ant(f).without_ant(psi_s)
             delta_side = gamma.without_succ(psi_t)
             ctx_vars = delta_side.free_vars()

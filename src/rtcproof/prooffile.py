@@ -73,13 +73,13 @@ def _lines(text: str, kind: str, keywords: tuple[str, ...]
 @contextmanager
 def _on_line(lineno: int, at: int) -> Iterator[None]:
     """Re-raise a ParseError with a position in the text at offset `at` of a
-    line as one naming the line, its offset counted from the line's start."""
+    line as one naming the line, its offset counted from the line's start.
+    An error of the line as a whole, such as a signature's pair symbol that
+    is not a binary function, has no position and is placed at `at`."""
     try:
         yield
     except ParseError as exc:
-        if exc.position is None:
-            raise
-        raise ParseError(at + exc.position, exc.message, lineno) from None
+        raise ParseError(at + (exc.position or 0), exc.message, lineno) from None
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +298,16 @@ def _parse_node(p: _Parser) -> ProofNode:
     if p.peek()[1] == "bud":
         p.next()
         p.expect("->")
-        return ProofNode(seq, companion=_expect_number(p, "companion id"))
+        node = ProofNode(seq, companion=_expect_number(p, "companion id"))
+    else:
+        node = _parse_rule(p, seq)
+    if not p.at_eof():
+        raise ParseError(p.peek()[2], "trailing input after node")
+    return node
+
+
+def _parse_rule(p: _Parser, seq: Sequent) -> ProofNode:
+    """The rest of a rule node's body, from `rule=` to its premises."""
     kind, val, pos = p.peek()
     if val != "rule":
         raise ParseError(pos, "expected 'rule=' or 'bud ->'")

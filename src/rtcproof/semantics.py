@@ -1,10 +1,18 @@
-"""Brute-force evaluation in finite first-order structures.
+"""Evaluation in finite first-order structures, total or partial.
 
 Provides the truth oracle used to sanity-check the proof systems: formula
 evaluation (with rtc handled by graph reachability) and bounded
 counter-model search.  The degree of an rtc formula and the descending
 counter-model witness for locally valid rule instances are test oracles in
-`tests/oracles.py`.
+`tests/oracles.py`, as is the brute-force enumerator
+`find_counter_model_brute` that the search is tested against.
+
+A model may be partial: a function table without an entry for some argument
+tuple, or a predicate tuple listed in `FiniteModel.unknown`, is a cell whose
+value is not yet chosen.  `Evaluator.holds` reads such models in Kleene's
+three-valued logic and returns None where the answer depends on unknown
+cells; a definite answer holds in every completion, and a complete model
+never yields None.
 
 Model enumeration order (documented contract): by domain size, then per
 size lexicographically over table encodings in the order (function tables,
@@ -12,6 +20,12 @@ predicate tables, constant assignments), symbols sorted by name within each
 group.  Function tables are flat value lists over argument tuples in
 lexicographic order; predicate tables are bitmasks over the same tuple
 order, enumerated ascending (so the empty relation comes first).
+`find_counter_model` keeps this contract without enumerating: it fills
+table cells depth-first in the same order and cuts every partial model in
+which no (constants, valuation) tuple can still be a counter-model (the
+cell-by-cell search of SEM, Zhang & Zhang 1995, and Mace4, McCune 2003).
+Its budget counts search nodes, one per cell assignment tried plus one
+root per domain size.
 
 Counterexample dump format:
 
@@ -20,27 +34,31 @@ Counterexample dump format:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .errors import BudgetExceeded, SignatureMismatch, UnboundVariable
 from .syntax import (And, App, Bot, Const, Eq, Exists, Forall, Formula,
                      Implies, Not, Or, Pred, Rtc, Sequent, Signature, Term,
-                     Top, Var, formula_subterms, free_vars, fresh_name, parts,
-                     rebuild)
+                     Top, Var, free_vars, fresh_name, parts, rebuild,
+                     subterms)
 
 Valuation = dict[str, int]
 
 
 @dataclass
 class FiniteModel:
-    """Explicit finite structure over domain {0..domain_size-1}."""
+    """Explicit finite structure over domain {0..domain_size-1}.  A model is
+    partial when a function table lacks an argument tuple or `unknown` lists
+    predicate tuples whose membership is not yet decided."""
 
     domain_size: int
     const_interp: dict[str, int] = field(default_factory=dict)
     fn_interp: dict[str, dict[tuple[int, ...], int]] = field(default_factory=dict)
     pred_interp: dict[str, frozenset[tuple[int, ...]]] = field(default_factory=dict)
+    unknown: dict[str, frozenset[tuple[int, ...]]] = field(default_factory=dict)
 
     def dump(self) -> str:
         parts = [f"size = {self.domain_size};"]
@@ -58,14 +76,16 @@ class FiniteModel:
 
 
 class Evaluator:
-    """Evaluates formulas in one model; caches rtc reachability per model."""
+    """Evaluates formulas in one (possibly partial) model in Kleene's
+    three-valued logic; caches rtc reachability per model."""
 
     def __init__(self, model: FiniteModel):
         self.model = model
-        self._reach: dict[tuple, list[set[int]]] = {}
-        self._adj: dict[tuple, list[list[bool]]] = {}
+        self._reach: dict[tuple, tuple[list[int], list[int]]] = {}
+        self._adj: dict[tuple, list[list[bool | None]]] = {}
 
-    def term(self, t: Term, v: Valuation) -> int:
+    def term(self, t: Term, v: Valuation) -> int | None:
+        """The value of t, or None when it depends on an unknown cell."""
         match t:
             case Var(name):
                 try:
@@ -81,89 +101,134 @@ class Evaluator:
                 table = self.model.fn_interp.get(fn)
                 if table is None:
                     raise SignatureMismatch(f"function {fn!r} not interpreted")
-                return table[tuple(self.term(a, v) for a in args)]
+                # an argument tuple holding None is in no table
+                return table.get(tuple([self.term(a, v) for a in args]))
         raise TypeError(f"not a term: {t!r}")
 
-    def holds(self, f: Formula, v: Valuation) -> bool:
+    def holds(self, f: Formula, v: Valuation) -> bool | None:
+        """True or False when f has that value in every completion of the
+        model, None otherwise."""
         match f:
-            case Eq(l, r):
-                return self.term(l, v) == self.term(r, v)
             case Pred(name, args):
                 rel = self.model.pred_interp.get(name)
                 if rel is None:
                     raise SignatureMismatch(f"predicate {name!r} not interpreted")
-                return tuple(self.term(a, v) for a in args) in rel
+                cell = tuple([self.term(a, v) for a in args])
+                if None in cell or cell in self.model.unknown.get(name, ()):
+                    return None
+                return cell in rel
+            case Rtc(_, _, _, s, t):
+                sv, tv = self.term(s, v), self.term(t, v)
+                if sv is None or tv is None:
+                    return None
+                if sv == tv:
+                    return True
+                lower, upper = self.reach(f, v)
+                if lower[sv] >> tv & 1:
+                    return True
+                return None if upper[sv] >> tv & 1 else False
+            case Implies(l, r):
+                a = self.holds(l, v)
+                if a is False:
+                    return True
+                b = self.holds(r, v)
+                return b if a else (True if b else None)
+            case Forall(x, b):
+                out = True
+                for a in range(self.model.domain_size):
+                    val = self.holds(b, {**v, x: a})
+                    if val is False:
+                        return False
+                    if val is None:
+                        out = None
+                return out
+            case Exists(x, b):
+                out: bool | None = False
+                for a in range(self.model.domain_size):
+                    val = self.holds(b, {**v, x: a})
+                    if val:
+                        return True
+                    if val is None:
+                        out = None
+                return out
+            case And(l, r):
+                a = self.holds(l, v)
+                if a is False:
+                    return False
+                b = self.holds(r, v)
+                return b if a else (False if b is False else None)
+            case Or(l, r):
+                a = self.holds(l, v)
+                if a is True:
+                    return True
+                b = self.holds(r, v)
+                return b if a is False else (True if b else None)
+            case Not(s):
+                a = self.holds(s, v)
+                return None if a is None else not a
+            case Eq(l, r):
+                a, b = self.term(l, v), self.term(r, v)
+                return None if a is None or b is None else a == b
             case Top():
                 return True
             case Bot():
                 return False
-            case Not(s):
-                return not self.holds(s, v)
-            case And(l, r):
-                return self.holds(l, v) and self.holds(r, v)
-            case Or(l, r):
-                return self.holds(l, v) or self.holds(r, v)
-            case Implies(l, r):
-                return (not self.holds(l, v)) or self.holds(r, v)
-            case Exists(x, b):
-                return any(self.holds(b, {**v, x: a}) for a in range(self.model.domain_size))
-            case Forall(x, b):
-                return all(self.holds(b, {**v, x: a}) for a in range(self.model.domain_size))
-            case Rtc(_, _, _, s, t):
-                sv, tv = self.term(s, v), self.term(t, v)
-                if sv == tv:
-                    return True
-                return tv in self.reach(f, v)[sv]
         raise TypeError(f"not a formula: {f!r}")
 
-    def adjacency(self, f: Rtc, v: Valuation) -> list[list[bool]]:
-        """Step relation of an rtc formula's body under v."""
+    def adjacency(self, f: Rtc, v: Valuation) -> list[list[bool | None]]:
+        """Step relation of an rtc formula's body under v (None: unknown)."""
         key = self._cache_key(f, v)
         adj = self._adj.get(key)
         if adj is None:
             n = self.model.domain_size
-            adj = [[False] * n for _ in range(n)]
-            for a in range(n):
-                for b in range(n):
-                    if self.holds(f.body, {**v, f.x: a, f.y: b}):
-                        adj[a][b] = True
+            adj = [[self.holds(f.body, {**v, f.x: a, f.y: b}) for b in range(n)]
+                   for a in range(n)]
             self._adj[key] = adj
         return adj
 
-    def reach(self, f: Rtc, v: Valuation) -> list[set[int]]:
-        """reach[a] = elements reachable from a by >= 1 body steps... including
-        a itself only when a lies on a cycle; reflexive closure is handled by
-        the caller comparing endpoint values."""
+    def reach(self, f: Rtc, v: Valuation) -> tuple[list[int], list[int]]:
+        """(lower, upper) as bitmasks per element: bit b of lower[a] is set
+        when b is reachable from a by >= 1 body steps known to hold, of
+        upper[a] when it is reachable by steps not known to fail; a itself
+        only when it lies on such a cycle.  The two agree in a complete
+        model.  The reflexive case is the caller's, which compares endpoint
+        values."""
         key = self._cache_key(f, v)
         cached = self._reach.get(key)
         if cached is not None:
             return cached
         adj = self.adjacency(f, v)
-        n = self.model.domain_size
-        out: list[set[int]] = []
-        for start in range(n):
-            seen: set[int] = set()
-            frontier = [b for b in range(n) if adj[start][b]]
-            seen.update(frontier)
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for w in range(n):
-                        if adj[u][w] and w not in seen:
-                            seen.add(w)
-                            nxt.append(w)
-                frontier = nxt
-            out.append(seen)
-        self._reach[key] = out
-        return out
+        lower = _closure([sum(1 << b for b, e in enumerate(row) if e) for row in adj])
+        if any(None in row for row in adj):
+            upper = _closure([sum(1 << b for b, e in enumerate(row) if e is not False)
+                              for row in adj])
+        else:
+            upper = lower
+        self._reach[key] = (lower, upper)
+        return lower, upper
 
     def _cache_key(self, f: Rtc, v: Valuation) -> tuple:
-        extras = sorted(free_vars(f.body) - {f.x, f.y})
+        relation, side = f.relation()
         try:
-            vals = tuple(v[e] for e in extras)
+            return relation, tuple(v[e] for e in side)
         except KeyError as exc:
             raise UnboundVariable(f"variable {exc.args[0]!r} has no value") from None
-        return (f.key(), vals)
+
+
+def _closure(step: list[int]) -> list[int]:
+    """Transitive closure of a relation given as one successor bitmask per
+    element."""
+    out = []
+    for start in range(len(step)):
+        seen = frontier = step[start]
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = step[low.bit_length() - 1] & ~seen
+            seen |= new
+            frontier |= new
+        out.append(seen)
+    return out
 
 
 def _evaluator(m: FiniteModel) -> Evaluator:
@@ -174,13 +239,20 @@ def _evaluator(m: FiniteModel) -> Evaluator:
     return ev
 
 
-def evaluate(m: FiniteModel, v: Valuation, f: Formula) -> bool:
-    """Truth of f in m under v; rtc via graph reachability."""
+def evaluate(m: FiniteModel, v: Valuation, f: Formula) -> bool | None:
+    """Truth of f in m under v; rtc via graph reachability.  None only when
+    m is partial and the value depends on its unknown cells."""
     return _evaluator(m).holds(f, v)
 
 
+def sequent_holds(ev: Evaluator, v: Valuation, s: Sequent) -> bool:
+    """Two-valued truth of a sequent in a complete model."""
+    return (not all(ev.holds(f, v) for f in s.antecedent)
+            or any(ev.holds(f, v) for f in s.succedent))
+
+
 # ---------------------------------------------------------------------------
-# Model enumeration and counter-model search
+# Counter-model search
 
 def _replace_consts(f: Formula, mapping: Mapping[str, str]) -> Formula:
     def goterm(t: Term) -> Term:
@@ -198,61 +270,40 @@ def _replace_consts(f: Formula, mapping: Mapping[str, str]) -> Formula:
                    tuple(goterm(t) for t in terms))
 
 
+def _scan(f: Formula, consts: set[str], fns: dict[str, int], preds: dict[str, int]) -> None:
+    """Add the constants, functions and predicates occurring in f."""
+    if isinstance(f, Pred):
+        preds[f.name] = len(f.args)
+    _, subs, terms = parts(f)
+    for g in subs:
+        _scan(g, consts, fns, preds)
+    for t in terms:
+        for u in subterms(t):
+            if isinstance(u, Const):
+                consts.add(u.name)
+            elif isinstance(u, App):
+                fns[u.fn] = len(u.args)
+
+
 def used_signature(sequents: tuple[Sequent, ...], sig: Signature) -> Signature:
     """The sub-signature of symbols actually occurring in the sequents."""
     consts: set[str] = set()
     fns: dict[str, int] = {}
     preds: dict[str, int] = {}
-
-    def scan(f: Formula) -> None:
-        if isinstance(f, Pred):
-            preds[f.name] = len(f.args)
-        for g in parts(f)[1]:
-            scan(g)
-
     for seq in sequents:
         for f in seq.antecedent + seq.succedent:
-            scan(f)
-            for t in formula_subterms(f):
-                if isinstance(t, Const):
-                    consts.add(t.name)
-                elif isinstance(t, App):
-                    fns[t.fn] = len(t.args)
+            _scan(f, consts, fns, preds)
     pair = sig.pair_symbol if sig.pair_symbol in fns else None
     pair_const = sig.pair_constant if pair and sig.pair_constant in consts else None
     return Signature.make(consts, fns, preds, pair, pair_const)
 
 
-def _tuples(n: int, arity: int) -> list[tuple[int, ...]]:
-    return list(itertools.product(range(n), repeat=arity))
-
-
-def iter_skeletons(sig: Signature, n: int) -> Iterator[tuple[dict, dict]]:
-    """(fn_interp, pred_interp) pairs in documented lexicographic order."""
-    fns = sorted(sig.function_map.items())
-    preds = sorted(sig.predicate_map.items())
-    tuples_of = {ar: _tuples(n, ar) for _, ar in itertools.chain(fns, preds)}
-
-    def fn_tables() -> Iterator[dict]:
-        pools = [itertools.product(range(n), repeat=n ** ar) for _, ar in fns]
-        for combo in itertools.product(*pools):
-            yield {name: dict(zip(tuples_of[ar], flat))
-                   for (name, ar), flat in zip(fns, combo)}
-
-    def pred_tables() -> Iterator[dict]:
-        sizes = [2 ** (n ** ar) for _, ar in preds]
-        for masks in itertools.product(*(range(sz) for sz in sizes)):
-            yield {name: frozenset(t for i, t in enumerate(tuples_of[ar]) if masks[k] >> i & 1)
-                   for k, (name, ar) in enumerate(preds)}
-
-    for fn_i in fn_tables():
-        for pred_i in pred_tables():
-            yield fn_i, pred_i
-
-
-def sequent_holds(ev: Evaluator, v: Valuation, s: Sequent) -> bool:
-    return (not all(ev.holds(f, v) for f in s.antecedent)
-            or any(ev.holds(f, v) for f in s.succedent))
+def _table_symbols(f: Formula) -> frozenset[str]:
+    """Names of the functions and predicates f reads."""
+    fns: dict[str, int] = {}
+    preds: dict[str, int] = {}
+    _scan(f, set(), fns, preds)
+    return frozenset(fns) | frozenset(preds)
 
 
 def find_counter_model(s: Sequent, max_size: int, theory: tuple[Sequent, ...] = (),
@@ -262,13 +313,13 @@ def find_counter_model(s: Sequent, max_size: int, theory: tuple[Sequent, ...] = 
     every antecedent of s but no succedent; None if none exists within the
     size bound.  Absence is NOT a validity proof.
 
-    Raises BudgetExceeded when more than `budget` candidate models would be
-    examined.
+    Raises BudgetExceeded when the search would visit more than `budget`
+    nodes.
     """
     if sig is None:
         raise SignatureMismatch("find_counter_model requires a signature")
     # symbols absent from goal and theory cannot affect satisfaction; skip
-    # their tables so the enumeration stays small
+    # their tables so the search stays small
     sig = used_signature((s,) + tuple(theory), sig)
     consts = sorted(sig.constants)
     used = set().union(s.free_vars(), *(ax.free_vars() for ax in theory)) | set(consts)
@@ -276,37 +327,200 @@ def find_counter_model(s: Sequent, max_size: int, theory: tuple[Sequent, ...] = 
     for c in consts:
         name = fresh_name(used | set(cvars.values()), hint=f"_k{c}_")
         cvars[c] = name
-    goal = Sequent(tuple(_replace_consts(f, cvars) for f in s.antecedent),
-                   tuple(_replace_consts(f, cvars) for f in s.succedent))
-    th = tuple(Sequent(tuple(_replace_consts(f, cvars) for f in ax.antecedent),
-                       tuple(_replace_consts(f, cvars) for f in ax.succedent))
-               for ax in theory)
-    goal_fvs = sorted(s.free_vars())
-    count = 0
+
+    def replaced(seq: Sequent) -> Sequent:
+        return Sequent(tuple(_replace_consts(f, cvars) for f in seq.antecedent),
+                       tuple(_replace_consts(f, cvars) for f in seq.succedent))
+
+    search = _CellSearch(replaced(s), tuple(replaced(ax) for ax in theory), sig,
+                         [cvars[c] for c in consts], sorted(s.free_vars()), budget)
     for n in range(1, max_size + 1):
-        for fn_i, pred_i in iter_skeletons(sig, n):
-            skeleton = FiniteModel(n, {}, fn_i, pred_i)
-            ev = Evaluator(skeleton)
-            for cvals in itertools.product(range(n), repeat=len(consts)):
-                count += 1
-                if count > budget:
-                    raise BudgetExceeded(f"counter-model search budget {budget} exhausted")
-                base = {cvars[c]: val for c, val in zip(consts, cvals)}
-                if th and not _theory_ok(ev, th, base, n):
-                    continue
-                for vals in itertools.product(range(n), repeat=len(goal_fvs)):
-                    v = {**base, **dict(zip(goal_fvs, vals))}
-                    if (all(ev.holds(f, v) for f in goal.antecedent)
-                            and not any(ev.holds(f, v) for f in goal.succedent)):
-                        model = FiniteModel(n, dict(zip(consts, cvals)), fn_i, pred_i)
-                        return model, dict(zip(goal_fvs, vals))
+        found = search.run(n)
+        if found is not None:
+            model = FiniteModel(n, dict(zip(consts, found[0])), *found[2:])
+            valuation = dict(zip(search.goal_fvs, found[1]))
+            _recheck(model, valuation, s, theory)
+            return model, valuation
     return None
 
 
-def _theory_ok(ev: Evaluator, theory: tuple[Sequent, ...], base: Valuation, n: int) -> bool:
+def _recheck(m: FiniteModel, v: Valuation, s: Sequent, theory: tuple[Sequent, ...]) -> None:
+    """Re-check a found counter-model with the two-valued reading of the
+    complete model, constants read through the model."""
+    ev = Evaluator(m)
+    ok = (all(ev.holds(f, v) is True for f in s.antecedent)
+          and all(ev.holds(f, v) is False for f in s.succedent))
     for ax in theory:
-        fvs = sorted(ax.free_vars() - set(base))
-        for vals in itertools.product(range(n), repeat=len(fvs)):
-            if not sequent_holds(ev, {**base, **dict(zip(fvs, vals))}, ax):
-                return False
-    return True
+        fvs = sorted(ax.free_vars())
+        for vals in itertools.product(range(m.domain_size), repeat=len(fvs)):
+            ok = ok and sequent_holds(ev, dict(zip(fvs, vals)), ax)
+    if not ok:
+        raise AssertionError(f"cell search returned a model that is no counter-model: "
+                             f"{m.dump()} {v}")
+
+
+class _CellSearch:
+    """Depth-first search over the table cells of models of one size.
+
+    A check is a sequent under one valuation: the goal under a (constants,
+    valuation) tuple, or a theory axiom under the constants and values of
+    its own free variables.  Its Kleene value is True when some antecedent
+    is definitely false or some succedent definitely true.  A goal tuple
+    dies when its check is True; a theory check kills every tuple of its
+    constants when False and is dropped when True.  A branch with no live
+    tuple is cut.
+
+    Definite formula values are monotone along a branch, so they are
+    memoised per (formula, values of its free variables) in `known` and
+    undone on backtracking; a formula is re-evaluated only when the cell
+    just set belongs to a symbol it reads."""
+
+    def __init__(self, goal: Sequent, theory: tuple[Sequent, ...], sig: Signature,
+                 cvars: list[str], goal_fvs: list[str], budget: int):
+        self.sig, self.cvars, self.goal_fvs = sig, cvars, goal_fvs
+        self.budget, self.nodes = budget, 0
+        self.formulas: list[Formula] = []
+        self.fvs: list[tuple[str, ...]] = []
+        self.shapes: list[str] = []
+        self.reads: list[frozenset[str]] = []
+        self.goal_sides = self._sides(goal)
+        self.theory_sides = [(self._sides(ax), sorted(ax.free_vars() - set(cvars)))
+                             for ax in theory]
+
+    def _sides(self, seq: Sequent) -> tuple[list[int], list[int]]:
+        """Indices of seq's formulas in `self.formulas`, added here."""
+        def add(f: Formula) -> int:
+            fvs = tuple(sorted(free_vars(f)))
+            self.formulas.append(f)
+            self.fvs.append(fvs)
+            # f with its free variables read positionally: formulas that
+            # differ only in those names, like R(a, b) and R(b, c), share
+            # memo entries
+            self.shapes.append(functools.reduce(lambda g, x: Forall(x, g),
+                                                reversed(fvs), f).key())
+            self.reads.append(_table_symbols(f))
+            return len(self.formulas) - 1
+        return [add(f) for f in seq.antecedent], [add(f) for f in seq.succedent]
+
+    def _check(self, sides: tuple[list[int], list[int]], v: Valuation) -> tuple:
+        """(antecedent entries, succedent entries, valuation); an entry is
+        (formula index, memo key)."""
+        ant, suc = sides
+        key = lambda i: (self.shapes[i], tuple(v[x] for x in self.fvs[i]))  # noqa: E731
+        return [(i, key(i)) for i in ant], [(i, key(i)) for i in suc], v
+
+    def run(self, n: int):
+        """(constant values, valuation values, fn tables, predicate tables)
+        of the first counter-model of size n, or None."""
+        goal_sides, theory_sides = self.goal_sides, self.theory_sides
+        cval_list = list(itertools.product(range(n), repeat=len(self.cvars)))
+        val_list = list(itertools.product(range(n), repeat=len(self.goal_fvs)))
+        # per constant assignment: its theory checks and its goal checks
+        groups = []
+        for c, cvals in enumerate(cval_list):
+            base = dict(zip(self.cvars, cvals))
+            th = [self._check(sides, {**base, **dict(zip(fvs, vals))})
+                  for sides, fvs in theory_sides
+                  for vals in itertools.product(range(n), repeat=len(fvs))]
+            goal = [self._check(goal_sides, {**base, **dict(zip(self.goal_fvs, vals))})
+                    for vals in val_list]
+            groups.append((c, th, goal))
+        live = [(c, list(range(len(th))), list(range(len(goal)))) for c, th, goal in groups]
+
+        fns = sorted(self.sig.function_map.items())
+        preds = sorted(self.sig.predicate_map.items())
+        fn_tables: dict[str, dict[tuple[int, ...], int]] = {f: {} for f, _ in fns}
+        true: dict[str, set[tuple[int, ...]]] = {p: set() for p, _ in preds}
+        unknown: dict[str, set[tuple[int, ...]]] = {
+            p: set(itertools.product(range(n), repeat=ar)) for p, ar in preds}
+        model = FiniteModel(n, {}, fn_tables, true, unknown)
+        # cells in enumeration order: each function's tuples ascending with
+        # values 0..n-1, then each predicate's tuples descending, false first
+        cells = [(f, t, range(n)) for f, ar in fns
+                 for t in itertools.product(range(n), repeat=ar)]
+        cells += [(p, t, (False, True)) for p, ar in preds
+                  for t in reversed(list(itertools.product(range(n), repeat=ar)))]
+        known: dict[tuple, bool] = {}
+        log: list[tuple] = []
+
+        def value(check: tuple, ev: Evaluator, changed: str | None) -> bool | None:
+            ant, suc, v = check
+            out: bool | None = False
+            for want, entries in ((False, ant), (True, suc)):
+                for i, key in entries:
+                    val = known.get(key)
+                    if val is None and (changed is None or changed in self.reads[i]):
+                        val = ev.holds(self.formulas[i], v)
+                        if val is not None:
+                            known[key] = val
+                            log.append(key)
+                    if val is want:
+                        return True
+                    if val is None:
+                        out = None
+            return out
+
+        def visit(live: list, changed: str | None) -> list:
+            self.nodes += 1
+            if self.nodes > self.budget:
+                raise BudgetExceeded(f"counter-model search budget {self.budget} exhausted")
+            ev = Evaluator(model)
+            out = []
+            for c, th_idx, goal_idx in live:
+                _, th, goal = groups[c]
+                pending = []
+                for k in th_idx:
+                    val = value(th[k], ev, changed)
+                    if val is False:
+                        break
+                    if val is None:
+                        pending.append(k)
+                else:
+                    alive = [j for j in goal_idx if value(goal[j], ev, changed) is not True]
+                    if alive:
+                        out.append((c, pending, alive))
+            return out
+
+        def assign(cell: tuple, val) -> None:
+            sym, t, _ = cell
+            if sym in fn_tables:
+                fn_tables[sym][t] = val
+            else:
+                unknown[sym].discard(t)
+                if val:
+                    true[sym].add(t)
+
+        def unassign(cell: tuple) -> None:
+            sym, t, _ = cell
+            if sym in fn_tables:
+                fn_tables[sym].pop(t, None)
+            else:
+                unknown[sym].add(t)
+                true[sym].discard(t)
+
+        live = visit(live, None)
+        if not live:
+            return None
+        stack = [(0, iter(cells[0][2]) if cells else iter(()), live, len(log))]
+        while stack:
+            if len(stack) > len(cells):
+                # every cell is set: the first live tuple is the first
+                # counter-model in enumeration order
+                c, _, alive = stack[-1][2][0]
+                return (cval_list[c], val_list[alive[0]],
+                        {f: dict(sorted(tab.items())) for f, tab in fn_tables.items()},
+                        {p: frozenset(ts) for p, ts in true.items()})
+            d, values, live, mark = stack[-1]
+            unassign(cells[d])
+            while len(log) > mark:
+                del known[log.pop()]
+            val = next(values, None)
+            if val is None:
+                stack.pop()
+                continue
+            assign(cells[d], val)
+            nxt = visit(live, cells[d][0])
+            if nxt:
+                values_next = iter(cells[d + 1][2]) if d + 1 < len(cells) else iter(())
+                stack.append((d + 1, values_next, nxt, len(log)))
+        return None

@@ -3,7 +3,8 @@ package against; the program never runs them.  `check_by_path_enumeration`
 cross-checks the trace-condition closure and `evaluate_warshall` the
 reachability evaluator.  `degree`, `minimal_chain`, `invalidates` and
 `descent_witness` build the descending counter-models of Brotherston &
-Simpson (J. Logic Comput. 2011).  `expand_fair` lists the prover's moves in
+Simpson (J. Logic Comput. 2011).  `find_counter_model_brute` enumerates
+complete models (`iter_skeletons`) for the cell search to agree with.  `expand_fair` lists the prover's moves in
 search order."""
 
 import itertools
@@ -15,8 +16,8 @@ from rtcproof.errors import (NoCounterexample, NotAnRtcFormula, NotApplicable,
 from rtcproof.kernel import RuleId, RuleInstance
 from rtcproof.proofgraph import ProofGraph
 from rtcproof.prover import Plan, SearchConfig, moves
-from rtcproof.semantics import (FiniteModel, Valuation, _evaluator,
-                                iter_skeletons)
+from rtcproof.semantics import (Evaluator, FiniteModel, Valuation, _evaluator,
+                                sequent_holds, used_signature)
 from rtcproof.syntax import (And, Bot, Eq, Exists, Forall, Formula, Implies,
                              Not, Or, Pred, Rtc, Sequent, Signature, Top, Var,
                              substitute)
@@ -120,6 +121,55 @@ def evaluate_warshall(m: FiniteModel, v: Valuation, f: Formula) -> bool:
             sv, tv = term(s, v), term(t, v)
             return sv == tv or closure[sv][tv]
     raise TypeError(f"not a formula: {f!r}")
+
+
+def iter_skeletons(sig: Signature, n: int) -> Iterator[tuple[dict, dict]]:
+    """(fn_interp, pred_interp) pairs in the documented enumeration order of
+    `rtcproof.semantics`."""
+    fns = sorted(sig.function_map.items())
+    preds = sorted(sig.predicate_map.items())
+    tuples_of = {ar: list(itertools.product(range(n), repeat=ar))
+                 for _, ar in itertools.chain(fns, preds)}
+
+    def fn_tables() -> Iterator[dict]:
+        pools = [itertools.product(range(n), repeat=n ** ar) for _, ar in fns]
+        for combo in itertools.product(*pools):
+            yield {name: dict(zip(tuples_of[ar], flat))
+                   for (name, ar), flat in zip(fns, combo)}
+
+    def pred_tables() -> Iterator[dict]:
+        sizes = [2 ** (n ** ar) for _, ar in preds]
+        for masks in itertools.product(*(range(sz) for sz in sizes)):
+            yield {name: frozenset(t for i, t in enumerate(tuples_of[ar]) if masks[k] >> i & 1)
+                   for k, (name, ar) in enumerate(preds)}
+
+    for fn_i in fn_tables():
+        for pred_i in pred_tables():
+            yield fn_i, pred_i
+
+
+def find_counter_model_brute(s: Sequent, max_size: int, theory: tuple[Sequent, ...] = (),
+                             sig: Signature | None = None
+                             ) -> tuple[FiniteModel, Valuation] | None:
+    """Reference for `find_counter_model`: every complete model in
+    enumeration order, evaluated two-valued with constants read through the
+    model; the first (model, valuation) satisfying the theory and every
+    antecedent but no succedent."""
+    sig = used_signature((s,) + tuple(theory), sig)
+
+    def valuations(seq: Sequent, n: int) -> Iterator[Valuation]:
+        fvs = sorted(seq.free_vars())
+        for vals in itertools.product(range(n), repeat=len(fvs)):
+            yield dict(zip(fvs, vals))
+
+    for n in range(1, max_size + 1):
+        for m in iter_models(sig, n):
+            ev = Evaluator(m)
+            if all(sequent_holds(ev, v, ax) for ax in theory for v in valuations(ax, n)):
+                for v in valuations(s, n):
+                    if not sequent_holds(ev, v, s):
+                        return m, v
+    return None
 
 
 def iter_models(sig: Signature, n: int) -> Iterator[FiniteModel]:

@@ -263,6 +263,16 @@ PARAM_EDITS = {
                           "error: line 2, offset 12: trailing input after signature"),
     "undeclared_function": ("nat_p.tcp", "s(x)", "t(x)",
                             "error: line 5, offset 25: function 't' not declared"),
+    "premises_trailing_text": ("nat_p.tcp", "premises=[1, 3]", "premises=[1, 3] junk here",
+                               "error: line 5, offset 146: trailing input after node"),
+    "bud_trailing_text": ("nat_p.tcp", "bud -> 0", "bud -> 0 extra",
+                          "error: line 12, offset 60: trailing input after node"),
+    # whole-signature checks have no position of their own: the line is named
+    "sig_pair_not_binary": ("nat_p.tcp", "pred p/1\n", "pred p/1 ; pair zz\n",
+                            "error: line 2, offset 4: pair symbol 'zz' must be a binary function"),
+    "sig_pairconst_undeclared": ("nat_p.tcp", "fn s/1 ; pred p/1\n",
+                                 "fn s/1, pr/2 ; pred p/1 ; pair pr ; pairconst k\n",
+                                 "error: line 2, offset 4: pair constant 'k' not declared"),
 }
 
 
@@ -295,6 +305,8 @@ BAD_THEORIES = {
                             "error: line 3, offset 11: function 's' not declared"),
     "arity_mismatch": ("|- q(0)", "|- q(0, 0)",
                        "error: line 3, offset 9: predicate 'q' expects 1 args, got 2"),
+    "sig_pair_not_binary": ("sig pred q/1", "sig pred q/1 ; pair zz",
+                            "error: line 2, offset 4: pair symbol 'zz' must be a binary function"),
 }
 
 

@@ -13,8 +13,9 @@ from rtcproof.syntax import (Rtc, Signature, Var, parse_formula, parse_sequent)
 import sys, os
 sys.path.insert(0, os.path.dirname(__file__))
 from genrules import SIG as GEN_SIG, generate_instances
-from oracles import (degree, descent_witness, evaluate_warshall, invalidates,
-                     iter_models, minimal_chain)
+from oracles import (degree, descent_witness, evaluate_warshall,
+                     find_counter_model_brute, invalidates, iter_models,
+                     minimal_chain)
 
 SIG = Signature.make(predicates={"E": 2, "q": 1, "r0": 0})
 
@@ -177,6 +178,25 @@ class TestCounterModel:
         # a refutation found within the budget is returned normally
         s = parse_sequent("|- E(a, a)", sig)
         assert find_counter_model(s, 1, (), sig, budget=3) is not None
+
+    def test_agrees_with_brute_force(self):
+        # the goals above, and their theory, against the enumerator
+        e_sig = Signature.make(predicates={"E": 2})
+        p_sig = Signature.make(constants={"a"}, predicates={"p": 1})
+        q_sig = Signature.make(predicates={"q": 1})
+        cases = [
+            ("|- p(a)", (), p_sig, 1), ("p(a) |- p(a)", (), p_sig, 3),
+            ("(rtc x y. E(x, y))(a, b) |- (rtc x y. E(x, y))(b, a)", (), e_sig, 3),
+            ("(rtc x y. E(x, y))(a, b), (rtc x y. E(x, y))(b, c)"
+             " |- (rtc x y. E(x, y))(a, c)", (), e_sig, 3),
+            ("|- q(a)", ("|- q(x)",), q_sig, 3), ("|- q(a)", (), q_sig, 3),
+            ("E(a, a) |- E(a, a)", (), e_sig, 3), ("|- E(a, a)", (), e_sig, 1),
+        ]
+        for goal, theory, sig, size in cases:
+            s = parse_sequent(goal, sig)
+            th = tuple(parse_sequent(ax, sig) for ax in theory)
+            assert (find_counter_model(s, size, th, sig)
+                    == find_counter_model_brute(s, size, th, sig)), goal
 
     def test_dump_format(self):
         m = FiniteModel(2, {"a": 0}, {"s": {(0,): 1, (1,): 0}},
