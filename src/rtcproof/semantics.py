@@ -135,8 +135,10 @@ class Evaluator:
                 return b if a else (True if b else None)
             case Forall(x, b):
                 out = True
+                w = dict(v)
                 for a in range(self.model.domain_size):
-                    val = self.holds(b, {**v, x: a})
+                    w[x] = a
+                    val = self.holds(b, w)
                     if val is False:
                         return False
                     if val is None:
@@ -144,8 +146,10 @@ class Evaluator:
                 return out
             case Exists(x, b):
                 out: bool | None = False
+                w = dict(v)
                 for a in range(self.model.domain_size):
-                    val = self.holds(b, {**v, x: a})
+                    w[x] = a
+                    val = self.holds(b, w)
                     if val:
                         return True
                     if val is None:
@@ -181,8 +185,15 @@ class Evaluator:
         adj = self._adj.get(key)
         if adj is None:
             n = self.model.domain_size
-            adj = [[self.holds(f.body, {**v, f.x: a, f.y: b}) for b in range(n)]
-                   for a in range(n)]
+            w = dict(v)
+            adj = []
+            for a in range(n):
+                w[f.x] = a
+                row = []
+                for b in range(n):
+                    w[f.y] = b
+                    row.append(self.holds(f.body, w))
+                adj.append(row)
             self._adj[key] = adj
         return adj
 
@@ -348,15 +359,11 @@ def _recheck(m: FiniteModel, v: Valuation, s: Sequent, theory: tuple[Sequent, ..
     """Re-check a found counter-model with the two-valued reading of the
     complete model, constants read through the model."""
     ev = Evaluator(m)
-    ok = (all(ev.holds(f, v) is True for f in s.antecedent)
-          and all(ev.holds(f, v) is False for f in s.succedent))
-    for ax in theory:
-        fvs = sorted(ax.free_vars())
-        for vals in itertools.product(range(m.domain_size), repeat=len(fvs)):
-            ok = ok and sequent_holds(ev, dict(zip(fvs, vals)), ax)
-    if not ok:
-        raise AssertionError(f"cell search returned a model that is no counter-model: "
-                             f"{m.dump()} {v}")
+    if sequent_holds(ev, v, s) or not all(
+            sequent_holds(ev, dict(zip(fvs, vals)), ax)
+            for ax in theory for fvs in [sorted(ax.free_vars())]
+            for vals in itertools.product(range(m.domain_size), repeat=len(fvs))):
+        raise AssertionError(f"cell search returned no counter-model: {m.dump()} {v}")
 
 
 class _CellSearch:
@@ -403,37 +410,33 @@ class _CellSearch:
         return [add(f) for f in seq.antecedent], [add(f) for f in seq.succedent]
 
     def _check(self, sides: tuple[list[int], list[int]], v: Valuation) -> tuple:
-        """(antecedent entries, succedent entries, valuation); an entry is
-        (formula index, memo key)."""
+        """(entries, valuation); an entry is (the value that makes the
+        sequent true, formula index, memo key)."""
         ant, suc = sides
         key = lambda i: (self.shapes[i], tuple(v[x] for x in self.fvs[i]))  # noqa: E731
-        return [(i, key(i)) for i in ant], [(i, key(i)) for i in suc], v
+        return [(False, i, key(i)) for i in ant] + [(True, i, key(i)) for i in suc], v
 
     def run(self, n: int):
         """(constant values, valuation values, fn tables, predicate tables)
         of the first counter-model of size n, or None."""
-        goal_sides, theory_sides = self.goal_sides, self.theory_sides
         cval_list = list(itertools.product(range(n), repeat=len(self.cvars)))
         val_list = list(itertools.product(range(n), repeat=len(self.goal_fvs)))
-        # per constant assignment: its theory checks and its goal checks
-        groups = []
-        for c, cvals in enumerate(cval_list):
+        # one (goal check, theory checks) per tuple, in product order
+        tuples = []
+        for cvals in cval_list:
             base = dict(zip(self.cvars, cvals))
             th = [self._check(sides, {**base, **dict(zip(fvs, vals))})
-                  for sides, fvs in theory_sides
+                  for sides, fvs in self.theory_sides
                   for vals in itertools.product(range(n), repeat=len(fvs))]
-            goal = [self._check(goal_sides, {**base, **dict(zip(self.goal_fvs, vals))})
-                    for vals in val_list]
-            groups.append((c, th, goal))
-        live = [(c, list(range(len(th))), list(range(len(goal)))) for c, th, goal in groups]
+            tuples += [(self._check(self.goal_sides, {**base, **dict(zip(self.goal_fvs, vals))}),
+                        th) for vals in val_list]
 
         fns = sorted(self.sig.function_map.items())
         preds = sorted(self.sig.predicate_map.items())
-        fn_tables: dict[str, dict[tuple[int, ...], int]] = {f: {} for f, _ in fns}
+        tables: dict[str, dict[tuple[int, ...], int]] = {f: {} for f, _ in fns}
         true: dict[str, set[tuple[int, ...]]] = {p: set() for p, _ in preds}
-        unknown: dict[str, set[tuple[int, ...]]] = {
-            p: set(itertools.product(range(n), repeat=ar)) for p, ar in preds}
-        model = FiniteModel(n, {}, fn_tables, true, unknown)
+        unknown = {p: set(itertools.product(range(n), repeat=ar)) for p, ar in preds}
+        model = FiniteModel(n, {}, tables, true, unknown)
         # cells in enumeration order: each function's tuples ascending with
         # values 0..n-1, then each predicate's tuples descending, false first
         cells = [(f, t, range(n)) for f, ar in fns
@@ -442,85 +445,73 @@ class _CellSearch:
                   for t in reversed(list(itertools.product(range(n), repeat=ar)))]
         known: dict[tuple, bool] = {}
         log: list[tuple] = []
+        formulas, reads = self.formulas, self.reads
 
-        def value(check: tuple, ev: Evaluator, changed: str | None) -> bool | None:
-            ant, suc, v = check
+        def value(check: tuple, ev: Evaluator, changed: str | None,
+                  undecided: set) -> bool | None:
+            entries, v = check
             out: bool | None = False
-            for want, entries in ((False, ant), (True, suc)):
-                for i, key in entries:
-                    val = known.get(key)
-                    if val is None and (changed is None or changed in self.reads[i]):
-                        val = ev.holds(self.formulas[i], v)
-                        if val is not None:
-                            known[key] = val
-                            log.append(key)
-                    if val is want:
-                        return True
+            for want, i, key in entries:
+                val = known.get(key)
+                if (val is None and key not in undecided
+                        and (changed is None or changed in reads[i])):
+                    val = ev.holds(formulas[i], v)
                     if val is None:
-                        out = None
+                        undecided.add(key)
+                    else:
+                        known[key] = val
+                        log.append(key)
+                if val is want:
+                    return True
+                if val is None:
+                    out = None
             return out
 
-        def visit(live: list, changed: str | None) -> list:
+        def visit(live: list[int], changed: str | None) -> list[int]:
             self.nodes += 1
             if self.nodes > self.budget:
                 raise BudgetExceeded(f"counter-model search budget {self.budget} exhausted")
-            ev = Evaluator(model)
-            out = []
-            for c, th_idx, goal_idx in live:
-                _, th, goal = groups[c]
-                pending = []
-                for k in th_idx:
-                    val = value(th[k], ev, changed)
-                    if val is False:
-                        break
-                    if val is None:
-                        pending.append(k)
-                else:
-                    alive = [j for j in goal_idx if value(goal[j], ev, changed) is not True]
-                    if alive:
-                        out.append((c, pending, alive))
-            return out
+            ev, undecided = Evaluator(model), set()
+            return [j for j in live
+                    if value(tuples[j][0], ev, changed, undecided) is not True
+                    and all(value(t, ev, changed, undecided) is not False
+                            for t in tuples[j][1])]
 
-        def assign(cell: tuple, val) -> None:
-            sym, t, _ = cell
-            if sym in fn_tables:
-                fn_tables[sym][t] = val
+        def values(d: int):
+            return iter(cells[d][2] if d < len(cells) else ())
+
+        root = visit(list(range(len(tuples))), None)
+        stack = [(0, values(0), root, len(log))]
+        while stack:
+            d, vals, live, mark = stack[-1]
+            if not live:
+                stack.pop()
+                continue
+            if d == len(cells):
+                # every cell is set: the first live tuple is the first
+                # counter-model in enumeration order
+                c, j = divmod(live[0], len(val_list))
+                return (cval_list[c], val_list[j],
+                        {f: dict(sorted(tab.items())) for f, tab in tables.items()},
+                        {p: frozenset(ts) for p, ts in true.items()})
+            sym, t, _ = cells[d]
+            # undo the previous value of cell d and what it made known
+            if sym in tables:
+                tables[sym].pop(t, None)
+            else:
+                unknown[sym].add(t)
+                true[sym].discard(t)
+            while len(log) > mark:
+                del known[log.pop()]
+            val = next(vals, None)
+            if val is None:
+                stack.pop()
+                continue
+            if sym in tables:
+                tables[sym][t] = val
             else:
                 unknown[sym].discard(t)
                 if val:
                     true[sym].add(t)
-
-        def unassign(cell: tuple) -> None:
-            sym, t, _ = cell
-            if sym in fn_tables:
-                fn_tables[sym].pop(t, None)
-            else:
-                unknown[sym].add(t)
-                true[sym].discard(t)
-
-        live = visit(live, None)
-        if not live:
-            return None
-        stack = [(0, iter(cells[0][2]) if cells else iter(()), live, len(log))]
-        while stack:
-            if len(stack) > len(cells):
-                # every cell is set: the first live tuple is the first
-                # counter-model in enumeration order
-                c, _, alive = stack[-1][2][0]
-                return (cval_list[c], val_list[alive[0]],
-                        {f: dict(sorted(tab.items())) for f, tab in fn_tables.items()},
-                        {p: frozenset(ts) for p, ts in true.items()})
-            d, values, live, mark = stack[-1]
-            unassign(cells[d])
-            while len(log) > mark:
-                del known[log.pop()]
-            val = next(values, None)
-            if val is None:
-                stack.pop()
-                continue
-            assign(cells[d], val)
-            nxt = visit(live, cells[d][0])
-            if nxt:
-                values_next = iter(cells[d + 1][2]) if d + 1 < len(cells) else iter(())
-                stack.append((d + 1, values_next, nxt, len(log)))
+            stack.append((d + 1, values(d + 1), visit(live, sym), len(log)))
         return None

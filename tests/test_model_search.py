@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from rtcproof import semantics
 from rtcproof.prooffile import load_theory
 from rtcproof.semantics import FiniteModel, evaluate, find_counter_model, used_signature
 from rtcproof.syntax import (And, App, Const, Eq, Exists, Forall, Implies, Not,
@@ -204,3 +205,13 @@ def test_rtc_bounds_over_partial_edges():
     assert evaluate(m, {"a": 0, "b": 2}, f) is None
     assert evaluate(m, {"a": 2, "b": 0}, f) is False
     assert evaluate(m, {"a": 1, "b": 1}, f) is True
+
+
+def test_found_models_are_rechecked(monkeypatch):
+    # a search that stopped on a model satisfying the goal is caught there
+    sig = Signature.make(predicates={"q": 1})
+    goal, _ = parse_sequent_infer("q(a) |- q(a)", sig)
+    monkeypatch.setattr(semantics._CellSearch, "run",
+                        lambda self, n: ((), (0,), {}, {"q": frozenset()}))
+    with pytest.raises(AssertionError):
+        find_counter_model(goal, 1, (), sig)
