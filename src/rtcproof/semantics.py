@@ -79,10 +79,14 @@ class Evaluator:
     """Evaluates formulas in one (possibly partial) model in Kleene's
     three-valued logic; caches rtc reachability per model."""
 
-    def __init__(self, model: FiniteModel):
+    def __init__(self, model: FiniteModel, base: Evaluator | None = None):
+        """`base`, if given, evaluates a model that `model` extends: every
+        cell known there has the same value here, so its definite rtc
+        steps carry over."""
         self.model = model
         self._reach: dict[tuple, tuple[list[int], list[int]]] = {}
         self._adj: dict[tuple, list[list[bool | None]]] = {}
+        self._base_adj = base._adj if base else {}
 
     def term(self, t: Term, v: Valuation) -> int | None:
         """The value of t, or None when it depends on an unknown cell."""
@@ -185,6 +189,7 @@ class Evaluator:
         adj = self._adj.get(key)
         if adj is None:
             n = self.model.domain_size
+            old = self._base_adj.get(key)
             w = dict(v)
             adj = []
             for a in range(n):
@@ -192,7 +197,8 @@ class Evaluator:
                 row = []
                 for b in range(n):
                     w[f.y] = b
-                    row.append(self.holds(f.body, w))
+                    e = old[a][b] if old else None
+                    row.append(self.holds(f.body, w) if e is None else e)
                 adj.append(row)
             self._adj[key] = adj
         return adj
@@ -467,23 +473,24 @@ class _CellSearch:
                     out = None
             return out
 
-        def visit(live: list[int], changed: str | None) -> list[int]:
+        def visit(live: list[int], changed: str | None,
+                  base: Evaluator | None) -> tuple[list[int], Evaluator]:
             self.nodes += 1
             if self.nodes > self.budget:
                 raise BudgetExceeded(f"counter-model search budget {self.budget} exhausted")
-            ev, undecided = Evaluator(model), set()
+            ev, undecided = Evaluator(model, base), set()
             return [j for j in live
                     if value(tuples[j][0], ev, changed, undecided) is not True
                     and all(value(t, ev, changed, undecided) is not False
-                            for t in tuples[j][1])]
+                            for t in tuples[j][1])], ev
 
         def values(d: int):
             return iter(cells[d][2] if d < len(cells) else ())
 
-        root = visit(list(range(len(tuples))), None)
-        stack = [(0, values(0), root, len(log))]
+        root, ev = visit(list(range(len(tuples))), None, None)
+        stack = [(0, values(0), root, len(log), ev)]
         while stack:
-            d, vals, live, mark = stack[-1]
+            d, vals, live, mark, ev = stack[-1]
             if not live:
                 stack.pop()
                 continue
@@ -513,5 +520,6 @@ class _CellSearch:
                 unknown[sym].discard(t)
                 if val:
                     true[sym].add(t)
-            stack.append((d + 1, values(d + 1), visit(live, sym), len(log)))
+            nxt, child = visit(live, sym, ev)
+            stack.append((d + 1, values(d + 1), nxt, len(log), child))
         return None
