@@ -298,16 +298,7 @@ def _parse_node(p: _Parser) -> ProofNode:
     if p.peek()[1] == "bud":
         p.next()
         p.expect("->")
-        node = ProofNode(seq, companion=_expect_number(p, "companion id"))
-    else:
-        node = _parse_rule(p, seq)
-    if not p.at_eof():
-        raise ParseError(p.peek()[2], "trailing input after node")
-    return node
-
-
-def _parse_rule(p: _Parser, seq: Sequent) -> ProofNode:
-    """The rest of a rule node's body, from `rule=` to its premises."""
+        return ProofNode(seq, companion=_expect_number(p, "companion id"))
     kind, val, pos = p.peek()
     if val != "rule":
         raise ParseError(pos, "expected 'rule=' or 'bud ->'")
@@ -381,7 +372,10 @@ def parse_proof(text: str) -> ProofFile:
     nodes: dict[int, ProofNode] = {}
     for nid, (lineno, at, body) in bodies.items():
         with _on_line(lineno, at):
-            nodes[nid] = _parse_node(_Parser(body, sig))
+            p = _Parser(body, sig)
+            nodes[nid] = _parse_node(p)
+            if not p.at_eof():
+                raise ParseError(p.peek()[2], "trailing input after node")
     for nid, node in nodes.items():
         for c in node.children:
             if c not in nodes:

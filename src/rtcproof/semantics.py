@@ -378,15 +378,15 @@ class _CellSearch:
     A check is a sequent under one valuation: the goal under a (constants,
     valuation) tuple, or a theory axiom under the constants and values of
     its own free variables.  Its Kleene value is True when some antecedent
-    is definitely false or some succedent definitely true.  A goal tuple
-    dies when its check is True; a theory check kills every tuple of its
-    constants when False and is dropped when True.  A branch with no live
-    tuple is cut.
+    is definitely false or some succedent definitely true.  A tuple dies
+    when its goal check is True or a theory check of its constants is
+    False.  A branch with no live tuple is cut.
 
-    Definite formula values are monotone along a branch, so they are
+    Definite values stay definite down a branch: formula values are
     memoised per (formula, values of its free variables) in `known` and
-    undone on backtracking; a formula is re-evaluated only when the cell
-    just set belongs to a symbol it reads."""
+    undone on backtracking, and a node's evaluator inherits its parent's
+    definite rtc steps.  A formula is re-evaluated only when the cell just
+    set belongs to a symbol it reads."""
 
     def __init__(self, goal: Sequent, theory: tuple[Sequent, ...], sig: Signature,
                  cvars: list[str], goal_fvs: list[str], budget: int):
