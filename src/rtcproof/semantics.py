@@ -112,6 +112,7 @@ class Evaluator:
     def holds(self, f: Formula, v: Valuation) -> bool | None:
         """True or False when f has that value in every completion of the
         model, None otherwise."""
+        # cases in the order of how often the model search meets them
         match f:
             case Pred(name, args):
                 rel = self.model.pred_interp.get(name)

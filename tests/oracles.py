@@ -4,8 +4,8 @@ cross-checks the trace-condition closure and `evaluate_warshall` the
 reachability evaluator.  `degree`, `minimal_chain`, `invalidates` and
 `descent_witness` build the descending counter-models of Brotherston &
 Simpson (J. Logic Comput. 2011).  `find_counter_model_brute` enumerates
-complete models (`iter_skeletons`) for the cell search to agree with.  `expand_fair` lists the prover's moves in
-search order."""
+complete models (`iter_skeletons`) for the cell search to agree with.
+`expand_fair` lists the prover's moves in search order."""
 
 import itertools
 from collections import deque
