@@ -416,27 +416,43 @@ class _CellSearch:
             return len(self.formulas) - 1
         return [add(f) for f in seq.antecedent], [add(f) for f in seq.succedent]
 
-    def _check(self, sides: tuple[list[int], list[int]], v: Valuation) -> tuple:
-        """(entries, valuation); an entry is (the value that makes the
-        sequent true, formula index, memo key)."""
+    def _check(self, sides: tuple[list[int], list[int]], v: Valuation,
+                entries: dict) -> tuple:
+        """The entries of seq under v, one per formula: (the value that
+        makes the sequent true, formula index, memo key, the formula's own
+        valuation), shared through `entries` by every check with the same
+        values of that formula's free variables."""
+        def entry(want: bool, i: int) -> tuple:
+            vals = tuple(v[x] for x in self.fvs[i])
+            found = entries.get((want, i, vals))
+            if found is None:
+                found = entries[want, i, vals] = (want, i, (self.shapes[i], vals),
+                                                  dict(zip(self.fvs[i], vals)))
+            return found
         ant, suc = sides
-        key = lambda i: (self.shapes[i], tuple(v[x] for x in self.fvs[i]))  # noqa: E731
-        return [(False, i, key(i)) for i in ant] + [(True, i, key(i)) for i in suc], v
+        return tuple([entry(False, i) for i in ant] + [entry(True, i) for i in suc])
 
     def run(self, n: int):
         """(constant values, valuation values, fn tables, predicate tables)
         of the first counter-model of size n, or None."""
-        cval_list = list(itertools.product(range(n), repeat=len(self.cvars)))
-        val_list = list(itertools.product(range(n), repeat=len(self.goal_fvs)))
+        count = n ** (len(self.cvars) + len(self.goal_fvs))
+        if count > self.budget:
+            # every tuple is checked at the root: a size whose tuples
+            # outnumber the budget is out of reach, and would fill memory
+            raise BudgetExceeded(f"counter-model search budget {self.budget} exhausted:"
+                                 f" {count} tuples of constants and variables at size {n}")
+        per_cvals = n ** len(self.goal_fvs)
+        entries: dict = {}
         # one (goal check, theory checks) per tuple, in product order
         tuples = []
-        for cvals in cval_list:
+        for cvals in itertools.product(range(n), repeat=len(self.cvars)):
             base = dict(zip(self.cvars, cvals))
-            th = [self._check(sides, {**base, **dict(zip(fvs, vals))})
+            th = [self._check(sides, {**base, **dict(zip(fvs, vals))}, entries)
                   for sides, fvs in self.theory_sides
                   for vals in itertools.product(range(n), repeat=len(fvs))]
-            tuples += [(self._check(self.goal_sides, {**base, **dict(zip(self.goal_fvs, vals))}),
-                        th) for vals in val_list]
+            tuples += [(self._check(self.goal_sides, {**base, **dict(zip(self.goal_fvs, vals))},
+                                    entries), th)
+                       for vals in itertools.product(range(n), repeat=len(self.goal_fvs))]
 
         fns = sorted(self.sig.function_map.items())
         preds = sorted(self.sig.predicate_map.items())
@@ -456,9 +472,8 @@ class _CellSearch:
 
         def value(check: tuple, ev: Evaluator, changed: str | None,
                   undecided: set) -> bool | None:
-            entries, v = check
             out: bool | None = False
-            for want, i, key in entries:
+            for want, i, key, v in check:
                 val = known.get(key)
                 if (val is None and key not in undecided
                         and (changed is None or changed in reads[i])):
@@ -498,8 +513,8 @@ class _CellSearch:
             if d == len(cells):
                 # every cell is set: the first live tuple is the first
                 # counter-model in enumeration order
-                c, j = divmod(live[0], len(val_list))
-                return (cval_list[c], val_list[j],
+                c, j = divmod(live[0], per_cvals)
+                return (_digits(c, n, len(self.cvars)), _digits(j, n, len(self.goal_fvs)),
                         {f: dict(sorted(tab.items())) for f, tab in tables.items()},
                         {p: frozenset(ts) for p, ts in true.items()})
             sym, t, _ = cells[d]
@@ -524,3 +539,12 @@ class _CellSearch:
             nxt, child = visit(live, sym, ev)
             stack.append((d + 1, values(d + 1), nxt, len(log), child))
         return None
+
+
+def _digits(index: int, n: int, k: int) -> tuple[int, ...]:
+    """The index-th tuple of itertools.product(range(n), repeat=k)."""
+    out = []
+    for _ in range(k):
+        index, d = divmod(index, n)
+        out.append(d)
+    return tuple(reversed(out))
