@@ -418,10 +418,11 @@ class _CellSearch:
 
     def _check(self, sides: tuple[list[int], list[int]], v: Valuation,
                 entries: dict) -> tuple:
-        """The entries of seq under v, one per formula: (the value that
-        makes the sequent true, formula index, memo key, the formula's own
-        valuation), shared through `entries` by every check with the same
-        values of that formula's free variables."""
+        """The check of the sequent with these `sides` under v: one entry
+        per formula, (the value that makes the sequent true, formula index,
+        memo key, the formula's own valuation), shared through `entries` by
+        every check with the same values of that formula's free
+        variables."""
         def entry(want: bool, i: int) -> tuple:
             vals = tuple(v[x] for x in self.fvs[i])
             found = entries.get((want, i, vals))

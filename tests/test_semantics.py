@@ -178,6 +178,11 @@ class TestCounterModel:
         # a refutation found within the budget is returned normally
         s = parse_sequent("|- E(a, a)", sig)
         assert find_counter_model(s, 1, (), sig, budget=3) is not None
+        # one search node per size, but size 3 has 3^6 valuations to check
+        wide = parse_sequent("q(b), q(c), q(d), q(e), q(f) |- a = a", SIG)
+        assert find_counter_model(wide, 2, (), SIG, budget=100) is None
+        with pytest.raises(BudgetExceeded, match="729 tuples"):
+            find_counter_model(wide, 3, (), SIG, budget=100)
 
     def test_agrees_with_brute_force(self):
         # the goals above, and their theory, against the enumerator
