@@ -332,7 +332,8 @@ def find_counter_model(s: Sequent, max_size: int, theory: tuple[Sequent, ...] = 
     size bound.  Absence is NOT a validity proof.
 
     Raises BudgetExceeded when the search would visit more than `budget`
-    nodes.
+    nodes, or reaches a size with more tuples of constant and variable
+    values than `budget`.
     """
     if sig is None:
         raise SignatureMismatch("find_counter_model requires a signature")
