@@ -9,9 +9,9 @@ from .prooffile import (ProofFile, TheoryFile, load_theory, parse_proof,
                         parse_theory, serialize_proof)
 from .prover import Proved, Refuted, SearchConfig, Unknown, prove
 from .semantics import FiniteModel, evaluate, find_counter_model
-from .syntax import (Formula, Sequent, Signature, Term, alpha_eq, canon,
-                     free_vars, parse_formula, parse_sequent, pretty,
-                     pretty_sequent, substitute)
+from .syntax import (Formula, Sequent, Signature, Term, free_vars,
+                     parse_formula, parse_sequent, pretty, pretty_sequent,
+                     substitute)
 from .tracecheck import (CycleReport, check_global_trace_condition,
                          enumerate_basic_cycles, is_non_overlapping)
 from .translate import (BetaConfig, beta_translate, derive_induction,

@@ -145,7 +145,7 @@ def cmd_translate_ind(args) -> int:
         for e in errors:
             print(e)
         return EXIT_NEGATIVE
-    out = explicit_to_cyclic(pf.graph, sig)
+    out = explicit_to_cyclic(pf.graph)
     _write_output(serialize_proof(ProofFile(out, pf.signature, pf.theory_name)),
                   args.out)
     return EXIT_OK

@@ -249,18 +249,10 @@ def _closure(step: list[int]) -> list[int]:
     return out
 
 
-def _evaluator(m: FiniteModel) -> Evaluator:
-    ev = getattr(m, "_evaluator", None)
-    if ev is None:
-        ev = Evaluator(m)
-        m._evaluator = ev
-    return ev
-
-
 def evaluate(m: FiniteModel, v: Valuation, f: Formula) -> bool | None:
-    """Truth of f in m under v; rtc via graph reachability.  None only when
-    m is partial and the value depends on its unknown cells."""
-    return _evaluator(m).holds(f, v)
+    """Truth of f in m as it is now, under v; rtc via graph reachability.
+    None only when m is partial and the value depends on its unknown cells."""
+    return Evaluator(m).holds(f, v)
 
 
 def sequent_holds(ev: Evaluator, v: Valuation, s: Sequent) -> bool:
@@ -456,8 +448,7 @@ class _CellSearch:
                                     entries), th)
                        for vals in itertools.product(range(n), repeat=len(self.goal_fvs))]
 
-        fns = sorted(self.sig.function_map.items())
-        preds = sorted(self.sig.predicate_map.items())
+        fns, preds = self.sig.functions, self.sig.predicates
         tables: dict[str, dict[tuple[int, ...], int]] = {f: {} for f, _ in fns}
         true: dict[str, set[tuple[int, ...]]] = {p: set() for p, _ in preds}
         unknown = {p: set(itertools.product(range(n), repeat=ar)) for p, ar in preds}

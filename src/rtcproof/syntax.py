@@ -3,20 +3,24 @@
 Formulas are identified up to renaming of bound variables throughout the
 package: `Formula.__eq__`, `__hash__` and the ordering used inside sequents
 all go through a de-Bruijn-style canonical key, so two alpha-equivalent
-formulas are interchangeable everywhere.  `canon` additionally rebuilds a
-formula with deterministic bound-variable names (idempotent).
+formulas are interchangeable everywhere.
 
 `parts(f)` gives the binders, subformulas and terms of f's top constructor
 and `rebuild(f, ...)` applies that constructor to new ones.  Their table,
 `_SHAPES`, is the one place that knows each constructor's shape; every
 function that only collects or maps over structure walks through them.
-`pretty` does too: a `Notation` gives one format string per constructor,
-and `_PRECEDENCE` one precedence for both notations, plain text (`TEXT`)
-and LaTeX (`render.TEX`).  Three functions keep a `match` per constructor,
+`pretty` does too: a `Notation` gives one format string per constructor.
+One precedence table, `_PRECEDENCE`, serves the parser and the printer: the
+parser climbs it to group binary connectives, and the printer reads it to
+parenthesise, in both notations, plain text (`TEXT`) and LaTeX
+(`render.TEX`).  Three functions keep a `match` per constructor,
 because each constructor means something different there: `_formula_key`
 (its strings fix sequent order, and so the printed output),
 `semantics.Evaluator.holds` and the test oracle `evaluate_warshall` in
 `tests/oracles.py` (truth conditions).
+
+The parser checks each symbol against the signature as it reads it; the
+tests keep an independent check, `validate_formula` in `tests/oracles.py`.
 
 Concrete grammar (ASCII):
 
@@ -31,6 +35,12 @@ Precedence: ~ > /\\ > \\/ > -> (right associative); quantifier and rtc
 bodies extend maximally to the right.  A bare identifier is an atom only
 when it is declared as a zero-ary predicate.  Identifiers may start with a
 digit, so arithmetic constants like `0` parse as plain identifiers.
+
+Nesting is capped at `MAX_DEPTH` levels, where a level is a connective,
+quantifier, rtc, parenthesis, function application or pair around a
+formula or term: `~~q(s(a))` nests 3 levels deep.  Deeper text raises a
+`ParseError`, since the parser and the walks over formulas recurse up to
+three times per level and would otherwise hit the recursion limit.
 """
 
 from __future__ import annotations
@@ -243,11 +253,6 @@ def _formula_key(f: Formula, env: Mapping[str, int], depth: int) -> str:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def alpha_eq(f: Formula, g: Formula) -> bool:
-    """True iff the canonical (de-Bruijn) forms are identical."""
-    return f.key() == g.key()
-
-
 # ---------------------------------------------------------------------------
 # The shape table: `parts` and `rebuild` are the only code that knows which
 # fields of each constructor are binders, subformulas and terms.
@@ -371,29 +376,6 @@ def substitute(f: Formula, theta: Mapping[str, Term]) -> Formula:
     return go(f, theta)
 
 
-def canon(f: Formula) -> Formula:
-    """Rename bound variables to a deterministic `_bN` scheme (idempotent)."""
-    free = free_vars(f)
-    counter = itertools.count()
-
-    def next_name() -> str:
-        while True:
-            n = f"_b{next(counter)}"
-            if n not in free:
-                return n
-
-    def go(g: Formula, env: Mapping[str, Term]) -> Formula:
-        binders, subs, terms = parts(g)
-        terms = tuple(subst_term(t, env) for t in terms)
-        if binders:
-            fresh = tuple(next_name() for _ in binders)
-            env = {**env, **{x: Var(n) for x, n in zip(binders, fresh)}}
-            binders = fresh
-        return rebuild(g, binders, tuple(go(h, env) for h in subs), terms)
-
-    return go(f, {})
-
-
 def formula_subterms(f: Formula) -> Iterator[Term]:
     """All term occurrences in f, including inside binders."""
     _, subs, terms = parts(f)
@@ -444,14 +426,6 @@ class Signature:
                 return a
         return None
 
-    @property
-    def function_map(self) -> dict[str, int]:
-        return dict(self.functions)
-
-    @property
-    def predicate_map(self) -> dict[str, int]:
-        return dict(self.predicates)
-
     def merge(self, other: "Signature") -> "Signature":
         fns = dict(self.functions)
         for n, a in other.functions:
@@ -467,32 +441,6 @@ class Signature:
             pair_symbol=self.pair_symbol or other.pair_symbol,
             pair_constant=self.pair_constant or other.pair_constant,
         )
-
-
-def validate_formula(f: Formula, sig: Signature) -> None:
-    """Check arities and declaredness of every symbol in f."""
-    if isinstance(f, Pred):
-        ar = sig.pred_arity(f.name)
-        if ar is None:
-            raise UnknownSymbol(f"predicate {f.name!r} not declared")
-        if ar != len(f.args):
-            raise ArityMismatch(f"predicate {f.name!r} expects {ar} args, got {len(f.args)}")
-    binders, subs, terms = parts(f)
-    if len(set(binders)) != len(binders):
-        raise ParseError(0, "rtc binders must be distinct")
-    for g in subs:
-        validate_formula(g, sig)
-    for t in terms:
-        for u in subterms(t):
-            if isinstance(u, Const) and u.name not in sig.constants:
-                raise UnknownSymbol(f"constant {u.name!r} not declared")
-            if isinstance(u, App):
-                ar = sig.fn_arity(u.fn)
-                if ar is None:
-                    raise UnknownSymbol(f"function {u.fn!r} not declared")
-                if ar != len(u.args):
-                    raise ArityMismatch(f"function {u.fn!r} expects {ar} args,"
-                                        f" got {len(u.args)}")
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +504,29 @@ def _normalize(fs: Iterable[Formula]) -> tuple[Formula, ...]:
 
 
 # ---------------------------------------------------------------------------
+# Precedence: one table for the parser and the printer
+
+_ATOM = 5
+# class -> (its level, the level each subformula is printed at); a formula is
+# parenthesised where a higher level is asked for, and a class not listed is
+# atomic.  /\ and \/ associate to the left, -> to the right.  The parser
+# reads a binary connective's right operand at its level here.
+_PRECEDENCE = {
+    Not: (_ATOM, (4,)),
+    And: (3, (3, 4)),
+    Or: (2, (2, 3)),
+    Implies: (1, (2, 1)),
+    Forall: (1, (1,)),
+    Exists: (1, (1,)),
+    Rtc: (_ATOM, (1,)),
+}
+_BINARY = {"/\\": And, "\\/": Or, "->": Implies}
+
+MAX_DEPTH = 200   # the deepest nesting the parser accepts
+_TOO_DEEP = f"formula nested more than {MAX_DEPTH} levels deep"
+
+
+# ---------------------------------------------------------------------------
 # Parsing
 
 _TOKEN_RE = re.compile(r"""
@@ -588,34 +559,23 @@ class _Parser:
         self.i = 0
         self.sig = sig
         self.infer = infer
-        self._fns: dict[str, int] = {}
-        self._preds: dict[str, int] = {}
-
-    def _fn_arity(self, name: str) -> int | None:
-        ar = self.sig.fn_arity(name)
-        return self._fns.get(name) if ar is None else ar
-
-    def _pred_arity(self, name: str) -> int | None:
-        ar = self.sig.pred_arity(name)
-        return self._preds.get(name) if ar is None else ar
+        # symbol -> arity, declared or, when infer is set, inferred
+        self.fns = dict(sig.functions)
+        self.preds = dict(sig.predicates)
+        self.depth = self.reach = self.height = 0
 
     def _after_matching_paren(self) -> str:
         """Token value right after the parenthesized group starting at i+1."""
-        j = self.i + 1
         depth = 0
-        while j < len(self.toks):
-            val = self.toks[j][1]
-            if val == "(":
-                depth += 1
-            elif val == ")":
-                depth -= 1
-                if depth == 0:
-                    return self.toks[j + 1][1] if j + 1 < len(self.toks) else ""
-            j += 1
+        for j in range(self.i + 1, len(self.toks)):
+            depth += {"(": 1, ")": -1}.get(self.toks[j][1], 0)
+            if depth == 0:
+                return self.toks[j + 1][1]
         return ""
 
     def inferred_signature(self) -> Signature:
-        return self.sig.merge(Signature.make(functions=self._fns, predicates=self._preds))
+        return Signature.make(self.sig.constants, self.fns, self.preds,
+                              self.sig.pair_symbol, self.sig.pair_constant)
 
     def peek(self):
         return self.toks[self.i]
@@ -645,6 +605,7 @@ class _Parser:
     def term(self) -> Term:
         kind, val, pos = self.peek()
         if val == "<":
+            self._open(pos)
             self.next()
             a = self.term()
             self.expect(",")
@@ -652,20 +613,23 @@ class _Parser:
             self.expect(">")
             if self.sig.pair_symbol is None:
                 raise UnknownSymbol("pair syntax used but signature has no pair symbol", pos)
+            self.depth -= 1
             return App(self.sig.pair_symbol, (a, b))
         if kind != "ident" or val in _KEYWORDS:
             raise ParseError(pos, f"expected term, found {val or 'end of input'!r}")
         name = self.expect_ident()
         if self.peek()[1] == "(":
+            self._open(pos)
             args = self._args()
-            ar = self._fn_arity(name)
+            ar = self.fns.get(name)
             if ar is None:
-                if not self.infer or self._pred_arity(name) is not None:
+                if not self.infer or name in self.preds:
                     raise UnknownSymbol(f"function {name!r} not declared", pos)
-                self._fns[name] = ar = len(args)
+                self.fns[name] = ar = len(args)
             if ar != len(args):
                 raise ArityMismatch(
                     f"function {name!r} expects {ar} args, got {len(args)}", pos)
+            self.depth -= 1
             return App(name, args)
         if name in self.sig.constants:
             return Const(name)
@@ -681,69 +645,87 @@ class _Parser:
         self.expect(")")
         return tuple(args)
 
-    # -- formulas (precedence climbing)
+    # -- nesting: `depth` counts the levels open on the way down, bounding
+    # the recursion, and `reach` is its maximum since last reset; `height`,
+    # that of the formula just built, is counted on the way up, since a
+    # left-associative chain q /\ q /\ ... nests deeper without recursion
 
-    def formula(self) -> Formula:
-        return self._implies()
+    def _open(self, pos: int) -> None:
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(pos, _TOO_DEEP)
+        self.reach = max(self.reach, self.depth)
 
-    def _implies(self) -> Formula:
-        left = self._or()
-        if self.peek()[1] == "->":
+    def _rise(self, height: int) -> None:
+        """Record a formula one level above `height`."""
+        self.height = height + 1
+        if self.height > MAX_DEPTH:
+            raise ParseError(self.peek()[2], _TOO_DEEP)
+
+    # -- formulas (precedence climbing over `_PRECEDENCE`)
+
+    def formula(self, level: int = 1) -> Formula:
+        """The longest formula from here whose outermost binary connectives
+        all have at least `level` in `_PRECEDENCE`."""
+        f = self._unary()
+        while True:
+            cls = _BINARY.get(self.peek()[1])
+            if cls is None:
+                return f
+            own, (_, right) = _PRECEDENCE[cls]
+            if own < level:
+                return f
+            height = self.height
             self.next()
-            return Implies(left, self._implies())
-        return left
+            f = cls(f, self.formula(right))
+            self._rise(max(height, self.height))
 
-    def _or(self) -> Formula:
-        f = self._and()
-        while self.peek()[1] == "\\/":
-            self.next()
-            f = Or(f, self._and())
-        return f
-
-    def _and(self) -> Formula:
-        f = self._neg()
-        while self.peek()[1] == "/\\":
-            self.next()
-            f = And(f, self._neg())
-        return f
-
-    def _neg(self) -> Formula:
+    def _unary(self) -> Formula:
+        """An atom, or a formula opened by `~`, a quantifier or a
+        parenthesis, each of which nests one level deeper."""
         kind, val, pos = self.peek()
+        if val not in ("~", "forall", "exists", "("):
+            self.reach = self.depth
+            f = self._atom()
+            self.height = self.reach - self.depth   # that of its deepest term
+            return f
+        self._open(pos)
+        self.next()
         if val == "~":
-            self.next()
-            return Not(self._neg())
-        if val in ("forall", "exists"):
-            self.next()
+            f = Not(self._unary())
+        elif val != "(":
             x = self.expect_ident()
             self.expect(".")
             body = self.formula()
-            return Forall(x, body) if val == "forall" else Exists(x, body)
-        return self._atom()
+            f = Forall(x, body) if val == "forall" else Exists(x, body)
+        elif self.peek()[1] != "rtc":
+            f = self.formula()
+            # a parenthesized term-in-equality, e.g. "(x) = y", is not in the
+            # grammar, so a closing paren always ends a formula here
+            self.expect(")")
+        else:
+            self.next()
+            x = self.expect_ident()
+            y = self.expect_ident()
+            if x == y:
+                raise ParseError(pos, "rtc binders must be distinct")
+            self.expect(".")
+            body = self.formula()
+            self.expect(")")
+            self.expect("(")
+            self.reach = self.depth
+            s = self.term()
+            self.expect(",")
+            t = self.term()
+            self.expect(")")
+            self.height = max(self.height, self.reach - self.depth)
+            f = Rtc(x, y, body, s, t)
+        self.depth -= 1
+        self._rise(self.height)
+        return f
 
     def _atom(self) -> Formula:
         kind, val, pos = self.peek()
-        if val == "(":
-            self.next()
-            if self.peek()[1] == "rtc":
-                self.next()
-                x = self.expect_ident()
-                y = self.expect_ident()
-                if x == y:
-                    raise ParseError(pos, "rtc binders must be distinct")
-                self.expect(".")
-                body = self.formula()
-                self.expect(")")
-                self.expect("(")
-                s = self.term()
-                self.expect(",")
-                t = self.term()
-                self.expect(")")
-                return Rtc(x, y, body, s, t)
-            f = self.formula()
-            self.expect(")")
-            # a parenthesized term-in-equality, e.g. "(x) = y", is not in the
-            # grammar, so a closing paren always ends a formula here
-            return f
         if val == "bot":
             self.next()
             return Bot()
@@ -756,22 +738,22 @@ class _Parser:
             if nxt == "(":
                 # predicate or function application; decide by signature, or
                 # in inference mode by whether an equation follows
-                as_pred = self._pred_arity(name) is not None
-                if (self.infer and not as_pred and self._fn_arity(name) is None
+                as_pred = name in self.preds
+                if (self.infer and not as_pred and name not in self.fns
                         and self._after_matching_paren() != "="):
                     as_pred = True
                 if as_pred:
                     self.next()
                     args = self._args()
-                    ar = self._pred_arity(name)
+                    ar = self.preds.get(name)
                     if ar is None:
-                        self._preds[name] = ar = len(args)
+                        self.preds[name] = ar = len(args)
                     if ar != len(args):
                         raise ArityMismatch(
                             f"predicate {name!r} expects {ar} args, got {len(args)}", pos)
                     return Pred(name, args)
                 return self._equation()
-            if self._pred_arity(name) == 0:
+            if self.preds.get(name) == 0:
                 self.next()
                 return Pred(name, ())
             return self._equation()
@@ -813,10 +795,7 @@ def _parse_whole(text: str, sig: Signature, item: str, infer: bool = False):
     out = getattr(p, item)()
     if not p.at_eof():
         raise ParseError(p.peek()[2], f"trailing input after {item}")
-    sig = p.inferred_signature()
-    for f in (out.antecedent + out.succedent) if item == "sequent" else (out,):
-        validate_formula(f, sig)
-    return out, sig
+    return out, p.inferred_signature()
 
 
 def parse_formula(text: str, sig: Signature) -> Formula:
@@ -861,21 +840,6 @@ TEXT = Notation({
     Or: "{} \\/ {}", Implies: "{} -> {}", Forall: "forall {}. {}",
     Exists: "exists {}. {}", Rtc: "(rtc {} {}. {})({}, {})", App: "{}({})",
 }, pair="<{}, {}>")
-
-_ATOM = 5
-# class -> (its level, the level each subformula is printed at); a formula is
-# parenthesised where a higher level is asked for, and a class not listed is
-# atomic.  /\ and \/ associate to the left, -> to the right.
-_PRECEDENCE = {
-    Not: (_ATOM, (4,)),
-    And: (3, (3, 4)),
-    Or: (2, (2, 3)),
-    Implies: (1, (2, 1)),
-    Forall: (1, (1,)),
-    Exists: (1, (1,)),
-    Rtc: (_ATOM, (1,)),
-}
-
 
 def pretty_term(t: Term, sig: Signature | None = None, notation: Notation = TEXT) -> str:
     match t:

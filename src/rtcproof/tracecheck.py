@@ -21,6 +21,8 @@ from .errors import BudgetExceeded
 from .kernel import RuleInstance
 from .proofgraph import ProofGraph, edge_trace_steps
 
+MAX_CYCLES = 100_000   # basic cycles before `enumerate_basic_cycles` gives up
+
 
 class EdgeMatrix:
     """Relation between antecedent rtc formulas (by canonical key) across an
@@ -250,7 +252,7 @@ def check_global_trace_condition(g: ProofGraph, closure_cap: int = 500_000) -> C
     return CycleReport("accepted")
 
 
-def enumerate_basic_cycles(g: ProofGraph, cap: int = 100_000) -> list[tuple[int, ...]]:
+def enumerate_basic_cycles(g: ProofGraph) -> list[tuple[int, ...]]:
     """All basic cycles of the unfolded graph, canonically rotated so the
     smallest node id comes first, in deterministic order.  Each is found once
     from its smallest node, by a DFS over simple paths through larger members
@@ -268,8 +270,8 @@ def enumerate_basic_cycles(g: ProofGraph, cap: int = 100_000) -> list[tuple[int,
                     path.pop()
                 elif w == start:
                     out.append(tuple(path))
-                    if len(out) > cap:
-                        raise BudgetExceeded(f"more than {cap} basic cycles")
+                    if len(out) > MAX_CYCLES:
+                        raise BudgetExceeded(f"more than {MAX_CYCLES} basic cycles")
                 elif w > start and w in members and w not in path:
                     path.append(w)
                     work.append(iter(succ[w]))

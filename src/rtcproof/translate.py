@@ -26,6 +26,16 @@ from .syntax import (And, App, Const, Eq, Exists, Forall, Formula, Implies,
 ARITH_SIGNATURE = Signature.make(constants={"0"}, functions={"s": 1, "add": 2})
 
 
+def _pick(hints: tuple[str, ...], taken: set[str]) -> list[str]:
+    """One name per hint, distinct and outside `taken`: the hint itself
+    where it is free, else the first free hint0, hint1, ..."""
+    out: list[str] = []
+    for hint in hints:
+        avoid = taken | set(out)
+        out.append(hint if hint not in avoid else fresh_name(avoid, hint=hint))
+    return out
+
+
 @dataclass
 class Fragment:
     """A proof graph with one open premise, to be closed by a subproof."""
@@ -62,8 +72,7 @@ class Fragment:
 
 def derive_induction(gamma: tuple[Formula, ...], delta: tuple[Formula, ...],
                      phi: Formula, psi: Formula, x: str, y: str,
-                     s: Term, t: Term, v: str | None = None,
-                     w: str | None = None, z: str | None = None) -> Fragment:
+                     s: Term, t: Term) -> Fragment:
     """Cyclic simulation of the explicit induction rule.
 
     Root conclusion: Γ, ψ[s/x], (rtc x y. φ)(s, t) |- Δ, ψ[t/x], with the
@@ -79,19 +88,8 @@ def derive_induction(gamma: tuple[Formula, ...], delta: tuple[Formula, ...],
     if y in ctx_vars | (free_vars(psi) - {x}):
         raise FreshnessViolation(y, "occurs free in the context or template")
 
-    taken = (ctx_vars | free_vars(phi) | free_vars(psi)
-             | term_vars(s) | term_vars(t) | {x, y})
-    picked: list[str] = []
-    for given, hint in ((v, "v"), (w, "w"), (z, "z")):
-        if given is None:
-            name = hint if hint not in taken and hint not in picked else \
-                fresh_name(taken | set(picked), hint=hint)
-            picked.append(name)
-        else:
-            if given in taken or given in picked:
-                raise FreshnessViolation(given, "not fresh for this instance")
-            picked.append(given)
-    v, w, z = picked
+    v, w, z = _pick(("v", "w", "z"), ctx_vars | free_vars(phi) | free_vars(psi)
+                    | term_vars(s) | term_vars(t) | {x, y})
 
     closure = Rtc(x, y, phi, Var(v), Var(w))
     psi_v = substitute(psi, {x: Var(v)})
@@ -148,7 +146,7 @@ def derive_induction(gamma: tuple[Formula, ...], delta: tuple[Formula, ...],
     return Fragment(b.nodes, root, open_id, open_seq)
 
 
-def explicit_to_cyclic(p: ProofGraph, sig: Signature | None = None) -> ProofGraph:
+def explicit_to_cyclic(p: ProofGraph) -> ProofGraph:
     """Replace every explicit-induction node by its cyclic simulation.
 
     The input must be a finite proof (no buds); the output has the same
@@ -204,20 +202,14 @@ class BetaConfig:
     position i of the sequence coded by c equals k."""
 
     formula: Formula = field(default_factory=lambda: Pred("beta", (Var("c"), Var("i"), Var("k"))))
-    code_var: str = "c"
-    index_var: str = "i"
-    value_var: str = "k"
 
     def __post_init__(self):
-        want = {self.code_var, self.index_var, self.value_var}
-        if free_vars(self.formula) != want:
+        if free_vars(self.formula) != {"c", "i", "k"}:
             raise SignatureMismatch(
-                f"beta template must have free variables exactly {sorted(want)}")
+                "beta template must have free variables exactly ['c', 'i', 'k']")
 
     def apply(self, code: Term, index: Term, value: Term) -> Formula:
-        return substitute(self.formula, {self.code_var: code,
-                                         self.index_var: index,
-                                         self.value_var: value})
+        return substitute(self.formula, {"c": code, "i": index, "k": value})
 
 
 def _conj(fs: list[Formula]) -> Formula:
@@ -265,12 +257,7 @@ def beta_translate(f: Formula, cfg: BetaConfig | None = None, mode: str = "pa") 
                     avoid: set[str]) -> Formula:
         used = (avoid | (free_vars(body) - {xv, yv})
                 | term_vars(src) | term_vars(dst))
-        names: list[str] = []
-        for hint in ("z", "c", "u", "v", "w"):
-            name = hint if hint not in used and hint not in names else \
-                fresh_name(used | set(names), hint=hint)
-            names.append(name)
-        z, c, u, v, w = names
+        z, c, u, v, w = names = _pick(("z", "c", "u", "v", "w"), used)
         B = cfg.apply
         step_body = substitute(body, {xv: Var(v), yv: Var(w)})
         inner_ex = Exists(v, Exists(w, _conj([
@@ -280,7 +267,7 @@ def beta_translate(f: Formula, cfg: BetaConfig | None = None, mode: str = "pa") 
         if mode == "pa":
             less = Pred("lt", (Var(u), Var(z)))
         else:
-            rb, ru = _two_fresh(used | set(names))
+            rb, ru = _pick(("w", "u"), used | set(names))
             less = And(Not(Eq(Var(u), Var(z))),
                        Rtc(rb, ru, Eq(App("s", (Var(rb),)), Var(ru)),
                            Var(u), Var(z)))
@@ -290,11 +277,6 @@ def beta_translate(f: Formula, cfg: BetaConfig | None = None, mode: str = "pa") 
             B(Var(c), App("s", (Var(z),)), dst),
             guard])))
         return Or(Eq(src, dst), chain)
-
-    def _two_fresh(used: set[str]) -> tuple[str, str]:
-        a = "w" if "w" not in used else fresh_name(used, hint="w")
-        b = "u" if "u" not in used and "u" != a else fresh_name(used | {a}, hint="u")
-        return a, b
 
     return tr(f, set())
 

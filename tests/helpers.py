@@ -1,5 +1,5 @@
-"""Test-only helpers: a graph builder with weakening chains, and a replay of
-rejection witnesses."""
+"""Test-only helpers: a graph builder with weakening chains, a replay of
+rejection witnesses, and formulas nested to a given depth."""
 
 from rtcproof import proofgraph
 from rtcproof.kernel import RuleId, rule_instance
@@ -38,3 +38,17 @@ def replay_witness(report: CycleReport) -> bool:
     for e in report.witness_edges[1:]:
         mat = mat.compose(e.matrix)
     return not mat.idempotent_power().has_progressing_diagonal()
+
+
+# one formula per way of nesting, n levels deep: shape -> n -> formula text
+NESTED = {
+    "negations": lambda n: "~" * n + "q(a)",
+    "parentheses": lambda n: "(" * n + "q(a)" + ")" * n,
+    "implications": lambda n: "q(a) -> " * n + "q(a)",
+    "conjunctions": lambda n: " /\\ ".join(["q(a)"] * (n + 1)),
+    "quantifiers": lambda n: "".join(f"forall x{i}. " for i in range(n)) + "q(x0)",
+    "rtc": lambda n: "(rtc x y. " * n + "p(x, y)" + ")(a, b)" * n,
+    "terms": lambda n: "q(" + "f(" * n + "a" + ")" * n + ")",
+    "mixed": lambda n: ("(" * (n // 2) + "~" * (n // 4) + "q(a)"
+                        + " /\\ q(a)" * (n - n // 2 - n // 4) + ")" * (n // 2)),
+}

@@ -5,22 +5,25 @@ reachability evaluator.  `degree`, `minimal_chain`, `invalidates` and
 `descent_witness` build the descending counter-models of Brotherston &
 Simpson (J. Logic Comput. 2011).  `find_counter_model_brute` enumerates
 complete models (`iter_skeletons`) for the cell search to agree with.
-`expand_fair` lists the prover's moves in search order."""
+`expand_fair` lists the prover's moves in search order.  `validate_formula`
+checks a parsed formula's symbols against a signature, apart from the
+parser that checked them as it read them."""
 
 import itertools
 from collections import deque
 from collections.abc import Iterator
 
-from rtcproof.errors import (NoCounterexample, NotAnRtcFormula, NotApplicable,
-                             SignatureMismatch)
+from rtcproof.errors import (ArityMismatch, NoCounterexample, NotAnRtcFormula,
+                             NotApplicable, ParseError, SignatureMismatch,
+                             UnknownSymbol)
 from rtcproof.kernel import RuleId, RuleInstance
 from rtcproof.proofgraph import ProofGraph
 from rtcproof.prover import Plan, SearchConfig, moves
-from rtcproof.semantics import (Evaluator, FiniteModel, Valuation, _evaluator,
+from rtcproof.semantics import (Evaluator, FiniteModel, Valuation,
                                 sequent_holds, used_signature)
-from rtcproof.syntax import (And, Bot, Eq, Exists, Forall, Formula, Implies,
-                             Not, Or, Pred, Rtc, Sequent, Signature, Top, Var,
-                             substitute)
+from rtcproof.syntax import (And, App, Bot, Const, Eq, Exists, Forall, Formula,
+                             Implies, Not, Or, Pred, Rtc, Sequent, Signature,
+                             Top, Var, parts, substitute, subterms)
 from rtcproof.tracecheck import (CycleReport, FlowEdge, _flow_root, _flow_succ,
                                  _shortest_path, flow_edges)
 
@@ -81,7 +84,7 @@ def check_by_path_enumeration(g: ProofGraph, max_period: int) -> CycleReport:
 def evaluate_warshall(m: FiniteModel, v: Valuation, f: Formula) -> bool:
     """Independent evaluator: rtc via Floyd-Warshall boolean closure; terms
     are read through `Evaluator.term`."""
-    term = _evaluator(m).term
+    term = Evaluator(m).term
     match f:
         case Eq(l, r):
             return term(l, v) == term(r, v)
@@ -126,8 +129,7 @@ def evaluate_warshall(m: FiniteModel, v: Valuation, f: Formula) -> bool:
 def iter_skeletons(sig: Signature, n: int) -> Iterator[tuple[dict, dict]]:
     """(fn_interp, pred_interp) pairs in the documented enumeration order of
     `rtcproof.semantics`."""
-    fns = sorted(sig.function_map.items())
-    preds = sorted(sig.predicate_map.items())
+    fns, preds = sig.functions, sig.predicates
     tuples_of = {ar: list(itertools.product(range(n), repeat=ar))
                  for _, ar in itertools.chain(fns, preds)}
 
@@ -192,7 +194,7 @@ def minimal_chain(m: FiniteModel, v: Valuation, f: Formula) -> list[int] | None:
     [a_0..a_n], or None if the formula is false.  [a_0] when v(src)=v(dst)."""
     if not isinstance(f, Rtc):
         raise NotAnRtcFormula(f"degree is defined for rtc formulas, not {f}")
-    ev = _evaluator(m)
+    ev = Evaluator(m)
     sv, tv = ev.term(f.src, v), ev.term(f.dst, v)
     if sv == tv:
         return [sv]
@@ -226,7 +228,7 @@ def minimal_chain(m: FiniteModel, v: Valuation, f: Formula) -> list[int] | None:
 
 
 def invalidates(m: FiniteModel, v: Valuation, s: Sequent) -> bool:
-    ev = _evaluator(m)
+    ev = Evaluator(m)
     return (all(ev.holds(f, v) for f in s.antecedent)
             and not any(ev.holds(f, v) for f in s.succedent))
 
@@ -242,7 +244,7 @@ def descent_witness(r: RuleInstance, m: FiniteModel, v: Valuation
         raise NoCounterexample("the given pair does not invalidate the conclusion")
     if not r.premises:
         raise NotApplicable(f"{r.rule.value} has no premises to descend into")
-    ev = _evaluator(m)
+    ev = Evaluator(m)
     p = r.params
     # rule parameters (cut formulas, witness terms) may introduce variables
     # absent from the conclusion; fix them to 0 ahead of premise selection
@@ -346,3 +348,29 @@ def expand_fair(node: Sequent, cfg: SearchConfig) -> list[tuple[RuleId, object]]
         rule = m.rule if isinstance(m, Plan) else m
         out.append((rule.rule, rule.params))
     return out
+
+
+def validate_formula(f: Formula, sig: Signature) -> None:
+    """Check arities and declaredness of every symbol in f."""
+    if isinstance(f, Pred):
+        ar = sig.pred_arity(f.name)
+        if ar is None:
+            raise UnknownSymbol(f"predicate {f.name!r} not declared")
+        if ar != len(f.args):
+            raise ArityMismatch(f"predicate {f.name!r} expects {ar} args, got {len(f.args)}")
+    binders, subs, terms = parts(f)
+    if len(set(binders)) != len(binders):
+        raise ParseError(0, "rtc binders must be distinct")
+    for g in subs:
+        validate_formula(g, sig)
+    for t in terms:
+        for u in subterms(t):
+            if isinstance(u, Const) and u.name not in sig.constants:
+                raise UnknownSymbol(f"constant {u.name!r} not declared")
+            if isinstance(u, App):
+                ar = sig.fn_arity(u.fn)
+                if ar is None:
+                    raise UnknownSymbol(f"function {u.fn!r} not declared")
+                if ar != len(u.args):
+                    raise ArityMismatch(f"function {u.fn!r} expects {ar} args,"
+                                        f" got {len(u.args)}")

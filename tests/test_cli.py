@@ -8,8 +8,10 @@ import pytest
 import rtcproof.cli
 from rtcproof.cli import main
 from rtcproof.prooffile import parse_proof, serialize_proof
+from rtcproof.syntax import MAX_DEPTH
 
 from conftest import corpus_path
+from helpers import NESTED
 from preproofs import subst_chain
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -355,3 +357,103 @@ def test_prove_golden(case, capsys):
 def test_prove_removed_flags_are_usage_errors(flag, capsys):
     assert main(["prove", "q(a) |- q(a)", flag]) == 3
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# (exit code, `rtcproof refute` argv, stdout) per case, pinned from the output
+# of the code before the parser took its precedence from the printer's table
+WIDE = "q(a), " + ", ".join(f"b{i} = b{i}" for i in range(1, 22)) + " |- q(a)"
+REFUTE = {
+    "counter_model": (1, [f"q(a), {R}(a, b) |- q(b)"],
+                      "model { size = 2; pred p = { (0, 1) }; pred q = { (0) }; }\n"
+                      "valuation { a = 0, b = 1 }\n"),
+    "none": (2, [f"{R}(a, b), {R}(b, c) |- {R}(a, c)", "--model-size", "2"],
+             "no counter-model up to size 2 (not a validity proof)\n"),
+    # 22 free variables: 2^22 tuples of values at size 2 exceed the budget
+    "budget": (2, [WIDE], "unknown (budget): counter-model search budget 2000000"
+               " exhausted: 4194304 tuples of constants and variables at size 2\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUTE))
+def test_refute_golden(case, capsys):
+    code, argv, out = REFUTE[case]
+    assert main(["refute"] + argv) == code
+    assert capsys.readouterr() == (out, "")
+
+
+NAT_BETA = ("0 = n \\/ (exists z. exists c. {b}(c, 0, 0) /\\ {b}(c, s(z), n) /\\ (forall u."
+            " u = z \\/ {lt} -> exists v. exists w. {b}(c, u, v) /\\ {b}(c, s(u), w)"
+            " /\\ {step}))\n")
+# (step of the rtc body, `rtcproof translate-beta` options, stdout); the
+# template case reads its B(c, i, k) from a file
+BETA = {
+    "pa": ("s(x)", [], NAT_BETA.format(b="beta", lt="lt(u, z)", step="s(v) = w")),
+    "tc": ("s(x)", ["--mode", "tc"], NAT_BETA.format(
+        b="beta", lt="~u = z /\\ (rtc w0 u0. s(w0) = u0)(u, z)", step="s(v) = w")),
+    "template": ("add(x, x)", ["--beta-template", "{template}"],
+                 NAT_BETA.format(b="beta2", lt="lt(u, z)", step="add(v, v) = w")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BETA))
+def test_translate_beta_golden(case, tmp_path, capsys):
+    step, options, out = BETA[case]
+    template = tmp_path / "template.txt"
+    template.write_text("beta2(c, i, k)\n", encoding="utf-8")
+    options = [o.format(template=template) for o in options]
+    assert main(["translate-beta", f"(rtc x y. {step} = y)(0, n)"] + options) == 0
+    assert capsys.readouterr() == (out, "")
+
+
+def test_render_dot_and_text(capsys):
+    assert main(["render", "--format", "dot", corpus_path("nat_p.tcp")]) == 0
+    with open(os.path.join(GOLDEN, "render_nat_p.dot"), encoding="utf-8") as fh:
+        assert capsys.readouterr() == (fh.read(), "")
+    # the text format is the file format: a corpus file renders as itself
+    assert main(["render", "--format", "text", corpus_path("nat_p.tcp")]) == 0
+    with open(corpus_path("nat_p.tcp"), encoding="utf-8") as fh:
+        assert capsys.readouterr() == (fh.read(), "")
+
+
+def test_goal_from_file_and_proof_to_file(tmp_path, capsys):
+    goal = tmp_path / "goal.txt"
+    goal.write_text(PROVE_GOLDEN["trans"][1][0] + "\n", encoding="utf-8")
+    with open(os.path.join(GOLDEN, "prove_trans.out"), encoding="utf-8") as fh:
+        want = fh.read()
+    assert main(["prove", f"@{goal}"]) == 0
+    assert capsys.readouterr() == (want, "")
+    # with --out, stdout keeps the summary line and the file gets the proof
+    proof = tmp_path / "proof.tcp"
+    assert main(["prove", f"@{goal}", "--out", str(proof)]) == 0
+    first, rest = want.split("\n", 1)
+    assert capsys.readouterr() == (first + "\n", "")
+    assert proof.read_text(encoding="utf-8") == rest
+
+
+# 600 negations and 400 parentheses are past the parser's nesting cap, where
+# the walks over formulas would exhaust the interpreter's stack
+TOO_DEEP = {"negations": NESTED["negations"](600),
+            "parentheses": NESTED["parentheses"](400)}
+
+
+@pytest.mark.parametrize("command", ["refute", "prove"])
+@pytest.mark.parametrize("case", sorted(TOO_DEEP))
+def test_nesting_past_cap_is_usage_error(case, command, capsys):
+    assert main([command, TOO_DEEP[case] + " |-"]) == 3
+    assert capsys.readouterr() == (
+        "", f"error: at offset {MAX_DEPTH}: formula nested more than {MAX_DEPTH} levels deep\n")
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_nesting_at_cap_runs(shape, tmp_path, capsys):
+    f = NESTED[shape](MAX_DEPTH)
+    for argv in (["refute", f"{f} |-", "--model-size", "2"], ["refute", f"|- {f}"],
+                 ["prove", f"{f} |-", "--max-nodes", "2000"], ["prove", f"|- {f}"]):
+        assert main(argv) in (0, 1, 2), argv[:1]
+        assert capsys.readouterr().err == ""
+    path = tmp_path / "deep.tcp"
+    path.write_text("tcp 1\nsig fn f/1 ; pred p/2, q/1\ntheory -\nroot 0\n"
+                    f"node 0 : {f} |- {f} ; rule=Axiom ; params={{}} ; premises=[]\n",
+                    encoding="utf-8")
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr() == ("accepted; 0 basic cycles; normal\n", "")

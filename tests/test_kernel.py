@@ -241,7 +241,7 @@ class TestLocalSoundness:
         sys.path.insert(0, os.path.dirname(__file__))
         from genrules import generate_instances
         from test_semantics import _models_for, _valuations
-        from rtcproof.semantics import _evaluator, sequent_holds
+        from rtcproof.semantics import Evaluator, sequent_holds
 
         def valid_in(ev, seq, n):
             fvs = sorted(seq.free_vars())
@@ -251,7 +251,7 @@ class TestLocalSoundness:
         checked = 0
         for inst in insts:
             for m in _models_for(inst, 2):
-                ev = _evaluator(m)
+                ev = Evaluator(m)
                 n = m.domain_size
                 if all(valid_in(ev, p, n) for p in inst.premises):
                     assert valid_in(ev, inst.conclusion, n), (

@@ -6,7 +6,7 @@ import pytest
 from rtcproof.errors import (BudgetExceeded, NoCounterexample, NotAnRtcFormula,
                              NotApplicable, UnboundVariable)
 from rtcproof.kernel import RuleId, rule_instance
-from rtcproof.semantics import FiniteModel, evaluate, find_counter_model
+from rtcproof.semantics import Evaluator, FiniteModel, evaluate, find_counter_model
 from rtcproof.proofgraph import edge_trace_steps
 from rtcproof.syntax import (Rtc, Signature, Var, parse_formula, parse_sequent)
 
@@ -68,6 +68,15 @@ class TestEvaluate:
         m = model(2, E={(0, 1)}, q=(1,))
         assert evaluate(m, {"a": 0, "b": 1}, f)
         assert not evaluate(m, {"a": 0, "b": 0}, f)  # reflexive case ignores the body
+
+    def test_reads_the_model_afresh(self):
+        # a model edited after a call is evaluated as it is now
+        f = F("(rtc x y. E(x, y))(a, b)")
+        m, v = model(2), {"a": 0, "b": 1}
+        assert evaluate(m, v, f) is False
+        m.pred_interp["E"] = {(0, 1)}
+        assert Evaluator(m).holds(f, v) is True
+        assert evaluate(m, v, f) is True
 
 
 class TestWarshallAgreement:

@@ -4,12 +4,16 @@ import pytest
 
 from rtcproof.errors import ArityMismatch, ParseError, UnknownSymbol
 from rtcproof.render import latex_sequent
-from rtcproof.syntax import (And, App, Bot, Const, Eq, Exists, Forall,
-                             Implies, Not, Or, Pred, Rtc, Sequent, Signature,
-                             Top, Var, alpha_eq, canon, free_vars,
-                             parse_formula, parse_sequent, parse_sequent_infer,
-                             parts, pretty, pretty_sequent, rebuild,
-                             substitute, term_vars)
+from rtcproof.syntax import (MAX_DEPTH, And, App, Bot, Const, Eq, Exists,
+                             Forall, Implies, Not, Or, Pred, Rtc, Sequent,
+                             Signature, Top, Var, free_vars, parse_formula,
+                             parse_formula_infer, parse_sequent,
+                             parse_sequent_infer, parts, pretty,
+                             pretty_sequent, rebuild, substitute, term_vars,
+                             tokenize)
+
+from helpers import NESTED
+from oracles import validate_formula
 
 SIG = Signature.make(constants={"0"},
                      functions={"s": 1, "pair": 2},
@@ -88,11 +92,6 @@ class TestRoundTrip:
         again = parse_formula(printed, SIG)
         assert again == f
         assert pretty(again, SIG) == printed
-
-    def test_canonical_roundtrip(self):
-        for text in self.CASES:
-            c = canon(F(text))
-            assert parse_formula(pretty(c, SIG), SIG) == c
 
 
 class TestFreeVars:
@@ -177,16 +176,7 @@ class TestProperties:
             if x in free_vars(f):
                 assert free_vars(g) == (free_vars(f) - {x}) | term_vars(t)
             else:
-                assert alpha_eq(f, g)
-
-    def test_canon_idempotent(self):
-        rng = random.Random(11)
-        for _ in range(300):
-            f = _random_formula(rng, rng.randrange(4))
-            c = canon(f)
-            assert canon(c) == c
-            assert c == f  # alpha-equal
-            assert canon(c) is not None
+                assert f == g
 
     def test_roundtrip_random(self):
         rng = random.Random(13)
@@ -196,8 +186,8 @@ class TestProperties:
             assert parse_formula(printed, SIG) == f
 
     def test_alpha_eq_requires_same_free(self):
-        assert not alpha_eq(F("q(x)"), F("q(y)"))
-        assert alpha_eq(F("forall x. q(x)"), F("forall z. q(z)"))
+        assert F("q(x)") != F("q(y)")
+        assert F("forall x. q(x)") == F("forall z. q(z)")
 
 
 class TestSequent:
@@ -314,3 +304,78 @@ def test_text_and_latex_notation(text):
     shown, tex = NOTATIONS[text]
     assert pretty(f, NOTATION_SIG) == shown
     assert latex_sequent(Sequent((), (f,)), NOTATION_SIG) == r" \vdash " + tex
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_nesting_cap(shape):
+    text = NESTED[shape]
+    f, _ = parse_formula_infer(text(MAX_DEPTH), Signature.make())
+    assert parse_formula_infer(pretty(f), Signature.make())[0] == f
+    with pytest.raises(ParseError, match=f"nested more than {MAX_DEPTH} levels deep"):
+        parse_formula_infer(text(MAX_DEPTH + 1), Signature.make())
+
+
+def test_nesting_cap_counts_every_operand():
+    # the left operand of a chain and the endpoints of an rtc count too
+    deep = "~" * (MAX_DEPTH - 2) + "q(a)"
+    parse_formula_infer(f"({deep}) /\\ q(a)", Signature.make())
+    with pytest.raises(ParseError):
+        parse_formula_infer(f"({deep}) /\\ q(a) /\\ q(a)", Signature.make())
+    term = "f(" * (MAX_DEPTH - 1) + "a" + ")" * (MAX_DEPTH - 1)
+    parse_formula_infer(f"(rtc x y. p(x, y))(b, {term})", Signature.make())
+    with pytest.raises(ParseError):
+        parse_formula_infer(f"(rtc x y. p(x, y))(f(b), f({term}))", Signature.make())
+
+
+# tokens a mutation inserts or substitutes, by kind: declared and undeclared
+# symbols, variables, keywords; connectives and punctuation
+MUTANTS = {
+    "ident": ["p", "q", "s", "E", "pair", "0", "x", "y", "f", "r", "forall",
+              "exists", "rtc", "bot", "top"],
+    "sym": ["(", ")", ",", ".", "=", "~", "/\\", "\\/", "->", "<", ">", "|-"],
+}
+
+
+def _mutate(rng, text):
+    """text with one or two tokens deleted, inserted, replaced by one of the
+    same kind, or swapped with their right neighbour."""
+    toks = tokenize(text)[:-1]
+    for _ in range(rng.randrange(1, 3)):
+        i = rng.randrange(len(toks))
+        op = rng.randrange(5)
+        if op == 0:
+            del toks[i]
+        elif op == 1:
+            kind = rng.choice(sorted(MUTANTS))
+            toks.insert(i, (kind, rng.choice(MUTANTS[kind]), 0))
+        elif op == 4 and i + 1 < len(toks):
+            toks[i], toks[i + 1] = toks[i + 1], toks[i]
+        else:
+            kind = toks[i][0]
+            toks[i] = (kind, rng.choice(MUTANTS[kind]), 0)
+        if not toks:
+            break
+    return " ".join(val for _, val, _ in toks)
+
+
+def test_parsed_formulas_pass_the_oracle():
+    # the parser checks symbols as it reads them: whatever it accepts, in
+    # either mode, is well formed against the signature it returns
+    rng = random.Random(23)
+    accepted = {True: 0, False: 0}   # mutated -> texts accepted
+    for _ in range(1500):
+        fs = [_random_formula(rng, rng.randrange(4)) for _ in range(rng.randrange(1, 3))]
+        cut = rng.randrange(len(fs) + 1)
+        text = pretty_sequent(Sequent(tuple(fs[:cut]), tuple(fs[cut:])), SIG)
+        for candidate in [text] + [_mutate(rng, text) for _ in range(4)]:
+            for parse in (lambda t: (parse_sequent(t, SIG), SIG),
+                          lambda t: parse_sequent_infer(t, SIG),
+                          lambda t: parse_sequent_infer(t, Signature.make())):
+                try:
+                    seq, sig = parse(candidate)
+                except ParseError:
+                    continue
+                accepted[candidate != text] += 1
+                for f in seq.antecedent + seq.succedent:
+                    validate_formula(f, sig)
+    assert sum(accepted.values()) >= 5000 and accepted[True] >= 1000, accepted
