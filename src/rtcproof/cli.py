@@ -159,8 +159,11 @@ def cmd_translate_beta(args) -> int:
         base = ARITH_SIGNATURE
         tmpl, _ = parse_formula_infer(_read_input("@" + args.beta_template), base)
         cfg = BetaConfig(tmpl)
-    out = beta_translate(formula, cfg, mode=args.mode)
-    _write_output(pretty(out) + "\n", args.out)
+    out = pretty(beta_translate(formula, cfg, mode=args.mode))
+    # the translation nests each rtc body deeper: an output past the
+    # parser's cap raises ParseError here, before anything is written
+    parse_formula_infer(out, ARITH_SIGNATURE)
+    _write_output(out + "\n", args.out)
     return EXIT_OK
 
 

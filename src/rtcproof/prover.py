@@ -13,6 +13,18 @@ cycle and every complete candidate is re-checked by the structural
 validator and the global trace condition before being accepted.
 Counter-model search runs interleaved with the deepening, so invalid goals
 are refuted quickly.
+
+Three cut-offs drop only work that can yield no plan, so the plans and
+their order stay those of the search without them:
+- a leaf (depth 0) builds only its closed moves, since an open move there
+  has no room for its subgoals;
+- a bud is tried only against an ancestor whose path down to the bud has
+  a progressing trace step, since the Subst and weakening steps that close
+  it never progress;
+- when the premises after premise i find no plan for the first solution of
+  premise i, the move ends, since their searches do not read that solution.
+The node budget counts the moves that `moves` yields, so it counts only
+moves that the node can use.
 """
 
 from __future__ import annotations
@@ -178,8 +190,12 @@ class Ancestor:
 
 def _bud_moves(seq: Sequent, ancestors: tuple[Ancestor, ...],
                cfg: SearchConfig) -> Iterator[Plan]:
-    """Buds closing seq against an ancestor whose cycle progresses."""
+    """Buds closing seq against an ancestor whose cycle progresses.  Subst
+    and weakening steps never progress, so an ancestor whose path down to
+    seq has no progressing entry cannot close a good cycle."""
     for anc in ancestors:
+        if not any(anc.matrix.d.values()):
+            continue
         for theta in match_sequent(anc.sequent, seq):
             bud = Plan(None, (), anc.token, anc.sequent)
             inst = anc.sequent.substituted(theta)
@@ -193,13 +209,15 @@ def _bud_moves(seq: Sequent, ancestors: tuple[Ancestor, ...],
                 yield plan
 
 
-def moves(seq: Sequent, ancestors: tuple[Ancestor, ...],
-          cfg: SearchConfig) -> Iterator[Plan | RuleInstance]:
+def moves(seq: Sequent, ancestors: tuple[Ancestor, ...], cfg: SearchConfig,
+          depth: int) -> Iterator[Plan | RuleInstance]:
     """Deterministic fair candidate ordering: closures and theory leaves,
     cycle formation, invertible rules, case unfolding, equality rewrites,
     (rule, witness) pairs round-robined over the term pool, then cuts
     driven by theory axioms.  A closed move is a Plan; any other move is a
-    RuleInstance whose premises are the subgoals."""
+    RuleInstance whose premises are the subgoals.  The closed moves come
+    first, and at depth 0 they are the only ones, since a leaf has no room
+    for subgoals."""
     ant, suc = seq.antecedent, seq.succedent
     ant_set, suc_set = set(ant), set(suc)
 
@@ -226,6 +244,8 @@ def moves(seq: Sequent, ancestors: tuple[Ancestor, ...],
 
     # 2. cycle formation
     yield from _bud_moves(seq, ancestors, cfg)
+    if depth == 0:
+        return
 
     # 3. invertible rules
     for f in ant:
@@ -315,13 +335,11 @@ class _Budget:
 def _search(seq: Sequent, depth: int, ancestors: tuple[Ancestor, ...],
             cfg: SearchConfig, budget: _Budget, tokens: itertools.count) -> Iterator[Plan]:
     token = next(tokens)
-    for move in moves(seq, ancestors, cfg):
+    for move in moves(seq, ancestors, cfg, depth):
         budget.spend()
         if isinstance(move, Plan):
             move.token = token
             yield move
-            continue
-        if depth == 0:
             continue
         mats = [edge_matrix(move, i) for i in range(len(move.premises))]
 
@@ -333,7 +351,14 @@ def _search(seq: Sequent, depth: int, ancestors: tuple[Ancestor, ...],
                              for a in ancestors)
             next_anc += (Ancestor(seq, token, mats[i]),)
             for sub in _search(move.premises[i], depth - 1, next_anc, cfg, budget, tokens):
-                yield from expand(i + 1, acc + (sub,))
+                closed = False
+                for plan in expand(i + 1, acc + (sub,)):
+                    closed = True
+                    yield plan
+                if not closed:
+                    # premises i+1... are searched apart from acc, so they
+                    # fail for every other solution of premise i as well
+                    return
 
         yield from expand(0, ())
 

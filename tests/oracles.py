@@ -5,9 +5,10 @@ reachability evaluator.  `degree`, `minimal_chain`, `invalidates` and
 `descent_witness` build the descending counter-models of Brotherston &
 Simpson (J. Logic Comput. 2011).  `find_counter_model_brute` enumerates
 complete models (`iter_skeletons`) for the cell search to agree with.
-`expand_fair` lists the prover's moves in search order.  `validate_formula`
-checks a parsed formula's symbols against a signature, apart from the
-parser that checked them as it read them."""
+`expand_fair` lists the prover's moves in search order, and
+`search_unpruned` is the prover's search without its cut-offs.
+`validate_formula` checks a parsed formula's symbols against a signature,
+apart from the parser that checked them as it read them."""
 
 import itertools
 from collections import deque
@@ -16,16 +17,18 @@ from collections.abc import Iterator
 from rtcproof.errors import (ArityMismatch, NoCounterexample, NotAnRtcFormula,
                              NotApplicable, ParseError, SignatureMismatch,
                              UnknownSymbol)
-from rtcproof.kernel import RuleId, RuleInstance
+from rtcproof.kernel import (RuleId, RuleInstance, make_subst, match_sequent,
+                             rule_instance)
 from rtcproof.proofgraph import ProofGraph
-from rtcproof.prover import Plan, SearchConfig, moves
+from rtcproof.prover import (Ancestor, Plan, SearchConfig, _chain_matrix,
+                             _weaken_plan, moves)
 from rtcproof.semantics import (Evaluator, FiniteModel, Valuation,
                                 sequent_holds, used_signature)
 from rtcproof.syntax import (And, App, Bot, Const, Eq, Exists, Forall, Formula,
                              Implies, Not, Or, Pred, Rtc, Sequent, Signature,
                              Top, Var, parts, substitute, subterms)
 from rtcproof.tracecheck import (CycleReport, FlowEdge, _flow_root, _flow_succ,
-                                 _shortest_path, flow_edges)
+                                 _shortest_path, edge_matrix, flow_edges)
 
 
 def check_by_path_enumeration(g: ProofGraph, max_period: int) -> CycleReport:
@@ -342,12 +345,56 @@ def expand_fair(node: Sequent, cfg: SearchConfig) -> list[tuple[RuleId, object]]
     applicable (rule, parameters) pair in the order the search tries them.
     A closed move is named by its core rule, below its weakenings."""
     out = []
-    for m in moves(node, (), cfg):
+    for m in moves(node, (), cfg, 1):
         while isinstance(m, Plan) and m.rule.rule in (RuleId.WL, RuleId.WR):
             m = m.children[0]
         rule = m.rule if isinstance(m, Plan) else m
         out.append((rule.rule, rule.params))
     return out
+
+
+def search_unpruned(seq: Sequent, depth: int, ancestors: tuple[Ancestor, ...],
+                    cfg: SearchConfig, tokens: Iterator[int]) -> Iterator[Plan]:
+    """The prover's search without its cut-offs: every move is built at a
+    leaf and the open ones are skipped there, every ancestor is tried for a
+    bud and kept when the composed cycle matrix progresses, and each
+    solution of a premise is combined with the search of the next premise,
+    however often that search fails."""
+    token = next(tokens)
+    every = list(moves(seq, (), cfg, 1))
+    buds = []
+    for anc in ancestors:
+        for theta in match_sequent(anc.sequent, seq):
+            bud = Plan(None, (), anc.token, anc.sequent)
+            inst = anc.sequent.substituted(theta)
+            if theta or inst != anc.sequent:
+                bud = Plan(rule_instance(RuleId.Subst, inst, cfg.theory, cfg.sig,
+                                         substitution=make_subst(theta),
+                                         source=anc.sequent), (bud,))
+            plan = _weaken_plan(seq, bud)
+            cyc = anc.matrix.compose(_chain_matrix(plan))
+            if cyc.idempotent_power().has_progressing_diagonal():
+                buds.append(plan)
+    closed = [m for m in every if isinstance(m, Plan)]
+    for move in closed + buds + every[len(closed):]:
+        if isinstance(move, Plan):
+            move.token = token
+            yield move
+            continue
+        if depth == 0:
+            continue
+        mats = [edge_matrix(move, i) for i in range(len(move.premises))]
+
+        def expand(i: int, acc: tuple[Plan, ...]) -> Iterator[Plan]:
+            if i == len(move.premises):
+                yield Plan(move, acc, token=token)
+                return
+            below = tuple(Ancestor(a.sequent, a.token, a.matrix.compose(mats[i]))
+                          for a in ancestors) + (Ancestor(seq, token, mats[i]),)
+            for sub in search_unpruned(move.premises[i], depth - 1, below, cfg, tokens):
+                yield from expand(i + 1, acc + (sub,))
+
+        yield from expand(0, ())
 
 
 def validate_formula(f: Formula, sig: Signature) -> None:

@@ -331,9 +331,12 @@ def test_prove_with_theory_file(tmp_path, capsys):
 R = "(rtc x y. p(x, y))"
 # (exit code, `rtcproof prove` argv) per case; tests/golden/prove_<case>.out
 # holds the full stdout, recorded before the prover lost its cut and
-# global-companion modes
+# global-companion modes; trans3, out of the prover's reach at the default
+# budget until its search cut off dead work, and chain4 were recorded later
 PROVE_GOLDEN = {
     "trans": (0, [f"{R}(a, b), {R}(b, c) |- {R}(a, c)"]),
+    "trans3": (0, [f"{R}(a, b), {R}(b, c), {R}(c, d) |- {R}(a, d)"]),
+    "chain4": (0, [f"p(a, b), p(b, c), p(c, d), p(d, e) |- {R}(a, e)"]),
     "trans_and": (0, [f"{R}(a, b), {R}(b, c) |- {R}(a, c) /\\ {R}(a, c)"]),
     "and_swap": (0, ["q(a) /\\ q(b) |- q(b) /\\ q(a)"]),
     "eq_rewrite": (0, ["a = b, q(a) |- q(b)"]),
@@ -351,6 +354,18 @@ def test_prove_golden(case, capsys):
         want = fh.read()
     assert main(["prove"] + argv) == code
     assert capsys.readouterr() == (want, "")
+
+
+@pytest.mark.parametrize("case", sorted(c for c, (code, _) in PROVE_GOLDEN.items() if code == 0))
+def test_prove_golden_proofs_check(case, tmp_path, capsys):
+    with open(os.path.join(GOLDEN, f"prove_{case}.out"), encoding="utf-8") as fh:
+        summary, proof = fh.read().split("\n", 1)
+    path = tmp_path / "proof.tcp"
+    path.write_text(proof, encoding="utf-8")
+    cycles = int(summary.split("; ")[2].split()[0])
+    assert main(["check", str(path)]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.startswith(f"accepted; {cycles} basic cycle")
 
 
 @pytest.mark.parametrize("flag", ["--allow-cut", "--global-companions"])
@@ -403,6 +418,18 @@ def test_translate_beta_golden(case, tmp_path, capsys):
     options = [o.format(template=template) for o in options]
     assert main(["translate-beta", f"(rtc x y. {step} = y)(0, n)"] + options) == 0
     assert capsys.readouterr() == (out, "")
+
+
+def test_translate_beta_past_cap_is_usage_error(tmp_path, capsys):
+    # the translation wraps the rtc body in about ten more levels, so a body
+    # 190 negations deep prints a formula the parser refuses to read back
+    out = tmp_path / "out.txt"
+    goal = "(rtc x y. " + "~" * 190 + "s(x) = y)(0, n)"
+    assert main(["translate-beta", goal, "--out", str(out)]) == 3
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("error: at offset ")
+    assert err.endswith(f": formula nested more than {MAX_DEPTH} levels deep\n")
+    assert not out.exists()
 
 
 def test_render_dot_and_text(capsys):

@@ -1,15 +1,18 @@
+import itertools
+
 import pytest
 
 from rtcproof.kernel import RuleId
 from rtcproof.prooffile import ProofFile, load_theory, parse_proof, serialize_proof
 from rtcproof.proofgraph import validate_structure
-from rtcproof.prover import Proved, Refuted, SearchConfig, Unknown, prove
+from rtcproof.prover import (Proved, Refuted, SearchConfig, Unknown, _Budget,
+                             _search, assemble, prove)
 from rtcproof.semantics import find_counter_model
 from rtcproof.syntax import Signature, parse_sequent
 from rtcproof.tracecheck import (check_global_trace_condition,
                                  enumerate_basic_cycles, is_non_overlapping)
 
-from oracles import expand_fair, invalidates
+from oracles import expand_fair, invalidates, search_unpruned
 
 SIG = Signature.make(predicates={"p": 2, "q": 1, "E": 2})
 
@@ -153,3 +156,38 @@ class TestExpandFair:
         rules = [r for r, _ in expand_fair(seq, SearchConfig(sig=SIG))]
         assert rules[0] is RuleId.Axiom
 
+
+R = "(rtc x y. p(x, y))"
+# (theory, goal): valid and invalid goals whose searches to depth 3 reach
+# closures, buds against progressing and non-progressing paths, every rule
+# family, subgoals that fail outright and theory cuts
+EXACT = [(None, g) for g in (
+    TRANS, f"{R}(a, b) /\\ {R}(b, c) |- {R}(a, c)", f"{R}(a, b) |- (rtc x y. p(y, x))(b, a)",
+    f"p(a, b) |- {R}(a, b)", f"p(a, b), p(b, c) |- {R}(a, c)",
+    f"p(a, b), p(b, c), p(c, d), p(d, e) |- {R}(a, e)", f"{R}(a, b), p(b, c) |- {R}(a, c)",
+    f"p(a, b), {R}(b, c) |- {R}(a, c)", f"|- {R}(t, t)", "q(a) /\\ q(b) |- q(b) /\\ q(a)",
+    "q(a) \\/ q(b), q(a) -> E(a, a), q(b) -> E(a, a) |- E(a, a)", "forall x. q(x) |- q(a)",
+    "forall x. (q(x) -> E(x, x)), q(a) |- exists y. E(y, y)", "a = b, q(a) |- q(b)",
+    "a = b, b = c |- a = c", f"a = b |- {R}(a, b)", f"{R}(a, b) |- {R}(b, a)",
+    "q(a) |- q(b)", f"{R}(a, b), {R}(b, c) |- p(a, c)", "|- (rtc x y. E(x, y))(a, b)",
+    "exists x. q(x) |- forall x. q(x)", f"{R}(a, b), ~(a = b) |- p(a, b)", f"{R}(a, a) |- ",
+)] + [("step", "p(0), (rtc x y. s(x) = y)(0, n) |- p(n)"),
+      ("indstep", "p(a), (rtc x y. e(x, y))(a, b) |- p(b)")]
+
+
+@pytest.mark.parametrize("theory, goal", EXACT)
+def test_search_matches_unpruned(theory, goal):
+    """The cut-offs drop only moves and searches that yield no plan."""
+    th = load_theory(theory) if theory else None
+    sig = th.signature if th else SIG
+    cfg = SearchConfig(sig=sig, theory=th.axioms if th else ())
+    seq = parse_sequent(goal, sig)
+
+    def text(plan):
+        return serialize_proof(ProofFile(assemble(plan), sig, theory))
+
+    for depth in (1, 2, 3):
+        got = [text(p) for p in _search(seq, depth, (), cfg, _Budget(cfg.max_nodes),
+                                         itertools.count())]
+        want = [text(p) for p in search_unpruned(seq, depth, (), cfg, itertools.count())]
+        assert got == want, depth
