@@ -46,16 +46,8 @@ class SignatureMismatch(RtcError):
     pass
 
 
-class NotAnRtcFormula(RtcError):
-    pass
-
-
 class BudgetExceeded(RtcError):
     pass
-
-
-class NoCounterexample(RtcError):
-    """The given model/valuation does not invalidate the conclusion."""
 
 
 class NotApplicable(RtcError):

@@ -7,13 +7,19 @@ calculus with equality and substitution, extended with the four rules for
 the reflexive-transitive-closure operator, the two pairing rules, and
 theory-axiom leaves.  Sequent sides are sets, so contraction is implicit;
 weakening is explicit.
+
+`SCHEMA` states each rule's shape once: its premise count, the side and
+class of its principal formula, the message for a principal of another
+class, and whether it takes an eigenvariable or a witness term.
+`expected_premises` finds, checks and removes the principal from the table
+before it builds the premises, and the prover selects its moves by it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .errors import (FreshnessViolation, NotApplicable, SchemaMismatch,
                      UnknownTheoryAxiom)
@@ -52,15 +58,45 @@ class RuleId(Enum):
     TheoryAxiom = "TheoryAxiom"
 
 
-PREMISE_COUNT: dict[RuleId, int] = {
-    RuleId.Axiom: 0, RuleId.EqR: 0, RuleId.RtcRefl: 0,
-    RuleId.PairConstAx: 0, RuleId.TheoryAxiom: 0,
-    RuleId.WL: 1, RuleId.WR: 1, RuleId.AndL: 1, RuleId.OrR: 1,
-    RuleId.ImpR: 1, RuleId.NotL: 1, RuleId.NotR: 1, RuleId.ExL: 1,
-    RuleId.ExR: 1, RuleId.AllL: 1, RuleId.AllR: 1, RuleId.EqL1: 1,
-    RuleId.EqL2: 1, RuleId.Subst: 1, RuleId.RtcInd: 1, RuleId.PairInj: 1,
-    RuleId.AndR: 2, RuleId.OrL: 2, RuleId.ImpL: 2, RuleId.Cut: 2,
-    RuleId.RtcStep: 2, RuleId.RtcCase: 2,
+class Schema(NamedTuple):
+    premises: int
+    side: str | None = None      # the conclusion side holding the principal
+    cls: type | None = None      # the principal's class; None admits any
+    wrong: str = ""              # NotApplicable text for another class
+    takes: str | None = None     # "eigenvar" or "witness"
+
+
+ANT, SUC = "antecedent", "succedent"
+
+SCHEMA: dict[RuleId, Schema] = {
+    RuleId.Axiom: Schema(0),
+    RuleId.WL: Schema(1, ANT),
+    RuleId.WR: Schema(1, SUC),
+    RuleId.AndL: Schema(1, ANT, And, "AndL principal must be a conjunction"),
+    RuleId.AndR: Schema(2, SUC, And, "AndR principal must be a conjunction"),
+    RuleId.OrL: Schema(2, ANT, Or, "OrL principal must be a disjunction"),
+    RuleId.OrR: Schema(1, SUC, Or, "OrR principal must be a disjunction"),
+    RuleId.ImpL: Schema(2, ANT, Implies, "ImpL principal must be an implication"),
+    RuleId.ImpR: Schema(1, SUC, Implies, "ImpR principal must be an implication"),
+    RuleId.NotL: Schema(1, ANT, Not, "NotL principal must be a negation"),
+    RuleId.NotR: Schema(1, SUC, Not, "NotR principal must be a negation"),
+    RuleId.ExL: Schema(1, ANT, Exists, "ExL principal must be existential", "eigenvar"),
+    RuleId.ExR: Schema(1, SUC, Exists, "ExR principal must be existential", "witness"),
+    RuleId.AllL: Schema(1, ANT, Forall, "AllL principal must be universal", "witness"),
+    RuleId.AllR: Schema(1, SUC, Forall, "AllR principal must be universal", "eigenvar"),
+    RuleId.EqL1: Schema(1, ANT, Eq, "equality rules need an equation principal"),
+    RuleId.EqL2: Schema(1, ANT, Eq, "equality rules need an equation principal"),
+    RuleId.EqR: Schema(0),
+    RuleId.Cut: Schema(2),
+    RuleId.Subst: Schema(1),
+    RuleId.RtcRefl: Schema(0, SUC, Rtc, "RtcRefl principal must be an rtc formula"),
+    RuleId.RtcStep: Schema(2, SUC, Rtc, "RtcStep principal must be an rtc formula", "witness"),
+    RuleId.RtcInd: Schema(1, ANT, Rtc, "RtcInd principal must be an rtc formula", "eigenvar"),
+    RuleId.RtcCase: Schema(2, ANT, Rtc, "RtcCase principal must be an rtc formula", "eigenvar"),
+    # the pairing rules check the signature, then find their principal themselves
+    RuleId.PairInj: Schema(1),
+    RuleId.PairConstAx: Schema(0),
+    RuleId.TheoryAxiom: Schema(0),
 }
 
 Substitution = tuple[tuple[str, Term], ...]
@@ -130,117 +166,62 @@ def expected_premises(rule: RuleId, conclusion: Sequent, params: RuleParams,
     """
     ant, suc = conclusion.antecedent, conclusion.succedent
     p = params
+    schema = SCHEMA[rule]
+    if schema.side is not None:
+        # the principal: found on its side, of its class, and removed to
+        # leave the premises' context `base`; `add` adds to base on that side
+        f = _principal_in(p.principal, getattr(conclusion, schema.side), schema.side)
+        if schema.cls is not None:
+            _need(isinstance(f, schema.cls), schema.wrong)
+        if schema.premises:
+            left = schema.side == ANT
+            base = conclusion.without_ant(f) if left else conclusion.without_succ(f)
+            add = base.with_ant if left else base.with_succ
 
     match rule:
         case RuleId.Axiom:
             _need(len(ant) == 1 and len(suc) == 1 and ant[0] == suc[0],
                   "Axiom conclusion must be exactly phi |- phi")
             return []
-
         case RuleId.EqR:
             _need(len(ant) == 0 and len(suc) == 1, "EqR conclusion must be exactly |- t = t")
             f = suc[0]
             _need(isinstance(f, Eq) and f.lhs == f.rhs, "EqR needs t = t in the succedent")
             return []
-
-        case RuleId.WL:
-            f = _principal_in(p.principal, ant, "antecedent")
-            return [conclusion.without_ant(f)]
-
-        case RuleId.WR:
-            f = _principal_in(p.principal, suc, "succedent")
-            return [conclusion.without_succ(f)]
-
-        case RuleId.AndL:
-            f = _principal_in(p.principal, ant, "antecedent")
-            _need(isinstance(f, And), "AndL principal must be a conjunction")
-            return [conclusion.without_ant(f).with_ant(f.left, f.right)]
-
-        case RuleId.AndR:
-            f = _principal_in(p.principal, suc, "succedent")
-            _need(isinstance(f, And), "AndR principal must be a conjunction")
-            base = conclusion.without_succ(f)
-            return [base.with_succ(f.left), base.with_succ(f.right)]
-
-        case RuleId.OrL:
-            f = _principal_in(p.principal, ant, "antecedent")
-            _need(isinstance(f, Or), "OrL principal must be a disjunction")
-            base = conclusion.without_ant(f)
-            return [base.with_ant(f.left), base.with_ant(f.right)]
-
-        case RuleId.OrR:
-            f = _principal_in(p.principal, suc, "succedent")
-            _need(isinstance(f, Or), "OrR principal must be a disjunction")
-            return [conclusion.without_succ(f).with_succ(f.left, f.right)]
-
+        case RuleId.WL | RuleId.WR:
+            return [base]
+        case RuleId.AndL | RuleId.OrR:
+            return [add(f.left, f.right)]
+        case RuleId.AndR | RuleId.OrL:
+            return [add(f.left), add(f.right)]
         case RuleId.ImpL:
-            f = _principal_in(p.principal, ant, "antecedent")
-            _need(isinstance(f, Implies), "ImpL principal must be an implication")
-            base = conclusion.without_ant(f)
             return [base.with_succ(f.left), base.with_ant(f.right)]
-
         case RuleId.ImpR:
-            f = _principal_in(p.principal, suc, "succedent")
-            _need(isinstance(f, Implies), "ImpR principal must be an implication")
-            return [conclusion.without_succ(f).with_ant(f.left).with_succ(f.right)]
-
+            return [base.with_ant(f.left).with_succ(f.right)]
         case RuleId.NotL:
-            f = _principal_in(p.principal, ant, "antecedent")
-            _need(isinstance(f, Not), "NotL principal must be a negation")
-            return [conclusion.without_ant(f).with_succ(f.sub)]
-
+            return [base.with_succ(f.sub)]
         case RuleId.NotR:
-            f = _principal_in(p.principal, suc, "succedent")
-            _need(isinstance(f, Not), "NotR principal must be a negation")
-            return [conclusion.without_succ(f).with_ant(f.sub)]
-
-        case RuleId.ExL:
-            f = _principal_in(p.principal, ant, "antecedent")
-            _need(isinstance(f, Exists), "ExL principal must be existential")
+            return [base.with_ant(f.sub)]
+        case RuleId.ExL | RuleId.AllR:
             z = p.eigenvar
-            _need(z is not None, "ExL requires an eigenvariable")
-            base = conclusion.without_ant(f)
+            _need(z is not None, f"{rule.value} requires an eigenvariable")
             _check_fresh(z, base, f)
-            return [base.with_ant(substitute(f.body, {f.var: Var(z)}))]
-
-        case RuleId.AllR:
-            f = _principal_in(p.principal, suc, "succedent")
-            _need(isinstance(f, Forall), "AllR principal must be universal")
-            z = p.eigenvar
-            _need(z is not None, "AllR requires an eigenvariable")
-            base = conclusion.without_succ(f)
-            _check_fresh(z, base, f)
-            return [base.with_succ(substitute(f.body, {f.var: Var(z)}))]
-
-        case RuleId.AllL:
-            f = _principal_in(p.principal, ant, "antecedent")
-            _need(isinstance(f, Forall), "AllL principal must be universal")
-            _need(p.witness is not None, "AllL requires a witness term")
-            inst = substitute(f.body, {f.var: p.witness})
-            return [conclusion.without_ant(f).with_ant(inst)]
-
-        case RuleId.ExR:
-            f = _principal_in(p.principal, suc, "succedent")
-            _need(isinstance(f, Exists), "ExR principal must be existential")
-            _need(p.witness is not None, "ExR requires a witness term")
-            inst = substitute(f.body, {f.var: p.witness})
-            return [conclusion.without_succ(f).with_succ(inst)]
-
+            return [add(substitute(f.body, {f.var: Var(z)}))]
+        case RuleId.AllL | RuleId.ExR:
+            _need(p.witness is not None, f"{rule.value} requires a witness term")
+            return [add(substitute(f.body, {f.var: p.witness}))]
         case RuleId.EqL1 | RuleId.EqL2:
-            eq = _principal_in(p.principal, ant, "antecedent")
-            _need(isinstance(eq, Eq), "equality rules need an equation principal")
             _need(p.template is not None, "equality rules need a rewrite template")
             phi, x = p.template
-            phi_s = substitute(phi, {x: eq.lhs})
-            phi_t = substitute(phi, {x: eq.rhs})
+            phi_s = substitute(phi, {x: f.lhs})
+            phi_t = substitute(phi, {x: f.rhs})
             if rule is RuleId.EqL1:
                 shown, rewritten = phi_t, phi_s
             else:
                 shown, rewritten = phi_s, phi_t
             if shown not in suc:
                 raise NotApplicable(f"rewritten formula {shown} not in succedent")
-            return [conclusion.without_ant(eq).without_succ(shown).with_succ(rewritten)]
-
+            return [base.without_succ(shown).with_succ(rewritten)]
         case RuleId.Cut:
             _need(p.cut_formula is not None, "Cut requires a cut formula")
             left = p.cut_left if p.cut_left is not None else Sequent(ant, suc)
@@ -249,45 +230,30 @@ def expected_premises(rule: RuleId, conclusion: Sequent, params: RuleParams,
                              left.succedent + right.succedent)
             _need(merged == conclusion, "Cut contexts do not rebuild the conclusion")
             return [left.with_succ(p.cut_formula), right.with_ant(p.cut_formula)]
-
         case RuleId.Subst:
             _need(p.substitution is not None, "Subst requires a substitution")
             _need(p.source is not None, "Subst requires its source sequent")
             inst = p.source.substituted(dict(p.substitution))
             _need(inst == conclusion, "conclusion is not the stated instance of the source")
             return [p.source]
-
         case RuleId.RtcRefl:
-            f = _principal_in(p.principal, suc, "succedent")
-            _need(isinstance(f, Rtc), "RtcRefl principal must be an rtc formula")
             _need(f.src == f.dst, "RtcRefl endpoints must be syntactically equal")
             return []
-
         case RuleId.RtcStep:
-            f = _principal_in(p.principal, suc, "succedent")
-            _need(isinstance(f, Rtc), "RtcStep principal must be an rtc formula")
             _need(p.witness is not None, "RtcStep requires an intermediate term")
             r = p.witness
-            base = conclusion.without_succ(f)
             step = substitute(f.body, {f.x: r, f.y: f.dst})
             return [base.with_succ(Rtc(f.x, f.y, f.body, f.src, r)),
                     base.with_succ(step)]
-
         case RuleId.RtcCase:
-            f = _principal_in(p.principal, ant, "antecedent")
-            _need(isinstance(f, Rtc), "RtcCase principal must be an rtc formula")
             z = p.eigenvar
             _need(z is not None, "RtcCase requires a fresh variable")
-            base = conclusion.without_ant(f)
             _check_fresh(z, base, f)
             ancestor = Rtc(f.x, f.y, f.body, f.src, Var(z))
             step = substitute(f.body, {f.x: Var(z), f.y: f.dst})
             return [base.with_ant(Eq(f.src, f.dst)),
                     base.with_ant(ancestor, step)]
-
         case RuleId.RtcInd:
-            f = _principal_in(p.principal, ant, "antecedent")
-            _need(isinstance(f, Rtc), "RtcInd principal must be an rtc formula")
             _need(p.template is not None, "RtcInd requires an induction template")
             _need(p.eigenvar is not None and p.eigenvar2 is not None,
                   "RtcInd requires its two variables")
@@ -302,14 +268,12 @@ def expected_premises(rule: RuleId, conclusion: Sequent, params: RuleParams,
                 raise NotApplicable(f"{psi_s} not in antecedent")
             if psi_t not in suc:
                 raise NotApplicable(f"{psi_t} not in succedent")
-            gamma = conclusion.without_ant(f).without_ant(psi_s)
-            delta_side = gamma.without_succ(psi_t)
+            delta_side = base.without_ant(psi_s).without_succ(psi_t)
             ctx_vars = delta_side.free_vars()
             body_free = free_vars(f.body) - {f.x, f.y}
-            if x in ctx_vars:
-                raise FreshnessViolation(x, "occurs free in the context")
-            if y in ctx_vars:
-                raise FreshnessViolation(y, "occurs free in the context")
+            for v in (x, y):
+                if v in ctx_vars:
+                    raise FreshnessViolation(v, "occurs free in the context")
             if y in free_vars(psi_x) - {x}:
                 raise FreshnessViolation(y, "occurs free in the induction template")
             if x in body_free or y in body_free:
@@ -318,29 +282,26 @@ def expected_premises(rule: RuleId, conclusion: Sequent, params: RuleParams,
             body_inst = substitute(f.body, {f.x: Var(x), f.y: Var(y)})
             psi_y = substitute(psi_x, {x: Var(y)})
             return [delta_side.with_ant(psi_x, body_inst).with_succ(psi_y)]
-
         case RuleId.PairInj:
             _need(sig is not None and sig.pair_symbol is not None,
                   "PairInj needs a signature with a pair symbol")
-            f = _principal_in(p.principal, suc, "succedent")
+            f = _principal_in(p.principal, suc, SUC)
             _need(isinstance(f, And) and isinstance(f.left, Eq) and isinstance(f.right, Eq),
                   "PairInj principal must be a conjunction of two equations")
             pr = sig.pair_symbol
             lhs = App(pr, (f.left.lhs, f.right.lhs))
             rhs = App(pr, (f.left.rhs, f.right.rhs))
             return [conclusion.without_succ(f).with_succ(Eq(lhs, rhs))]
-
         case RuleId.PairConstAx:
             _need(sig is not None and sig.pair_symbol is not None
                   and sig.pair_constant is not None,
                   "PairConstAx needs a pair symbol and a designated constant")
-            f = _principal_in(p.principal, ant, "antecedent")
+            f = _principal_in(p.principal, ant, ANT)
             _need(isinstance(f, Eq) and isinstance(f.lhs, App)
                   and f.lhs.fn == sig.pair_symbol and len(f.lhs.args) == 2
                   and f.rhs == Const(sig.pair_constant),
                   "PairConstAx principal must equate a pair with the designated constant")
             return []
-
         case RuleId.TheoryAxiom:
             for ax in theory:
                 if any(True for _ in match_sequent(ax, conclusion, exact=True)):
@@ -362,7 +323,7 @@ def check_rule_instance(r: RuleInstance, theory: tuple[Sequent, ...] = (),
                         sig: Signature | None = None) -> None:
     """Raise SchemaMismatch / FreshnessViolation / UnknownTheoryAxiom unless
     the instance fits its rule schema exactly."""
-    expected_count = PREMISE_COUNT[r.rule]
+    expected_count = SCHEMA[r.rule].premises
     if len(r.premises) != expected_count:
         raise SchemaMismatch(
             f"{r.rule.value} takes {expected_count} premises, got {len(r.premises)}")

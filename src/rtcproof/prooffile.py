@@ -96,46 +96,48 @@ def _expect_number(p: _Parser, what: str) -> int:
     return _number(p.expect_ident(), pos, what)
 
 
+def _separated(p: _Parser, item, sep: str, closing: str | None = None) -> list:
+    """Items read by `item`, each after the first preceded by `sep`: one or
+    more, or none when the next token is `closing`, which is left unread."""
+    if closing is not None and p.peek()[1] == closing:
+        return []
+    out = [item(p)]
+    while p.peek()[1] == sep:
+        p.next()
+        out.append(item(p))
+    return out
+
+
+def _arity(p: _Parser) -> tuple[str, int]:
+    name = p.expect_ident()
+    p.expect("/")
+    return name, _expect_number(p, "arity")
+
+
 def _parse_sig_line(p: _Parser) -> Signature:
     consts: set[str] = set()
-    fns: dict[str, int] = {}
-    preds: dict[str, int] = {}
-    pair_symbol = pair_constant = None
+    arities: dict[str, dict[str, int]] = {"fn": {}, "pred": {}}
+    pair: dict[str, str] = {}           # "pair" and "pairconst" -> symbol
+
+    def section(p: _Parser) -> None:
+        _, val, pos = p.next()
+        if val == "const":
+            consts.update(_separated(p, _Parser.expect_ident, ","))
+        elif val in arities:
+            arities[val].update(_separated(p, _arity, ","))
+        elif val in ("pair", "pairconst"):
+            pair[val] = p.expect_ident()
+        else:
+            raise ParseError(pos, f"unknown signature section {val!r}")
+
     if p.peek()[1] == "-":
         p.next()
     else:
-        while True:
-            kind, val, pos = p.peek()
-            if val == "const":
-                p.next()
-                consts.add(p.expect_ident())
-                while p.peek()[1] == ",":
-                    p.next()
-                    consts.add(p.expect_ident())
-            elif val in ("fn", "pred"):
-                p.next()
-                arities = fns if val == "fn" else preds
-                while True:
-                    name = p.expect_ident()
-                    p.expect("/")
-                    arities[name] = _expect_number(p, "arity")
-                    if p.peek()[1] != ",":
-                        break
-                    p.next()
-            elif val == "pair":
-                p.next()
-                pair_symbol = p.expect_ident()
-            elif val == "pairconst":
-                p.next()
-                pair_constant = p.expect_ident()
-            else:
-                raise ParseError(pos, f"unknown signature section {val!r}")
-            if p.peek()[1] != ";":
-                break
-            p.next()
+        _separated(p, section, ";")
     if not p.at_eof():
         raise ParseError(p.peek()[2], "trailing input after signature")
-    return Signature.make(consts, fns, preds, pair_symbol, pair_constant)
+    return Signature.make(consts, arities["fn"], arities["pred"],
+                          pair.get("pair"), pair.get("pairconst"))
 
 
 def _sig_line(sig: Signature) -> str:
@@ -195,6 +197,15 @@ def load_theory(name_or_path: str) -> TheoryFile:
 # ---------------------------------------------------------------------------
 # Rule parameters
 
+def _prefix(p: _Parser, key: str, expected: str = "") -> None:
+    """Read `key=`; the error says what was expected, by default `'key='`."""
+    _, val, pos = p.peek()
+    if val != key:
+        raise ParseError(pos, "expected " + (expected or f"'{key}='"))
+    p.next()
+    p.expect("=")
+
+
 def _parse_template(p: _Parser) -> tuple[Formula, str]:
     p.expect("(")
     f = p.formula()
@@ -204,14 +215,12 @@ def _parse_template(p: _Parser) -> tuple[Formula, str]:
 
 
 def _parse_subst(p: _Parser) -> tuple[tuple[str, Term], ...]:
-    pairs: list[tuple[str, Term]] = []
-    while p.peek()[1] != "]":
+    def binding(p: _Parser) -> tuple[str, Term]:
         v = p.expect_ident()
         p.expect(":=")
-        pairs.append((v, p.term()))
-        if p.peek()[1] == ",":
-            p.next()
-    return tuple(sorted(pairs))
+        return v, p.term()
+
+    return tuple(sorted(_separated(p, binding, ",", "]")))
 
 
 # kind -> (opening bracket, closing bracket, printer, parser of what lies between)
@@ -251,25 +260,27 @@ def _params_text(params: RuleParams, sig: Signature) -> str:
     return "{" + " ; ".join(out) + "}"
 
 
+def _parse_param(p: _Parser) -> tuple[str, object]:
+    """One `key=value` of a params list, as (RuleParams field, value)."""
+    key = p.expect_ident()
+    p.expect("=")
+    if key not in _PARAM_KEYS:
+        raise ParseError(p.peek()[2], f"unknown parameter {key!r}")
+    field, kind = _PARAM_KEYS[key]
+    opening, closing, _, parse = _KINDS[kind]
+    if opening:
+        p.expect(opening)
+    value = parse(p)
+    if closing:
+        p.expect(closing)
+    return field, value
+
+
 def _parse_params(p: _Parser) -> RuleParams:
-    kw: dict = {}
     p.expect("{")
-    while p.peek()[1] != "}":
-        key = p.expect_ident()
-        p.expect("=")
-        if key not in _PARAM_KEYS:
-            raise ParseError(p.peek()[2], f"unknown parameter {key!r}")
-        field, kind = _PARAM_KEYS[key]
-        opening, closing, _, parse = _KINDS[kind]
-        if opening:
-            p.expect(opening)
-        kw[field] = parse(p)
-        if closing:
-            p.expect(closing)
-        if p.peek()[1] == ";":
-            p.next()
+    params = RuleParams(**dict(_separated(p, _parse_param, ";", "}")))
     p.expect("}")
-    return RuleParams(**kw)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +310,7 @@ def _parse_node(p: _Parser) -> ProofNode:
         p.next()
         p.expect("->")
         return ProofNode(seq, companion=_expect_number(p, "companion id"))
-    kind, val, pos = p.peek()
-    if val != "rule":
-        raise ParseError(pos, "expected 'rule=' or 'bud ->'")
-    p.next()
-    p.expect("=")
+    _prefix(p, "rule", "'rule=' or 'bud ->'")
     pos = p.peek()[2]
     rule_name = p.expect_ident()
     try:
@@ -311,24 +318,12 @@ def _parse_node(p: _Parser) -> ProofNode:
     except ValueError:
         raise ParseError(pos, f"unknown rule id {rule_name!r}") from None
     p.expect(";")
-    kind, val, pos = p.peek()
-    if val != "params":
-        raise ParseError(pos, "expected 'params='")
-    p.next()
-    p.expect("=")
+    _prefix(p, "params")
     params = _parse_params(p)
     p.expect(";")
-    kind, val, pos = p.peek()
-    if val != "premises":
-        raise ParseError(pos, "expected 'premises='")
-    p.next()
-    p.expect("=")
+    _prefix(p, "premises")
     p.expect("[")
-    children: list[int] = []
-    while p.peek()[1] != "]":
-        children.append(_expect_number(p, "premise id"))
-        if p.peek()[1] == ",":
-            p.next()
+    children = _separated(p, lambda p: _expect_number(p, "premise id"), ",", "]")
     p.expect("]")
     return ProofNode(seq, rid, params, tuple(children))
 

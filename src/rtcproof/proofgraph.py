@@ -6,14 +6,15 @@ at a syntactically equal internal node, its companion.  Each fact is stored
 once: `ProofGraph.instance` assembles a node's rule instance from the node
 and its children.  `validate_structure` checks the graph invariants plus
 every rule instance; `edge_trace_steps` gives the trace pairs between
-antecedent rtc formulas across one premise of a rule.
+antecedent rtc formulas across one premise of a rule.  `weakenings` is the
+one chain of WL and WR steps that grows a sequent to a larger one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .errors import SchemaMismatch
+from .errors import RtcError, SchemaMismatch
 from .kernel import (RuleId, RuleInstance, RuleParams, check_rule_instance,
                      rule_instance)
 from .syntax import Formula, Rtc, Sequent, Signature, Var, substitute
@@ -96,7 +97,7 @@ def validate_structure(g: ProofGraph, theory: tuple[Sequent, ...] = (),
             check_rule_instance(g.instance(nid), theory, sig)
         except SchemaMismatch as exc:
             errors.append(GraphError("KernelError", nid, str(exc)))
-        except Exception as exc:  # freshness, unknown axiom, arity...
+        except RtcError as exc:  # freshness, unknown axiom; others are bugs
             errors.append(GraphError("KernelError", nid, f"{type(exc).__name__}: {exc}"))
 
     # one DFS from the root must reach every node and find no link back to a
@@ -161,7 +162,24 @@ def edge_trace_steps(rule: RuleInstance, premise_index: int) -> tuple[TraceStep,
 
 
 # ---------------------------------------------------------------------------
-# Construction helper
+# Construction helpers
+
+def weakenings(inner: Sequent, target: Sequent) -> list[RuleInstance]:
+    """The WL instances, then the WR instances, that grow inner to target,
+    innermost first: each concludes the premise of the next."""
+    out: list[RuleInstance] = []
+    current = inner
+    for f in target.antecedent:
+        if f not in set(current.antecedent):
+            current = current.with_ant(f)
+            out.append(rule_instance(RuleId.WL, current, principal=f))
+    for f in target.succedent:
+        if f not in set(current.succedent):
+            current = current.with_succ(f)
+            out.append(rule_instance(RuleId.WR, current, principal=f))
+    assert current == target, "weakening needs an inner sequent contained in target"
+    return out
+
 
 class GraphBuilder:
     """Incremental graph construction with forward references for companions."""
@@ -191,21 +209,10 @@ class GraphBuilder:
 
     def add_axiom_closure(self, seq: Sequent, phi: Formula) -> int:
         """Close Γ, phi |- phi, Δ by the documented macro: Axiom + weakenings."""
-        current = Sequent((phi,), (phi,))
-        nid = self.add_internal(rule_instance(RuleId.Axiom, current))
-        for f in seq.antecedent:
-            if f != phi:
-                parent = current.with_ant(f)
-                nid = self.add_internal(
-                    rule_instance(RuleId.WL, parent, principal=f), (nid,))
-                current = parent
-        for f in seq.succedent:
-            if f != phi:
-                parent = current.with_succ(f)
-                nid = self.add_internal(
-                    rule_instance(RuleId.WR, parent, principal=f), (nid,))
-                current = parent
-        assert current == seq
+        axiom = Sequent((phi,), (phi,))
+        nid = self.add_internal(rule_instance(RuleId.Axiom, axiom))
+        for inst in weakenings(axiom, seq):
+            nid = self.add_internal(inst, (nid,))
         return nid
 
     def graph(self, root: int) -> ProofGraph:

@@ -6,11 +6,13 @@ bud closing a cycle against an ancestor, under the weakenings it needs) or
 a `RuleInstance` whose premises are the subgoals.  The order is: closure
 moves, cycle formation, invertible propositional rules, case unfolding,
 equality rewrites, witness rules round-robined over a finite term pool,
-then analytic cuts on theory axioms.  Buds close only against ancestors, so
-a subgoal's proofs depend on the subgoal and its ancestors alone.  Cycle
-formation is pre-filtered by the composed trace matrix of the would-be
-cycle and every complete candidate is re-checked by the structural
-validator and the global trace condition before being accepted.
+then analytic cuts on theory axioms.  The phases of rules with a principal
+are built from `kernel.SCHEMA`: each passes over one side of the sequent
+and picks a formula's rule by its class.  Buds close only against
+ancestors, so a subgoal's proofs depend on the subgoal and its ancestors
+alone.  Cycle formation is pre-filtered by the composed trace matrix of
+the would-be cycle and every complete candidate is re-checked by the
+structural validator and the global trace condition before being accepted.
 Counter-model search runs interleaved with the deepening, so invalid goals
 are refuted quickly.
 
@@ -34,14 +36,14 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import BudgetExceeded, RtcError
-from .kernel import (RuleId, RuleInstance, make_subst, match_sequent,
+from .kernel import (SCHEMA, RuleId, RuleInstance, make_subst, match_sequent,
                      rule_instance)
-from .proofgraph import GraphBuilder, ProofGraph, renumber, validate_structure
+from .proofgraph import (GraphBuilder, ProofGraph, renumber, validate_structure,
+                         weakenings)
 from .semantics import FiniteModel, Valuation, find_counter_model
-from .syntax import (And, App, Eq, Exists, Forall, Formula, Implies, Not,
-                     Or, Rtc, Sequent, Signature, Term, Var, formula_subterms,
-                     free_vars, fresh_name, parts, rebuild, substitute,
-                     term_key, term_vars)
+from .syntax import (App, Eq, Formula, Rtc, Sequent, Signature, Term, Var,
+                     formula_subterms, free_vars, fresh_name, parts, rebuild,
+                     substitute, term_key, term_vars)
 from .tracecheck import EdgeMatrix, check_global_trace_condition, edge_matrix
 
 
@@ -91,16 +93,8 @@ class Plan:
 def _weaken_plan(target: Sequent, inner: Plan) -> Plan:
     """Wrap inner in WL/WR nodes until its conclusion grows to target."""
     plan = inner
-    current = inner.conclusion()
-    for f in target.antecedent:
-        if f not in set(current.antecedent):
-            current = current.with_ant(f)
-            plan = Plan(rule_instance(RuleId.WL, current, principal=f), (plan,))
-    for f in target.succedent:
-        if f not in set(current.succedent):
-            current = current.with_succ(f)
-            plan = Plan(rule_instance(RuleId.WR, current, principal=f), (plan,))
-    assert current == target
+    for inst in weakenings(inner.conclusion(), target):
+        plan = Plan(inst, (plan,))
     return plan
 
 
@@ -209,6 +203,38 @@ def _bud_moves(seq: Sequent, ancestors: tuple[Ancestor, ...],
                 yield plan
 
 
+def _phase(*rules: RuleId) -> tuple[str, dict[type, RuleId]]:
+    """The side the rules' principals share, and each rule by the class of
+    its principal."""
+    return SCHEMA[rules[0]].side, {SCHEMA[r].cls: r for r in rules}
+
+
+# the open moves with a principal, by phase in move order: each phase is
+# one pass over one side of the sequent
+_OPEN_PHASES = (
+    _phase(RuleId.AndL, RuleId.NotL, RuleId.ExL),
+    _phase(RuleId.OrR, RuleId.ImpR, RuleId.NotR, RuleId.AllR),
+    _phase(RuleId.AndR),
+    _phase(RuleId.OrL, RuleId.ImpL),
+    _phase(RuleId.RtcCase),
+)
+_WITNESS_PHASES = (_phase(RuleId.RtcStep, RuleId.ExR), _phase(RuleId.AllL))
+
+
+def _principal_moves(seq: Sequent, cfg: SearchConfig, phases,
+                     **params) -> Iterator[RuleInstance]:
+    """The phases' instances on seq, each principal in side order; a rule
+    that takes an eigenvariable gets a fresh one."""
+    for side, rules in phases:
+        for f in getattr(seq, side):
+            rid = rules.get(f.__class__)
+            if rid is not None and SCHEMA[rid].takes == "eigenvar":
+                z = fresh_name(seq.free_vars(), hint="_v")
+                yield from _rule(rid, seq, cfg, principal=f, eigenvar=z)
+            elif rid is not None:
+                yield from _rule(rid, seq, cfg, principal=f, **params)
+
+
 def moves(seq: Sequent, ancestors: tuple[Ancestor, ...], cfg: SearchConfig,
           depth: int) -> Iterator[Plan | RuleInstance]:
     """Deterministic fair candidate ordering: closures and theory leaves,
@@ -247,39 +273,8 @@ def moves(seq: Sequent, ancestors: tuple[Ancestor, ...], cfg: SearchConfig,
     if depth == 0:
         return
 
-    # 3. invertible rules
-    for f in ant:
-        if isinstance(f, And):
-            yield from _rule(RuleId.AndL, seq, cfg, principal=f)
-        elif isinstance(f, Not):
-            yield from _rule(RuleId.NotL, seq, cfg, principal=f)
-        elif isinstance(f, Exists):
-            z = fresh_name(seq.free_vars(), hint="_v")
-            yield from _rule(RuleId.ExL, seq, cfg, principal=f, eigenvar=z)
-    for f in suc:
-        if isinstance(f, Or):
-            yield from _rule(RuleId.OrR, seq, cfg, principal=f)
-        elif isinstance(f, Implies):
-            yield from _rule(RuleId.ImpR, seq, cfg, principal=f)
-        elif isinstance(f, Not):
-            yield from _rule(RuleId.NotR, seq, cfg, principal=f)
-        elif isinstance(f, Forall):
-            z = fresh_name(seq.free_vars(), hint="_v")
-            yield from _rule(RuleId.AllR, seq, cfg, principal=f, eigenvar=z)
-    for f in suc:
-        if isinstance(f, And):
-            yield from _rule(RuleId.AndR, seq, cfg, principal=f)
-    for f in ant:
-        if isinstance(f, Or):
-            yield from _rule(RuleId.OrL, seq, cfg, principal=f)
-        elif isinstance(f, Implies):
-            yield from _rule(RuleId.ImpL, seq, cfg, principal=f)
-
-    # 4. case unfolding of antecedent closures
-    for f in ant:
-        if isinstance(f, Rtc):
-            z = fresh_name(seq.free_vars(), hint="_v")
-            yield from _rule(RuleId.RtcCase, seq, cfg, principal=f, eigenvar=z)
+    # 3. invertible rules, then 4. case unfolding of antecedent closures
+    yield from _principal_moves(seq, cfg, _OPEN_PHASES)
 
     # 5. equality rewrites (all-occurrence templates, both directions)
     for eq in ant:
@@ -296,14 +291,7 @@ def moves(seq: Sequent, ancestors: tuple[Ancestor, ...], cfg: SearchConfig,
 
     # 6. witness rules, round-robined so every (rule, witness) pair appears
     for w in _term_pool(seq):
-        for f in suc:
-            if isinstance(f, Rtc):
-                yield from _rule(RuleId.RtcStep, seq, cfg, principal=f, witness=w)
-            elif isinstance(f, Exists):
-                yield from _rule(RuleId.ExR, seq, cfg, principal=f, witness=w)
-        for f in ant:
-            if isinstance(f, Forall):
-                yield from _rule(RuleId.AllL, seq, cfg, principal=f, witness=w)
+        yield from _principal_moves(seq, cfg, _WITNESS_PHASES, witness=w)
 
     # 7. analytic cuts driven by theory axioms: when all but one antecedent
     # formula of an axiom instance is already present, cut in the missing one

@@ -2,7 +2,6 @@
 rejection witnesses, and formulas nested to a given depth."""
 
 from rtcproof import proofgraph
-from rtcproof.kernel import RuleId, rule_instance
 from rtcproof.syntax import Sequent
 from rtcproof.tracecheck import CycleReport
 
@@ -11,21 +10,8 @@ class GraphBuilder(proofgraph.GraphBuilder):
     def add_weakening_chain(self, target: Sequent, child_id: int) -> int:
         """Grow child's sequent up to target with WL/WR; child must be contained."""
         nid = child_id
-        current = self.nodes[child_id].sequent
-        assert target.contains(current), "weakening chain needs a contained child"
-        for f in target.antecedent:
-            if f not in set(current.antecedent):
-                parent = current.with_ant(f)
-                nid = self.add_internal(
-                    rule_instance(RuleId.WL, parent, principal=f), (nid,))
-                current = parent
-        for f in target.succedent:
-            if f not in set(current.succedent):
-                parent = current.with_succ(f)
-                nid = self.add_internal(
-                    rule_instance(RuleId.WR, parent, principal=f), (nid,))
-                current = parent
-        assert current == target
+        for inst in proofgraph.weakenings(self.nodes[child_id].sequent, target):
+            nid = self.add_internal(inst, (nid,))
         return nid
 
 

@@ -8,15 +8,15 @@ complete models (`iter_skeletons`) for the cell search to agree with.
 `expand_fair` lists the prover's moves in search order, and
 `search_unpruned` is the prover's search without its cut-offs.
 `validate_formula` checks a parsed formula's symbols against a signature,
-apart from the parser that checked them as it read them."""
+apart from the parser that checked them as it read them.  `NotAnRtcFormula`
+and `NoCounterexample` are raised by these oracles alone."""
 
 import itertools
 from collections import deque
 from collections.abc import Iterator
 
-from rtcproof.errors import (ArityMismatch, NoCounterexample, NotAnRtcFormula,
-                             NotApplicable, ParseError, SignatureMismatch,
-                             UnknownSymbol)
+from rtcproof.errors import (ArityMismatch, NotApplicable, ParseError, RtcError,
+                             SignatureMismatch, UnknownSymbol)
 from rtcproof.kernel import (RuleId, RuleInstance, make_subst, match_sequent,
                              rule_instance)
 from rtcproof.proofgraph import ProofGraph
@@ -29,6 +29,14 @@ from rtcproof.syntax import (And, App, Bot, Const, Eq, Exists, Forall, Formula,
                              Top, Var, parts, substitute, subterms)
 from rtcproof.tracecheck import (CycleReport, FlowEdge, _flow_root, _flow_succ,
                                  _shortest_path, edge_matrix, flow_edges)
+
+
+class NotAnRtcFormula(RtcError):
+    """`degree` or `minimal_chain` was given a formula that is not rtc."""
+
+
+class NoCounterexample(RtcError):
+    """The given model/valuation does not invalidate the conclusion."""
 
 
 def check_by_path_enumeration(g: ProofGraph, max_period: int) -> CycleReport:

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import rtcproof.cli
+import rtcproof.proofgraph
 from rtcproof.cli import main
 from rtcproof.prooffile import parse_proof, serialize_proof
 from rtcproof.syntax import MAX_DEPTH
@@ -147,6 +148,16 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert captured.err == "internal error: ZeroDivisionError: boom\n"
 
 
+def test_kernel_crash_is_internal_error(monkeypatch, capsys):
+    # a bug in the kernel must not read as the verdict "invalid"
+    def broken(*args):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(rtcproof.proofgraph, "check_rule_instance", broken)
+    assert main(["check", corpus_path("nat_p.tcp")]) == 4
+    assert capsys.readouterr() == ("", "internal error: ZeroDivisionError: boom\n")
+
+
 # graph faults in copies of nat_p.tcp: (text replaced, replacement, the lines
 # `rtcproof check` prints before "invalid")
 N4 = "s(_v0) = n, p(0), (rtc x y. s(x) = y)(0, _v0) |- p(_v0), p(n)"
@@ -275,6 +286,14 @@ PARAM_EDITS = {
     "sig_pairconst_undeclared": ("nat_p.tcp", "fn s/1 ; pred p/1\n",
                                  "fn s/1, pr/2 ; pred p/1 ; pair pr ; pairconst k\n",
                                  "error: line 2, offset 4: pair constant 'k' not declared"),
+    # a list whose separator is missing
+    "premises_no_comma": ("nat_p.tcp", "premises=[4, 8]", "premises=[4 8]",
+                          "error: line 8, offset 112: expected ']', found '8'"),
+    "subst_no_comma": ("nat_p.tcp", "subst=[n := _v0]", "subst=[n := _v0 m := _v0]",
+                       "error: line 11, offset 92: expected ']', found 'm'"),
+    "params_no_semicolon": ("nat_p.tcp", "principal=(0 = n) ; template=",
+                            "principal=(0 = n) template=",
+                            "error: line 6, offset 69: expected '}', found 'template'"),
 }
 
 
@@ -440,6 +459,27 @@ def test_render_dot_and_text(capsys):
     assert main(["render", "--format", "text", corpus_path("nat_p.tcp")]) == 0
     with open(corpus_path("nat_p.tcp"), encoding="utf-8") as fh:
         assert capsys.readouterr() == (fh.read(), "")
+
+
+# every corpus file, and the proof in every golden file of a proved goal
+TEXT_PROOFS = sorted(CORPUS_CHECK) + sorted(
+    f"prove_{c}.out" for c, (code, _) in PROVE_GOLDEN.items() if code == 0)
+
+
+@pytest.mark.parametrize("name", TEXT_PROOFS)
+def test_render_text_round_trip(name, tmp_path, capsys):
+    # the text format is the file format: a proof renders as itself
+    if name.endswith(".tcp"):
+        path = corpus_path(name)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    else:
+        with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+            text = fh.read().split("\n", 1)[1]
+        path = tmp_path / "proof.tcp"
+        path.write_text(text, encoding="utf-8")
+    assert main(["render", "--format", "text", str(path)]) == 0
+    assert capsys.readouterr() == (text, "")
 
 
 def test_goal_from_file_and_proof_to_file(tmp_path, capsys):

@@ -28,3 +28,28 @@ def test_no_unused_import(module):
 
 def test_unused_import_is_found():
     assert unused_imports("import os\nfrom x import a, b as c\nprint(a)\n") == ["os", "c"]
+
+
+def names(source: str) -> set[str]:
+    """Every name a module imports, reads or reads an attribute by."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+def test_every_error_is_used_in_the_package():
+    # an exception that only tests raise or catch belongs under tests/
+    sources = {}
+    for module in MODULES + ["__init__.py"]:
+        with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+            sources[module] = fh.read()
+    errors = [n.name for n in ast.parse(sources.pop("errors.py")).body
+              if isinstance(n, ast.ClassDef)]
+    used = set().union(*map(names, sources.values()))
+    assert [e for e in errors if e not in used] == []

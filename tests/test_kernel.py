@@ -2,7 +2,7 @@ import pytest
 
 from rtcproof.errors import (FreshnessViolation, NotApplicable, SchemaMismatch,
                              UnknownTheoryAxiom)
-from rtcproof.kernel import (PREMISE_COUNT, RuleId, RuleInstance, RuleParams,
+from rtcproof.kernel import (SCHEMA, RuleId, RuleInstance, RuleParams,
                              check_rule_instance, expected_premises, make_subst,
                              match_sequent, rule_instance)
 from rtcproof.syntax import (App, Eq, Rtc, Sequent, Signature, Var,
@@ -106,7 +106,7 @@ class TestEveryRule:
         else:
             concl, raw, theory = POSITIVE[rule]
             r = ok(rule, S(concl), theory=theory, **_params(raw))
-        assert len(r.premises) == PREMISE_COUNT[rule]
+        assert len(r.premises) == SCHEMA[rule].premises
 
     @pytest.mark.parametrize("rule", list(RuleId), ids=lambda r: r.value)
     def test_negative_wrong_premises(self, rule):
@@ -118,7 +118,7 @@ class TestEveryRule:
             r = rule_instance(rule, S(concl), theory=theory, sig=SIG, **_params(raw))
         # corrupt the instance: add a bogus premise (or, for 0-premise rules,
         # corrupt the conclusion so the schema no longer applies)
-        if PREMISE_COUNT[rule] > 0:
+        if SCHEMA[rule].premises > 0:
             bad = RuleInstance(r.rule, r.conclusion,
                                r.premises[:-1] + (S("|- r0"),), r.params)
             with pytest.raises(SchemaMismatch):
@@ -127,6 +127,45 @@ class TestEveryRule:
             bad = RuleInstance(r.rule, r.conclusion, (S("|- r0"),), r.params)
             with pytest.raises(SchemaMismatch):
                 check_rule_instance(bad, theory, SIG)
+
+
+# each rule with a principal of a fixed class, given the atom q(a) on the
+# principal's side: (conclusion, the NotApplicable text); the texts are
+# those the kernel raised before its rules were read from one schema table
+WRONG_PRINCIPAL = {
+    RuleId.AndL: ("q(a) |-", "AndL principal must be a conjunction"),
+    RuleId.AndR: ("|- q(a)", "AndR principal must be a conjunction"),
+    RuleId.OrL: ("q(a) |-", "OrL principal must be a disjunction"),
+    RuleId.OrR: ("|- q(a)", "OrR principal must be a disjunction"),
+    RuleId.ImpL: ("q(a) |-", "ImpL principal must be an implication"),
+    RuleId.ImpR: ("|- q(a)", "ImpR principal must be an implication"),
+    RuleId.NotL: ("q(a) |-", "NotL principal must be a negation"),
+    RuleId.NotR: ("|- q(a)", "NotR principal must be a negation"),
+    RuleId.ExL: ("q(a) |-", "ExL principal must be existential"),
+    RuleId.ExR: ("|- q(a)", "ExR principal must be existential"),
+    RuleId.AllL: ("q(a) |-", "AllL principal must be universal"),
+    RuleId.AllR: ("|- q(a)", "AllR principal must be universal"),
+    RuleId.EqL1: ("q(a) |-", "equality rules need an equation principal"),
+    RuleId.EqL2: ("q(a) |-", "equality rules need an equation principal"),
+    RuleId.RtcRefl: ("|- q(a)", "RtcRefl principal must be an rtc formula"),
+    RuleId.RtcStep: ("|- q(a)", "RtcStep principal must be an rtc formula"),
+    RuleId.RtcInd: ("q(a) |-", "RtcInd principal must be an rtc formula"),
+    RuleId.RtcCase: ("q(a) |-", "RtcCase principal must be an rtc formula"),
+    RuleId.PairInj: ("|- q(a)", "PairInj principal must be a conjunction of two equations"),
+    RuleId.PairConstAx: ("q(a) |-", "PairConstAx principal must equate a pair with the"
+                                    " designated constant"),
+}
+
+
+@pytest.mark.parametrize("rule", list(WRONG_PRINCIPAL), ids=lambda r: r.value)
+def test_wrong_principal_class(rule):
+    # every other parameter is given, so the principal's class is what fails
+    concl, message = WRONG_PRINCIPAL[rule]
+    params = RuleParams(principal=F("q(a)"), witness=Var("b"), eigenvar="z",
+                        eigenvar2="w", template=(F("q(h)"), "h"))
+    with pytest.raises(NotApplicable) as exc:
+        expected_premises(rule, S(concl), params, sig=SIG)
+    assert str(exc.value) == message
 
 
 class TestFreshness:

@@ -3,8 +3,7 @@ import random
 
 import pytest
 
-from rtcproof.errors import (BudgetExceeded, NoCounterexample, NotAnRtcFormula,
-                             NotApplicable, UnboundVariable)
+from rtcproof.errors import BudgetExceeded, NotApplicable, UnboundVariable
 from rtcproof.kernel import RuleId, rule_instance
 from rtcproof.semantics import Evaluator, FiniteModel, evaluate, find_counter_model
 from rtcproof.proofgraph import edge_trace_steps
@@ -13,9 +12,9 @@ from rtcproof.syntax import (Rtc, Signature, Var, parse_formula, parse_sequent)
 import sys, os
 sys.path.insert(0, os.path.dirname(__file__))
 from genrules import SIG as GEN_SIG, generate_instances
-from oracles import (degree, descent_witness, evaluate_warshall,
-                     find_counter_model_brute, invalidates, iter_models,
-                     minimal_chain)
+from oracles import (NoCounterexample, NotAnRtcFormula, degree, descent_witness,
+                     evaluate_warshall, find_counter_model_brute, invalidates,
+                     iter_models, minimal_chain)
 
 SIG = Signature.make(predicates={"E": 2, "q": 1, "r0": 0})
 
