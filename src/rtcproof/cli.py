@@ -13,7 +13,8 @@ import argparse
 import sys
 
 from .errors import BudgetExceeded, RtcError
-from .prooffile import (ProofFile, load_theory, parse_proof, serialize_proof)
+from .prooffile import (ProofFile, TheoryFile, load_theory, parse_proof,
+                        serialize_proof)
 from .proofgraph import validate_structure
 from .prover import Proved, Refuted, SearchConfig, prove
 from .render import to_dot, to_latex
@@ -42,27 +43,41 @@ def _write_output(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _resolve_theory(args, file_theory_name: str | None):
-    name = getattr(args, "theory", None) or file_theory_name
-    if name is None:
-        return None
-    return load_theory(name)
+_NO_THEORY = TheoryFile(None, Signature.make(), ())
 
 
-def _merged_sig(base: Signature, theory) -> Signature:
-    return base.merge(theory.signature) if theory is not None else base
+def _load_valid_proof(args) -> ProofFile | None:
+    """The proof file, validated under the theory of --theory or else of the
+    file; None after printing the faults found."""
+    with open(args.proof, encoding="utf-8") as fh:
+        pf = parse_proof(fh.read())
+    name = args.theory or pf.theory_name
+    theory = load_theory(name) if name else _NO_THEORY
+    errors = validate_structure(pf.graph, theory.axioms,
+                                pf.signature.merge(theory.signature))
+    for e in errors:
+        print(e)
+    return None if errors else pf
+
+
+def _parse_goal(args):
+    """The goal sequent, the signature it is read under, and the theory of
+    --theory, if any."""
+    theory = load_theory(args.theory) if args.theory else _NO_THEORY
+    goal, sig = parse_sequent_infer(_read_input(args.goal), theory.signature)
+    return goal, sig, theory
+
+
+def _print_model(model, valuation) -> None:
+    print(model.dump())
+    if valuation:
+        vals = ", ".join(f"{k} = {v}" for k, v in sorted(valuation.items()))
+        print(f"valuation {{ {vals} }}")
 
 
 def cmd_check(args) -> int:
-    with open(args.proof, encoding="utf-8") as fh:
-        pf = parse_proof(fh.read())
-    theory = _resolve_theory(args, pf.theory_name)
-    sig = _merged_sig(pf.signature, theory)
-    axioms = theory.axioms if theory else ()
-    errors = validate_structure(pf.graph, axioms, sig)
-    if errors:
-        for e in errors:
-            print(e)
+    pf = _load_valid_proof(args)
+    if pf is None:
         print("invalid")
         return EXIT_NEGATIVE
     report = check_global_trace_condition(pf.graph)
@@ -84,41 +99,28 @@ def cmd_check(args) -> int:
 
 
 def cmd_prove(args) -> int:
-    theory = _resolve_theory(args, None)
-    base = _merged_sig(Signature.make(), theory)
-    goal, sig = parse_sequent_infer(_read_input(args.goal), base)
+    goal, sig, theory = _parse_goal(args)
     cfg = SearchConfig(max_depth=args.depth, max_nodes=args.max_nodes,
-                       theory=theory.axioms if theory else (), sig=sig,
-                       refute_size=args.model_size)
+                       theory=theory.axioms, sig=sig, refute_size=args.model_size)
     outcome = prove(goal, cfg)
     if isinstance(outcome, Proved):
-        text = serialize_proof(ProofFile(outcome.graph, sig,
-                                         theory.name if theory else None))
+        text = serialize_proof(ProofFile(outcome.graph, sig, theory.name))
         cycles = enumerate_basic_cycles(outcome.graph)
         print(f"proved; {len(outcome.graph.nodes)} nodes; {len(cycles)} cycle(s)")
-        if args.out:
-            _write_output(text, args.out)
-        else:
-            sys.stdout.write(text)
+        _write_output(text, args.out)
         return EXIT_OK
     if isinstance(outcome, Refuted):
         print("refuted; counter-model found:")
-        print(outcome.model.dump())
-        if outcome.valuation:
-            vals = ", ".join(f"{k} = {v}" for k, v in sorted(outcome.valuation.items()))
-            print(f"valuation {{ {vals} }}")
+        _print_model(outcome.model, outcome.valuation)
         return EXIT_NEGATIVE
     print(f"unknown ({outcome.reason})")
     return EXIT_UNKNOWN
 
 
 def cmd_refute(args) -> int:
-    theory = _resolve_theory(args, None)
-    base = _merged_sig(Signature.make(), theory)
-    goal, sig = parse_sequent_infer(_read_input(args.goal), base)
+    goal, sig, theory = _parse_goal(args)
     try:
-        found = find_counter_model(goal, args.model_size,
-                                   theory.axioms if theory else (), sig)
+        found = find_counter_model(goal, args.model_size, theory.axioms, sig)
     except BudgetExceeded as exc:
         print(f"unknown (budget): {exc}")
         return EXIT_UNKNOWN
@@ -126,24 +128,13 @@ def cmd_refute(args) -> int:
         print(f"no counter-model up to size {args.model_size}"
               " (not a validity proof)")
         return EXIT_UNKNOWN
-    model, valuation = found
-    print(model.dump())
-    if valuation:
-        vals = ", ".join(f"{k} = {v}" for k, v in sorted(valuation.items()))
-        print(f"valuation {{ {vals} }}")
+    _print_model(*found)
     return EXIT_NEGATIVE
 
 
 def cmd_translate_ind(args) -> int:
-    with open(args.proof, encoding="utf-8") as fh:
-        pf = parse_proof(fh.read())
-    theory = _resolve_theory(args, pf.theory_name)
-    sig = _merged_sig(pf.signature, theory)
-    axioms = theory.axioms if theory else ()
-    errors = validate_structure(pf.graph, axioms, sig)
-    if errors:
-        for e in errors:
-            print(e)
+    pf = _load_valid_proof(args)
+    if pf is None:
         return EXIT_NEGATIVE
     out = explicit_to_cyclic(pf.graph)
     _write_output(serialize_proof(ProofFile(out, pf.signature, pf.theory_name)),

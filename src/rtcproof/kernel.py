@@ -10,7 +10,8 @@ weakening is explicit.
 
 `SCHEMA` states each rule's shape once: its premise count, the side and
 class of its principal formula, the message for a principal of another
-class, and whether it takes an eigenvariable or a witness term.
+class, and the parameters it takes besides its principal; an instance
+that sets any other parameter fails `check_rule_instance`.
 `expected_premises` finds, checks and removes the principal from the table
 before it builds the premises, and the prover selects its moves by it.
 """
@@ -63,7 +64,7 @@ class Schema(NamedTuple):
     side: str | None = None      # the conclusion side holding the principal
     cls: type | None = None      # the principal's class; None admits any
     wrong: str = ""              # NotApplicable text for another class
-    takes: str | None = None     # "eigenvar" or "witness"
+    params: tuple[str, ...] = ()  # RuleParams fields taken besides the principal
 
 
 ANT, SUC = "antecedent", "succedent"
@@ -80,22 +81,24 @@ SCHEMA: dict[RuleId, Schema] = {
     RuleId.ImpR: Schema(1, SUC, Implies, "ImpR principal must be an implication"),
     RuleId.NotL: Schema(1, ANT, Not, "NotL principal must be a negation"),
     RuleId.NotR: Schema(1, SUC, Not, "NotR principal must be a negation"),
-    RuleId.ExL: Schema(1, ANT, Exists, "ExL principal must be existential", "eigenvar"),
-    RuleId.ExR: Schema(1, SUC, Exists, "ExR principal must be existential", "witness"),
-    RuleId.AllL: Schema(1, ANT, Forall, "AllL principal must be universal", "witness"),
-    RuleId.AllR: Schema(1, SUC, Forall, "AllR principal must be universal", "eigenvar"),
-    RuleId.EqL1: Schema(1, ANT, Eq, "equality rules need an equation principal"),
-    RuleId.EqL2: Schema(1, ANT, Eq, "equality rules need an equation principal"),
+    RuleId.ExL: Schema(1, ANT, Exists, "ExL principal must be existential", ("eigenvar",)),
+    RuleId.ExR: Schema(1, SUC, Exists, "ExR principal must be existential", ("witness",)),
+    RuleId.AllL: Schema(1, ANT, Forall, "AllL principal must be universal", ("witness",)),
+    RuleId.AllR: Schema(1, SUC, Forall, "AllR principal must be universal", ("eigenvar",)),
+    RuleId.EqL1: Schema(1, ANT, Eq, "equality rules need an equation principal", ("template",)),
+    RuleId.EqL2: Schema(1, ANT, Eq, "equality rules need an equation principal", ("template",)),
     RuleId.EqR: Schema(0),
-    RuleId.Cut: Schema(2),
-    RuleId.Subst: Schema(1),
+    RuleId.Cut: Schema(2, params=("cut_formula", "cut_left", "cut_right")),
+    RuleId.Subst: Schema(1, params=("substitution", "source")),
     RuleId.RtcRefl: Schema(0, SUC, Rtc, "RtcRefl principal must be an rtc formula"),
-    RuleId.RtcStep: Schema(2, SUC, Rtc, "RtcStep principal must be an rtc formula", "witness"),
-    RuleId.RtcInd: Schema(1, ANT, Rtc, "RtcInd principal must be an rtc formula", "eigenvar"),
-    RuleId.RtcCase: Schema(2, ANT, Rtc, "RtcCase principal must be an rtc formula", "eigenvar"),
+    RuleId.RtcStep: Schema(2, SUC, Rtc, "RtcStep principal must be an rtc formula", ("witness",)),
+    RuleId.RtcInd: Schema(1, ANT, Rtc, "RtcInd principal must be an rtc formula",
+                          ("template", "eigenvar", "eigenvar2")),
+    RuleId.RtcCase: Schema(2, ANT, Rtc, "RtcCase principal must be an rtc formula",
+                           ("eigenvar",)),
     # the pairing rules check the signature, then find their principal themselves
-    RuleId.PairInj: Schema(1),
-    RuleId.PairConstAx: Schema(0),
+    RuleId.PairInj: Schema(1, params=("principal",)),
+    RuleId.PairConstAx: Schema(0, params=("principal",)),
     RuleId.TheoryAxiom: Schema(0),
 }
 
@@ -322,11 +325,16 @@ def _check_fresh(z: str, context: Sequent, principal: Formula) -> None:
 def check_rule_instance(r: RuleInstance, theory: tuple[Sequent, ...] = (),
                         sig: Signature | None = None) -> None:
     """Raise SchemaMismatch / FreshnessViolation / UnknownTheoryAxiom unless
-    the instance fits its rule schema exactly."""
-    expected_count = SCHEMA[r.rule].premises
-    if len(r.premises) != expected_count:
+    the instance fits its rule schema exactly and sets no parameter the rule
+    does not take."""
+    schema = SCHEMA[r.rule]
+    if len(r.premises) != schema.premises:
         raise SchemaMismatch(
-            f"{r.rule.value} takes {expected_count} premises, got {len(r.premises)}")
+            f"{r.rule.value} takes {schema.premises} premises, got {len(r.premises)}")
+    for name in RuleParams.__dataclass_fields__:
+        if (getattr(r.params, name) is not None and name not in schema.params
+                and (name != "principal" or schema.side is None)):
+            raise SchemaMismatch(f"{r.rule.value} takes no {name} parameter")
     try:
         expected = expected_premises(r.rule, r.conclusion, r.params, theory, sig)
     except NotApplicable as exc:

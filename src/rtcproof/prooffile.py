@@ -38,7 +38,7 @@ from .syntax import (Formula, Sequent, Signature, Term, _Parser, parse_sequent,
 
 @dataclass(frozen=True)
 class TheoryFile:
-    name: str
+    name: str | None            # None for the empty theory
     signature: Signature
     axioms: tuple[Sequent, ...]
 
@@ -260,27 +260,31 @@ def _params_text(params: RuleParams, sig: Signature) -> str:
     return "{" + " ; ".join(out) + "}"
 
 
-def _parse_param(p: _Parser) -> tuple[str, object]:
-    """One `key=value` of a params list, as (RuleParams field, value)."""
+def _parse_param(p: _Parser, params: dict[str, object]) -> None:
+    """One `key=value` of a params list, stored in params under its
+    RuleParams field; a key may appear once."""
+    pos = p.peek()[2]
     key = p.expect_ident()
     p.expect("=")
     if key not in _PARAM_KEYS:
         raise ParseError(p.peek()[2], f"unknown parameter {key!r}")
     field, kind = _PARAM_KEYS[key]
+    if field in params:
+        raise ParseError(pos, f"repeated parameter {key!r}")
     opening, closing, _, parse = _KINDS[kind]
     if opening:
         p.expect(opening)
-    value = parse(p)
+    params[field] = parse(p)
     if closing:
         p.expect(closing)
-    return field, value
 
 
 def _parse_params(p: _Parser) -> RuleParams:
     p.expect("{")
-    params = RuleParams(**dict(_separated(p, _parse_param, ";", "}")))
+    params: dict[str, object] = {}
+    _separated(p, lambda p: _parse_param(p, params), ";", "}")
     p.expect("}")
-    return params
+    return RuleParams(**params)
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,18 @@ A node is either internal (carries a rule id and parameters; its premises
 are its children's sequents, in order) or a bud: an open leaf pointing back
 at a syntactically equal internal node, its companion.  Each fact is stored
 once: `ProofGraph.instance` assembles a node's rule instance from the node
-and its children.  `validate_structure` checks the graph invariants plus
-every rule instance; `edge_trace_steps` gives the trace pairs between
-antecedent rtc formulas across one premise of a rule.  `weakenings` is the
-one chain of WL and WR steps that grows a sequent to a larger one.
+and its children, and `ProofGraph.unfold` is the one walk over the tree
+unfolding.  `validate_structure` checks the graph invariants plus every
+rule instance; `edge_trace_steps` gives the trace pairs between antecedent
+rtc formulas across one premise of a rule.  `weakenings` is the one chain of
+WL and WR steps that grows a sequent to a larger one; proofs are built
+through `GraphBuilder`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Iterator
 
 from .errors import RtcError, SchemaMismatch
 from .kernel import (RuleId, RuleInstance, RuleParams, check_rule_instance,
@@ -51,6 +54,27 @@ class ProofGraph:
         return RuleInstance(node.rule, node.sequent,
                             tuple(self.nodes[c].sequent for c in node.children),
                             node.params)
+
+    def unfold(self) -> Iterator[int]:
+        """The node ids of the tree unfolding in post-order, each node after
+        its children and a bud as a leaf; RtcError on a missing node or on a
+        cycle of premise links, whose unfolding never ends."""
+        stack = [(self.root, False)]
+        path: set[int] = set()   # the expanded nodes on the stack: ancestors
+        while stack:
+            nid, expanded = stack.pop()
+            if nid not in self.nodes:
+                raise RtcError(f"node {nid} does not exist")
+            node = self.nodes[nid]
+            if not (node.is_bud or expanded):
+                if nid in path:
+                    raise RtcError(f"premise links through node {nid} form a cycle")
+                path.add(nid)
+                stack.append((nid, True))
+                stack.extend((cid, False) for cid in reversed(node.children))
+                continue
+            path.discard(nid)
+            yield nid
 
 
 @dataclass(frozen=True)

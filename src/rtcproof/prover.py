@@ -228,7 +228,7 @@ def _principal_moves(seq: Sequent, cfg: SearchConfig, phases,
     for side, rules in phases:
         for f in getattr(seq, side):
             rid = rules.get(f.__class__)
-            if rid is not None and SCHEMA[rid].takes == "eigenvar":
+            if rid is not None and "eigenvar" in SCHEMA[rid].params:
                 z = fresh_name(seq.free_vars(), hint="_v")
                 yield from _rule(rid, seq, cfg, principal=f, eigenvar=z)
             elif rid is not None:

@@ -6,7 +6,6 @@ precedence and parenthesisation rules live in `syntax` alone.
 
 from __future__ import annotations
 
-from .errors import RtcError
 from .proofgraph import ProofGraph, edge_trace_steps
 from .syntax import (And, App, Bot, Eq, Exists, Forall, Implies, Not, Notation,
                      Or, Rtc, Sequent, Signature, Top, pretty, pretty_sequent)
@@ -66,23 +65,9 @@ def to_latex(g: ProofGraph, sig: Signature | None = None) -> str:
     dagger = {cid: i + 1 for i, cid in enumerate(companions)}
     lines = [r"% requires \usepackage{bussproofs}", r"\begin{prooftree}"]
 
-    # post-order over the tree unfolding: a node's lines follow its children's;
-    # path holds the expanded nodes still on the stack, the current ancestors
-    stack = [(g.root, False)]
-    path: set[int] = set()
-    while stack:
-        nid, expanded = stack.pop()
-        if nid not in g.nodes:
-            raise RtcError(f"node {nid} does not exist")
+    # a node's lines follow its children's
+    for nid in g.unfold():
         node = g.nodes[nid]
-        if not (node.is_bud or expanded):
-            if nid in path:
-                raise RtcError(f"premise links through node {nid} form a cycle")
-            path.add(nid)
-            stack.append((nid, True))
-            stack.extend((cid, False) for cid in reversed(node.children))
-            continue
-        path.discard(nid)
         seq = latex_sequent(node.sequent, sig)
         if node.is_bud:
             mark = rf"\dagger_{dagger[node.companion]}"

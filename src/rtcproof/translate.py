@@ -1,8 +1,9 @@
 """Syntactic translations.
 
-* `derive_induction` builds the cyclic derivation that simulates the
-  explicit induction rule: a Subst / RtcCase / Cut / Subst cycle around a
-  companion, leaving the induction-step sequent as the single open premise.
+* `derive_induction` adds to a `GraphBuilder` the cyclic derivation that
+  simulates the explicit induction rule: a Subst / RtcCase / Cut / Subst
+  cycle around a companion, whose step Subst rests on the caller's proof of
+  the induction-step sequent.
 * `explicit_to_cyclic` rewrites a finite proof using explicit induction into
   a cyclic proof with one cycle per eliminated induction node.
 * `beta_translate` eliminates the transitive-closure operator over the
@@ -12,12 +13,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import (FreshnessViolation, MissingPairSymbol, NotApplicable,
                      SignatureMismatch, VariableClash)
 from .kernel import RuleId, make_subst, rule_instance
-from .proofgraph import GraphBuilder, ProofGraph, ProofNode, renumber
+from .proofgraph import GraphBuilder, ProofGraph, renumber
 from .syntax import (And, App, Const, Eq, Exists, Forall, Formula, Implies,
                      Not, Or, Pred, Rtc, Sequent, Signature, Term, Var,
                      all_names, formula_subterms, free_vars, fresh_name,
@@ -36,48 +37,16 @@ def _pick(hints: tuple[str, ...], taken: set[str]) -> list[str]:
     return out
 
 
-@dataclass
-class Fragment:
-    """A proof graph with one open premise, to be closed by a subproof."""
+def derive_induction(b: GraphBuilder, gamma: tuple[Formula, ...],
+                     delta: tuple[Formula, ...], phi: Formula, psi: Formula,
+                     x: str, y: str, s: Term, t: Term, step: int) -> int:
+    """Add to b the cyclic simulation of the explicit induction rule and
+    return the id of its root.
 
-    nodes: dict[int, ProofNode]
-    root: int
-    open_id: int
-    open_sequent: Sequent
-
-    def close(self, subproof: ProofGraph) -> ProofGraph:
-        """Splice subproof (whose end-sequent must equal the open premise)."""
-        nodes = dict(subproof.nodes)
-        root = self.graft(nodes, max(subproof.nodes) + 1, subproof.root)
-        return renumber(ProofGraph(nodes, root))
-
-    def graft(self, nodes: dict[int, ProofNode], base: int, sub_root: int) -> int:
-        """Copy the fragment into nodes at ids base + i, its open premise
-        replaced by the node sub_root of nodes; returns the new root id."""
-        if nodes[sub_root].sequent != self.open_sequent:
-            raise NotApplicable(
-                f"subproof concludes {nodes[sub_root].sequent}, "
-                f"fragment needs {self.open_sequent}")
-
-        def new_id(old: int) -> int:
-            return sub_root if old == self.open_id else base + old
-
-        for old, node in self.nodes.items():
-            if old != self.open_id:
-                nodes[base + old] = replace(
-                    node, children=tuple(new_id(c) for c in node.children),
-                    companion=None if node.companion is None else new_id(node.companion))
-        return base + self.root
-
-
-def derive_induction(gamma: tuple[Formula, ...], delta: tuple[Formula, ...],
-                     phi: Formula, psi: Formula, x: str, y: str,
-                     s: Term, t: Term) -> Fragment:
-    """Cyclic simulation of the explicit induction rule.
-
-    Root conclusion: Γ, ψ[s/x], (rtc x y. φ)(s, t) |- Δ, ψ[t/x], with the
-    induction-step sequent Γ, ψ, φ |- Δ, ψ[y/x] as the one open premise.
-    phi and psi are given with their free variables x (and y for phi).
+    Root conclusion: Γ, ψ[s/x], (rtc x y. φ)(s, t) |- Δ, ψ[t/x]. The
+    induction step Γ, ψ, φ |- Δ, ψ[y/x] is the caller's node `step`, which
+    must already be in b. phi and psi are given with their free variables x
+    (and y for phi).
     """
     ctx = Sequent(gamma, delta)
     ctx_vars = ctx.free_vars()
@@ -87,6 +56,10 @@ def derive_induction(gamma: tuple[Formula, ...], delta: tuple[Formula, ...],
         raise FreshnessViolation(x, "occurs free in the context")
     if y in ctx_vars | (free_vars(psi) - {x}):
         raise FreshnessViolation(y, "occurs free in the context or template")
+    step_seq = Sequent(gamma + (psi, phi), delta + (substitute(psi, {x: Var(y)}),))
+    if b.nodes[step].sequent != step_seq:
+        raise NotApplicable(f"step node concludes {b.nodes[step].sequent}, "
+                            f"induction step is {step_seq}")
 
     v, w, z = _pick(("v", "w", "z"), ctx_vars | free_vars(phi) | free_vars(psi)
                     | term_vars(s) | term_vars(t) | {x, y})
@@ -101,10 +74,6 @@ def derive_induction(gamma: tuple[Formula, ...], delta: tuple[Formula, ...],
 
     companion_seq = Sequent(gamma + (psi_v, closure), delta + (psi_w,))
     root_seq = Sequent(gamma + (psi_s, Rtc(x, y, phi, s, t)), delta + (psi_t,))
-    open_seq = Sequent(gamma + (psi, phi), delta + (substitute(psi, {x: Var(y)}),))
-
-    b = GraphBuilder()
-    root = b.reserve()
     companion = b.reserve()
 
     # left case branch: v = w, close by rewriting psi[v/x] into psi[w/x]
@@ -129,21 +98,18 @@ def derive_induction(gamma: tuple[Formula, ...], delta: tuple[Formula, ...],
     bud = b.add_bud(companion_seq, companion)
     n_back = b.add_internal(sub_back, (bud,))
 
-    # cut premise 1: substitute x := z, y := w in the open induction step
+    # cut premise 1: substitute x := z, y := w in the induction step
     sub_step = rule_instance(RuleId.Subst, cut.premises[1],
                              substitution=make_subst({x: Var(z), y: Var(w)}),
-                             source=open_seq)
-    open_id = b.reserve()
-    n_step = b.add_internal(sub_step, (open_id,))
+                             source=step_seq)
+    n_step = b.add_internal(sub_step, (step,))
 
     n_cut = b.add_internal(cut, (n_back, n_step))
     b.fill_internal(companion, case, (n_eq, n_cut))
     root_rule = rule_instance(RuleId.Subst, root_seq,
                               substitution=make_subst({v: s, w: t}),
                               source=companion_seq)
-    b.fill_internal(root, root_rule, (companion,))
-    b.nodes[open_id] = ProofNode(open_seq)  # placeholder
-    return Fragment(b.nodes, root, open_id, open_seq)
+    return b.add_internal(root_rule, (companion,))
 
 
 def explicit_to_cyclic(p: ProofGraph) -> ProofGraph:
@@ -155,42 +121,26 @@ def explicit_to_cyclic(p: ProofGraph) -> ProofGraph:
     if any(node.is_bud for node in p.nodes.values()):
         raise NotApplicable("input proof must be finite (no buds)")
 
-    nodes: dict[int, ProofNode] = {}
-    done: list[int] = []   # new ids of translated subtrees, in post-order
-    base = 0               # the next free id
-    # post-order over the tree unfolding: a node after all its children
-    stack = [(p.root, False)]
-    while stack:
-        nid, expanded = stack.pop()
+    b = GraphBuilder()
+    done: list[int] = []   # ids in b of translated subtrees, in post-order
+    for nid in p.unfold():
         node = p.nodes[nid]
-        if not expanded:
-            stack.append((nid, True))
-            stack.extend((c, False) for c in reversed(node.children))
-            continue
-        kids = done[len(done) - len(node.children):]
+        kids = tuple(done[len(done) - len(node.children):])
         del done[len(done) - len(node.children):]
         if node.rule is not RuleId.RtcInd:
-            nodes[base] = replace(node, children=tuple(kids))
-            done.append(base)
-            base += 1
+            done.append(b.add_internal(p.instance(nid), kids))
             continue
-        params = node.params
-        prin: Rtc = params.principal
-        psi_tmpl, tvar = params.template
-        x, y = params.eigenvar, params.eigenvar2
-        psi_x = substitute(psi_tmpl, {tvar: Var(x)})
-        phi_xy = substitute(prin.body, {prin.x: Var(x), prin.y: Var(y)})
-        concl = node.sequent
-        psi_s = substitute(psi_tmpl, {tvar: prin.src})
-        psi_t = substitute(psi_tmpl, {tvar: prin.dst})
-        gamma = tuple(f for f in concl.antecedent if f not in (psi_s, prin))
-        delta = tuple(f for f in concl.succedent if f != psi_t)
-        frag = derive_induction(gamma, delta, phi_xy, psi_x, x, y,
-                                prin.src, prin.dst)
-        done.append(frag.graft(nodes, base, kids[0]))
-        base += max(frag.nodes) + 1
+        prin: Rtc = node.params.principal
+        psi, tvar = node.params.template
+        x, y = node.params.eigenvar, node.params.eigenvar2
+        psi_s, psi_t = (substitute(psi, {tvar: e}) for e in (prin.src, prin.dst))
+        gamma = tuple(f for f in node.sequent.antecedent if f not in (psi_s, prin))
+        delta = tuple(f for f in node.sequent.succedent if f != psi_t)
+        done.append(derive_induction(
+            b, gamma, delta, substitute(prin.body, {prin.x: Var(x), prin.y: Var(y)}),
+            substitute(psi, {tvar: Var(x)}), x, y, prin.src, prin.dst, kids[0]))
 
-    return renumber(ProofGraph(nodes, done[0]))
+    return renumber(b.graph(done[0]))
 
 
 # ---------------------------------------------------------------------------

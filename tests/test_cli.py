@@ -199,6 +199,9 @@ BAD_GRAPHS = {
     "root_is_bud": ("root 0", "root 7", unreachable(0, 1, 2, 3, 4, 5, 6, 8, 9, 10)),
     "missing_root": ("root 0", "root 77",
                      ["BadPremiseLink at node 77: root node does not exist"]),
+    "unused_params": ("rule=Axiom ; params={}", "rule=Axiom ; params={principal=(p(0))"
+                      " ; witness=(n) ; eigenvar=zz}",
+                      ["KernelError at node 2: Axiom takes no principal parameter"]),
 }
 
 
@@ -294,6 +297,8 @@ PARAM_EDITS = {
     "params_no_semicolon": ("nat_p.tcp", "principal=(0 = n) ; template=",
                             "principal=(0 = n) template=",
                             "error: line 6, offset 69: expected '}', found 'template'"),
+    "repeated_key": ("nat_p.tcp", "principal=(0 = n) ;", "principal=(p(0)) ; principal=(0 = n) ;",
+                     "error: line 6, offset 70: repeated parameter 'principal'"),
 }
 
 
@@ -458,6 +463,22 @@ def test_render_dot_and_text(capsys):
     # the text format is the file format: a corpus file renders as itself
     assert main(["render", "--format", "text", corpus_path("nat_p.tcp")]) == 0
     with open(corpus_path("nat_p.tcp"), encoding="utf-8") as fh:
+        assert capsys.readouterr() == (fh.read(), "")
+
+
+# golden files recorded before explicit_to_cyclic and to_latex shared
+# ProofGraph.unfold: translate_ind_<name>.out per explicit-induction corpus
+# file, and the LaTeX of the two-cycle corpus proof
+@pytest.mark.parametrize("name", ["double", "extend", "step_theory"])
+def test_translate_ind_golden(name, capsys):
+    assert main(["translate-ind", corpus_path(f"ind_{name}.tcp")]) == 0
+    with open(os.path.join(GOLDEN, f"translate_ind_{name}.out"), encoding="utf-8") as fh:
+        assert capsys.readouterr() == (fh.read(), "")
+
+
+def test_render_tex_golden(capsys):
+    assert main(["render", "--format", "tex", corpus_path("two_loops.tcp")]) == 0
+    with open(os.path.join(GOLDEN, "render_two_loops.tex"), encoding="utf-8") as fh:
         assert capsys.readouterr() == (fh.read(), "")
 
 

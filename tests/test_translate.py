@@ -3,9 +3,11 @@ import itertools
 import pytest
 
 from rtcproof.errors import (FreshnessViolation, MissingPairSymbol,
-                             SignatureMismatch, VariableClash)
-from rtcproof.kernel import RuleId, rule_instance
-from rtcproof.proofgraph import GraphBuilder, validate_structure
+                             NotApplicable, RtcError, SignatureMismatch,
+                             VariableClash)
+from rtcproof.kernel import RuleId, RuleParams, rule_instance
+from rtcproof.proofgraph import (GraphBuilder, ProofGraph, ProofNode,
+                                 validate_structure)
 from rtcproof.prooffile import load_theory
 from rtcproof.syntax import (And, App, Const, Eq, Exists, Forall, Implies,
                              Not, Or, Pred, Rtc, Signature, Var,
@@ -25,23 +27,33 @@ def F(text, sig=SIG):
     return parse_formula(text, sig)
 
 
-class TestDeriveInduction:
-    def test_fragment_shape(self):
-        frag = derive_induction((), (), F("E(x, y)"), F("p(x)"), "x", "y",
-                                Var("a"), Var("b"))
-        root = frag.nodes[frag.root]
-        assert root.sequent == parse_sequent(
-            "p(a), (rtc x y. E(x, y))(a, b) |- p(b)", SIG)
-        assert frag.open_sequent == parse_sequent("p(x), E(x, y) |- p(y)", SIG)
+STEP = "p(x), E(x, y) |- p(y)"
 
-    def test_closed_fragment_accepted(self):
-        frag = derive_induction((), (), F("E(x, y)"), F("p(x)"), "x", "y",
-                                Var("a"), Var("b"))
-        step_ax = parse_sequent("p(x), E(x, y) |- p(y)", SIG)
-        b = GraphBuilder()
-        leaf = b.add_internal(rule_instance(RuleId.TheoryAxiom, frag.open_sequent,
-                                            theory=(step_ax,)))
-        g = frag.close(b.graph(leaf))
+
+def build_induction(step_text=STEP, gamma=(), x="x"):
+    """The graph that derive_induction builds for (rtc x y. E(x, y))(a, b)
+    and template p(x) on a theory-axiom leaf for step_text; the leaf's id;
+    step_text as a sequent."""
+    step_ax = parse_sequent(step_text, SIG)
+    b = GraphBuilder()
+    leaf = b.add_internal(rule_instance(RuleId.TheoryAxiom, step_ax,
+                                        theory=(step_ax,)))
+    root = derive_induction(b, gamma, (), F("E(x, y)"), F("p(x)"), x, "y",
+                            Var("a"), Var("b"), leaf)
+    return b.graph(root), leaf, step_ax
+
+
+class TestDeriveInduction:
+    def test_root_and_step_sequents(self):
+        g, leaf, _ = build_induction()
+        assert g.end_sequent() == parse_sequent(
+            "p(a), (rtc x y. E(x, y))(a, b) |- p(b)", SIG)
+        (parent,) = [n for n in g.nodes.values() if leaf in n.children]
+        assert parent.rule is RuleId.Subst
+        assert parent.params.source == parse_sequent(STEP, SIG)
+
+    def test_built_proof_accepted(self):
+        g, _, step_ax = build_induction()
         assert validate_structure(g, (step_ax,), SIG) == []
         assert check_global_trace_condition(g).accepted
         assert len(enumerate_basic_cycles(g)) == 1
@@ -49,13 +61,7 @@ class TestDeriveInduction:
 
     def test_cycle_progresses_once_per_loop(self):
         from rtcproof.tracecheck import flow_edges
-        frag = derive_induction((), (), F("E(x, y)"), F("p(x)"), "x", "y",
-                                Var("a"), Var("b"))
-        step_ax = parse_sequent("p(x), E(x, y) |- p(y)", SIG)
-        b = GraphBuilder()
-        leaf = b.add_internal(rule_instance(RuleId.TheoryAxiom, frag.open_sequent,
-                                            theory=(step_ax,)))
-        g = frag.close(b.graph(leaf))
+        g, _, _ = build_induction()
         (cycle,) = enumerate_basic_cycles(g)
         edges = {(e.src, e.dst): e.matrix for e in flow_edges(g)}
         mat = None
@@ -66,8 +72,11 @@ class TestDeriveInduction:
 
     def test_freshness_errors(self):
         with pytest.raises(FreshnessViolation):
-            derive_induction((F("p(u)"),), (), F("E(x, y)"), F("p(x)"),
-                             "u", "y", Var("a"), Var("b"))
+            build_induction(gamma=(F("p(u)"),), x="u")
+
+    def test_rejects_step_of_another_sequent(self):
+        with pytest.raises(NotApplicable, match="step node concludes"):
+            build_induction("p(y), E(x, y) |- p(x)")
 
 
 class TestExplicitToCyclic:
@@ -96,8 +105,15 @@ class TestExplicitToCyclic:
 
     def test_rejects_buds(self, corpus_graphs):
         g = corpus_graphs["transitivity.tcp"][0]
-        from rtcproof.errors import NotApplicable
         with pytest.raises(NotApplicable):
+            explicit_to_cyclic(g)
+
+    def test_rejects_premise_cycle(self):
+        # a WL whose premise is itself has no bud, but its unfolding never ends
+        seq = parse_sequent("p(a), p(b) |- p(a)", SIG)
+        g = ProofGraph({0: ProofNode(seq, RuleId.WL, RuleParams(principal=F("p(b)")),
+                                     (0,))}, 0)
+        with pytest.raises(RtcError, match="premise links through node 0 form a cycle"):
             explicit_to_cyclic(g)
 
 
