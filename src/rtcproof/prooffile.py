@@ -19,6 +19,15 @@ Theory file:
 A `sig` or `theory` value of `-` means empty/none.  Blank lines and lines
 starting with `#` are ignored.  Every other line starts with a keyword; a
 malformed line raises a ParseError naming it, offsets counting from its start.
+
+A proof repeats its formulas: a Subst node's `source` repeats its premise's
+sequent, and the nodes of a cycle repeat their companion's context.
+`parse_proof` therefore reads the node lines, in file order, with one
+formula memo (see `syntax`), dropped when it returns.  Each distinct
+formula text is parsed once per file, and text found in the memo is not
+even tokenised.  This is exact: under the file's one signature the same
+text parses to the same formula, and a text that raises is never stored,
+so an error is still reported at the first line it occurs on.
 """
 
 from __future__ import annotations
@@ -226,7 +235,7 @@ def _parse_subst(p: _Parser) -> tuple[tuple[str, Term], ...]:
 # kind -> (opening bracket, closing bracket, printer, parser of what lies between)
 _KINDS = {
     "ident": ("", "", lambda x, sig: x, _Parser.expect_ident),
-    "formula": ("(", ")", pretty, _Parser.formula),
+    "formula": ("(", ")", pretty, _Parser.top_formula),
     "term": ("(", ")", pretty_term, _Parser.term),
     "sequent": ("(", ")", pretty_sequent, _Parser.sequent),
     "template": ("(", ")", lambda fx, sig: f"({pretty(fx[0], sig)}), {fx[1]}",
@@ -369,9 +378,10 @@ def parse_proof(text: str) -> ProofFile:
         raise RtcError("missing 'root' line")
 
     nodes: dict[int, ProofNode] = {}
+    memo: dict[str, Formula] = {}
     for nid, (lineno, at, body) in bodies.items():
         with _on_line(lineno, at):
-            p = _Parser(body, sig)
+            p = _Parser(body, sig, memo=memo)
             nodes[nid] = _parse_node(p)
             if not p.at_eof():
                 raise ParseError(p.peek()[2], "trailing input after node")

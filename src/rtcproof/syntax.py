@@ -22,6 +22,22 @@ because each constructor means something different there: `_formula_key`
 The parser checks each symbol against the signature as it reads it; the
 tests keep an independent check, `validate_formula` in `tests/oracles.py`.
 
+Tokens are read on demand, but each text is first matched whole against
+`_TOKENS_RE`, so that a character that starts no token is still reported
+before any syntax error, at its own offset.  A parser's `memo` maps the
+text of a formula read at nesting depth 0 (each formula of a sequent, each
+formula parameter of a proof line) to the formula parsed from it, and a
+text found there is skipped without being tokenised.  `_formula_end` finds
+where such a text ends by a scan over delimiters alone, and a parse is
+stored only when it stops exactly there.  The memo is exact: how the
+parser reads a formula at depth 0 depends on the formula's tokens and on
+the one token after it, and the delimiters `_formula_end` stops at are none
+of the tokens the parser reads on at (a binary connective, `(` or `=`).
+Under one signature the same text thus gives the same formula, and a text
+that raises is never stored.  In inference mode the symbols a text declared
+stay declared in the roles it gave them, so a second reading makes the same
+choices.  `prooffile.parse_proof` shares one memo across a file's lines.
+
 Concrete grammar (ASCII):
 
     term  := ident | ident "(" term ("," term)* ")" | "<" term "," term ">"
@@ -529,34 +545,69 @@ _TOO_DEEP = f"formula nested more than {MAX_DEPTH} levels deep"
 # ---------------------------------------------------------------------------
 # Parsing
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<sym>\|-|->|/\\|\\/|:=|[()\[\]{},.=~<>;/-])
-  | (?P<ident>[A-Za-z0-9_][A-Za-z0-9_']*)
-""", re.VERBOSE)
+# one token after any whitespace, and a whole text of tokens and whitespace
+_SYM = r"\|-|->|/\\|\\/|:=|[()\[\]{},.=~<>;/-]"
+_IDENT = r"[A-Za-z0-9_][A-Za-z0-9_']*"
+_TOKEN_RE = re.compile(rf"\s*(?:(?P<sym>{_SYM})|(?P<ident>{_IDENT}))")
+_TOKENS_RE = re.compile(rf"(?:\s*(?:{_SYM}|{_IDENT}))*\s*")
+# the tokens that end a top-level formula or open or close a level; `->` is
+# matched so that its `>` is not taken for a bracket
+_DELIM_RE = re.compile(r"->|\|-|[(),;<>]")
 
 _KEYWORDS = {"forall", "exists", "rtc", "bot", "top"}
 
 
+def _check_tokens(text: str) -> None:
+    """ParseError at the first character of text that starts no token.
+    `match` stops where reading tokens one by one does, without
+    backtracking; a failing `fullmatch` would try every split of every
+    identifier."""
+    stop = _TOKENS_RE.match(text).end()
+    if stop < len(text):
+        raise ParseError(stop, f"unexpected character {text[stop]!r}")
+
+
 def tokenize(text: str) -> list[tuple[str, str, int]]:
     """Returns (kind, value, position) triples; kind in {'sym','ident','eof'}."""
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(pos, f"unexpected character {text[pos]!r}")
-        if m.lastgroup != "ws":
-            out.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
+    _check_tokens(text)
+    out = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
+           for m in _TOKEN_RE.finditer(text)]
     out.append(("eof", "", len(text)))
     return out
 
 
+def _formula_end(text: str, pos: int) -> int:
+    """Where a formula starting at pos at nesting depth 0 must end: at the
+    first `,`, `;` or `|-` outside brackets, at an unmatched `)` or `>`, or
+    at the end of text.  The parser stops there if it reads the formula
+    without error, since no binary connective or `(` or `=` lies there."""
+    depth = 0
+    for m in _DELIM_RE.finditer(text, pos):
+        d = m[0]
+        if d in "(<":
+            depth += 1
+        elif d in ")>":
+            if not depth:
+                return m.start()
+            depth -= 1
+        elif not depth and d != "->":
+            return m.start()
+    return len(text)
+
+
 class _Parser:
-    def __init__(self, text: str, sig: Signature, infer: bool = False):
-        self.toks = tokenize(text)
+    """A recursive-descent parser over tokens read on demand.  `memo` maps
+    the text of a formula at nesting depth 0 to the formula it parsed to;
+    pass the same dict to parsers of one file under one signature."""
+
+    def __init__(self, text: str, sig: Signature, infer: bool = False,
+                 memo: dict[str, Formula] | None = None):
+        _check_tokens(text)
+        self.text = text
+        self.toks: list[tuple[str, str, int]] = []   # the tokens read so far
+        self.scan = 0        # where reading the next token starts
         self.i = 0
+        self.memo = {} if memo is None else memo
         self.sig = sig
         self.infer = infer
         # symbol -> arity, declared or, when infer is set, inferred
@@ -564,24 +615,47 @@ class _Parser:
         self.preds = dict(sig.predicates)
         self.depth = self.reach = self.height = 0
 
+    def _fill(self) -> None:
+        """Read one more token; the text tokenises, so where none matches
+        only whitespace is left."""
+        m = _TOKEN_RE.match(self.text, self.scan)
+        if m is None:
+            self.toks.append(("eof", "", len(self.text)))
+        else:
+            kind = m.lastgroup
+            self.toks.append((kind, m[kind], m.start(kind)))
+            self.scan = m.end()
+
+    def _token(self, j: int) -> tuple[str, str, int]:
+        """The token at index j, reading tokens up to it."""
+        while len(self.toks) <= j:
+            self._fill()
+        return self.toks[j]
+
     def _after_matching_paren(self) -> str:
         """Token value right after the parenthesized group starting at i+1."""
         depth = 0
-        for j in range(self.i + 1, len(self.toks)):
-            depth += {"(": 1, ")": -1}.get(self.toks[j][1], 0)
+        j = self.i + 1
+        while True:
+            kind, val, _ = self._token(j)
+            if kind == "eof":
+                return ""
+            depth += {"(": 1, ")": -1}.get(val, 0)
+            j += 1
             if depth == 0:
-                return self.toks[j + 1][1]
-        return ""
+                return self._token(j)[1]
 
     def inferred_signature(self) -> Signature:
         return Signature.make(self.sig.constants, self.fns, self.preds,
                               self.sig.pair_symbol, self.sig.pair_constant)
 
     def peek(self):
+        if self.i == len(self.toks):
+            self._fill()
         return self.toks[self.i]
 
     def next(self):
-        t = self.toks[self.i]
+        t = self.peek()
         self.i += 1
         return t
 
@@ -734,7 +808,7 @@ class _Parser:
             return Top()
         if kind == "ident":
             name = val
-            nxt = self.toks[self.i + 1][1]
+            nxt = self._token(self.i + 1)[1]
             if nxt == "(":
                 # predicate or function application; decide by signature, or
                 # in inference mode by whether an equation follows
@@ -767,20 +841,37 @@ class _Parser:
         rhs = self.term()
         return Eq(lhs, rhs)
 
+    def top_formula(self) -> Formula:
+        """A formula at nesting depth 0, read through the memo: text parsed
+        before is skipped, and a parse that ends where `_formula_end` says is
+        stored under its text."""
+        pos = self.peek()[2]
+        end = _formula_end(self.text, pos)
+        key = self.text[pos:end].rstrip()
+        f = self.memo.get(key)
+        if f is None:
+            f = self.formula()
+            if self.peek()[2] == end:
+                self.memo[key] = f
+        else:
+            del self.toks[self.i:]
+            self.scan = end
+        return f
+
     def sequent(self) -> Sequent:
         ant: list[Formula] = []
         suc: list[Formula] = []
         if self.peek()[1] != "|-":
-            ant.append(self.formula())
+            ant.append(self.top_formula())
             while self.peek()[1] == ",":
                 self.next()
-                ant.append(self.formula())
+                ant.append(self.top_formula())
         self.expect("|-")
         if self.peek()[0] != "eof" and self.peek()[1] not in (";", ")"):
-            suc.append(self.formula())
+            suc.append(self.top_formula())
             while self.peek()[1] == ",":
                 self.next()
-                suc.append(self.formula())
+                suc.append(self.top_formula())
         return Sequent(tuple(ant), tuple(suc))
 
     def at_eof(self) -> bool:

@@ -117,18 +117,19 @@ def explicit_to_cyclic(p: ProofGraph) -> ProofGraph:
 
     The input must be a finite proof (no buds); the output has the same
     end-sequent, no RtcInd node, and one extra cycle per replaced node.
+    Each input node is translated once, so a premise shared by several
+    nodes stays shared.
     """
     if any(node.is_bud for node in p.nodes.values()):
         raise NotApplicable("input proof must be finite (no buds)")
 
     b = GraphBuilder()
-    done: list[int] = []   # ids in b of translated subtrees, in post-order
-    for nid in p.unfold():
+    done: dict[int, int] = {}   # input id -> id in b of its translation
+    for nid in p.unfold(once=True):
         node = p.nodes[nid]
-        kids = tuple(done[len(done) - len(node.children):])
-        del done[len(done) - len(node.children):]
+        kids = tuple(done[c] for c in node.children)
         if node.rule is not RuleId.RtcInd:
-            done.append(b.add_internal(p.instance(nid), kids))
+            done[nid] = b.add_internal(p.instance(nid), kids)
             continue
         prin: Rtc = node.params.principal
         psi, tvar = node.params.template
@@ -136,11 +137,11 @@ def explicit_to_cyclic(p: ProofGraph) -> ProofGraph:
         psi_s, psi_t = (substitute(psi, {tvar: e}) for e in (prin.src, prin.dst))
         gamma = tuple(f for f in node.sequent.antecedent if f not in (psi_s, prin))
         delta = tuple(f for f in node.sequent.succedent if f != psi_t)
-        done.append(derive_induction(
+        done[nid] = derive_induction(
             b, gamma, delta, substitute(prin.body, {prin.x: Var(x), prin.y: Var(y)}),
-            substitute(psi, {tvar: Var(x)}), x, y, prin.src, prin.dst, kids[0]))
+            substitute(psi, {tvar: Var(x)}), x, y, prin.src, prin.dst, kids[0])
 
-    return renumber(b.graph(done[0]))
+    return renumber(b.graph(done[p.root]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,196 @@
+"""The .tcp front end: the formula memo of `parse_proof`, the order of its
+errors, and token-level mutants of whole proof files."""
+
+import os
+import random
+import re
+
+import pytest
+
+from rtcproof import prooffile
+from rtcproof.cli import main
+from rtcproof.errors import ParseError, RtcError
+from rtcproof.prooffile import load_theory, parse_proof
+from rtcproof.proofgraph import validate_structure
+from rtcproof.syntax import _Parser, tokenize
+
+from conftest import CORPUS
+from preproofs import subst_chain, thread_proof
+
+
+class _Forgetful(dict):
+    """A memo that stores nothing: every formula text is parsed afresh."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class _Unshared(_Parser):
+    """A parser of one line that shares no memo with the other lines."""
+
+    def __init__(self, text, sig, infer=False, memo=None):
+        super().__init__(text, sig, infer, _Forgetful())
+
+
+def _outcome(text):
+    """Everything `parse_proof` makes of text, or the error it raises."""
+    try:
+        pf = parse_proof(text)
+    except RtcError as exc:
+        return "error", type(exc).__name__, getattr(exc, "line", None), str(exc)
+    # the reprs show each formula's structure and bound names, which
+    # formula equality, up to renaming, does not compare
+    return "parsed", repr(pf.graph.nodes), pf.graph.root, pf.signature, pf.theory_name
+
+
+def test_memo_parses_each_formula_text_once(monkeypatch):
+    # subst_chain(200) holds 200 distinct formula texts: each Subst node
+    # repeats its own formula on both sides and its premise's in `source`,
+    # so without the memo 798 formulas are parsed
+    entries = {"top": 0, "open": 0}
+    formula = _Parser.formula
+
+    def counted(self, *args):
+        entries["top"] += entries["open"] == 0
+        entries["open"] += 1
+        try:
+            return formula(self, *args)
+        finally:
+            entries["open"] -= 1
+
+    monkeypatch.setattr(_Parser, "formula", counted)
+    pf = parse_proof(subst_chain(200))
+    assert len(pf.graph.nodes) == 200
+    assert entries["top"] == 200
+
+
+def test_bad_character_reported_before_syntax_error():
+    # the unknown rule id comes first on the line, but the line does not
+    # tokenise: the bad character is reported, as when tokens were read first
+    text = thread_proof(2).replace("rule=Cut ; params={cut=(q(c))}",
+                                   "rule=Nope ; params={cut=(q(c) $)}", 1)
+    with pytest.raises(ParseError) as info:
+        parse_proof(text)
+    assert (info.value.line, info.value.position, info.value.message) \
+        == (15, 136, "unexpected character '$'")
+    # also where the text before it was parsed on an earlier line
+    text = subst_chain(4).replace("rule=Axiom", "rule=Nope").replace("(v3, w)", "(v3, w$)", 1)
+    with pytest.raises(ParseError) as info:
+        parse_proof(text)
+    assert (info.value.line, info.value.position, info.value.message) \
+        == (7, 138, "unexpected character '$'")
+
+
+def test_error_in_repeated_formula_reported_at_first_line():
+    # q(c) is on every node line; undeclared, it is reported on the first
+    text = thread_proof(2).replace("sig pred p/2, q/1", "sig pred p/2")
+    with pytest.raises(ParseError) as info:
+        parse_proof(text)
+    lines = text.splitlines()
+    first = next(i for i, line in enumerate(lines, 1) if line.startswith("node "))
+    assert (info.value.line, info.value.position, info.value.message) \
+        == (first, lines[first - 1].index("q(c)"), "function 'q' not declared")
+
+
+# tokens a mutation inserts or substitutes, by kind: declared and undeclared
+# symbols and variables, keywords and words of the line format; connectives,
+# punctuation, and a character no token starts
+NAMES = ["p", "q", "s", "r", "a", "b", "c", "x", "y", "z0", "0", "1", "7"]
+POOL = {
+    "ident": NAMES + ["forall", "exists", "rtc", "bot", "top", "rule", "params",
+                      "premises", "bud", "Cut", "Subst", "WL", "principal", "cut",
+                      "source", "subst"],
+    "sym": ["(", ")", ",", ".", "=", "~", "/\\", "\\/", "->", "<", ">", "|-", ";", "[",
+            "]", "{", "}", ":=", "$"],
+}
+
+
+def _mutate(rng, tokens, ops=("delete", "insert", "replace", "swap"), pool=POOL):
+    """tokens, one or two of them deleted, inserted, replaced by one of the
+    same kind or swapped with their right neighbour, joined by spaces."""
+    tokens = list(tokens)
+    for _ in range(rng.randrange(1, 3)):
+        if not tokens:
+            break
+        i = rng.randrange(len(tokens))
+        op = rng.choice(ops)
+        if op == "delete":
+            del tokens[i]
+        elif op == "insert":
+            tokens.insert(i, ("", rng.choice(pool[rng.choice(sorted(pool))]), 0))
+        elif op == "swap" and i + 1 < len(tokens):
+            tokens[i], tokens[i + 1] = tokens[i + 1], tokens[i]
+        elif tokens[i][0] in pool:
+            tokens[i] = ("", rng.choice(pool[tokens[i][0]]), 0)
+    return " ".join(val for _, val, _ in tokens)
+
+
+def _mutant(rng, text):
+    """text with the tokens of one line mutated, mostly a node line; or with
+    names replaced in a run of a node line's tokens, from one identifier to
+    another, wherever the run occurs in the file, so that the memo meets
+    the mutated text again on later lines."""
+    lines = text.splitlines()
+    nodes = [j for j, line in enumerate(lines) if line.startswith("node ")]
+    j = rng.choice(nodes) if rng.randrange(10) else rng.randrange(len(lines))
+    head, colon, body = lines[j].partition(" : ")
+    if not colon:
+        head, body = "", lines[j]
+    tokens = tokenize(body)[:-1]
+    idents = [i for i, tok in enumerate(tokens) if tok[0] == "ident"]
+    if not colon or rng.randrange(2):
+        lines[j] = head + colon + _mutate(rng, tokens)
+        return "\n".join(lines) + "\n"
+    i, k = sorted(rng.sample(idents, 2))
+    run = tokens[i:k + 1][:8]
+    while run[-1][0] != "ident":
+        run.pop()
+    old = body[run[0][2]:run[-1][2] + len(run[-1][1])]
+    new = _mutate(rng, run, ("replace",), {"ident": NAMES})
+    # at word boundaries, where tokens start and end: `p` is replaced, but
+    # not the p of `premises`
+    return re.sub(rf"(?<![\w']){re.escape(old)}(?![\w'])", lambda m: new, text)
+
+
+def _sources():
+    for name in sorted(os.listdir(CORPUS)):
+        with open(os.path.join(CORPUS, name), encoding="utf-8") as fh:
+            yield fh.read()
+    yield thread_proof(2)
+    yield thread_proof(3, rejected=True)
+    yield subst_chain(6)
+
+
+def test_mutants_parse_as_without_shared_memo(tmp_path, monkeypatch, capsys):
+    rng = random.Random(2718)
+    path = str(tmp_path / "mutant.tcp")
+    seen = {"parsed": 0, "invalid": 0, "errors": 0}
+    for source in _sources():
+        for _ in range(16):
+            text = _mutant(rng, source)
+            got = _outcome(text)
+            with monkeypatch.context() as m:
+                m.setattr(prooffile, "_Parser", _Unshared)
+                assert _outcome(text) == got, text
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            code = main(["check", path])
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2, 3) and "internal error" not in err, (text, err)
+            if got[0] == "error":
+                seen["errors"] += 1
+                continue
+            seen["parsed"] += 1
+            pf = parse_proof(text)
+            try:
+                axioms, sig = (), pf.signature
+                if pf.theory_name:
+                    theory = load_theory(pf.theory_name)
+                    axioms, sig = theory.axioms, sig.merge(theory.signature)
+                faults = validate_structure(pf.graph, axioms, sig)
+            except (OSError, RtcError):   # exit 3, as the command reports them
+                continue
+            if faults:
+                seen["invalid"] += 1
+                assert "accepted" not in out, text
+    assert min(seen.values()) >= 50, seen

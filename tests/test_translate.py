@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -8,7 +9,8 @@ from rtcproof.errors import (FreshnessViolation, MissingPairSymbol,
 from rtcproof.kernel import RuleId, RuleParams, rule_instance
 from rtcproof.proofgraph import (GraphBuilder, ProofGraph, ProofNode,
                                  validate_structure)
-from rtcproof.prooffile import load_theory
+from rtcproof.cli import main
+from rtcproof.prooffile import load_theory, parse_proof
 from rtcproof.syntax import (And, App, Const, Eq, Exists, Forall, Implies,
                              Not, Or, Pred, Rtc, Signature, Var,
                              free_vars, parse_formula, parse_sequent, pretty)
@@ -18,7 +20,7 @@ from rtcproof.translate import (ARITH_SIGNATURE, BetaConfig, beta_translate,
                                 derive_induction, encode_rtc2,
                                 explicit_to_cyclic)
 
-from conftest import INDUCTION_PROOFS, load_corpus
+from conftest import INDUCTION_PROOFS, corpus_path, load_corpus
 
 SIG = Signature.make(predicates={"E": 2, "p": 1})
 
@@ -115,6 +117,41 @@ class TestExplicitToCyclic:
                                      (0,))}, 0)
         with pytest.raises(RtcError, match="premise links through node 0 form a cycle"):
             explicit_to_cyclic(g)
+
+    def test_shared_premises_translated_once(self, tmp_path, capsys):
+        # 29 Cuts, each listing the next node as both premises: a tree
+        # unfolding of 2^30 - 1 nodes, which the translation must not build
+        lines = ["tcp 1", "sig pred q/1", "theory -", "root 0"]
+        lines += [f"node {j} : q(a) |- q(a) ; rule=Cut ; params={{cut=(q(a))}}"
+                  f" ; premises=[{j + 1}, {j + 1}]" for j in range(29)]
+        lines.append("node 29 : q(a) |- q(a) ; rule=Axiom ; params={} ; premises=[]")
+        path, out = tmp_path / "chain.tcp", tmp_path / "translated.tcp"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        start = time.perf_counter()
+        assert main(["translate-ind", str(path), "--out", str(out)]) == 0
+        assert time.perf_counter() - start < 1
+        assert len(parse_proof(out.read_text(encoding="utf-8")).graph.nodes) <= 60
+        assert main(["check", str(out)]) == 0
+        assert capsys.readouterr().out == "accepted; 0 basic cycles; normal\n"
+
+    def test_shared_induction_node_gives_one_cycle(self):
+        # ind_extend.tcp's RtcInd root, reached from a Cut both directly and
+        # through a WL, is replaced once
+        with open(corpus_path("ind_extend.tcp"), encoding="utf-8") as fh:
+            text = fh.read()
+        seq = "(rtc x y. e(x, y))(a, b), (rtc x y. e(x, y))(c, a) |- (rtc x y. e(x, y))(c, b)"
+        text = text.replace("root 0", "root 10") + (
+            f"node 10 : {seq} ; rule=Cut ; params={{cut=((rtc x y. e(x, y))(c, b))}}"
+            " ; premises=[0, 11]\n"
+            f"node 11 : (rtc x y. e(x, y))(c, b), {seq} ; rule=WL"
+            " ; params={principal=((rtc x y. e(x, y))(c, b))} ; premises=[0]\n")
+        pf = parse_proof(text)
+        assert validate_structure(pf.graph, (), pf.signature) == []
+        out = explicit_to_cyclic(pf.graph)
+        assert validate_structure(out, (), pf.signature) == []
+        assert check_global_trace_condition(out).accepted
+        assert len(enumerate_basic_cycles(out)) == 1
+        assert len(out.nodes) < 2 * len(explicit_to_cyclic(load_corpus("ind_extend.tcp")[0]).nodes)
 
 
 GOLDEN_LEQ = ("a = b \\/ (exists z. exists c. beta(c, 0, a) /\\ beta(c, s(z), b)"
