@@ -22,18 +22,24 @@ malformed line raises a ParseError naming it, offsets counting from its start.
 
 A proof repeats its formulas: a Subst node's `source` repeats its premise's
 sequent, and the nodes of a cycle repeat their companion's context.
-`parse_proof` therefore reads the node lines, in file order, with one
-formula memo (see `syntax`), dropped when it returns.  Each distinct
-formula text is parsed once per file, and text found in the memo is not
-even tokenised.  This is exact: under the file's one signature the same
-text parses to the same formula, and a text that raises is never stored,
-so an error is still reported at the first line it occurs on.
+`parse_proof` reads each node line with a field reader, `_Fields`.  One
+match of `_NODE_RE` cuts the line into its fields (the sequent, `bud -> N`
+or the rule id, parameters and premises), and only the texts of formulas and
+terms are parsed.  Each formula text and each side of a sequent is parsed
+once per file, through memos dropped when `parse_proof` returns; under the
+file's one signature the same text parses to the same formula.  The cuts
+are exact, since no formula, term or sequent holds a `;` and the commas
+between formulas are those at nesting depth 0 (see `syntax`).  A line the
+field reader does not wholly accept is read again by the token reader,
+`_parse_node`, which raises the error: errors have one source, and their
+text, line, offset and order are the token reader's.
 """
 
 from __future__ import annotations
 
 import importlib.resources
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
@@ -41,8 +47,8 @@ from typing import Iterator
 from .errors import ParseError, RtcError
 from .kernel import RuleId, RuleParams
 from .proofgraph import ProofGraph, ProofNode
-from .syntax import (Formula, Sequent, Signature, Term, _Parser, parse_sequent,
-                     pretty, pretty_sequent, pretty_term)
+from .syntax import (_IDENT, Formula, Sequent, Signature, Term, _formula_end,
+                     _Parser, parse_sequent, pretty, pretty_sequent, pretty_term)
 
 
 @dataclass(frozen=True)
@@ -235,7 +241,7 @@ def _parse_subst(p: _Parser) -> tuple[tuple[str, Term], ...]:
 # kind -> (opening bracket, closing bracket, printer, parser of what lies between)
 _KINDS = {
     "ident": ("", "", lambda x, sig: x, _Parser.expect_ident),
-    "formula": ("(", ")", pretty, _Parser.top_formula),
+    "formula": ("(", ")", pretty, _Parser.formula),
     "term": ("(", ")", pretty_term, _Parser.term),
     "sequent": ("(", ")", pretty_sequent, _Parser.sequent),
     "template": ("(", ")", lambda fx, sig: f"({pretty(fx[0], sig)}), {fx[1]}",
@@ -341,20 +347,109 @@ def _parse_node(p: _Parser) -> ProofNode:
     return ProofNode(seq, rid, params, tuple(children))
 
 
+# a node body's fields: the sequent, then a companion or a rule, params and premises
+_NODE_RE = re.compile(rf"([^;]*);\s*(?:bud\s*->\s*([0-9]+)|rule\s*=\s*({_IDENT})\s*;"
+                      r"\s*params\s*=\s*\{([^{}]*)\}\s*;\s*premises\s*=\s*\[([0-9,\s]*)\])\s*")
+
+
+class _Fields:
+    """The field reader of one file's node lines.  A method reads the text of
+    a field or a parameter's value, and raises where the token reader might
+    not read the same from it."""
+
+    def __init__(self, sig: Signature):
+        self.sig = sig
+        self.formulas: dict[str, Formula] = {}
+        self.sides: dict[str, tuple[Formula, ...]] = {}
+
+    def _whole(self, text: str, item):
+        p = _Parser(text, self.sig)
+        out = item(p)
+        if not p.at_eof():
+            raise ValueError(text)
+        return out
+
+    def formula(self, text: str) -> Formula:
+        text = text.strip()
+        f = self.formulas.get(text)
+        if f is None:
+            f = self.formulas[text] = self._whole(text, _Parser.formula)
+        return f
+
+    def side(self, text: str) -> tuple[Formula, ...]:
+        """The formulas between the commas at nesting depth 0."""
+        text = text.strip()
+        fs = self.sides.get(text)
+        if fs is None:
+            fs, pos = [], 0
+            while text:
+                end = _formula_end(text, pos)
+                fs.append(self.formula(text[pos:end]))
+                if end == len(text):
+                    break
+                if text[end] != ",":
+                    raise ValueError(text)
+                pos = end + 1
+            fs = self.sides[text] = tuple(fs)
+        return fs
+
+    def sequent(self, text: str) -> Sequent:
+        left, right = text.split("|-")     # a ValueError unless one `|-`
+        return Sequent(self.side(left), self.side(right))
+
+    def subst(self, text: str) -> tuple[tuple[str, Term], ...]:
+        return self._whole(text, _parse_subst) if text.strip() else ()
+
+    def params(self, text: str) -> RuleParams:
+        params: dict[str, object] = {}
+        for item in text.split(";") if text.strip() else ():
+            key, _, value = item.partition("=")
+            field, kind = _PARAM_KEYS.get(key.strip(), (None, None))
+            if field is None or field in params:
+                raise ValueError(key)
+            opening, closing, _, parse = _KINDS[kind]
+            value = value.strip()
+            if not (value.startswith(opening) and value.endswith(closing)):
+                raise ValueError(value)
+            inner = value[len(opening):len(value) - len(closing)]
+            read = getattr(self, kind, None)      # formula, sequent and subst
+            params[field] = read(inner) if read else self._whole(inner, parse)
+        return RuleParams(**params)
+
+    def node(self, body: str) -> ProofNode | None:
+        """The node of a node body, or None for the token reader to read.  A
+        TypeError is `_parse_subst` sorting bindings of one variable."""
+        m = _NODE_RE.fullmatch(body)
+        if m is None:
+            return None
+        try:
+            seq = self.sequent(m[1])
+            if m[2] is not None:
+                return ProofNode(seq, companion=int(m[2]))
+            children = tuple(map(int, m[5].split(","))) if m[5].strip() else ()
+            return ProofNode(seq, RuleId(m[3]), self.params(m[4]), children)
+        except (ValueError, TypeError, ParseError):
+            return None
+
+
 def parse_proof(text: str) -> ProofFile:
     """Parse a .tcp file; malformed input raises a ParseError naming its line."""
     sig = Signature.make()
     theory_name: str | None = None
     root: int | None = None
     bodies: dict[int, tuple[int, int, str]] = {}   # id -> (line, offset, body)
-    saw_header = False
+    first: dict[str, int] = {}                      # header keyword -> its line
     keywords = ("tcp", "sig", "theory", "root", "node")
     for lineno, at, keyword, rest in _lines(text, "proof", keywords):
+        if keyword in first:
+            raise ParseError(0, f"repeated {keyword!r} line (first on line {first[keyword]})",
+                             lineno)
+        if keyword != "node":
+            first[keyword] = lineno
         with _on_line(lineno, at):
             if keyword == "tcp":
                 if rest != "1":
                     raise ParseError(0, f"unsupported proof format version {rest!r}")
-                saw_header = True
             elif keyword == "sig":
                 sig = _parse_sig_line(_Parser(rest, Signature.make()))
             elif keyword == "theory":
@@ -372,19 +467,22 @@ def parse_proof(text: str) -> ProofFile:
                     raise ParseError(0, f"duplicate node id {nid}"
                                         f" (first on line {bodies[nid][0]})")
                 bodies[nid] = (lineno, at + len(head) + 1, body)
-    if not saw_header:
+    if "tcp" not in first:
         raise RtcError("missing 'tcp 1' header")
     if root is None:
         raise RtcError("missing 'root' line")
 
     nodes: dict[int, ProofNode] = {}
-    memo: dict[str, Formula] = {}
+    fields = _Fields(sig)
     for nid, (lineno, at, body) in bodies.items():
-        with _on_line(lineno, at):
-            p = _Parser(body, sig, memo=memo)
-            nodes[nid] = _parse_node(p)
-            if not p.at_eof():
-                raise ParseError(p.peek()[2], "trailing input after node")
+        node = fields.node(body)
+        if node is None:
+            with _on_line(lineno, at):
+                p = _Parser(body, sig)
+                node = _parse_node(p)
+                if not p.at_eof():
+                    raise ParseError(p.peek()[2], "trailing input after node")
+        nodes[nid] = node
     for nid, node in nodes.items():
         for c in node.children:
             if c not in nodes:

@@ -22,21 +22,16 @@ because each constructor means something different there: `_formula_key`
 The parser checks each symbol against the signature as it reads it; the
 tests keep an independent check, `validate_formula` in `tests/oracles.py`.
 
-Tokens are read on demand, but each text is first matched whole against
-`_TOKENS_RE`, so that a character that starts no token is still reported
-before any syntax error, at its own offset.  A parser's `memo` maps the
-text of a formula read at nesting depth 0 (each formula of a sequent, each
-formula parameter of a proof line) to the formula parsed from it, and a
-text found there is skipped without being tokenised.  `_formula_end` finds
-where such a text ends by a scan over delimiters alone, and a parse is
-stored only when it stops exactly there.  The memo is exact: how the
-parser reads a formula at depth 0 depends on the formula's tokens and on
-the one token after it, and the delimiters `_formula_end` stops at are none
-of the tokens the parser reads on at (a binary connective, `(` or `=`).
-Under one signature the same text thus gives the same formula, and a text
-that raises is never stored.  In inference mode the symbols a text declared
-stay declared in the roles it gave them, so a second reading makes the same
-choices.  `prooffile.parse_proof` shares one memo across a file's lines.
+A parser tokenises its whole text before it reads a token, so a character
+that starts no token is reported before any syntax error, at its own
+offset.  The parser keeps no memo: `prooffile` parses each formula text of
+a proof file once, and cuts a sequent's sides at the commas `_formula_end`
+finds by a scan alone.  This is exact: how the parser reads a formula at
+nesting depth 0 depends on the formula's tokens and on the one token after
+it, and the delimiters around such a text (`,`, `;`, `|-`, a closing
+bracket) are none of the tokens the parser reads on at (a binary
+connective, `(` or `=`).  A formula text read whole thus gives the formula
+the parser reads from it inside any line, ending where the text does.
 
 Concrete grammar (ASCII):
 
@@ -557,19 +552,13 @@ _DELIM_RE = re.compile(r"->|\|-|[(),;<>]")
 _KEYWORDS = {"forall", "exists", "rtc", "bot", "top"}
 
 
-def _check_tokens(text: str) -> None:
-    """ParseError at the first character of text that starts no token.
-    `match` stops where reading tokens one by one does, without
-    backtracking; a failing `fullmatch` would try every split of every
-    identifier."""
+def tokenize(text: str) -> list[tuple[str, str, int]]:
+    """Returns (kind, value, position) triples; kind in {'sym','ident','eof'}.
+    `match` finds the first character that starts no token without the
+    backtracking of a failing `fullmatch` through every split of the names."""
     stop = _TOKENS_RE.match(text).end()
     if stop < len(text):
         raise ParseError(stop, f"unexpected character {text[stop]!r}")
-
-
-def tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Returns (kind, value, position) triples; kind in {'sym','ident','eof'}."""
-    _check_tokens(text)
     out = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
            for m in _TOKEN_RE.finditer(text)]
     out.append(("eof", "", len(text)))
@@ -596,18 +585,11 @@ def _formula_end(text: str, pos: int) -> int:
 
 
 class _Parser:
-    """A recursive-descent parser over tokens read on demand.  `memo` maps
-    the text of a formula at nesting depth 0 to the formula it parsed to;
-    pass the same dict to parsers of one file under one signature."""
+    """A recursive-descent parser over the tokens of one text."""
 
-    def __init__(self, text: str, sig: Signature, infer: bool = False,
-                 memo: dict[str, Formula] | None = None):
-        _check_tokens(text)
-        self.text = text
-        self.toks: list[tuple[str, str, int]] = []   # the tokens read so far
-        self.scan = 0        # where reading the next token starts
+    def __init__(self, text: str, sig: Signature, infer: bool = False):
+        self.toks = tokenize(text)
         self.i = 0
-        self.memo = {} if memo is None else memo
         self.sig = sig
         self.infer = infer
         # symbol -> arity, declared or, when infer is set, inferred
@@ -615,47 +597,24 @@ class _Parser:
         self.preds = dict(sig.predicates)
         self.depth = self.reach = self.height = 0
 
-    def _fill(self) -> None:
-        """Read one more token; the text tokenises, so where none matches
-        only whitespace is left."""
-        m = _TOKEN_RE.match(self.text, self.scan)
-        if m is None:
-            self.toks.append(("eof", "", len(self.text)))
-        else:
-            kind = m.lastgroup
-            self.toks.append((kind, m[kind], m.start(kind)))
-            self.scan = m.end()
-
-    def _token(self, j: int) -> tuple[str, str, int]:
-        """The token at index j, reading tokens up to it."""
-        while len(self.toks) <= j:
-            self._fill()
-        return self.toks[j]
-
     def _after_matching_paren(self) -> str:
         """Token value right after the parenthesized group starting at i+1."""
         depth = 0
-        j = self.i + 1
-        while True:
-            kind, val, _ = self._token(j)
-            if kind == "eof":
-                return ""
-            depth += {"(": 1, ")": -1}.get(val, 0)
-            j += 1
+        for j in range(self.i + 1, len(self.toks)):
+            depth += {"(": 1, ")": -1}.get(self.toks[j][1], 0)
             if depth == 0:
-                return self._token(j)[1]
+                return self.toks[j + 1][1]
+        return ""
 
     def inferred_signature(self) -> Signature:
         return Signature.make(self.sig.constants, self.fns, self.preds,
                               self.sig.pair_symbol, self.sig.pair_constant)
 
     def peek(self):
-        if self.i == len(self.toks):
-            self._fill()
         return self.toks[self.i]
 
     def next(self):
-        t = self.peek()
+        t = self.toks[self.i]
         self.i += 1
         return t
 
@@ -808,7 +767,7 @@ class _Parser:
             return Top()
         if kind == "ident":
             name = val
-            nxt = self._token(self.i + 1)[1]
+            nxt = self.toks[self.i + 1][1]
             if nxt == "(":
                 # predicate or function application; decide by signature, or
                 # in inference mode by whether an equation follows
@@ -841,37 +800,20 @@ class _Parser:
         rhs = self.term()
         return Eq(lhs, rhs)
 
-    def top_formula(self) -> Formula:
-        """A formula at nesting depth 0, read through the memo: text parsed
-        before is skipped, and a parse that ends where `_formula_end` says is
-        stored under its text."""
-        pos = self.peek()[2]
-        end = _formula_end(self.text, pos)
-        key = self.text[pos:end].rstrip()
-        f = self.memo.get(key)
-        if f is None:
-            f = self.formula()
-            if self.peek()[2] == end:
-                self.memo[key] = f
-        else:
-            del self.toks[self.i:]
-            self.scan = end
-        return f
-
     def sequent(self) -> Sequent:
         ant: list[Formula] = []
         suc: list[Formula] = []
         if self.peek()[1] != "|-":
-            ant.append(self.top_formula())
+            ant.append(self.formula())
             while self.peek()[1] == ",":
                 self.next()
-                ant.append(self.top_formula())
+                ant.append(self.formula())
         self.expect("|-")
         if self.peek()[0] != "eof" and self.peek()[1] not in (";", ")"):
-            suc.append(self.top_formula())
+            suc.append(self.formula())
             while self.peek()[1] == ",":
                 self.next()
-                suc.append(self.top_formula())
+                suc.append(self.formula())
         return Sequent(tuple(ant), tuple(suc))
 
     def at_eof(self) -> bool:

@@ -314,6 +314,29 @@ def test_check_malformed_params(case, tmp_path, capsys):
     assert capsys.readouterr() == ("", message + "\n")
 
 
+def _repeated(keyword, line, first):
+    return f"error: line {line}, offset 0: repeated {keyword!r} line (first on line {first})"
+
+
+# a header line repeated in a copy of nat_p.tcp: (text replaced, replacement,
+# the line `rtcproof check` prints on stderr); a node id repeated is
+# `duplicate_node_id` of MALFORMED
+REPEATED_LINES = {
+    "tcp": ("tcp 1\n", "tcp 1\ntcp 1\n", _repeated("tcp", 2, 1)),
+    "sig": ("root 0\n", "root 0\nsig -\n", _repeated("sig", 5, 2)),
+    "theory": ("root 0\n", "root 0\ntheory -\n", _repeated("theory", 5, 3)),
+    "root": ("root 0\n", "root 0\nroot 3\n", _repeated("root", 5, 4)),
+    "root_after_nodes": ("node 10 :", "root 0\nnode 10 :", _repeated("root", 15, 4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_LINES))
+def test_check_repeated_header_line(case, tmp_path, capsys):
+    old, new, message = REPEATED_LINES[case]
+    assert main(["check", nat_p_variant(tmp_path, old, new)]) == 3
+    assert capsys.readouterr() == ("", message + "\n")
+
+
 THEORY = "theory t\nsig pred q/1\naxiom |- q(0)\naxiom q(x) |- q(x)\n"
 
 # one malformed line per case: (text replaced, replacement, the line

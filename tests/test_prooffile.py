@@ -1,9 +1,12 @@
-"""The .tcp front end: the formula memo of `parse_proof`, the order of its
-errors, and token-level mutants of whole proof files."""
+"""The .tcp front end: the field reader of node lines and its formula memo,
+the order of `parse_proof`'s errors, and token-level mutants of whole proof
+files."""
 
+import importlib.util
 import os
 import random
 import re
+import sys
 
 import pytest
 
@@ -12,24 +15,20 @@ from rtcproof.cli import main
 from rtcproof.errors import ParseError, RtcError
 from rtcproof.prooffile import load_theory, parse_proof
 from rtcproof.proofgraph import validate_structure
-from rtcproof.syntax import _Parser, tokenize
+from rtcproof.syntax import MAX_DEPTH, _Parser, parse_formula, tokenize
 
 from conftest import CORPUS
+from helpers import NESTED
 from preproofs import subst_chain, thread_proof
 
-
-class _Forgetful(dict):
-    """A memo that stores nothing: every formula text is parsed afresh."""
-
-    def __setitem__(self, key, value):
-        pass
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
-class _Unshared(_Parser):
-    """A parser of one line that shares no memo with the other lines."""
-
-    def __init__(self, text, sig, infer=False, memo=None):
-        super().__init__(text, sig, infer, _Forgetful())
+def _refused(self, body):
+    """The field reader refusing a node line: the token reader reads it, with
+    a parser of its own that shares nothing with the other lines."""
+    return None
 
 
 def _outcome(text):
@@ -41,6 +40,101 @@ def _outcome(text):
     # the reprs show each formula's structure and bound names, which
     # formula equality, up to renaming, does not compare
     return "parsed", repr(pf.graph.nodes), pf.graph.root, pf.signature, pf.theory_name
+
+
+def _valid_texts(tmp_path, monkeypatch):
+    """(name, text) of every corpus file, every proof in a golden output, and
+    the pre-proofs the benchmark generates for its seed-1, seed-5 and
+    seed-11 `check` inputs (the others are the corpus files)."""
+    for name in sorted(os.listdir(CORPUS)):
+        with open(os.path.join(CORPUS, name), encoding="utf-8") as fh:
+            yield name, fh.read()
+    for name in sorted(os.listdir(GOLDEN)):
+        with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+            text = fh.read()
+        if "tcp 1\n" in text:
+            yield name, text[text.index("tcp 1\n"):]
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", os.path.join(ROOT, "perfbench", "gen.py"))
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)   # for its dataclasses
+    spec.loader.exec_module(gen)
+    for seed in (1, 5, 11):
+        for ci in gen.check_inputs(seed, str(tmp_path / f"seed{seed}"), ROOT):
+            if ci.name.endswith(".tcp"):
+                continue
+            with open(ci.path, encoding="utf-8") as fh:
+                yield f"{ci.name} (seed {seed})", fh.read()
+
+
+def test_field_reader_reads_as_token_reader(tmp_path, monkeypatch):
+    # the token reader reads a line only where the field reader refuses it:
+    # on valid input, never
+    fallbacks = []
+    token_reader = prooffile._parse_node
+    monkeypatch.setattr(prooffile, "_parse_node",
+                        lambda p: fallbacks.append(p) or token_reader(p))
+    fields = set()
+    count = 0
+    for name, text in _valid_texts(tmp_path, monkeypatch):
+        pf = parse_proof(text)
+        assert not fallbacks, name
+        with monkeypatch.context() as m:
+            m.setattr(prooffile._Fields, "node", _refused)
+            assert repr(parse_proof(text)) == repr(pf), name
+        fallbacks.clear()
+        fields.update(f for node in pf.graph.nodes.values()
+                      for f, v in vars(node.params).items() if v is not None)
+        count += 1
+    assert count == 19 + 10 + 3 * 16
+    # every kind of parameter was read, the template's formula and identifier too
+    kinds = {kind for _, field, kind in prooffile._PARAMS if field in fields}
+    assert kinds == set(prooffile._KINDS), kinds
+
+
+# a node line with a formula {f} in its sequent, in a `source` and in a
+# `principal`; node 1, where there is one, closes it
+DEEP = {
+    "sequent": "node 0 : {f} |- q(a) ; rule=Axiom ; params={{}} ; premises=[]",
+    "source": "node 0 : q(a) |- q(a) ; rule=Subst ; params={{subst=[] ;"
+              " source=({f} |- q(a))}} ; premises=[1]",
+    "principal": "node 0 : q(a) |- q(a) ; rule=WL ; params={{principal=({f})}}"
+                 " ; premises=[1]",
+}
+
+
+def _deep_file(place, f):
+    return ("tcp 1\nsig fn f/1 ; pred p/2, q/1\ntheory -\nroot 0\n"
+            + DEEP[place].format(f=f)
+            + "\nnode 1 : q(a) |- q(a) ; rule=Axiom ; params={} ; premises=[]\n")
+
+
+@pytest.mark.parametrize("place", sorted(DEEP))
+def test_nesting_cap_on_node_lines(place, tmp_path, monkeypatch, capsys):
+    # each field is read at nesting depth 0: MAX_DEPTH levels parse in every
+    # field, and one more is refused where the token reader refuses it
+    sig = parse_proof(_deep_file(place, "q(a)")).signature
+    for shape, nested in sorted(NESTED.items()):
+        f = nested(MAX_DEPTH)
+        node = parse_proof(_deep_file(place, f)).graph.nodes[0]
+        read = {"sequent": node.sequent.antecedent[0],
+                "source": node.params.source and node.params.source.antecedent[0],
+                "principal": node.params.principal}[place]
+        assert repr(read) == repr(parse_formula(f, sig)), shape
+        text = _deep_file(place, nested(MAX_DEPTH + 1))
+        with monkeypatch.context() as m:
+            m.setattr(prooffile._Fields, "node", _refused)
+            with pytest.raises(ParseError) as info:
+                parse_proof(text)
+        want = info.value
+        path = tmp_path / f"{shape}.tcp"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", str(path)]) == 3
+        assert capsys.readouterr() == ("", f"error: {want}\n"), shape
+        assert (want.line, want.message) == (5, "formula nested more than 200 levels deep")
+        if shape == "negations":    # at the 201st `~`
+            line = text.splitlines()[4]
+            assert want.position == line.index("~") + MAX_DEPTH
 
 
 def test_memo_parses_each_formula_text_once(monkeypatch):
@@ -170,7 +264,7 @@ def test_mutants_parse_as_without_shared_memo(tmp_path, monkeypatch, capsys):
             text = _mutant(rng, source)
             got = _outcome(text)
             with monkeypatch.context() as m:
-                m.setattr(prooffile, "_Parser", _Unshared)
+                m.setattr(prooffile._Fields, "node", _refused)
                 assert _outcome(text) == got, text
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
