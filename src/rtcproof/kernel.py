@@ -272,16 +272,13 @@ def expected_premises(rule: RuleId, conclusion: Sequent, params: RuleParams,
             if psi_t not in suc:
                 raise NotApplicable(f"{psi_t} not in succedent")
             delta_side = base.without_ant(psi_s).without_succ(psi_t)
-            ctx_vars = delta_side.free_vars()
-            body_free = free_vars(f.body) - {f.x, f.y}
-            for v in (x, y):
-                if v in ctx_vars:
-                    raise FreshnessViolation(v, "occurs free in the context")
-            if y in free_vars(psi_x) - {x}:
-                raise FreshnessViolation(y, "occurs free in the induction template")
-            if x in body_free or y in body_free:
-                raise FreshnessViolation(x if x in body_free else y,
-                                         "occurs free in the closure body")
+            # the step premise must hold for arbitrary x and y
+            for where, taken in (("context", delta_side.free_vars()),
+                                 ("induction template", free_vars(psi) - {tvar}),
+                                 ("closure body", free_vars(f.body) - {f.x, f.y})):
+                for v in (x, y):
+                    if v in taken:
+                        raise FreshnessViolation(v, f"occurs free in the {where}")
             body_inst = substitute(f.body, {f.x: Var(x), f.y: Var(y)})
             psi_y = substitute(psi_x, {x: Var(y)})
             return [delta_side.with_ant(psi_x, body_inst).with_succ(psi_y)]

@@ -68,11 +68,12 @@ class ProofFile:
 # ---------------------------------------------------------------------------
 # Lines
 
-def _lines(text: str, kind: str, keywords: tuple[str, ...]
+def _lines(text: str, kind: str, keywords: tuple[str, ...], once: tuple[str, ...]
            ) -> Iterator[tuple[int, int, str, str]]:
     """(line number, offset of the rest, keyword, rest) of each line that is
     not blank or a comment.  The keyword is the line's whole first word and
-    must be one of `keywords`."""
+    must be one of `keywords`; one of `once` may start one line only."""
+    first: dict[str, int] = {}      # keyword of `once` -> its line
     for lineno, raw in enumerate(text.splitlines(), 1):
         words = raw.split(None, 1)
         if not words or words[0].startswith("#"):
@@ -81,6 +82,11 @@ def _lines(text: str, kind: str, keywords: tuple[str, ...]
         if keyword not in keywords:
             raise ParseError(len(raw) - len(raw.lstrip()),
                              f"unrecognized {kind} line {raw.strip()!r}", lineno)
+        if keyword in first:
+            raise ParseError(0, f"repeated {keyword!r} line (first on line {first[keyword]})",
+                             lineno)
+        if keyword in once:
+            first[keyword] = lineno
         at = len(raw) - len(rest) if rest else len(raw.rstrip())
         yield lineno, at, keyword, rest.rstrip()
 
@@ -177,7 +183,8 @@ def parse_theory(text: str) -> TheoryFile:
     name = None
     sig = Signature.make()
     axioms: list[Sequent] = []
-    for lineno, at, keyword, rest in _lines(text, "theory", ("theory", "sig", "axiom")):
+    for lineno, at, keyword, rest in _lines(text, "theory", ("theory", "sig", "axiom"),
+                                            ("theory", "sig")):
         with _on_line(lineno, at):
             if keyword == "theory":
                 if not rest:
@@ -230,8 +237,14 @@ def _parse_template(p: _Parser) -> tuple[Formula, str]:
 
 
 def _parse_subst(p: _Parser) -> tuple[tuple[str, Term], ...]:
+    bound: set[str] = set()
+
     def binding(p: _Parser) -> tuple[str, Term]:
+        pos = p.peek()[2]
         v = p.expect_ident()
+        if v in bound:
+            raise ParseError(pos, f"repeated variable {v!r}")
+        bound.add(v)
         p.expect(":=")
         return v, p.term()
 
@@ -417,8 +430,7 @@ class _Fields:
         return RuleParams(**params)
 
     def node(self, body: str) -> ProofNode | None:
-        """The node of a node body, or None for the token reader to read.  A
-        TypeError is `_parse_subst` sorting bindings of one variable."""
+        """The node of a node body, or None for the token reader to read."""
         m = _NODE_RE.fullmatch(body)
         if m is None:
             return None
@@ -428,7 +440,7 @@ class _Fields:
                 return ProofNode(seq, companion=int(m[2]))
             children = tuple(map(int, m[5].split(","))) if m[5].strip() else ()
             return ProofNode(seq, RuleId(m[3]), self.params(m[4]), children)
-        except (ValueError, TypeError, ParseError):
+        except (ValueError, ParseError):
             return None
 
 
@@ -437,19 +449,15 @@ def parse_proof(text: str) -> ProofFile:
     sig = Signature.make()
     theory_name: str | None = None
     root: int | None = None
+    version = False
     bodies: dict[int, tuple[int, int, str]] = {}   # id -> (line, offset, body)
-    first: dict[str, int] = {}                      # header keyword -> its line
-    keywords = ("tcp", "sig", "theory", "root", "node")
-    for lineno, at, keyword, rest in _lines(text, "proof", keywords):
-        if keyword in first:
-            raise ParseError(0, f"repeated {keyword!r} line (first on line {first[keyword]})",
-                             lineno)
-        if keyword != "node":
-            first[keyword] = lineno
+    header = ("tcp", "sig", "theory", "root")
+    for lineno, at, keyword, rest in _lines(text, "proof", header + ("node",), header):
         with _on_line(lineno, at):
             if keyword == "tcp":
                 if rest != "1":
                     raise ParseError(0, f"unsupported proof format version {rest!r}")
+                version = True
             elif keyword == "sig":
                 sig = _parse_sig_line(_Parser(rest, Signature.make()))
             elif keyword == "theory":
@@ -467,7 +475,7 @@ def parse_proof(text: str) -> ProofFile:
                     raise ParseError(0, f"duplicate node id {nid}"
                                         f" (first on line {bodies[nid][0]})")
                 bodies[nid] = (lineno, at + len(head) + 1, body)
-    if "tcp" not in first:
+    if not version:
         raise RtcError("missing 'tcp 1' header")
     if root is None:
         raise RtcError("missing 'root' line")

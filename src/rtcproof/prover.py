@@ -41,9 +41,9 @@ from .kernel import (SCHEMA, RuleId, RuleInstance, make_subst, match_sequent,
 from .proofgraph import (GraphBuilder, ProofGraph, renumber, validate_structure,
                          weakenings)
 from .semantics import FiniteModel, Valuation, find_counter_model
-from .syntax import (App, Eq, Formula, Rtc, Sequent, Signature, Term, Var,
-                     formula_subterms, free_vars, fresh_name, parts, rebuild,
-                     substitute, term_key, term_vars)
+from .syntax import (Eq, Rtc, Sequent, Signature, Term, Var, formula_subterms,
+                     free_vars, fresh_name, replace_terms, substitute,
+                     term_key)
 from .tracecheck import EdgeMatrix, check_global_trace_condition, edge_matrix
 
 
@@ -154,27 +154,6 @@ def _term_pool(seq: Sequent) -> list[Term]:
     return pool + [Var(fresh_name(seq.free_vars(), hint="_v"))]
 
 
-def _replace_term(f: Formula, old: Term, new: Term) -> Formula:
-    """Replace free occurrences of the term old; conservatively skips binder
-    scopes that capture variables of old or new."""
-    blocked = term_vars(old) | term_vars(new)
-
-    def goterm(t: Term) -> Term:
-        if t == old:
-            return new
-        if isinstance(t, App):
-            return App(t.fn, tuple(goterm(a) for a in t.args))
-        return t
-
-    def go(g: Formula) -> Formula:
-        binders, subs, terms = parts(g)
-        if blocked.isdisjoint(binders):
-            subs = tuple(go(h) for h in subs)
-        return rebuild(g, binders, subs, tuple(goterm(t) for t in terms))
-
-    return go(f)
-
-
 @dataclass
 class Ancestor:
     sequent: Sequent
@@ -282,10 +261,10 @@ def moves(seq: Sequent, ancestors: tuple[Ancestor, ...], cfg: SearchConfig,
             continue
         hole = fresh_name(seq.free_vars(), hint="_h")
         for target in suc:
-            tmpl1 = _replace_term(target, eq.rhs, Var(hole))
+            tmpl1 = replace_terms(target, {eq.rhs: Var(hole)})
             if tmpl1 != target:
                 yield from _rule(RuleId.EqL1, seq, cfg, principal=eq, template=(tmpl1, hole))
-            tmpl2 = _replace_term(target, eq.lhs, Var(hole))
+            tmpl2 = replace_terms(target, {eq.lhs: Var(hole)})
             if tmpl2 != target:
                 yield from _rule(RuleId.EqL2, seq, cfg, principal=eq, template=(tmpl2, hole))
 

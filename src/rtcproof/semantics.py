@@ -34,16 +34,14 @@ Counterexample dump format:
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from .errors import BudgetExceeded, SignatureMismatch, UnboundVariable
 from .syntax import (And, App, Bot, Const, Eq, Exists, Forall, Formula,
                      Implies, Not, Or, Pred, Rtc, Sequent, Signature, Term,
-                     Top, Var, free_vars, fresh_name, parts, rebuild,
-                     subterms)
+                     Top, Var, all_names, free_vars, fresh_name,
+                     positional_key, replace_terms, symbols)
 
 Valuation = dict[str, int]
 
@@ -264,56 +262,13 @@ def sequent_holds(ev: Evaluator, v: Valuation, s: Sequent) -> bool:
 # ---------------------------------------------------------------------------
 # Counter-model search
 
-def _replace_consts(f: Formula, mapping: Mapping[str, str]) -> Formula:
-    def goterm(t: Term) -> Term:
-        match t:
-            case Var(_):
-                return t
-            case Const(name):
-                return Var(mapping[name]) if name in mapping else t
-            case App(fn, args):
-                return App(fn, tuple(goterm(a) for a in args))
-        raise TypeError
-
-    binders, subs, terms = parts(f)
-    return rebuild(f, binders, tuple(_replace_consts(g, mapping) for g in subs),
-                   tuple(goterm(t) for t in terms))
-
-
-def _scan(f: Formula, consts: set[str], fns: dict[str, int], preds: dict[str, int]) -> None:
-    """Add the constants, functions and predicates occurring in f."""
-    if isinstance(f, Pred):
-        preds[f.name] = len(f.args)
-    _, subs, terms = parts(f)
-    for g in subs:
-        _scan(g, consts, fns, preds)
-    for t in terms:
-        for u in subterms(t):
-            if isinstance(u, Const):
-                consts.add(u.name)
-            elif isinstance(u, App):
-                fns[u.fn] = len(u.args)
-
-
 def used_signature(sequents: tuple[Sequent, ...], sig: Signature) -> Signature:
     """The sub-signature of symbols actually occurring in the sequents."""
-    consts: set[str] = set()
-    fns: dict[str, int] = {}
-    preds: dict[str, int] = {}
-    for seq in sequents:
-        for f in seq.antecedent + seq.succedent:
-            _scan(f, consts, fns, preds)
+    consts, fns, preds = symbols(f for seq in sequents
+                                 for f in seq.antecedent + seq.succedent)
     pair = sig.pair_symbol if sig.pair_symbol in fns else None
     pair_const = sig.pair_constant if pair and sig.pair_constant in consts else None
     return Signature.make(consts, fns, preds, pair, pair_const)
-
-
-def _table_symbols(f: Formula) -> frozenset[str]:
-    """Names of the functions and predicates f reads."""
-    fns: dict[str, int] = {}
-    preds: dict[str, int] = {}
-    _scan(f, set(), fns, preds)
-    return frozenset(fns) | frozenset(preds)
 
 
 def find_counter_model(s: Sequent, max_size: int, theory: tuple[Sequent, ...] = (),
@@ -333,15 +288,18 @@ def find_counter_model(s: Sequent, max_size: int, theory: tuple[Sequent, ...] = 
     # their tables so the search stays small
     sig = used_signature((s,) + tuple(theory), sig)
     consts = sorted(sig.constants)
-    used = set().union(s.free_vars(), *(ax.free_vars() for ax in theory)) | set(consts)
+    # each constant becomes a variable named apart from every name, bound
+    # ones included, so that no binder captures it
+    used = set(consts).union(*(all_names(f) for seq in (s,) + tuple(theory)
+                               for f in seq.antecedent + seq.succedent))
     cvars = {}
     for c in consts:
-        name = fresh_name(used | set(cvars.values()), hint=f"_k{c}_")
-        cvars[c] = name
+        cvars[c] = fresh_name(used | set(cvars.values()), hint=f"_k{c}_")
+    as_vars = {Const(c): Var(v) for c, v in cvars.items()}
 
     def replaced(seq: Sequent) -> Sequent:
-        return Sequent(tuple(_replace_consts(f, cvars) for f in seq.antecedent),
-                       tuple(_replace_consts(f, cvars) for f in seq.succedent))
+        return Sequent(tuple(replace_terms(f, as_vars) for f in seq.antecedent),
+                       tuple(replace_terms(f, as_vars) for f in seq.succedent))
 
     search = _CellSearch(replaced(s), tuple(replaced(ax) for ax in theory), sig,
                          [cvars[c] for c in consts], sorted(s.free_vars()), budget)
@@ -400,12 +358,11 @@ class _CellSearch:
             fvs = tuple(sorted(free_vars(f)))
             self.formulas.append(f)
             self.fvs.append(fvs)
-            # f with its free variables read positionally: formulas that
-            # differ only in those names, like R(a, b) and R(b, c), share
-            # memo entries
-            self.shapes.append(functools.reduce(lambda g, x: Forall(x, g),
-                                                reversed(fvs), f).key())
-            self.reads.append(_table_symbols(f))
+            # formulas that differ only in the names of their free
+            # variables share memo entries
+            self.shapes.append(positional_key(f, fvs))
+            _, fns, preds = symbols((f,))
+            self.reads.append(frozenset(fns) | frozenset(preds))
             return len(self.formulas) - 1
         return [add(f) for f in seq.antecedent], [add(f) for f in seq.succedent]
 

@@ -10,6 +10,10 @@ and `rebuild(f, ...)` applies that constructor to new ones.  Their table,
 `_SHAPES`, is the one place that knows each constructor's shape; every
 function that only collects or maps over structure walks through them.
 `pretty` does too: a `Notation` gives one format string per constructor.
+The walks other modules share live here, each once: `replace_terms`
+rewrites terms into terms (the prover's rewrite templates, the model
+search's constants), `symbols` lists the symbols that formulas use, and
+`positional_key` keys a formula with given variables read by position.
 One precedence table, `_PRECEDENCE`, serves the parser and the printer: the
 parser climbs it to group binary connectives, and the printer reads it to
 parenthesise, in both notations, plain text (`TEXT`) and LaTeX
@@ -216,7 +220,7 @@ class Rtc(Formula):
         body's free variables other than x and y, sorted)."""
         r = self.__dict__.get("_relation")
         if r is None:
-            r = (_formula_key(self.body, {self.x: 0, self.y: 1}, 2),
+            r = (positional_key(self.body, (self.x, self.y)),
                  tuple(sorted(free_vars(self.body) - {self.x, self.y})))
             object.__setattr__(self, "_relation", r)
         return r
@@ -262,6 +266,13 @@ def _formula_key(f: Formula, env: Mapping[str, int], depth: int) -> str:
             bk = _formula_key(b, {**env, x: depth, y: depth + 1}, depth + 2)
             return f"(rtc {bk} {term_key(s, env)} {term_key(t, env)})"
     raise TypeError(f"not a formula: {f!r}")
+
+
+def positional_key(f: Formula, names: tuple[str, ...]) -> str:
+    """f's key with `names` read as bound at levels 0, 1, ... in turn: of
+    formulas with as many names, those that differ only in how the names
+    are spelt, like R(a, b) under (a, b) and R(b, c) under (b, c), share it."""
+    return _formula_key(f, {x: i for i, x in enumerate(names)}, len(names))
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +398,32 @@ def substitute(f: Formula, theta: Mapping[str, Term]) -> Formula:
     return go(f, theta)
 
 
+def replace_terms(f: Formula, mapping: Mapping[Term, Term]) -> Formula:
+    """f with each occurrence of a key term of `mapping` replaced by its
+    image, outermost occurrences first.  A binder scope that binds a
+    variable of any key or image is left as it is, so no occurrence is
+    captured or released; that is conservative, not capture-avoiding."""
+    blocked: set[str] = set()
+    for old, new in mapping.items():
+        blocked |= term_vars(old) | term_vars(new)
+
+    def term(t: Term) -> Term:
+        new = mapping.get(t)
+        if new is not None:
+            return new
+        if t.__class__ is App:
+            return App(t.fn, tuple(map(term, t.args)))
+        return t
+
+    def go(g: Formula) -> Formula:
+        binders, subs, terms = parts(g)
+        if blocked.isdisjoint(binders):
+            subs = tuple(map(go, subs))
+        return rebuild(g, binders, subs, tuple(map(term, terms)))
+
+    return go(f)
+
+
 def formula_subterms(f: Formula) -> Iterator[Term]:
     """All term occurrences in f, including inside binders."""
     _, subs, terms = parts(f)
@@ -394,6 +431,30 @@ def formula_subterms(f: Formula) -> Iterator[Term]:
         yield from formula_subterms(g)
     for t in terms:
         yield from subterms(t)
+
+
+def symbols(formulas: Iterable[Formula]
+            ) -> tuple[set[str], dict[str, int], dict[str, int]]:
+    """The constants, and the functions and predicates with their arities,
+    that occur in the formulas."""
+    consts: set[str] = set()
+    fns: dict[str, int] = {}
+    preds: dict[str, int] = {}
+
+    def go(g: Formula) -> None:
+        if g.__class__ is Pred:
+            preds[g.name] = len(g.args)
+        for h in parts(g)[1]:
+            go(h)
+
+    for f in formulas:
+        go(f)
+        for t in formula_subterms(f):
+            if t.__class__ is Const:
+                consts.add(t.name)
+            elif t.__class__ is App:
+                fns[t.fn] = len(t.args)
+    return consts, fns, preds
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Syntactic translations.
 
-* `derive_induction` adds to a `GraphBuilder` the cyclic derivation that
-  simulates the explicit induction rule: a Subst / RtcCase / Cut / Subst
-  cycle around a companion, whose step Subst rests on the caller's proof of
-  the induction-step sequent.
+* `derive_induction(b, ind, step)` adds to the `GraphBuilder` b the cyclic
+  derivation that simulates `ind`, an instance of the explicit induction
+  rule RtcInd that the kernel re-checks: a Subst / RtcCase / Cut / Subst
+  cycle around a companion, whose step Subst rests on the caller's node
+  `step`, the proof of ind's premise.  The rule's side conditions are the
+  kernel's alone.
 * `explicit_to_cyclic` rewrites a finite proof using explicit induction into
   a cyclic proof with one cycle per eliminated induction node.
 * `beta_translate` eliminates the transitive-closure operator over the
@@ -15,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import (FreshnessViolation, MissingPairSymbol, NotApplicable,
-                     SignatureMismatch, VariableClash)
-from .kernel import RuleId, make_subst, rule_instance
+from .errors import (MissingPairSymbol, NotApplicable, SignatureMismatch,
+                     VariableClash)
+from .kernel import (RuleId, RuleInstance, check_rule_instance, make_subst,
+                     rule_instance)
 from .proofgraph import GraphBuilder, ProofGraph, renumber
 from .syntax import (And, App, Const, Eq, Exists, Forall, Formula, Implies,
                      Not, Or, Pred, Rtc, Sequent, Signature, Term, Var,
@@ -37,39 +40,37 @@ def _pick(hints: tuple[str, ...], taken: set[str]) -> list[str]:
     return out
 
 
-def derive_induction(b: GraphBuilder, gamma: tuple[Formula, ...],
-                     delta: tuple[Formula, ...], phi: Formula, psi: Formula,
-                     x: str, y: str, s: Term, t: Term, step: int) -> int:
-    """Add to b the cyclic simulation of the explicit induction rule and
-    return the id of its root.
+def derive_induction(b: GraphBuilder, ind: RuleInstance, step: int) -> int:
+    """Add to b the cyclic simulation of the explicit induction instance
+    `ind` and return the id of its root.
 
-    Root conclusion: Γ, ψ[s/x], (rtc x y. φ)(s, t) |- Δ, ψ[t/x]. The
-    induction step Γ, ψ, φ |- Δ, ψ[y/x] is the caller's node `step`, which
-    must already be in b. phi and psi are given with their free variables x
-    (and y for phi).
+    ind is an RtcInd instance, checked here by the kernel.  Its conclusion
+    is Γ, ψ(s), (rtc u v. φ)(s, t) |- Δ, ψ(t), and its one premise, the
+    induction step Γ, ψ(x), φ(x, y) |- Δ, ψ(y) for its two variables x and
+    y, is the caller's node `step`, which must already be in b.  The root
+    concludes ind's conclusion with the closure's binders renamed to x, y.
     """
-    ctx = Sequent(gamma, delta)
-    ctx_vars = ctx.free_vars()
-    if x == y:
-        raise FreshnessViolation(y, "induction variables must be distinct")
-    if x in ctx_vars:
-        raise FreshnessViolation(x, "occurs free in the context")
-    if y in ctx_vars | (free_vars(psi) - {x}):
-        raise FreshnessViolation(y, "occurs free in the context or template")
-    step_seq = Sequent(gamma + (psi, phi), delta + (substitute(psi, {x: Var(y)}),))
+    check_rule_instance(ind)
+    (step_seq,) = ind.premises
     if b.nodes[step].sequent != step_seq:
         raise NotApplicable(f"step node concludes {b.nodes[step].sequent}, "
                             f"induction step is {step_seq}")
-
-    v, w, z = _pick(("v", "w", "z"), ctx_vars | free_vars(phi) | free_vars(psi)
-                    | term_vars(s) | term_vars(t) | {x, y})
+    prin: Rtc = ind.params.principal
+    template, tvar = ind.params.template
+    x, y = ind.params.eigenvar, ind.params.eigenvar2
+    s, t = prin.src, prin.dst
+    phi = substitute(prin.body, {prin.x: Var(x), prin.y: Var(y)})
+    psi = substitute(template, {tvar: Var(x)})
+    psi_s = substitute(psi, {x: s})
+    psi_t = substitute(psi, {x: t})
+    gamma = tuple(f for f in ind.conclusion.antecedent if f not in (psi_s, prin))
+    delta = tuple(f for f in ind.conclusion.succedent if f != psi_t)
+    v, w, z = _pick(("v", "w", "z"), ind.conclusion.free_vars() | {x, y})
 
     closure = Rtc(x, y, phi, Var(v), Var(w))
     psi_v = substitute(psi, {x: Var(v)})
     psi_w = substitute(psi, {x: Var(w)})
     psi_z = substitute(psi, {x: Var(z)})
-    psi_s = substitute(psi, {x: s})
-    psi_t = substitute(psi, {x: t})
     phi_zw = substitute(phi, {x: Var(z), y: Var(w)})
 
     companion_seq = Sequent(gamma + (psi_v, closure), delta + (psi_w,))
@@ -131,15 +132,7 @@ def explicit_to_cyclic(p: ProofGraph) -> ProofGraph:
         if node.rule is not RuleId.RtcInd:
             done[nid] = b.add_internal(p.instance(nid), kids)
             continue
-        prin: Rtc = node.params.principal
-        psi, tvar = node.params.template
-        x, y = node.params.eigenvar, node.params.eigenvar2
-        psi_s, psi_t = (substitute(psi, {tvar: e}) for e in (prin.src, prin.dst))
-        gamma = tuple(f for f in node.sequent.antecedent if f not in (psi_s, prin))
-        delta = tuple(f for f in node.sequent.succedent if f != psi_t)
-        done[nid] = derive_induction(
-            b, gamma, delta, substitute(prin.body, {prin.x: Var(x), prin.y: Var(y)}),
-            substitute(psi, {tvar: Var(x)}), x, y, prin.src, prin.dst, kids[0])
+        done[nid] = derive_induction(b, p.instance(nid), kids[0])
 
     return renumber(b.graph(done[p.root]))
 

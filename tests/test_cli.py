@@ -299,6 +299,8 @@ PARAM_EDITS = {
                             "error: line 6, offset 69: expected '}', found 'template'"),
     "repeated_key": ("nat_p.tcp", "principal=(0 = n) ;", "principal=(p(0)) ; principal=(0 = n) ;",
                      "error: line 6, offset 70: repeated parameter 'principal'"),
+    "subst_repeated_variable": ("nat_p.tcp", "subst=[n := _v0]", "subst=[n := _v0, n := 0]",
+                                "error: line 11, offset 93: repeated variable 'n'"),
 }
 
 
@@ -356,6 +358,11 @@ BAD_THEORIES = {
                        "error: line 3, offset 9: predicate 'q' expects 1 args, got 2"),
     "sig_pair_not_binary": ("sig pred q/1", "sig pred q/1 ; pair zz",
                             "error: line 2, offset 4: pair symbol 'zz' must be a binary function"),
+    # a header line may appear once, as in a proof file
+    "repeated_theory": ("sig", "theory u\nsig",
+                        "error: line 2, offset 0: repeated 'theory' line (first on line 1)"),
+    "repeated_sig": ("axiom |- q(0)", "sig pred q/1, r/1\naxiom |- q(0)",
+                     "error: line 3, offset 0: repeated 'sig' line (first on line 2)"),
 }
 
 
@@ -441,6 +448,48 @@ def test_refute_golden(case, capsys):
     code, argv, out = REFUTE[case]
     assert main(["refute"] + argv) == code
     assert capsys.readouterr() == (out, "")
+
+
+@pytest.mark.parametrize("command", ["refute", "prove"])
+def test_constant_apart_from_bound_names(command, tmp_path, capsys):
+    """The model search names the variable standing for the constant a apart
+    from bound names too: a goal whose binder has that name gets the answer
+    of its alpha-variant."""
+    path = tmp_path / "a.tc"
+    path.write_text("theory t\nsig const a\n", encoding="utf-8")
+    model = "model { size = 2; const a = 0; }\n"
+    want = model if command == "refute" else "refuted; counter-model found:\n" + model
+    for goal in ("|- forall _ka_0. _ka_0 = a", "|- forall y. y = a"):
+        assert main([command, goal, "--theory", str(path)]) == 1
+        assert capsys.readouterr() == (want, ""), goal
+
+
+# RtcInd whose step variable x is a parameter of the template t = x: the step
+# premise x = x, E(x, y) |- y = y is not the induction step for arbitrary x,
+# and the conclusion has a counter-model
+IND_PARAM = """\
+tcp 1
+sig pred E/2
+theory -
+root 0
+node 0 : a = x, (rtc u v. E(u, v))(a, b) |- b = x ; rule=RtcInd ; params={principal=\
+((rtc u v. E(u, v))(a, b)) ; template=((t = x), t) ; eigenvar=x ; eigenvar2=y} ; premises=[1]
+node 1 : x = x, E(x, y) |- y = y ; rule=WL ; params={principal=(x = x)} ; premises=[2]
+node 2 : E(x, y) |- y = y ; rule=WL ; params={principal=(E(x, y))} ; premises=[3]
+node 3 : |- y = y ; rule=EqR ; params={} ; premises=[]
+"""
+IND_PARAM_FAULT = ("KernelError at node 0: FreshnessViolation: variable 'x' is not fresh:"
+                   " occurs free in the induction template\n")
+
+
+@pytest.mark.parametrize("command", ["check", "translate-ind"])
+def test_rtcind_step_variable_in_template(command, tmp_path, capsys):
+    path = tmp_path / "ind.tcp"
+    path.write_text(IND_PARAM, encoding="utf-8")
+    assert main([command, str(path)]) == 1
+    want = IND_PARAM_FAULT + ("invalid\n" if command == "check" else "")
+    assert capsys.readouterr() == (want, "")
+    assert main(["refute", "a = x, (rtc u v. E(u, v))(a, b) |- b = x"]) == 1
 
 
 NAT_BETA = ("0 = n \\/ (exists z. exists c. {b}(c, 0, 0) /\\ {b}(c, s(z), n) /\\ (forall u."

@@ -190,6 +190,19 @@ class TestFreshness:
                                          template=(F("p(v, h)"), "h"),
                                          eigenvar="u", eigenvar2="v"))
 
+    @pytest.mark.parametrize("x, y", [("v", "w"), ("u", "v")])
+    def test_rtcind_step_variable_in_template(self, x, y):
+        """A step variable, x or y, that is a parameter v of the template is
+        refused: the step premise must hold for arbitrary x and y."""
+        concl = S("p(v, a), (rtc x y. E(x, y))(a, b) |- p(v, b)")
+        with pytest.raises(FreshnessViolation,
+                           match="occurs free in the induction template") as exc:
+            expected_premises(RuleId.RtcInd, concl,
+                              RuleParams(principal=F("(rtc x y. E(x, y))(a, b)"),
+                                         template=(F("p(v, h)"), "h"),
+                                         eigenvar=x, eigenvar2=y))
+        assert exc.value.var == "v"
+
     def test_mutated_eigenvar_always_caught(self):
         concl = S("exists x. q(x), q(w) |- r0")
         # w occurs in the context: never accepted as eigenvariable

@@ -9,8 +9,8 @@ from rtcproof.syntax import (MAX_DEPTH, And, App, Bot, Const, Eq, Exists,
                              Signature, Top, Var, free_vars, parse_formula,
                              parse_formula_infer, parse_sequent,
                              parse_sequent_infer, parts, pretty,
-                             pretty_sequent, rebuild, substitute, term_vars,
-                             tokenize)
+                             pretty_sequent, rebuild, replace_terms,
+                             substitute, symbols, term_vars, tokenize)
 
 from helpers import NESTED
 from oracles import validate_formula
@@ -128,6 +128,41 @@ class TestSubstitute:
         f = F("p(x, y)")
         g = substitute(f, {"x": Var("y"), "y": Var("x")})
         assert g == F("p(y, x)")
+
+
+S_A = App("s", (Var("a"),))
+
+
+class TestReplaceTerms:
+    # (formula, key, image, the printed result), the same as the prover's
+    # earlier one-term rewrite gave
+    CASES = [
+        # a binder over a variable of the key: that scope is left alone
+        ("q(s(a)) /\\ (forall a. q(s(a))) /\\ (forall b. q(s(a)))", S_A, Var("h"),
+         "q(h) /\\ (forall a. q(s(a))) /\\ (forall b. q(h))"),
+        # an rtc's endpoints lie outside its binders; a binder over the image
+        ("(rtc a y. E(s(a), y))(s(a), b) /\\ (forall h. q(s(a)))", S_A, Var("h"),
+         "(rtc a y. E(s(a), y))(h, b) /\\ (forall h. q(s(a)))"),
+        # outermost occurrences first, and no rewrite of an image
+        ("q(s(s(a)))", S_A, Var("a"), "q(s(a))"),
+        ("exists x. E(0, s(0))", Const("0"), Var("k"), "exists x. E(k, s(k))"),
+    ]
+
+    @pytest.mark.parametrize("text, old, new, want", CASES)
+    def test_one_term(self, text, old, new, want):
+        assert pretty(replace_terms(F(text), {old: new})) == want
+
+    def test_simultaneous(self):
+        f = replace_terms(F("E(a, b)"), {Var("a"): Var("b"), Var("b"): Var("a")})
+        assert pretty(f) == "E(b, a)"
+
+
+def test_symbols():
+    consts, fns, preds = symbols([F("forall x. q(s(0)) /\\ E(x, pair(a, 0))"),
+                                  F("(rtc x y. p(x, y))(0, 0)")])
+    assert consts == {"0"}
+    assert fns == {"s": 1, "pair": 2}
+    assert preds == {"q": 1, "E": 2, "p": 2}
 
 
 def _random_formula(rng, depth, vars_pool=("x", "y", "z", "w")):

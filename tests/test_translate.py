@@ -6,13 +6,13 @@ import pytest
 from rtcproof.errors import (FreshnessViolation, MissingPairSymbol,
                              NotApplicable, RtcError, SignatureMismatch,
                              VariableClash)
-from rtcproof.kernel import RuleId, RuleParams, rule_instance
+from rtcproof.kernel import RuleId, RuleInstance, RuleParams, rule_instance
 from rtcproof.proofgraph import (GraphBuilder, ProofGraph, ProofNode,
                                  validate_structure)
 from rtcproof.cli import main
 from rtcproof.prooffile import load_theory, parse_proof
 from rtcproof.syntax import (And, App, Const, Eq, Exists, Forall, Implies,
-                             Not, Or, Pred, Rtc, Signature, Var,
+                             Not, Or, Pred, Rtc, Sequent, Signature, Var,
                              free_vars, parse_formula, parse_sequent, pretty)
 from rtcproof.tracecheck import (check_global_trace_condition,
                                  enumerate_basic_cycles, is_non_overlapping)
@@ -33,15 +33,20 @@ STEP = "p(x), E(x, y) |- p(y)"
 
 
 def build_induction(step_text=STEP, gamma=(), x="x"):
-    """The graph that derive_induction builds for (rtc x y. E(x, y))(a, b)
-    and template p(x) on a theory-axiom leaf for step_text; the leaf's id;
-    step_text as a sequent."""
+    """The graph that derive_induction builds, on a theory-axiom leaf for
+    step_text, for an unchecked RtcInd instance: conclusion gamma, p(a),
+    (rtc x y. E(x, y))(a, b) |- p(b), template p(x), step variables `x`
+    and y, premise STEP; the leaf's id; step_text as a sequent."""
     step_ax = parse_sequent(step_text, SIG)
     b = GraphBuilder()
     leaf = b.add_internal(rule_instance(RuleId.TheoryAxiom, step_ax,
                                         theory=(step_ax,)))
-    root = derive_induction(b, gamma, (), F("E(x, y)"), F("p(x)"), x, "y",
-                            Var("a"), Var("b"), leaf)
+    rtc = F("(rtc x y. E(x, y))(a, b)")
+    concl = Sequent(gamma + (F("p(a)"), rtc), (F("p(b)"),))
+    ind = RuleInstance(RuleId.RtcInd, concl, (parse_sequent(STEP, SIG),),
+                       RuleParams(principal=rtc, template=(F("p(x)"), "x"),
+                                  eigenvar=x, eigenvar2="y"))
+    root = derive_induction(b, ind, leaf)
     return b.graph(root), leaf, step_ax
 
 
