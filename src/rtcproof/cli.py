@@ -21,8 +21,8 @@ from .render import to_dot, to_latex
 from .semantics import find_counter_model
 from .syntax import (Signature, parse_formula_infer, parse_sequent_infer,
                      pretty)
-from .tracecheck import (check_global_trace_condition, enumerate_basic_cycles,
-                         is_non_overlapping)
+from .tracecheck import (MAX_CYCLES, check_global_trace_condition,
+                         enumerate_basic_cycles, is_non_overlapping)
 from .translate import BetaConfig, beta_translate, explicit_to_cyclic
 
 EXIT_OK, EXIT_NEGATIVE, EXIT_UNKNOWN, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3, 4
@@ -85,11 +85,14 @@ def cmd_check(args) -> int:
         print(f"indeterminate: {report.detail}")
         return EXIT_UNKNOWN
     if report.accepted:
-        cycles = enumerate_basic_cycles(pf.graph)
+        try:
+            count = len(enumerate_basic_cycles(pf.graph))
+            cycles = f"{count} basic cycle{'' if count == 1 else 's'}"
+        except BudgetExceeded:
+            # the verdict stands; only the count is out of reach
+            cycles = f"more than {MAX_CYCLES} basic cycles"
         normal = is_non_overlapping(pf.graph)
-        plural = "" if len(cycles) == 1 else "s"
-        print(f"accepted; {len(cycles)} basic cycle{plural};"
-              f" {'normal' if normal else 'overlapping'}")
+        print(f"accepted; {cycles}; {'normal' if normal else 'overlapping'}")
         if args.normal and not normal:
             return EXIT_NEGATIVE
         return EXIT_OK

@@ -38,12 +38,11 @@ from typing import Iterator
 from .errors import BudgetExceeded, RtcError
 from .kernel import (SCHEMA, RuleId, RuleInstance, make_subst, match_sequent,
                      rule_instance)
-from .proofgraph import (GraphBuilder, ProofGraph, renumber, validate_structure,
-                         weakenings)
+from .proofgraph import GraphBuilder, ProofGraph, validate_structure, weakenings
 from .semantics import FiniteModel, Valuation, find_counter_model
-from .syntax import (Eq, Rtc, Sequent, Signature, Term, Var, formula_subterms,
-                     free_vars, fresh_name, replace_terms, substitute,
-                     term_key)
+from .syntax import (Eq, Rtc, Sequent, Signature, Term, Var, all_names,
+                     formula_subterms, free_vars, fresh_name, replace_terms,
+                     substitute, term_key)
 from .tracecheck import EdgeMatrix, check_global_trace_condition, edge_matrix
 
 
@@ -99,6 +98,7 @@ def _weaken_plan(target: Sequent, inner: Plan) -> Plan:
 
 
 def assemble(plan: Plan) -> ProofGraph:
+    """The plan tree as a graph numbered in preorder from the root 0."""
     b = GraphBuilder()
     token2id: dict[int, int] = {}
 
@@ -259,7 +259,9 @@ def moves(seq: Sequent, ancestors: tuple[Ancestor, ...], cfg: SearchConfig,
     for eq in ant:
         if not isinstance(eq, Eq) or eq.lhs == eq.rhs:
             continue
-        hole = fresh_name(seq.free_vars(), hint="_h")
+        # apart from bound names too: `replace_terms` leaves alone a scope
+        # that binds the hole
+        hole = fresh_name(set().union(*map(all_names, ant + suc)), hint="_h")
         for target in suc:
             tmpl1 = replace_terms(target, {eq.rhs: Var(hole)})
             if tmpl1 != target:
@@ -343,7 +345,7 @@ def prove(goal: Sequent, cfg: SearchConfig) -> SearchOutcome:
                 if errs:
                     raise AssertionError(f"prover built an invalid graph: {errs[0]}")
                 if check_global_trace_condition(g).accepted:
-                    return Proved(renumber(g))
+                    return Proved(g)
         except BudgetExceeded:
             exhausted_depth = False
             break

@@ -278,12 +278,21 @@ def find_counter_model(s: Sequent, max_size: int, theory: tuple[Sequent, ...] = 
     every antecedent of s but no succedent; None if none exists within the
     size bound.  Absence is NOT a validity proof.
 
+    Models obey the pairing rules whenever sig has a pair symbol, since a
+    proof may cut pair terms in.  Pairing is injective (`PairInj`), so a
+    finite model has one element; with a pair constant, which no pair
+    equals (`PairConstAx`), there is no finite model and the result is None.
+
     Raises BudgetExceeded when the search would visit more than `budget`
     nodes, or reaches a size with more tuples of constant and variable
     values than `budget`.
     """
     if sig is None:
         raise SignatureMismatch("find_counter_model requires a signature")
+    if sig.pair_symbol is not None:
+        if sig.pair_constant is not None:
+            return None
+        max_size = min(max_size, 1)
     # symbols absent from goal and theory cannot affect satisfaction; skip
     # their tables so the search stays small
     sig = used_signature((s,) + tuple(theory), sig)
@@ -337,8 +346,8 @@ class _CellSearch:
     Definite values stay definite down a branch: formula values are
     memoised per (formula, values of its free variables) in `known` and
     undone on backtracking, and a node's evaluator inherits its parent's
-    definite rtc steps.  A formula is re-evaluated only when the cell just
-    set belongs to a symbol it reads."""
+    definite rtc steps.  A node re-evaluates each formula of its live
+    tuples that is not yet definite."""
 
     def __init__(self, goal: Sequent, theory: tuple[Sequent, ...], sig: Signature,
                  cvars: list[str], goal_fvs: list[str], budget: int):
@@ -347,7 +356,6 @@ class _CellSearch:
         self.formulas: list[Formula] = []
         self.fvs: list[tuple[str, ...]] = []
         self.shapes: list[str] = []
-        self.reads: list[frozenset[str]] = []
         self.goal_sides = self._sides(goal)
         self.theory_sides = [(self._sides(ax), sorted(ax.free_vars() - set(cvars)))
                              for ax in theory]
@@ -361,8 +369,6 @@ class _CellSearch:
             # formulas that differ only in the names of their free
             # variables share memo entries
             self.shapes.append(positional_key(f, fvs))
-            _, fns, preds = symbols((f,))
-            self.reads.append(frozenset(fns) | frozenset(preds))
             return len(self.formulas) - 1
         return [add(f) for f in seq.antecedent], [add(f) for f in seq.succedent]
 
@@ -418,15 +424,13 @@ class _CellSearch:
                   for t in reversed(list(itertools.product(range(n), repeat=ar)))]
         known: dict[tuple, bool] = {}
         log: list[tuple] = []
-        formulas, reads = self.formulas, self.reads
+        formulas = self.formulas
 
-        def value(check: tuple, ev: Evaluator, changed: str | None,
-                  undecided: set) -> bool | None:
+        def value(check: tuple, ev: Evaluator, undecided: set) -> bool | None:
             out: bool | None = False
             for want, i, key, v in check:
                 val = known.get(key)
-                if (val is None and key not in undecided
-                        and (changed is None or changed in reads[i])):
+                if val is None and key not in undecided:
                     val = ev.holds(formulas[i], v)
                     if val is None:
                         undecided.add(key)
@@ -439,21 +443,20 @@ class _CellSearch:
                     out = None
             return out
 
-        def visit(live: list[int], changed: str | None,
-                  base: Evaluator | None) -> tuple[list[int], Evaluator]:
+        def visit(live: list[int], base: Evaluator | None) -> tuple[list[int], Evaluator]:
             self.nodes += 1
             if self.nodes > self.budget:
                 raise BudgetExceeded(f"counter-model search budget {self.budget} exhausted")
             ev, undecided = Evaluator(model, base), set()
             return [j for j in live
-                    if value(tuples[j][0], ev, changed, undecided) is not True
-                    and all(value(t, ev, changed, undecided) is not False
+                    if value(tuples[j][0], ev, undecided) is not True
+                    and all(value(t, ev, undecided) is not False
                             for t in tuples[j][1])], ev
 
         def values(d: int):
             return iter(cells[d][2] if d < len(cells) else ())
 
-        root, ev = visit(list(range(len(tuples))), None, None)
+        root, ev = visit(list(range(len(tuples))), None)
         stack = [(0, values(0), root, len(log), ev)]
         while stack:
             d, vals, live, mark, ev = stack[-1]
@@ -486,7 +489,7 @@ class _CellSearch:
                 unknown[sym].discard(t)
                 if val:
                     true[sym].add(t)
-            nxt, child = visit(live, sym, ev)
+            nxt, child = visit(live, ev)
             stack.append((d + 1, values(d + 1), nxt, len(log), child))
         return None
 

@@ -601,11 +601,10 @@ _TOO_DEEP = f"formula nested more than {MAX_DEPTH} levels deep"
 # ---------------------------------------------------------------------------
 # Parsing
 
-# one token after any whitespace, and a whole text of tokens and whitespace
+# one token after any whitespace, or the character that starts none
 _SYM = r"\|-|->|/\\|\\/|:=|[()\[\]{},.=~<>;/-]"
 _IDENT = r"[A-Za-z0-9_][A-Za-z0-9_']*"
-_TOKEN_RE = re.compile(rf"\s*(?:(?P<sym>{_SYM})|(?P<ident>{_IDENT}))")
-_TOKENS_RE = re.compile(rf"(?:\s*(?:{_SYM}|{_IDENT}))*\s*")
+_TOKEN_RE = re.compile(rf"\s*(?:(?P<sym>{_SYM})|(?P<ident>{_IDENT})|(?P<bad>\S))")
 # the tokens that end a top-level formula or open or close a level; `->` is
 # matched so that its `>` is not taken for a bracket
 _DELIM_RE = re.compile(r"->|\|-|[(),;<>]")
@@ -615,13 +614,14 @@ _KEYWORDS = {"forall", "exists", "rtc", "bot", "top"}
 
 def tokenize(text: str) -> list[tuple[str, str, int]]:
     """Returns (kind, value, position) triples; kind in {'sym','ident','eof'}.
-    `match` finds the first character that starts no token without the
-    backtracking of a failing `fullmatch` through every split of the names."""
-    stop = _TOKENS_RE.match(text).end()
-    if stop < len(text):
-        raise ParseError(stop, f"unexpected character {text[stop]!r}")
-    out = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
-           for m in _TOKEN_RE.finditer(text)]
+    One pass reads every token; the first character that starts no token
+    matches the `bad` alternative and raises ParseError at its offset."""
+    out = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(m.start(kind), f"unexpected character {m[kind]!r}")
+        out.append((kind, m[kind], m.start(kind)))
     out.append(("eof", "", len(text)))
     return out
 

@@ -22,6 +22,7 @@ from .kernel import RuleInstance
 from .proofgraph import ProofGraph, edge_trace_steps
 
 MAX_CYCLES = 100_000   # basic cycles before `enumerate_basic_cycles` gives up
+CLOSURE_CAP = 500_000  # path matrices before the trace check is indeterminate
 
 
 class EdgeMatrix:
@@ -194,7 +195,7 @@ def _shortest_path(succ: dict[int, list[int]], src: int, dst: int) -> tuple[int,
     return ()
 
 
-def check_global_trace_condition(g: ProofGraph, closure_cap: int = 500_000) -> CycleReport:
+def check_global_trace_condition(g: ProofGraph) -> CycleReport:
     """Composition-closure decision of the global trace condition.
 
     Accepted iff every idempotent path matrix looping at a companion has a
@@ -203,7 +204,7 @@ def check_global_trace_condition(g: ProofGraph, closure_cap: int = 500_000) -> C
     in one SCC and visits some companion infinitely often (every flow cycle
     enters a companion from a bud).  A rejection's witness is the shortest bad
     idempotent loop at the smallest companion that has one, after a shortest
-    flow path from the root.  Above closure_cap distinct path matrices the
+    flow path from the root.  Above CLOSURE_CAP distinct path matrices the
     verdict is indeterminate.
     """
     succ = _flow_succ(g)
@@ -224,7 +225,7 @@ def check_global_trace_condition(g: ProofGraph, closure_cap: int = 500_000) -> C
         key = (src, path[-1].dst, mat._key)
         if key in closure:
             return
-        if len(closure) >= closure_cap:
+        if len(closure) >= CLOSURE_CAP:
             raise BudgetExceeded("closure cap reached")
         closure[key] = (mat, path)
         queue.append(key)

@@ -167,8 +167,15 @@ def find_counter_model_brute(s: Sequent, max_size: int, theory: tuple[Sequent, .
     """Reference for `find_counter_model`: every complete model in
     enumeration order, evaluated two-valued with constants read through the
     model; the first (model, valuation) satisfying the theory and every
-    antecedent but no succedent."""
-    sig = used_signature((s,) + tuple(theory), sig)
+    antecedent but no succedent.  When sig has a pair symbol, the models
+    interpret it and its constant too, and only those that obey the pairing
+    rules count; the model returned keeps the used symbols alone."""
+    used = used_signature((s,) + tuple(theory), sig)
+    full = used
+    if sig.pair_symbol is not None:
+        full = used.merge(Signature.make(
+            {sig.pair_constant} - {None}, {sig.pair_symbol: 2},
+            pair_symbol=sig.pair_symbol, pair_constant=sig.pair_constant))
 
     def valuations(seq: Sequent, n: int) -> Iterator[Valuation]:
         fvs = sorted(seq.free_vars())
@@ -176,13 +183,35 @@ def find_counter_model_brute(s: Sequent, max_size: int, theory: tuple[Sequent, .
             yield dict(zip(fvs, vals))
 
     for n in range(1, max_size + 1):
-        for m in iter_models(sig, n):
+        for m in iter_models(full, n):
+            if not pairing_holds(m, full):
+                continue
             ev = Evaluator(m)
             if all(sequent_holds(ev, v, ax) for ax in theory for v in valuations(ax, n)):
                 for v in valuations(s, n):
                     if not sequent_holds(ev, v, s):
-                        return m, v
+                        return restrict(m, used), v
     return None
+
+
+def pairing_holds(m: FiniteModel, sig: Signature) -> bool:
+    """Whether m's pair function, if sig has one, is injective (`PairInj`)
+    and never takes the pair constant's value (`PairConstAx`)."""
+    if sig.pair_symbol is None:
+        return True
+    values = list(m.fn_interp[sig.pair_symbol].values())
+    if len(set(values)) < len(values):
+        return False
+    return sig.pair_constant is None or m.const_interp[sig.pair_constant] not in values
+
+
+def restrict(m: FiniteModel, sig: Signature) -> FiniteModel:
+    """m with the tables of sig's symbols alone."""
+    fns, preds = dict(sig.functions), dict(sig.predicates)
+    return FiniteModel(m.domain_size,
+                       {c: v for c, v in m.const_interp.items() if c in sig.constants},
+                       {f: t for f, t in m.fn_interp.items() if f in fns},
+                       {p: t for p, t in m.pred_interp.items() if p in preds})
 
 
 def iter_models(sig: Signature, n: int) -> Iterator[FiniteModel]:

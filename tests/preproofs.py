@@ -72,3 +72,59 @@ def subst_chain(n: int) -> str:
              f" ; source=({seq(j + 1)})}} ; premises=[{j + 1}]" for j in range(n - 1)]
     lines.append(f"node {n - 1} : {seq(n - 1)} ; rule=Axiom ; params={{}} ; premises=[]")
     return _text(0, lines)
+
+
+def diamond_proof(k: int) -> str:
+    """An accepted cyclic proof of  q(a), R(a, b), R(b, c) |- R(a, c), q(a)
+    with 3k + 14 nodes and 2^k basic cycles.
+
+    The root reaches the transitivity unfolding through k diamonds of Cut
+    nodes on q(a). A Cut on a formula on both sides of its sequent has that
+    sequent as both premises, so each diamond is a Cut whose two premises
+    are Cuts that both lead to the next level. The unfolding's step premise
+    returns to the root through Subst [c := _v0], so every path through the
+    diamonds closes its own basic cycle, and each progresses R(b, c).
+    """
+    def seq(ant: list[str], suc: list[str]) -> str:
+        return _seq(["q(a)"] + ant, suc + ["q(a)"])
+    root = seq([f"{R}(a, b)", f"{R}(b, c)"], [f"{R}(a, c)"])
+    lines: list[str] = []
+    for j in range(k):
+        top, nxt = 3 * j, 3 * j + 3
+        lines.append(f"node {top} : {root} ; rule=Cut ; params={{cut=(q(a))}}"
+                     f" ; premises=[{top + 1}, {top + 2}]")
+        lines += [f"node {n} : {root} ; rule=Cut ; params={{cut=(q(a))}}"
+                  f" ; premises=[{nxt}, {nxt}]" for n in (top + 1, top + 2)]
+    case = 3 * k
+    eq, wr, wl, ax, step, wp, sub, bud, w1, w2, w3, w4, ax2 = range(case + 1, case + 14)
+    rest = [f"{R}(a, b)", f"{R}(b, _v0)"]
+    step_ant = ["p(_v0, c)"] + rest
+    lines += [
+        f"node {case} : {root} ; rule=RtcCase ; params={{principal=({R}(b, c))"
+        f" ; eigenvar=_v0}} ; premises=[{eq}, {step}]",
+        f"node {eq} : {seq(['b = c', f'{R}(a, b)'], [f'{R}(a, c)'])} ; rule=EqL1"
+        f" ; params={{principal=(b = c) ; template=(({R}(a, _h0)), _h0)}} ; premises=[{wr}]",
+        f"node {wr} : {seq([f'{R}(a, b)'], [f'{R}(a, b)'])} ; rule=WR"
+        f" ; params={{principal=(q(a))}} ; premises=[{wl}]",
+        f"node {wl} : {_seq(['q(a)', f'{R}(a, b)'], [f'{R}(a, b)'])} ; rule=WL"
+        f" ; params={{principal=(q(a))}} ; premises=[{ax}]",
+        f"node {ax} : {_seq([f'{R}(a, b)'], [f'{R}(a, b)'])} ; rule=Axiom"
+        f" ; params={{}} ; premises=[]",
+        f"node {step} : {seq(step_ant, [f'{R}(a, c)'])} ; rule=RtcStep"
+        f" ; params={{principal=({R}(a, c)) ; witness=(_v0)}} ; premises=[{wp}, {w1}]",
+        f"node {wp} : {seq(step_ant, [f'{R}(a, _v0)'])} ; rule=WL"
+        f" ; params={{principal=(p(_v0, c))}} ; premises=[{sub}]",
+        f"node {sub} : {seq(rest, [f'{R}(a, _v0)'])} ; rule=Subst"
+        f" ; params={{subst=[c := _v0] ; source=({root})}} ; premises=[{bud}]",
+        f"node {bud} : {root} ; bud -> 0",
+        f"node {w1} : {seq(step_ant, ['p(_v0, c)'])} ; rule=WR"
+        f" ; params={{principal=(q(a))}} ; premises=[{w2}]",
+        f"node {w2} : {_seq(['q(a)'] + step_ant, ['p(_v0, c)'])} ; rule=WL"
+        f" ; params={{principal=(q(a))}} ; premises=[{w3}]",
+        f"node {w3} : {_seq(step_ant, ['p(_v0, c)'])} ; rule=WL"
+        f" ; params={{principal=({R}(b, _v0))}} ; premises=[{w4}]",
+        f"node {w4} : {_seq(step_ant[:2], ['p(_v0, c)'])} ; rule=WL"
+        f" ; params={{principal=({R}(a, b))}} ; premises=[{ax2}]",
+        f"node {ax2} : p(_v0, c) |- p(_v0, c) ; rule=Axiom ; params={{}} ; premises=[]",
+    ]
+    return _text(0, lines)

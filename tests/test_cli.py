@@ -7,13 +7,14 @@ import pytest
 
 import rtcproof.cli
 import rtcproof.proofgraph
+import rtcproof.tracecheck
 from rtcproof.cli import main
 from rtcproof.prooffile import parse_proof, serialize_proof
 from rtcproof.syntax import MAX_DEPTH
 
 from conftest import corpus_path
 from helpers import NESTED
-from preproofs import subst_chain
+from preproofs import diamond_proof, subst_chain
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -76,6 +77,25 @@ def test_check_normal_rejects_overlap(tmp_path, capsys):
     assert main(["check", "--normal", str(path)]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out == ["accepted; 2 basic cycles; overlapping"] * 2
+
+
+def test_check_past_cycle_count_keeps_verdict(tmp_path, capsys):
+    """A proof with 2^17 basic cycles is accepted; only the count is out of
+    reach, and --normal rejects the overlap."""
+    path = tmp_path / "diamond.tcp"
+    path.write_text(diamond_proof(17), encoding="utf-8")
+    assert main(["check", str(path)]) == 0
+    assert main(["check", "--normal", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out == ("accepted; more than 100000 basic cycles; overlapping\n" * 2, "")
+
+
+def test_check_past_closure_cap_is_unknown(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "two_threads.tcp"
+    path.write_text(TWO_THREADS, encoding="utf-8")
+    monkeypatch.setattr(rtcproof.tracecheck, "CLOSURE_CAP", 1)
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr() == ("indeterminate: closure cap exceeded\n", "")
 
 
 def test_cli_import_needs_only_stdlib():
@@ -462,6 +482,50 @@ def test_constant_apart_from_bound_names(command, tmp_path, capsys):
     for goal in ("|- forall _ka_0. _ka_0 = a", "|- forall y. y = a"):
         assert main([command, goal, "--theory", str(path)]) == 1
         assert capsys.readouterr() == (want, ""), goal
+
+
+PAIRS = "theory pairs\nsig const c ; fn pr/2 ; pair pr ; pairconst c\n"
+# a proof of a goal that uses no pair symbol: the witness <c, c> differs
+# from c, by a Cut on <c, c> = c closed by PairConstAx
+PAIR_WITNESS = """\
+tcp 1
+sig const c ; fn pr/2 ; pair pr ; pairconst c
+theory -
+root 0
+node 0 : |- exists y. ~ c = y ; rule=ExR ; params={principal=(exists y. ~ c = y)\
+ ; witness=(<c, c>)} ; premises=[1]
+node 1 : |- ~ c = <c, c> ; rule=NotR ; params={principal=(~ c = <c, c>)} ; premises=[2]
+node 2 : c = <c, c> |- ; rule=Cut ; params={cut=(<c, c> = c)} ; premises=[3, 5]
+node 3 : c = <c, c> |- <c, c> = c ; rule=EqL1 ; params={principal=(c = <c, c>)\
+ ; template=((_h0 = c), _h0)} ; premises=[4]
+node 4 : |- c = c ; rule=EqR ; params={} ; premises=[]
+node 5 : c = <c, c>, <c, c> = c |- ; rule=WL ; params={principal=(c = <c, c>)} ; premises=[6]
+node 6 : <c, c> = c |- ; rule=PairConstAx ; params={principal=(<c, c> = c)} ; premises=[]
+"""
+
+
+@pytest.mark.parametrize("command", ["refute", "prove"])
+def test_pairing_goals_not_refuted(command, tmp_path, capsys):
+    """Pairing is injective and misses the pair constant (`PairInj`,
+    `PairConstAx`): no finite model refutes these provable goals, the last
+    of which uses no pair symbol."""
+    path = tmp_path / "pairs.tc"
+    path.write_text(PAIRS, encoding="utf-8")
+    proof = tmp_path / "witness.tcp"
+    proof.write_text(PAIR_WITNESS, encoding="utf-8")
+    assert main(["check", str(proof)]) == 0
+    assert capsys.readouterr().out == "accepted; 0 basic cycles; normal\n"
+    for goal in ("<a, b> = c |-", "<a, b> = <d, e> |- a = d /\\ b = e",
+                 "|- exists y. ~ c = y"):
+        code = main([command, goal, "--theory", str(path)])
+        out = capsys.readouterr().out
+        if command == "refute":
+            assert (code, out) == (2, "no counter-model up to size 5"
+                                      " (not a validity proof)\n"), goal
+        else:
+            assert code != 1 and "refuted" not in out, goal
+    assert main(["prove", "<a, b> = c |-", "--theory", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("proved; 1 nodes; 0 cycle(s)\n")
 
 
 # RtcInd whose step variable x is a parameter of the template t = x: the step

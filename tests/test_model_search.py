@@ -115,6 +115,23 @@ def test_random_goals_agree_with_brute_force():
     assert 200 < found < 1100, found
 
 
+# goals over a signature with a pair symbol, used or not
+PAIR_GOALS = ("<a, b> = c |-", "<a, b> = <d, e> |- a = d /\\ b = e",
+              "<a, b> = <d, e> |- a = d", "|- q(<a, a>)", "q(<a, b>) |- q(c)",
+              "<a, a> = a |- q(a)", "|- exists y. ~ c = y", "|- q(a)")
+
+
+@pytest.mark.parametrize("goal", PAIR_GOALS)
+def test_pairing_goals_agree_with_brute_force(goal):
+    """The search keeps the pairing rules, which the enumerator checks on
+    every model, with and without the pair constant."""
+    for pair_constant in (None, "c"):
+        sig = Signature.make(constants={"c"}, functions={"pr": 2}, predicates={"q": 1},
+                             pair_symbol="pr", pair_constant=pair_constant)
+        goal_seq, _ = parse_sequent_infer(goal, sig)
+        _same(goal_seq, (), sig, 2)
+
+
 def _suite(command):
     for g in gen.goal_inputs(command, 5):
         base, theory = Signature.make(), ()

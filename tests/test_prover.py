@@ -100,6 +100,17 @@ class TestProve:
         out2 = prove(S("a = b |- (rtc x y. p(x, y))(a, b)"), SearchConfig(sig=SIG))
         assert isinstance(out2, Proved)
 
+    @pytest.mark.parametrize("x", ["x", "_h0"])
+    def test_equality_rewrite_hole_apart_from_binders(self, x):
+        """The EqL hole is named apart from bound names too, so a binder
+        named like the hole does not block the direct rewrite."""
+        goal = (f"a = b, (rtc {x} y. p({x}, y) /\\ q(a))(c, d)"
+                f" |- (rtc {x} y. p({x}, y) /\\ q(b))(c, d)")
+        out = prove(S(goal), SearchConfig(sig=SIG))
+        assert isinstance(out, Proved)
+        assert len(out.graph.nodes) == 2
+        assert out.graph.nodes[0].rule is RuleId.EqL1
+
 
 class TestDeterminism:
     def test_identical_outcome_and_serialization(self):

@@ -4,6 +4,7 @@ from collections import deque
 
 import pytest
 
+from rtcproof import tracecheck
 from rtcproof.kernel import RuleId, make_subst, rule_instance
 from rtcproof.prooffile import parse_proof
 from rtcproof.proofgraph import ProofGraph, validate_structure
@@ -234,16 +235,24 @@ def flow_distances(g: ProofGraph) -> tuple[dict[int, list[int]], dict[int, int]]
 
 
 class TestRestrictedClosure:
-    def test_long_acyclic_chain_needs_no_closure(self):
+    def test_long_acyclic_chain_needs_no_closure(self, monkeypatch):
         g = parse_proof(subst_chain(3000)).graph
         assert enumerate_basic_cycles(g) == []
-        assert check_global_trace_condition(g, closure_cap=0).accepted
+        monkeypatch.setattr(tracecheck, "CLOSURE_CAP", 0)
+        assert check_global_trace_condition(g).accepted
 
     @pytest.mark.parametrize("rejected", [False, True])
-    def test_six_threads_within_small_cap(self, rejected):
+    def test_six_threads_within_small_cap(self, rejected, monkeypatch):
         g = parse_proof(thread_proof(6, rejected)).graph
-        rep = check_global_trace_condition(g, closure_cap=2000)
+        monkeypatch.setattr(tracecheck, "CLOSURE_CAP", 2000)
+        rep = check_global_trace_condition(g)
         assert rep.verdict == ("rejected" if rejected else "accepted")
+
+    def test_past_cap_is_indeterminate(self, monkeypatch):
+        g = parse_proof(thread_proof(2)).graph
+        monkeypatch.setattr(tracecheck, "CLOSURE_CAP", 1)
+        rep = check_global_trace_condition(g)
+        assert (rep.verdict, rep.detail) == ("indeterminate", "closure cap exceeded")
 
     def test_agrees_with_path_enumeration(self):
         # test_method_agreement_corpus covers the corpus
