@@ -3,8 +3,7 @@
 from .errors import RtcError
 from .kernel import (RuleId, RuleInstance, RuleParams, check_rule_instance,
                      expected_premises, rule_instance)
-from .proofgraph import (GraphBuilder, ProofGraph, ProofNode, TraceStep,
-                         validate_structure)
+from .proofgraph import GraphBuilder, ProofGraph, ProofNode, validate_structure
 from .prooffile import (ProofFile, TheoryFile, load_theory, parse_proof,
                         parse_theory, serialize_proof)
 from .prover import Proved, Refuted, SearchConfig, Unknown, prove

@@ -10,6 +10,7 @@ as one `internal error: <Type>: <message>` line on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import BudgetExceeded, RtcError
@@ -174,7 +175,10 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    `main` call, so no caller changes it."""
     ap = argparse.ArgumentParser(
         prog="rtcproof",
         description="Proof checker, counter-model finder, translator, and "

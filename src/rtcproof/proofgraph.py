@@ -6,10 +6,9 @@ at a syntactically equal internal node, its companion.  Each fact is stored
 once: `ProofGraph.instance` assembles a node's rule instance from the node
 and its children, and `ProofGraph.unfold` is the one walk over the tree
 unfolding, or over each node once.  `validate_structure` checks the graph
-invariants plus every rule instance; `edge_trace_steps` gives the trace
-pairs between antecedent rtc formulas across one premise of a rule.
-`weakenings` is the one chain of WL and WR steps that grows a sequent to a
-larger one; proofs are built through `GraphBuilder`.
+invariants plus every rule instance.  `weakenings` is the one chain of WL
+and WR steps that grows a sequent to a larger one; proofs are built through
+`GraphBuilder`.  The trace pairs across an edge are `tracecheck`'s.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from typing import Iterator
 from .errors import RtcError, SchemaMismatch
 from .kernel import (RuleId, RuleInstance, RuleParams, check_rule_instance,
                      rule_instance)
-from .syntax import Formula, Rtc, Sequent, Signature, Var, substitute
+from .syntax import Formula, Sequent, Signature
 
 
 @dataclass
@@ -153,43 +152,6 @@ def validate_structure(g: ProofGraph, theory: tuple[Sequent, ...] = (),
         errors.append(GraphError("BadPremiseLink", g.root,
                                  "premise links contain a cycle (use buds)"))
     return errors
-
-
-# ---------------------------------------------------------------------------
-# Trace pairs
-
-@dataclass(frozen=True)
-class TraceStep:
-    """Trace pair across one edge: both formulas are antecedent rtc formulas;
-    progressing only from an RtcCase principal to its immediate ancestor."""
-
-    from_formula: Formula
-    to_formula: Formula
-    progressing: bool
-
-
-def edge_trace_steps(rule: RuleInstance, premise_index: int) -> tuple[TraceStep, ...]:
-    """All trace pairs licensed across premise_index of this rule instance."""
-    concl_rtcs = [f for f in rule.conclusion.antecedent if isinstance(f, Rtc)]
-    prem_rtcs = [f for f in rule.premises[premise_index].antecedent if isinstance(f, Rtc)]
-    steps: list[TraceStep] = []
-    if rule.rule is RuleId.Subst:
-        theta = dict(rule.params.substitution)
-        concl_set = set(concl_rtcs)
-        for tp in prem_rtcs:
-            inst = substitute(tp, theta)
-            if inst in concl_set:
-                steps.append(TraceStep(inst, tp, False))
-        return tuple(steps)
-    if rule.rule is RuleId.RtcCase and premise_index == 1:
-        prin = rule.params.principal
-        ancestor = Rtc(prin.x, prin.y, prin.body, prin.src, Var(rule.params.eigenvar))
-        steps.append(TraceStep(prin, ancestor, True))
-    prem_set = set(prem_rtcs)
-    for f in concl_rtcs:
-        if f in prem_set:
-            steps.append(TraceStep(f, f, False))
-    return tuple(steps)
 
 
 # ---------------------------------------------------------------------------

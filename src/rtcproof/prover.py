@@ -5,14 +5,16 @@ A move is either a closed `Plan` (an axiom leaf or theory instance, or a
 bud closing a cycle against an ancestor, under the weakenings it needs) or
 a `RuleInstance` whose premises are the subgoals.  The order is: closure
 moves, cycle formation, invertible propositional rules, case unfolding,
-equality rewrites, witness rules round-robined over a finite term pool,
-then analytic cuts on theory axioms.  The phases of rules with a principal
-are built from `kernel.SCHEMA`: each passes over one side of the sequent
-and picks a formula's rule by its class.  Buds close only against
-ancestors, so a subgoal's proofs depend on the subgoal and its ancestors
-alone.  Cycle formation is pre-filtered by the composed trace matrix of
-the would-be cycle and every complete candidate is re-checked by the
-structural validator and the global trace condition before being accepted.
+equality rewrites, pair injectivity (under a pair symbol), witness rules
+round-robined over a finite term pool, then analytic cuts on theory
+axioms.  The phases of rules with a principal are built from
+`kernel.SCHEMA`: each passes over one side of the sequent and picks a
+formula's rule by its class.  Buds close only against ancestors, so a
+subgoal's proofs depend on the subgoal and its ancestors alone.  Cycle
+formation is pre-filtered by the trace matrix of the would-be cycle: the
+ancestor's matrix composed with each edge's `tracecheck.edge_matrix` down
+to the bud.  Every complete candidate is re-checked by the structural
+validator and the global trace condition before being accepted.
 Counter-model search runs interleaved with the deepening, so invalid goals
 are refuted quickly.
 
@@ -130,20 +132,6 @@ def _rule(rid: RuleId, seq: Sequent, cfg: SearchConfig,
     yield inst
 
 
-def _chain_matrix(plan: Plan) -> EdgeMatrix:
-    """Composed matrix along a linear plan chain (each node one child)."""
-    mat: EdgeMatrix | None = None
-    p = plan
-    while p.rule is not None and p.children:
-        m = edge_matrix(p.rule, 0)
-        mat = m if mat is None else mat.compose(m)
-        p = p.children[0]
-    if mat is None:
-        keys = [f.key() for f in plan.conclusion().antecedent if isinstance(f, Rtc)]
-        mat = EdgeMatrix({(k, k): False for k in keys})
-    return mat
-
-
 def _term_pool(seq: Sequent) -> list[Term]:
     """The sequent's terms in key order, then one fresh variable."""
     terms: dict[str, Term] = {}
@@ -159,6 +147,16 @@ class Ancestor:
     sequent: Sequent
     token: int
     matrix: EdgeMatrix  # composed from the ancestor node down to the current node
+
+
+def _cycle_matrix(anc: Ancestor, plan: Plan) -> EdgeMatrix:
+    """The ancestor's matrix composed down a linear plan chain (each node
+    one child) to its bud: the trace matrix of the cycle the bud closes."""
+    mat, p = anc.matrix, plan
+    while p.rule is not None:
+        mat = mat.compose(edge_matrix(p.rule, 0))
+        p = p.children[0]
+    return mat
 
 
 def _bud_moves(seq: Sequent, ancestors: tuple[Ancestor, ...],
@@ -177,8 +175,7 @@ def _bud_moves(seq: Sequent, ancestors: tuple[Ancestor, ...],
                               substitution=make_subst(theta), source=anc.sequent),
                 (bud,))
             plan = _weaken_plan(seq, inner)
-            cyc = anc.matrix.compose(_chain_matrix(plan))
-            if cyc.idempotent_power().has_progressing_diagonal():
+            if _cycle_matrix(anc, plan).idempotent_power().has_progressing_diagonal():
                 yield plan
 
 
@@ -218,8 +215,8 @@ def moves(seq: Sequent, ancestors: tuple[Ancestor, ...], cfg: SearchConfig,
           depth: int) -> Iterator[Plan | RuleInstance]:
     """Deterministic fair candidate ordering: closures and theory leaves,
     cycle formation, invertible rules, case unfolding, equality rewrites,
-    (rule, witness) pairs round-robined over the term pool, then cuts
-    driven by theory axioms.  A closed move is a Plan; any other move is a
+    pair injectivity, (rule, witness) pairs round-robined over the term
+    pool, then cuts driven by theory axioms.  A closed move is a Plan; any other move is a
     RuleInstance whose premises are the subgoals.  The closed moves come
     first, and at depth 0 they are the only ones, since a leaf has no room
     for subgoals."""
@@ -270,11 +267,16 @@ def moves(seq: Sequent, ancestors: tuple[Ancestor, ...], cfg: SearchConfig,
             if tmpl2 != target:
                 yield from _rule(RuleId.EqL2, seq, cfg, principal=eq, template=(tmpl2, hole))
 
-    # 6. witness rules, round-robined so every (rule, witness) pair appears
+    # 6. pair injectivity, under a signature with a pair symbol
+    if cfg.sig.pair_symbol:
+        for f in suc:
+            yield from _rule(RuleId.PairInj, seq, cfg, principal=f)
+
+    # 7. witness rules, round-robined so every (rule, witness) pair appears
     for w in _term_pool(seq):
         yield from _principal_moves(seq, cfg, _WITNESS_PHASES, witness=w)
 
-    # 7. analytic cuts driven by theory axioms: when all but one antecedent
+    # 8. analytic cuts driven by theory axioms: when all but one antecedent
     # formula of an axiom instance is already present, cut in the missing one
     for ax in cfg.theory:
         for i, missing in enumerate(ax.antecedent):

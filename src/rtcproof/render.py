@@ -1,18 +1,35 @@
 """DOT and LaTeX emitters for proof graphs.
 
 Formulas are printed by `syntax.pretty`; `TEX` is its LaTeX notation, so the
-precedence and parenthesisation rules live in `syntax` alone.
+precedence and parenthesisation rules live in `syntax` alone.  The DOT
+output marks an edge as progressing when `tracecheck.edge_matrix` gives it a
+progressing pair; the graph need not be a valid pre-proof, so only the
+edges of rule instances that the kernel accepts are read.
 """
 
 from __future__ import annotations
 
-from .proofgraph import ProofGraph, edge_trace_steps
+from .errors import RtcError
+from .kernel import check_rule_instance
+from .proofgraph import ProofGraph
 from .syntax import (And, App, Bot, Eq, Exists, Forall, Implies, Not, Notation,
                      Or, Rtc, Sequent, Signature, Top, pretty, pretty_sequent)
+from .tracecheck import edge_matrix
 
 
 def _dot_escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def _progressing(g: ProofGraph, nid: int, sig: Signature | None) -> list[bool]:
+    """Per premise of internal node nid, whether its edge progresses; all
+    False when the node's rule instance is not kernel-valid."""
+    rule = g.instance(nid)
+    try:
+        check_rule_instance(rule, sig=sig)
+    except RtcError:
+        return [False] * len(rule.premises)
+    return [any(edge_matrix(rule, i).d.values()) for i in range(len(rule.premises))]
 
 
 def to_dot(g: ProofGraph, sig: Signature | None = None) -> str:
@@ -30,9 +47,7 @@ def to_dot(g: ProofGraph, sig: Signature | None = None) -> str:
         if node.is_bud:
             lines.append(f"  n{nid} -> n{node.companion} [style=dashed, constraint=false];")
             continue
-        rule = g.instance(nid)
-        for i, cid in enumerate(node.children):
-            progressing = any(st.progressing for st in edge_trace_steps(rule, i))
+        for cid, progressing in zip(node.children, _progressing(g, nid, sig)):
             attrs = ' [color=red, penwidth=2.0, label="progress"]' if progressing else ""
             lines.append(f"  n{nid} -> n{cid}{attrs};")
     lines.append("}")

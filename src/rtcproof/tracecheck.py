@@ -1,5 +1,8 @@
 """Deciding the global trace condition for cyclic pre-proofs.
 
+`edge_matrix` is the one definition of the trace pairs across an edge; the
+prover's cycle filter and the renderer's progress marks read it too.
+
 The primary procedure is a Ramsey-style composition closure over per-edge
 trace matrices: the pre-proof is accepted iff every idempotent composed
 matrix describing a cycle contains a progressing diagonal pair.  The closure
@@ -18,8 +21,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
-from .kernel import RuleInstance
-from .proofgraph import ProofGraph, edge_trace_steps
+from .kernel import RuleId, RuleInstance
+from .proofgraph import ProofGraph
+from .syntax import Rtc, Sequent, Var, substitute
 
 MAX_CYCLES = 100_000   # basic cycles before `enumerate_basic_cycles` gives up
 CLOSURE_CAP = 500_000  # path matrices before the trace check is indeterminate
@@ -103,12 +107,33 @@ class CycleReport:
         return self.verdict == "accepted"
 
 
+def _rtc_keys(s: Sequent) -> list[str]:
+    return [f.key() for f in s.antecedent if isinstance(f, Rtc)]
+
+
 def edge_matrix(rule: RuleInstance, i: int) -> EdgeMatrix:
-    """Trace matrix across premise i of a rule instance."""
+    """Trace matrix across premise i of a rule instance that passes
+    `check_rule_instance`; on any other instance it may raise.  Its pairs
+    run from an antecedent rtc formula of the conclusion to one of the
+    premise: across Subst, from the instance of each premise formula that
+    the conclusion holds; across premise 1 of RtcCase, from the principal
+    to its immediate ancestor, the one progressing pair; across any other
+    edge, from each formula that the premise keeps to itself."""
+    if rule.rule is RuleId.Subst:
+        theta = dict(rule.params.substitution)
+        concl = set(_rtc_keys(rule.conclusion))
+        return EdgeMatrix({(k, f.key()): False
+                           for f in rule.premises[i].antecedent if isinstance(f, Rtc)
+                           if (k := substitute(f, theta).key()) in concl})
     entries: dict[tuple[str, str], bool] = {}
-    for st in edge_trace_steps(rule, i):
-        key = (st.from_formula.key(), st.to_formula.key())
-        entries[key] = entries.get(key, False) or st.progressing
+    if rule.rule is RuleId.RtcCase and i == 1:
+        f = rule.params.principal
+        ancestor = Rtc(f.x, f.y, f.body, f.src, Var(rule.params.eigenvar))
+        entries[f.key(), ancestor.key()] = True
+    kept = set(_rtc_keys(rule.premises[i]))
+    for k in _rtc_keys(rule.conclusion):
+        if k in kept:
+            entries.setdefault((k, k), False)
     return EdgeMatrix(entries)
 
 

@@ -20,7 +20,7 @@ from rtcproof.errors import (ArityMismatch, NotApplicable, ParseError, RtcError,
 from rtcproof.kernel import (RuleId, RuleInstance, make_subst, match_sequent,
                              rule_instance)
 from rtcproof.proofgraph import ProofGraph
-from rtcproof.prover import (Ancestor, Plan, SearchConfig, _chain_matrix,
+from rtcproof.prover import (Ancestor, Plan, SearchConfig, _cycle_matrix,
                              _weaken_plan, moves)
 from rtcproof.semantics import (Evaluator, FiniteModel, Valuation,
                                 sequent_holds, used_signature)
@@ -409,8 +409,7 @@ def search_unpruned(seq: Sequent, depth: int, ancestors: tuple[Ancestor, ...],
                                          substitution=make_subst(theta),
                                          source=anc.sequent), (bud,))
             plan = _weaken_plan(seq, bud)
-            cyc = anc.matrix.compose(_chain_matrix(plan))
-            if cyc.idempotent_power().has_progressing_diagonal():
+            if _cycle_matrix(anc, plan).idempotent_power().has_progressing_diagonal():
                 buds.append(plan)
     closed = [m for m in every if isinstance(m, Plan)]
     for move in closed + buds + every[len(closed):]:

@@ -10,7 +10,9 @@ import rtcproof.proofgraph
 import rtcproof.tracecheck
 from rtcproof.cli import main
 from rtcproof.prooffile import parse_proof, serialize_proof
+from rtcproof.render import to_dot
 from rtcproof.syntax import MAX_DEPTH
+from rtcproof.tracecheck import edge_matrix
 
 from conftest import corpus_path
 from helpers import NESTED
@@ -176,6 +178,21 @@ def test_kernel_crash_is_internal_error(monkeypatch, capsys):
     monkeypatch.setattr(rtcproof.proofgraph, "check_rule_instance", broken)
     assert main(["check", corpus_path("nat_p.tcp")]) == 4
     assert capsys.readouterr() == ("", "internal error: ZeroDivisionError: boom\n")
+
+
+def test_main_reuses_its_parser(monkeypatch, capsys):
+    # main builds its parser once per process; a usage error or --help
+    # before a command leaves it as a fresh process would find it
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    for argv in (["check"], ["--help"], ["check", corpus_path("nat_p.tcp")]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "rtcproof.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+    assert rtcproof.cli.build_parser() is rtcproof.cli.build_parser()
 
 
 # graph faults in copies of nat_p.tcp: (text replaced, replacement, the lines
@@ -528,6 +545,20 @@ def test_pairing_goals_not_refuted(command, tmp_path, capsys):
     assert capsys.readouterr().out.startswith("proved; 1 nodes; 0 cycle(s)\n")
 
 
+def test_prove_pair_injectivity(tmp_path, capsys):
+    """Under a pair symbol the prover tries PairInj on the succedent: the
+    pairs are equal, so their components are."""
+    theory = tmp_path / "pairs.tc"
+    theory.write_text("theory pairs\nsig const c ; fn pr/2 ; pair pr\n", encoding="utf-8")
+    proof = tmp_path / "inj.tcp"
+    assert main(["prove", "<a, b> = <d, e> |- a = d /\\ b = e", "--theory", str(theory),
+                 "--out", str(proof)]) == 0
+    assert capsys.readouterr() == ("proved; 2 nodes; 0 cycle(s)\n", "")
+    assert "rule=PairInj" in proof.read_text(encoding="utf-8")
+    assert main(["check", str(proof), "--theory", str(theory)]) == 0
+    assert capsys.readouterr() == ("accepted; 0 basic cycles; normal\n", "")
+
+
 # RtcInd whose step variable x is a parameter of the template t = x: the step
 # premise x = x, E(x, y) |- y = y is not the induction step for arbitrary x,
 # and the conclusion has a counter-model
@@ -600,6 +631,70 @@ def test_render_dot_and_text(capsys):
     assert main(["render", "--format", "text", corpus_path("nat_p.tcp")]) == 0
     with open(corpus_path("nat_p.tcp"), encoding="utf-8") as fh:
         assert capsys.readouterr() == (fh.read(), "")
+
+
+# copies of nat_p.tcp that parse but hold a rule instance the kernel rejects:
+# (text replaced, replacement)
+KERNEL_FAULTS = {
+    "subst_missing": ("subst=[n := _v0] ; ", ""),
+    "rtccase_no_params": ("params={principal=((rtc x y. s(x) = y)(0, n)) ; eigenvar=_v0}",
+                          "params={}"),
+    "rtccase_principal_not_rtc": ("principal=((rtc x y. s(x) = y)(0, n))",
+                                  "principal=(p(0))"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_FAULTS) + sorted(BAD_GRAPHS)
+                         + sorted(PARAM_EDITS))
+def test_render_dot_of_invalid_proof(case, tmp_path, capsys):
+    # DOT renders a graph that check calls invalid, with no progress mark
+    # from a rule instance the kernel rejects; a file that does not parse is
+    # a usage error
+    if case in PARAM_EDITS:
+        name, old, new, _ = PARAM_EDITS[case]
+        with open(corpus_path(name), encoding="utf-8") as fh:
+            text = fh.read()
+        path = tmp_path / name
+        path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    else:
+        old, new = (KERNEL_FAULTS.get(case) or BAD_GRAPHS[case])[:2]
+        path = nat_p_variant(tmp_path, old, new)
+    assert main(["render", "--format", "dot", str(path)]) in (0, 1, 2, 3)
+    out, err = capsys.readouterr()
+    assert "internal error" not in err
+    if case.startswith("rtccase"):
+        assert "progress" not in out
+
+
+def _dot_edges(dot: str) -> list[tuple[int, int, bool]]:
+    """(source, target, marked progressing) per premise edge of a DOT text."""
+    out = []
+    for line in dot.splitlines():
+        if " -> " in line and "dashed" not in line:
+            src, dst = line.split(";")[0].split(" [")[0].split(" -> ")
+            out.append((int(src.strip()[1:]), int(dst[1:]), "progress" in line))
+    return out
+
+
+def test_render_dot_progress_is_edge_matrix_progress(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", os.path.join(SRC, "..", "perfbench", "gen.py"))
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)   # for its dataclasses
+    spec.loader.exec_module(gen)
+    inputs = gen.check_inputs(1, str(tmp_path), os.path.join(SRC, ".."))
+    assert len(inputs) > len(CORPUS_CHECK)
+    marks = set()
+    for ci in inputs:
+        with open(ci.path, encoding="utf-8") as fh:
+            pf = parse_proof(fh.read())
+        g = pf.graph
+        want = [(nid, cid, any(edge_matrix(g.instance(nid), i).d.values()))
+                for nid in g.internal_ids()
+                for i, cid in enumerate(g.nodes[nid].children)]
+        assert _dot_edges(to_dot(g, pf.signature)) == want, ci.name
+        marks.update(p for _, _, p in want)
+    assert marks == {False, True}
 
 
 # golden files recorded before explicit_to_cyclic and to_latex shared

@@ -1,9 +1,10 @@
 import pytest
 
 from rtcproof.kernel import RuleId, make_subst, rule_instance
-from rtcproof.proofgraph import (GraphBuilder, ProofGraph, ProofNode,
-                                 edge_trace_steps, renumber, validate_structure)
+from rtcproof.proofgraph import (GraphBuilder, ProofGraph, ProofNode, renumber,
+                                 validate_structure)
 from rtcproof.syntax import (Rtc, Signature, Var, parse_formula, parse_sequent)
+from rtcproof.tracecheck import edge_matrix
 
 from conftest import ACCEPTED, REJECTED, load_corpus
 
@@ -106,39 +107,34 @@ class TestValidate:
 
 
 class TestTraceSteps:
+    # the trace pairs across one edge, as `tracecheck.edge_matrix` keys them
     def test_rtccase_progressing(self):
         concl = S("(rtc x y. p(x, y))(a, b), (rtc x y. p(x, y))(d, e0) |- r0")
         prin = F("(rtc x y. p(x, y))(a, b)")
         r = rule_instance(RuleId.RtcCase, concl, principal=prin, eigenvar="z")
-        steps1 = edge_trace_steps(r, 1)
-        prog = [st for st in steps1 if st.progressing]
-        assert len(prog) == 1
-        assert prog[0].from_formula == prin
-        assert prog[0].to_formula == Rtc("x", "y", F("(rtc x y. p(x, y))(a, b)").body,
-                                         Var("a"), Var("z"))
+        ancestor = Rtc("x", "y", prin.body, Var("a"), Var("z"))
+        ctx = F("(rtc x y. p(x, y))(d, e0)").key()
+        # the principal progresses to its immediate ancestor, and the
         # context closure formula follows identically
-        ident = [st for st in steps1 if not st.progressing]
-        assert [st.from_formula for st in ident] == [F("(rtc x y. p(x, y))(d, e0)")]
-        # premise 0 carries identity steps only
-        assert all(not st.progressing for st in edge_trace_steps(r, 0))
+        assert edge_matrix(r, 1).d == {(prin.key(), ancestor.key()): True,
+                                       (ctx, ctx): False}
+        # premise 0 carries identity pairs only
+        assert edge_matrix(r, 0).d == {(ctx, ctx): False}
 
     def test_weakening_identity(self):
         concl = S("(rtc x y. p(x, y))(a, b), q(a) |- r0")
         r = rule_instance(RuleId.WL, concl, principal=F("q(a)"))
-        steps = edge_trace_steps(r, 0)
-        assert steps == tuple([type(steps[0])(F("(rtc x y. p(x, y))(a, b)"),
-                                              F("(rtc x y. p(x, y))(a, b)"), False)])
+        k = F("(rtc x y. p(x, y))(a, b)").key()
+        assert edge_matrix(r, 0).d == {(k, k): False}
 
     def test_subst_theta(self):
         src = S("(rtc u v. p(u, v))(x, w) |- r0")
         theta = make_subst({"x": Var("a")})
         concl = src.substituted(dict(theta))
         r = rule_instance(RuleId.Subst, concl, substitution=theta, source=src)
-        steps = edge_trace_steps(r, 0)
-        assert len(steps) == 1
-        assert steps[0].from_formula == F("(rtc u v. p(u, v))(a, w)")
-        assert steps[0].to_formula == parse_formula("(rtc u v. p(u, v))(x, w)", SIG)
-        assert not steps[0].progressing
+        assert edge_matrix(r, 0).d == {
+            (F("(rtc u v. p(u, v))(a, w)").key(),
+             parse_formula("(rtc u v. p(u, v))(x, w)", SIG).key()): False}
 
 
 class TestRenumber:

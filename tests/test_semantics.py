@@ -6,8 +6,8 @@ import pytest
 from rtcproof.errors import BudgetExceeded, NotApplicable, UnboundVariable
 from rtcproof.kernel import RuleId, rule_instance
 from rtcproof.semantics import Evaluator, FiniteModel, evaluate, find_counter_model
-from rtcproof.proofgraph import edge_trace_steps
 from rtcproof.syntax import (Rtc, Signature, Var, parse_formula, parse_sequent)
+from rtcproof.tracecheck import edge_matrix
 
 import sys, os
 sys.path.insert(0, os.path.dirname(__file__))
@@ -324,12 +324,16 @@ class TestDescentHarness:
                         continue
                     idx, m2, v2 = descent_witness(inst, m, v)
                     assert invalidates(m2, v2, inst.premises[idx])
-                    for st in edge_trace_steps(inst, idx):
-                        d_from = degree(m, v, st.from_formula)
-                        d_to = degree(m2, v2, st.to_formula)
+                    # each trace pair, its keys read back as the formulas
+                    # of the conclusion and of the premise
+                    src = {f.key(): f for f in inst.conclusion.antecedent}
+                    dst = {f.key(): f for f in inst.premises[idx].antecedent}
+                    for (a, b), progressing in edge_matrix(inst, idx).d.items():
+                        d_from = degree(m, v, src[a])
+                        d_to = degree(m2, v2, dst[b])
                         assert d_from is not None and d_to is not None
                         assert d_to <= d_from
-                        if st.progressing:
+                        if progressing:
                             assert d_to < d_from
                     checked += 1
         assert checked > 50
