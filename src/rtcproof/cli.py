@@ -175,6 +175,17 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
+def _count(text: str) -> int:
+    """A non-negative integer option value; anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and shared by every
@@ -195,9 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prove", help="search for a cyclic proof of a sequent")
     p.add_argument("goal", help="sequent text, or @file")
     p.add_argument("--theory")
-    p.add_argument("--depth", type=int, default=12)
-    p.add_argument("--max-nodes", type=int, default=100_000)
-    p.add_argument("--model-size", type=int, default=3,
+    p.add_argument("--depth", type=_count, default=12)
+    p.add_argument("--max-nodes", type=_count, default=100_000)
+    p.add_argument("--model-size", type=_count, default=3,
                    help="interleaved refutation size bound")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_prove)
@@ -205,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refute", help="search for a finite counter-model")
     p.add_argument("goal", help="sequent text, or @file")
     p.add_argument("--theory")
-    p.add_argument("--model-size", type=int, default=5)
+    p.add_argument("--model-size", type=_count, default=5)
     p.set_defaults(fn=cmd_refute)
 
     p = sub.add_parser("translate-ind",

@@ -5,10 +5,10 @@ are its children's sequents, in order) or a bud: an open leaf pointing back
 at a syntactically equal internal node, its companion.  Each fact is stored
 once: `ProofGraph.instance` assembles a node's rule instance from the node
 and its children, and `ProofGraph.unfold` is the one walk over the tree
-unfolding, or over each node once.  `validate_structure` checks the graph
-invariants plus every rule instance.  `weakenings` is the one chain of WL
-and WR steps that grows a sequent to a larger one; proofs are built through
-`GraphBuilder`.  The trace pairs across an edge are `tracecheck`'s.
+unfolding, expanding each node once.  `validate_structure` checks the
+graph invariants plus every rule instance.  `weakenings` is the one chain
+of WL and WR steps that grows a sequent to a larger one; proofs are built
+through `GraphBuilder`.  The trace pairs across an edge are `tracecheck`'s.
 """
 
 from __future__ import annotations
@@ -54,23 +54,21 @@ class ProofGraph:
                             tuple(self.nodes[c].sequent for c in node.children),
                             node.params)
 
-    def unfold(self, once: bool = False) -> Iterator[int]:
+    def unfold(self) -> Iterator[int]:
         """The node ids of the tree unfolding in post-order, each node after
-        its children and a bud as a leaf; with `once`, a node reached again
-        is skipped, so each node comes once, after all of its children.
-        RtcError on a missing node or on a cycle of premise links, whose
-        unfolding never ends."""
+        its children, expanding each node once: a bud, or a node reached
+        again after its expansion, comes out as a leaf.  RtcError on a
+        missing node or on a cycle of premise links, whose unfolding never
+        ends."""
         stack = [(self.root, False)]
         path: set[int] = set()   # the expanded nodes on the stack: ancestors
-        done: set[int] = set()   # with `once`, the nodes yielded
+        done: set[int] = set()   # the nodes yielded
         while stack:
             nid, expanded = stack.pop()
-            if nid in done:
-                continue
             if nid not in self.nodes:
                 raise RtcError(f"node {nid} does not exist")
             node = self.nodes[nid]
-            if not (node.is_bud or expanded):
+            if not (node.is_bud or expanded or nid in done):
                 if nid in path:
                     raise RtcError(f"premise links through node {nid} form a cycle")
                 path.add(nid)
@@ -78,8 +76,7 @@ class ProofGraph:
                 stack.extend((cid, False) for cid in reversed(node.children))
                 continue
             path.discard(nid)
-            if once:
-                done.add(nid)
+            done.add(nid)
             yield nid
 
 

@@ -4,10 +4,16 @@ Formulas are printed by `syntax.pretty`; `TEX` is its LaTeX notation, so the
 precedence and parenthesisation rules live in `syntax` alone.  The DOT
 output marks an edge as progressing when `tracecheck.edge_matrix` gives it a
 progressing pair; the graph need not be a valid pre-proof, so only the
-edges of rule instances that the kernel accepts are read.
+edges of rule instances that the kernel accepts are read.  The LaTeX output
+follows `ProofGraph.unfold`, which expands each node once, so a premise
+shared by several nodes is printed in full once and named by a dagger mark
+elsewhere, as a bud names its companion; the output grows with the graph,
+not with its tree unfolding.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from .errors import RtcError
 from .kernel import check_rule_instance
@@ -74,20 +80,26 @@ def latex_sequent(s: Sequent, sig: Signature | None = None) -> str:
 
 
 def to_latex(g: ProofGraph, sig: Signature | None = None) -> str:
-    """bussproofs rendering of the tree unfolding; buds become leaves marked
-    with a dagger naming their companion."""
-    companions = sorted({n.companion for n in g.nodes.values() if n.is_bud})
-    dagger = {cid: i + 1 for i, cid in enumerate(companions)}
+    """bussproofs rendering of the tree unfolding, each node expanded once.
+    A bud, or a node reached again, becomes a leaf marked with a dagger
+    naming its companion or that node; the marks are numbered in id order
+    over companions and over nodes that are premises of several nodes."""
+    premises = Counter(c for n in g.nodes.values() for c in n.children)
+    marked = {n.companion for n in g.nodes.values() if n.is_bud}
+    marked |= {c for c, k in premises.items() if k > 1}
+    dagger = {nid: i + 1 for i, nid in enumerate(sorted(marked))}
     lines = [r"% requires \usepackage{bussproofs}", r"\begin{prooftree}"]
 
     # a node's lines follow its children's
+    printed: set[int] = set()
     for nid in g.unfold():
         node = g.nodes[nid]
         seq = latex_sequent(node.sequent, sig)
-        if node.is_bud:
-            mark = rf"\dagger_{dagger[node.companion]}"
+        if node.is_bud or nid in printed:
+            mark = rf"\dagger_{dagger[nid if nid in printed else node.companion]}"
             lines.append(rf"\AxiomC{{$({mark}) \; {seq}$}}")
             continue
+        printed.add(nid)
         label = node.rule.value
         if nid in dagger:
             label += rf" \; \dagger_{dagger[nid]}"

@@ -4,14 +4,17 @@
 prover's cycle filter and the renderer's progress marks read it too.
 
 The primary procedure is a Ramsey-style composition closure over per-edge
-trace matrices: the pre-proof is accepted iff every idempotent composed
-matrix describing a cycle contains a progressing diagonal pair.  The closure
-starts at companions only and follows only edges inside one strongly
-connected component; that is exact, since a cycle never leaves its component
-and always passes through a companion.  The closure, basic cycles and the
-normality test rest on one iterative SCC pass.  The tests cross-check the
-closure against a bounded enumeration of ultimately periodic paths
-(`tests/oracles.py`).
+trace matrices (size-change termination, Lee, Jones & Ben-Amram, POPL 2001):
+the pre-proof is accepted iff every idempotent composed matrix describing a
+cycle contains a progressing diagonal pair.  There is one closure per
+companion, in id order, over the paths from it that follow only edges inside
+its strongly connected component; that is exact, since a cycle never leaves
+its component and always passes through a companion.  Each closure tests a
+loop back to its companion when it adds it and stops at the first bad one;
+CLOSURE_CAP counts path matrices across companions.  The closure, basic
+cycles and the normality test rest on one iterative SCC pass.  The tests
+cross-check the closure against a bounded enumeration of ultimately periodic
+paths (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -224,13 +227,14 @@ def check_global_trace_condition(g: ProofGraph) -> CycleReport:
     """Composition-closure decision of the global trace condition.
 
     Accepted iff every idempotent path matrix looping at a companion has a
-    progressing diagonal pair.  The closure starts at companions and keeps to
-    flow edges inside one SCC; this is exact, since every infinite path ends
-    in one SCC and visits some companion infinitely often (every flow cycle
-    enters a companion from a bud).  A rejection's witness is the shortest bad
-    idempotent loop at the smallest companion that has one, after a shortest
-    flow path from the root.  Above CLOSURE_CAP distinct path matrices the
-    verdict is indeterminate.
+    progressing diagonal pair.  Each companion, in id order, gets a closure
+    of its paths along flow edges inside its SCC; this is exact, since every
+    infinite path ends in one SCC and visits some companion infinitely often
+    (every flow cycle enters a companion from a bud).  Paths grow breadth
+    first, one per (end node, matrix), and the check stops at the first bad
+    loop added, the shortest at the smallest companion that has one: the
+    witness, after a shortest flow path from the root.  Above CLOSURE_CAP
+    path matrices, counted across companions, the verdict is indeterminate.
     """
     succ = _flow_succ(g)
     comp_of = {v: i for i, comp in enumerate(_sccs(succ)) for v in comp}
@@ -239,42 +243,30 @@ def check_global_trace_condition(g: ProofGraph) -> CycleReport:
         if comp_of[src] == comp_of[dst]:
             out.setdefault(src, []).append(
                 FlowEdge(src, dst, edge_matrix(g.instance(src), i)))
-    companions = sorted({n.companion for n in g.nodes.values() if n.is_bud})
-    # closure elements (src, dst, matrix key) -> matrix and a representative
-    # edge path, extended by single edges on the right (left-linear closure is
-    # enough: every path is a left fold of its edges)
-    closure: dict[tuple[int, int, frozenset], tuple[EdgeMatrix, tuple[FlowEdge, ...]]] = {}
-    queue: deque[tuple[int, int, frozenset]] = deque()
-
-    def add(src: int, mat: EdgeMatrix, path: tuple[FlowEdge, ...]) -> None:
-        key = (src, path[-1].dst, mat._key)
-        if key in closure:
-            return
-        if len(closure) >= CLOSURE_CAP:
-            raise BudgetExceeded("closure cap reached")
-        closure[key] = (mat, path)
-        queue.append(key)
-
-    try:
-        for c in companions:
-            for e in out.get(c, ()):
-                add(c, e.matrix, (e,))
+    size = 0  # path matrices of all closures so far
+    for c in sorted({n.companion for n in g.nodes.values() if n.is_bud}):
+        # paths from c extended by single edges on the right (left-linear
+        # closure is enough: every path is a left fold of its edges)
+        seen: set[tuple[int, frozenset]] = set()  # (end node, matrix key)
+        queue: deque[tuple[EdgeMatrix | None, tuple[FlowEdge, ...]]] = deque([(None, ())])
         while queue:
-            key = queue.popleft()
-            mat, path = closure[key]
-            for e in out.get(key[1], ()):
-                add(key[0], mat.compose(e.matrix), path + (e,))
-    except BudgetExceeded:
-        return CycleReport("indeterminate", detail="closure cap exceeded")
-
-    loops = [(src, mat, path) for (src, dst, _), (mat, path) in closure.items()
-             if src == dst]
-    for src, mat, path in sorted(loops, key=lambda t: (t[0], len(t[2]))):
-        if not mat.has_progressing_diagonal() and mat.is_idempotent():
-            period = (src,) + tuple(e.dst for e in path)
-            prefix = _shortest_path(succ, _flow_root(g), src)
-            return CycleReport("rejected", prefix, period, path,
-                               detail="idempotent cycle without progress")
+            mat, path = queue.popleft()
+            for e in out.get(path[-1].dst if path else c, ()):
+                ext = mat.compose(e.matrix) if path else e.matrix
+                if (e.dst, ext._key) in seen:
+                    continue
+                if size >= CLOSURE_CAP:
+                    return CycleReport("indeterminate", detail="closure cap exceeded")
+                size += 1
+                seen.add((e.dst, ext._key))
+                walk = path + (e,)
+                if (e.dst == c and not ext.has_progressing_diagonal()
+                        and ext.is_idempotent()):
+                    period = (c,) + tuple(f.dst for f in walk)
+                    prefix = _shortest_path(succ, _flow_root(g), c)
+                    return CycleReport("rejected", prefix, period, walk,
+                                       detail="idempotent cycle without progress")
+                queue.append((ext, walk))
     return CycleReport("accepted")
 
 

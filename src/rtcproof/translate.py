@@ -126,7 +126,9 @@ def explicit_to_cyclic(p: ProofGraph) -> ProofGraph:
 
     b = GraphBuilder()
     done: dict[int, int] = {}   # input id -> id in b of its translation
-    for nid in p.unfold(once=True):
+    for nid in p.unfold():
+        if nid in done:
+            continue
         node = p.nodes[nid]
         kids = tuple(done[c] for c in node.children)
         if node.rule is not RuleId.RtcInd:

@@ -10,7 +10,7 @@ import rtcproof.proofgraph
 import rtcproof.tracecheck
 from rtcproof.cli import main
 from rtcproof.prooffile import parse_proof, serialize_proof
-from rtcproof.render import to_dot
+from rtcproof.render import latex_sequent, to_dot, to_latex
 from rtcproof.syntax import MAX_DEPTH
 from rtcproof.tracecheck import edge_matrix
 
@@ -713,6 +713,17 @@ def test_render_tex_golden(capsys):
         assert capsys.readouterr() == (fh.read(), "")
 
 
+def test_render_tex_expands_shared_premises_once():
+    # each diamond level doubles the paths to the next, so the tree unfolding
+    # of diamond_proof(17) has over 2^17 copies of its lower nodes; each
+    # node is printed in full once, and elsewhere as a leaf naming it
+    pf = parse_proof(diamond_proof(17))
+    tex = to_latex(pf.graph, pf.signature)
+    assert len(tex.splitlines()) <= 4 * len(pf.graph.nodes)
+    for nid, node in pf.graph.nodes.items():
+        assert latex_sequent(node.sequent, pf.signature) in tex, nid
+
+
 # every corpus file, and the proof in every golden file of a proved goal
 TEXT_PROOFS = sorted(CORPUS_CHECK) + sorted(
     f"prove_{c}.out" for c, (code, _) in PROVE_GOLDEN.items() if code == 0)
@@ -776,3 +787,19 @@ def test_nesting_at_cap_runs(shape, tmp_path, capsys):
                     encoding="utf-8")
     assert main(["check", str(path)]) == 0
     assert capsys.readouterr() == ("accepted; 0 basic cycles; normal\n", "")
+
+
+@pytest.mark.parametrize("argv", [["prove", "q(a) |- q(a)", "--depth", "-1"],
+                                  ["prove", "q(a) |- q(a)", "--max-nodes", "-5"],
+                                  ["prove", "q(a) |- q(a)", "--model-size", "-1"],
+                                  ["refute", "q(a) |- q(b)", "--model-size", "-1"]])
+def test_negative_bound_is_usage_error(argv, capsys):
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"error: argument {argv[2]}: expected a non-negative integer, "
+                        f"got '{argv[3]}'\n")
+    assert "internal error" not in err
+    # zero stays a valid bound; `prove --model-size 0` turns the
+    # interleaved model search off
+    assert main(argv[:3] + ["0"]) in (0, 1, 2)

@@ -211,6 +211,38 @@ class TestFreshness:
                               RuleParams(principal=F("exists x. q(x)"), eigenvar="w"))
 
 
+# side conditions of the rules with eigenvariables: (rule, conclusion,
+# params, the error's type and text)
+SIDE_CONDITIONS = {
+    "rtcind_same_variables": (
+        RuleId.RtcInd, "q(a), (rtc x y. E(x, y))(a, b) |- q(b)",
+        dict(principal="(rtc x y. E(x, y))(a, b)", template=("q(h)", "h"),
+             eigenvar="u", eigenvar2="u"),
+        FreshnessViolation, "variable 'u' is not fresh: induction variables must be distinct"),
+    "rtcind_no_base": (
+        RuleId.RtcInd, "(rtc x y. E(x, y))(a, b) |- q(b)",
+        dict(principal="(rtc x y. E(x, y))(a, b)", template=("q(h)", "h"),
+             eigenvar="u", eigenvar2="w"),
+        NotApplicable, "q(a) not in antecedent"),
+    "exl_eigenvar_in_principal": (
+        RuleId.ExL, "exists x. p(x, z) |- r0",
+        dict(principal="exists x. p(x, z)", eigenvar="z"),
+        FreshnessViolation, "variable 'z' is not fresh: occurs free in the principal formula"),
+    "allr_eigenvar_in_principal": (
+        RuleId.AllR, "r0 |- forall x. p(x, z)",
+        dict(principal="forall x. p(x, z)", eigenvar="z"),
+        FreshnessViolation, "variable 'z' is not fresh: occurs free in the principal formula"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIDE_CONDITIONS))
+def test_side_condition_messages(case):
+    rule, concl, raw, error, message = SIDE_CONDITIONS[case]
+    with pytest.raises(error) as exc:
+        expected_premises(rule, S(concl), RuleParams(**_params(raw)), sig=SIG)
+    assert str(exc.value) == message
+
+
 class TestRoundTrip:
     def test_expected_equals_premises(self):
         for rule, (concl, raw, theory) in POSITIVE.items():

@@ -13,7 +13,7 @@ import pytest
 from rtcproof import prooffile
 from rtcproof.cli import main
 from rtcproof.errors import ParseError, RtcError
-from rtcproof.prooffile import load_theory, parse_proof
+from rtcproof.prooffile import load_theory, parse_proof, parse_theory
 from rtcproof.proofgraph import validate_structure
 from rtcproof.syntax import MAX_DEPTH, _Parser, parse_formula, tokenize
 
@@ -184,6 +184,44 @@ def test_error_in_repeated_formula_reported_at_first_line():
     first = next(i for i, line in enumerate(lines, 1) if line.startswith("node "))
     assert (info.value.line, info.value.position, info.value.message) \
         == (first, lines[first - 1].index("q(c)"), "function 'q' not declared")
+
+
+TINY = ("tcp 1\nsig pred q/1\ntheory -\nroot 0\n"
+        "node 0 : q(a) |- q(a) ; rule=Axiom ; params={} ; premises=[]\n")
+
+# one edit of TINY per error of its header and line format: (text replaced,
+# replacement, the error's text with its line and offset, if it has one)
+FILE_ERRORS = {
+    "no_header": ("tcp 1\n", "", "missing 'tcp 1' header"),
+    "no_root": ("root 0\n", "", "missing 'root' line"),
+    "version": ("tcp 1", "tcp 2", "line 1, offset 4: unsupported proof format version '2'"),
+    # the offset of the line's end
+    "no_colon": ("node 0 :", "node 0", "line 5, offset 58: expected ':' after the node id"),
+    "sig_section": ("sig pred q/1", "sig pred q/1 ; rel r/2",
+                    "line 2, offset 15: unknown signature section 'rel'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILE_ERRORS))
+def test_file_error_messages(case):
+    old, new, message = FILE_ERRORS[case]
+    with pytest.raises(RtcError) as info:
+        parse_proof(TINY.replace(old, new))
+    assert str(info.value) == message
+
+
+def test_theory_file_error_messages(tmp_path, capsys):
+    with pytest.raises(ParseError) as info:
+        parse_theory("theory\nsig pred q/1\n")
+    assert str(info.value) == "line 1, offset 6: expected a theory name"
+    with pytest.raises(RtcError) as info:
+        parse_theory("sig pred q/1\naxiom q(a) |- q(a)\n")
+    assert str(info.value) == "theory file has no 'theory <name>' line"
+    path = tmp_path / "tiny.tcp"
+    path.write_text(TINY, encoding="utf-8")
+    assert main(["check", str(path), "--theory", "no_such_theory"]) == 3
+    assert capsys.readouterr() == (
+        "", "error: theory 'no_such_theory': no such file or bundled theory\n")
 
 
 # tokens a mutation inserts or substitutes, by kind: declared and undeclared

@@ -1,12 +1,14 @@
 import pytest
 
 from rtcproof.kernel import RuleId, make_subst, rule_instance
+from rtcproof.prooffile import parse_proof
 from rtcproof.proofgraph import (GraphBuilder, ProofGraph, ProofNode, renumber,
                                  validate_structure)
 from rtcproof.syntax import (Rtc, Signature, Var, parse_formula, parse_sequent)
 from rtcproof.tracecheck import edge_matrix
 
 from conftest import ACCEPTED, REJECTED, load_corpus
+from preproofs import diamond_proof
 
 SIG = Signature.make(predicates={"p": 2, "q": 1, "r0": 0})
 
@@ -96,6 +98,23 @@ class TestValidate:
         errs = validate_structure(b.graph(root))
         assert any(e.kind == "KernelError" for e in errs)
 
+    def test_bud_with_children(self):
+        # the text format cannot give a bud premises; a graph built in code
+        # can: here an axiom below the bud of a WL / Subst cycle
+        b = GraphBuilder()
+        n0 = b.reserve()
+        s0 = S("q(a), q(b) |- r0")
+        wl = rule_instance(RuleId.WL, s0, principal=F("q(b)"))
+        sub = rule_instance(RuleId.Subst, wl.premises[0],
+                            substitution=make_subst({"b": Var("a")}), source=s0)
+        bud = b.add_bud(s0, n0)
+        b.fill_internal(n0, wl, (b.add_internal(sub, (bud,)),))
+        axiom = b.add_internal(rule_instance(RuleId.Axiom, S("q(a) |- q(a)")))
+        g = b.graph(n0)
+        g.nodes[bud] = ProofNode(s0, companion=n0, children=(axiom,))
+        assert [str(e) for e in validate_structure(g, (), SIG)] == [
+            f"BadPremiseLink at node {bud}: bud has children"]
+
     def test_premise_cycle_rejected(self):
         s = S("q(a) |- q(a)")
         ax = rule_instance(RuleId.Axiom, s)
@@ -135,6 +154,21 @@ class TestTraceSteps:
         assert edge_matrix(r, 0).d == {
             (F("(rtc u v. p(u, v))(a, w)").key(),
              parse_formula("(rtc u v. p(u, v))(x, w)", SIG).key()): False}
+
+
+def test_unfold_expands_each_node_once():
+    # 2^17 paths through the diamonds, but each node is expanded once: the
+    # walk yields the root plus one leaf or node per premise link, and a
+    # node's first yield follows its children's
+    g = parse_proof(diamond_proof(17)).graph
+    order = list(g.unfold())
+    assert len(order) == 1 + sum(len(n.children) for n in g.nodes.values())
+    first = {}
+    for i, nid in enumerate(order):
+        first.setdefault(nid, i)
+    assert sorted(first) == sorted(g.nodes)
+    for nid, node in g.nodes.items():
+        assert all(first[c] < first[nid] for c in node.children), nid
 
 
 class TestRenumber:

@@ -47,6 +47,21 @@ class TestParse:
         with pytest.raises(ArityMismatch):
             F("p(x)")
 
+    def test_pair_without_pair_symbol(self):
+        sig = Signature.make(functions={"pair": 2}, predicates={"q": 1})
+        with pytest.raises(UnknownSymbol) as exc:
+            parse_formula("q(<a, b>)", sig)
+        assert str(exc.value) == \
+            "at offset 2: pair syntax used but signature has no pair symbol"
+
+    @pytest.mark.parametrize("kind, word", [("functions", "function"),
+                                            ("predicates", "predicate")])
+    def test_merge_arity_clash(self, kind, word):
+        one = Signature.make(**{kind: {"f": 1}})
+        with pytest.raises(ArityMismatch) as exc:
+            one.merge(Signature.make(**{kind: {"f": 2}}))
+        assert str(exc.value) == f"{word} 'f' declared with arities 1 and 2"
+
     def test_precedence(self):
         f = F("~q(a) /\\ q(b) \\/ q(a) -> q(b)")
         assert isinstance(f, type(F("q(a) -> q(b)")))

@@ -248,6 +248,19 @@ class TestRestrictedClosure:
         rep = check_global_trace_condition(g)
         assert rep.verdict == ("rejected" if rejected else "accepted")
 
+    @pytest.mark.parametrize("k", [6, 8])
+    def test_rejection_within_cap_of_its_first_bad_loop(self, k, monkeypatch):
+        # the closure stops at its first bad loop, after 57 and 107 path
+        # matrices; the whole closure has 1,280 and 6,656, so a check that
+        # built it all would be indeterminate under a cap of 200
+        g = parse_proof(thread_proof(k, rejected=True)).graph
+        full = check_global_trace_condition(g)
+        monkeypatch.setattr(tracecheck, "CLOSURE_CAP", 200)
+        rep = check_global_trace_condition(g)
+        assert rep.verdict == full.verdict == "rejected"
+        assert (rep.witness_prefix, rep.witness_period) == \
+            (full.witness_prefix, full.witness_period)
+
     def test_past_cap_is_indeterminate(self, monkeypatch):
         g = parse_proof(thread_proof(2)).graph
         monkeypatch.setattr(tracecheck, "CLOSURE_CAP", 1)
