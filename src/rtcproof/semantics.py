@@ -12,7 +12,13 @@ tuple, or a predicate tuple listed in `FiniteModel.unknown`, is a cell whose
 value is not yet chosen.  `Evaluator.holds` reads such models in Kleene's
 three-valued logic and returns None where the answer depends on unknown
 cells; a definite answer holds in every completion, and a complete model
-never yields None.
+never yields None.  Each formula and term is compiled once, at its first
+evaluation, into a tree of closures kept on it (Feeley & Lapalme, "Using
+closures for code generation", 1987), so no evaluation dispatches on
+constructors; an rtc closure holds its step relation's key and side
+variables, and an atom over variables alone reads its cell from the
+valuation.  Unknown symbols and unbound variables raise when the closure
+runs, not when it is built.
 
 Model enumeration order (documented contract): by domain size, then per
 size lexicographically over table encodings in the order (function tables,
@@ -36,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import BudgetExceeded, SignatureMismatch, UnboundVariable
 from .syntax import (And, App, Bot, Const, Eq, Exists, Forall, Formula,
@@ -88,132 +95,42 @@ class Evaluator:
 
     def term(self, t: Term, v: Valuation) -> int | None:
         """The value of t, or None when it depends on an unknown cell."""
-        match t:
-            case Var(name):
-                try:
-                    return v[name]
-                except KeyError:
-                    raise UnboundVariable(f"variable {name!r} has no value") from None
-            case Const(name):
-                try:
-                    return self.model.const_interp[name]
-                except KeyError:
-                    raise SignatureMismatch(f"constant {name!r} not interpreted") from None
-            case App(fn, args):
-                table = self.model.fn_interp.get(fn)
-                if table is None:
-                    raise SignatureMismatch(f"function {fn!r} not interpreted")
-                # an argument tuple holding None is in no table
-                return table.get(tuple([self.term(a, v) for a in args]))
-        raise TypeError(f"not a term: {t!r}")
+        return _compile_term(t)(self, v)
 
     def holds(self, f: Formula, v: Valuation) -> bool | None:
         """True or False when f has that value in every completion of the
         model, None otherwise."""
-        # cases in the order of how often the model search meets them
-        match f:
-            case Pred(name, args):
-                rel = self.model.pred_interp.get(name)
-                if rel is None:
-                    raise SignatureMismatch(f"predicate {name!r} not interpreted")
-                cell = tuple([self.term(a, v) for a in args])
-                if None in cell or cell in self.model.unknown.get(name, ()):
-                    return None
-                return cell in rel
-            case Rtc(_, _, _, s, t):
-                sv, tv = self.term(s, v), self.term(t, v)
-                if sv is None or tv is None:
-                    return None
-                if sv == tv:
-                    return True
-                lower, upper = self.reach(f, v)
-                if lower[sv] >> tv & 1:
-                    return True
-                return None if upper[sv] >> tv & 1 else False
-            case Implies(l, r):
-                a = self.holds(l, v)
-                if a is False:
-                    return True
-                b = self.holds(r, v)
-                return b if a else (True if b else None)
-            case Forall(x, b):
-                out = True
-                w = dict(v)
-                for a in range(self.model.domain_size):
-                    w[x] = a
-                    val = self.holds(b, w)
-                    if val is False:
-                        return False
-                    if val is None:
-                        out = None
-                return out
-            case Exists(x, b):
-                out: bool | None = False
-                w = dict(v)
-                for a in range(self.model.domain_size):
-                    w[x] = a
-                    val = self.holds(b, w)
-                    if val:
-                        return True
-                    if val is None:
-                        out = None
-                return out
-            case And(l, r):
-                a = self.holds(l, v)
-                if a is False:
-                    return False
-                b = self.holds(r, v)
-                return b if a else (False if b is False else None)
-            case Or(l, r):
-                a = self.holds(l, v)
-                if a is True:
-                    return True
-                b = self.holds(r, v)
-                return b if a is False else (True if b else None)
-            case Not(s):
-                a = self.holds(s, v)
-                return None if a is None else not a
-            case Eq(l, r):
-                a, b = self.term(l, v), self.term(r, v)
-                return None if a is None or b is None else a == b
-            case Top():
-                return True
-            case Bot():
-                return False
-        raise TypeError(f"not a formula: {f!r}")
+        return _compile_formula(f)(self, v)
 
     def adjacency(self, f: Rtc, v: Valuation) -> list[list[bool | None]]:
         """Step relation of an rtc formula's body under v (None: unknown)."""
-        key = self._cache_key(f, v)
-        adj = self._adj.get(key)
-        if adj is None:
-            n = self.model.domain_size
-            old = self._base_adj.get(key)
-            w = dict(v)
-            adj = []
-            for a in range(n):
-                w[f.x] = a
-                row = []
-                for b in range(n):
-                    w[f.y] = b
-                    e = old[a][b] if old else None
-                    row.append(self.holds(f.body, w) if e is None else e)
-                adj.append(row)
-            self._adj[key] = adj
-        return adj
+        relation, side = f.relation()
+        key = relation, _values(side, v)
+        if key not in self._adj:
+            self._bounds(key, f.x, f.y, _compile_formula(f.body), v)
+        return self._adj[key]
 
-    def reach(self, f: Rtc, v: Valuation) -> tuple[list[int], list[int]]:
+    def _bounds(self, key: tuple, x: str, y: str, body: Compiled,
+                v: Valuation) -> tuple[list[int], list[int]]:
         """(lower, upper) as bitmasks per element: bit b of lower[a] is set
         when b is reachable from a by >= 1 body steps known to hold, of
         upper[a] when it is reachable by steps not known to fail; a itself
         only when it lies on such a cycle.  The two agree in a complete
         model.  The reflexive case is the caller's, which compares endpoint
-        values."""
-        key = self._cache_key(f, v)
-        cached = self._reach.get(key)
-        if cached is not None:
-            return cached
-        adj = self.adjacency(f, v)
+        values.  Caches them, and the step relation, under `key`."""
+        n = self.model.domain_size
+        old = self._base_adj.get(key)
+        w = dict(v)
+        adj = []
+        for a in range(n):
+            w[x] = a
+            row = []
+            for b in range(n):
+                w[y] = b
+                e = old[a][b] if old else None
+                row.append(body(self, w) if e is None else e)
+            adj.append(row)
+        self._adj[key] = adj
         lower = _closure([sum(1 << b for b, e in enumerate(row) if e) for row in adj])
         if any(None in row for row in adj):
             upper = _closure([sum(1 << b for b, e in enumerate(row) if e is not False)
@@ -223,12 +140,145 @@ class Evaluator:
         self._reach[key] = (lower, upper)
         return lower, upper
 
-    def _cache_key(self, f: Rtc, v: Valuation) -> tuple:
-        relation, side = f.relation()
-        try:
-            return relation, tuple(v[e] for e in side)
-        except KeyError as exc:
-            raise UnboundVariable(f"variable {exc.args[0]!r} has no value") from None
+
+# ---------------------------------------------------------------------------
+# The compiler.  A closure looks its symbols up in ev's model when it runs,
+# so a model edited between calls is read as it is now.
+
+Compiled = Callable[[Evaluator, Valuation], "bool | int | None"]
+
+
+def _values(names: tuple[str, ...], v: Valuation) -> tuple[int, ...]:
+    try:
+        return tuple([v[x] for x in names])
+    except KeyError as exc:
+        raise UnboundVariable(f"variable {exc.args[0]!r} has no value") from None
+
+
+def _compile_term(t: Term) -> Compiled:
+    """t's closure (ev, v) -> its value or None, built at its first use and
+    kept on t, as `Formula.key` keeps its key."""
+    run = getattr(t, "_value", None)
+    if run is not None:
+        return run
+    match t:
+        case Var(name):
+            def run(ev, v):
+                try:
+                    return v[name]
+                except KeyError:
+                    raise UnboundVariable(f"variable {name!r} has no value") from None
+        case Const(name):
+            def run(ev, v):
+                try:
+                    return ev.model.const_interp[name]
+                except KeyError:
+                    raise SignatureMismatch(f"constant {name!r} not interpreted") from None
+        case App(fn, args):
+            subs = [_compile_term(a) for a in args]
+            def run(ev, v):
+                table = ev.model.fn_interp.get(fn)
+                if table is None:
+                    raise SignatureMismatch(f"function {fn!r} not interpreted")
+                # an argument tuple holding None is in no table
+                return table.get(tuple([a(ev, v) for a in subs]))
+        case _:
+            raise TypeError(f"not a term: {t!r}")
+    object.__setattr__(t, "_value", run)
+    return run
+
+
+# the connectives that may skip their right side: (value of the left side
+# that decides the formula, the formula's value then)
+_SHORT_CUT = {And: (False, False), Or: (True, True), Implies: (False, True)}
+
+
+def _compile_formula(f: Formula) -> Compiled:
+    """f's closure (ev, v) -> its Kleene value, built at its first use and
+    kept on f."""
+    run = getattr(f, "_holds", None)
+    if run is not None:
+        return run
+    # cases in the order of how often the model search meets them
+    match f:
+        case Pred(name, args) if all(a.__class__ is Var for a in args):
+            names = [a.name for a in args]
+            def run(ev, v):
+                m = ev.model
+                rel = m.pred_interp.get(name)
+                if rel is None:
+                    raise SignatureMismatch(f"predicate {name!r} not interpreted")
+                try:
+                    cell = tuple([v[x] for x in names])
+                except KeyError as exc:
+                    raise UnboundVariable(f"variable {exc.args[0]!r} has no value") from None
+                return None if cell in m.unknown.get(name, ()) else cell in rel
+        case Pred(name, args):
+            terms = [_compile_term(a) for a in args]
+            def run(ev, v):
+                m = ev.model
+                rel = m.pred_interp.get(name)
+                if rel is None:
+                    raise SignatureMismatch(f"predicate {name!r} not interpreted")
+                cell = tuple([t(ev, v) for t in terms])
+                if None in cell or cell in m.unknown.get(name, ()):
+                    return None
+                return cell in rel
+        case Rtc(x, y, body, src, dst):
+            relation, side = f.relation()
+            step, s, t = _compile_formula(body), _compile_term(src), _compile_term(dst)
+            def run(ev, v):
+                sv, tv = s(ev, v), t(ev, v)
+                if sv is None or tv is None:
+                    return None
+                if sv == tv:
+                    return True
+                key = relation, _values(side, v)
+                bounds = ev._reach.get(key) or ev._bounds(key, x, y, step, v)
+                if bounds[0][sv] >> tv & 1:
+                    return True
+                return None if bounds[1][sv] >> tv & 1 else False
+        case Implies(left, right) | And(left, right) | Or(left, right):
+            cut, out = _SHORT_CUT[f.__class__]
+            l, r = _compile_formula(left), _compile_formula(right)
+            def run(ev, v):
+                a = l(ev, v)
+                if a is cut:
+                    return out
+                b = r(ev, v)
+                return b if a is not None else (out if b is out else None)
+        case Forall(x, body) | Exists(x, body):
+            # a quantifier stops at the first instance with value `cut`
+            cut, b = f.__class__ is Exists, _compile_formula(body)
+            def run(ev, v):
+                out = not cut
+                w = dict(v)
+                for a in range(ev.model.domain_size):
+                    w[x] = a
+                    val = b(ev, w)
+                    if val is cut:
+                        return cut
+                    if val is None:
+                        out = None
+                return out
+        case Not(sub):
+            b = _compile_formula(sub)
+            def run(ev, v):
+                a = b(ev, v)
+                return None if a is None else not a
+        case Eq(lhs, rhs):
+            l, r = _compile_term(lhs), _compile_term(rhs)
+            def run(ev, v):
+                a, b = l(ev, v), r(ev, v)
+                return None if a is None or b is None else a == b
+        case Top() | Bot():
+            value = f.__class__ is Top
+            def run(ev, v):
+                return value
+        case _:
+            raise TypeError(f"not a formula: {f!r}")
+    object.__setattr__(f, "_holds", run)
+    return run
 
 
 def _closure(step: list[int]) -> list[int]:
@@ -353,7 +403,7 @@ class _CellSearch:
                  cvars: list[str], goal_fvs: list[str], budget: int):
         self.sig, self.cvars, self.goal_fvs = sig, cvars, goal_fvs
         self.budget, self.nodes = budget, 0
-        self.formulas: list[Formula] = []
+        self.compiled: list[Compiled] = []
         self.fvs: list[tuple[str, ...]] = []
         self.shapes: list[str] = []
         self.goal_sides = self._sides(goal)
@@ -361,29 +411,30 @@ class _CellSearch:
                              for ax in theory]
 
     def _sides(self, seq: Sequent) -> tuple[list[int], list[int]]:
-        """Indices of seq's formulas in `self.formulas`, added here."""
+        """Indices of seq's formulas in `self.compiled`, added here."""
         def add(f: Formula) -> int:
             fvs = tuple(sorted(free_vars(f)))
-            self.formulas.append(f)
+            self.compiled.append(_compile_formula(f))
             self.fvs.append(fvs)
             # formulas that differ only in the names of their free
             # variables share memo entries
             self.shapes.append(positional_key(f, fvs))
-            return len(self.formulas) - 1
+            return len(self.compiled) - 1
         return [add(f) for f in seq.antecedent], [add(f) for f in seq.succedent]
 
     def _check(self, sides: tuple[list[int], list[int]], v: Valuation,
                 entries: dict) -> tuple:
         """The check of the sequent with these `sides` under v: one entry
-        per formula, (the value that makes the sequent true, formula index,
-        memo key, the formula's own valuation), shared through `entries` by
-        every check with the same values of that formula's free
-        variables."""
+        per formula, (the value that makes the sequent true, the formula's
+        closure, memo key, the formula's own valuation), shared through
+        `entries` by every check with the same values of that formula's
+        free variables."""
         def entry(want: bool, i: int) -> tuple:
             vals = tuple(v[x] for x in self.fvs[i])
             found = entries.get((want, i, vals))
             if found is None:
-                found = entries[want, i, vals] = (want, i, (self.shapes[i], vals),
+                found = entries[want, i, vals] = (want, self.compiled[i],
+                                                  (self.shapes[i], vals),
                                                   dict(zip(self.fvs[i], vals)))
             return found
         ant, suc = sides
@@ -424,14 +475,13 @@ class _CellSearch:
                   for t in reversed(list(itertools.product(range(n), repeat=ar)))]
         known: dict[tuple, bool] = {}
         log: list[tuple] = []
-        formulas = self.formulas
 
         def value(check: tuple, ev: Evaluator, undecided: set) -> bool | None:
             out: bool | None = False
-            for want, i, key, v in check:
+            for want, run, key, v in check:
                 val = known.get(key)
                 if val is None and key not in undecided:
-                    val = ev.holds(formulas[i], v)
+                    val = run(ev, v)
                     if val is None:
                         undecided.add(key)
                     else:

@@ -17,11 +17,12 @@ search's constants), `symbols` lists the symbols that formulas use, and
 One precedence table, `_PRECEDENCE`, serves the parser and the printer: the
 parser climbs it to group binary connectives, and the printer reads it to
 parenthesise, in both notations, plain text (`TEXT`) and LaTeX
-(`render.TEX`).  Three functions keep a `match` per constructor,
+(`render.TEX`).  A few functions keep a `match` per constructor,
 because each constructor means something different there: `_formula_key`
-(its strings fix sequent order, and so the printed output),
-`semantics.Evaluator.holds` and the test oracle `evaluate_warshall` in
-`tests/oracles.py` (truth conditions).
+(its strings fix sequent order, and so the printed output), the compiler
+`semantics._compile_formula`, which turns a formula into its evaluation
+closure once, and the test oracles `evaluate_warshall` and `kleene_holds`
+in `tests/oracles.py` (truth conditions).
 
 The parser checks each symbol against the signature as it reads it; the
 tests keep an independent check, `validate_formula` in `tests/oracles.py`.
@@ -488,12 +489,6 @@ class Signature:
 
     def fn_arity(self, name: str) -> int | None:
         for n, a in self.functions:
-            if n == name:
-                return a
-        return None
-
-    def pred_arity(self, name: str) -> int | None:
-        for n, a in self.predicates:
             if n == name:
                 return a
         return None

@@ -1,7 +1,9 @@
 """Test oracles: reference implementations that the tests compare the
 package against; the program never runs them.  `check_by_path_enumeration`
 cross-checks the trace-condition closure and `evaluate_warshall` the
-reachability evaluator.  `degree`, `minimal_chain`, `invalidates` and
+reachability evaluator.  `kleene_holds` is the per-constructor interpreter
+whose Kleene values the compiled closures of `semantics.Evaluator` must
+match.  `degree`, `minimal_chain`, `invalidates` and
 `descent_witness` build the descending counter-models of Brotherston &
 Simpson (J. Logic Comput. 2011).  `find_counter_model_brute` enumerates
 complete models (`iter_skeletons`) for the cell search to agree with.
@@ -16,17 +18,17 @@ from collections import deque
 from collections.abc import Iterator
 
 from rtcproof.errors import (ArityMismatch, NotApplicable, ParseError, RtcError,
-                             SignatureMismatch, UnknownSymbol)
+                             SignatureMismatch, UnboundVariable, UnknownSymbol)
 from rtcproof.kernel import (RuleId, RuleInstance, make_subst, match_sequent,
                              rule_instance)
 from rtcproof.proofgraph import ProofGraph
 from rtcproof.prover import (Ancestor, Plan, SearchConfig, _cycle_matrix,
                              _weaken_plan, moves)
-from rtcproof.semantics import (Evaluator, FiniteModel, Valuation,
+from rtcproof.semantics import (Evaluator, FiniteModel, Valuation, _closure,
                                 sequent_holds, used_signature)
 from rtcproof.syntax import (And, App, Bot, Const, Eq, Exists, Forall, Formula,
                              Implies, Not, Or, Pred, Rtc, Sequent, Signature,
-                             Top, Var, parts, substitute, subterms)
+                             Term, Top, Var, parts, substitute, subterms)
 from rtcproof.tracecheck import (CycleReport, FlowEdge, _flow_root, _flow_succ,
                                  _shortest_path, edge_matrix, flow_edges)
 
@@ -135,6 +137,138 @@ def evaluate_warshall(m: FiniteModel, v: Valuation, f: Formula) -> bool:
             sv, tv = term(s, v), term(t, v)
             return sv == tv or closure[sv][tv]
     raise TypeError(f"not a formula: {f!r}")
+
+
+class _KleeneInterpreter:
+    """Kleene evaluation by one `match` per constructor on every call: the
+    interpreter that `semantics.Evaluator` compiled into closures, with
+    reachability cached per model and no parent evaluator."""
+
+    def __init__(self, model: FiniteModel):
+        self.model = model
+        self._reach: dict[tuple, tuple[list[int], list[int]]] = {}
+
+    def term(self, t: Term, v: Valuation) -> int | None:
+        match t:
+            case Var(name):
+                try:
+                    return v[name]
+                except KeyError:
+                    raise UnboundVariable(f"variable {name!r} has no value") from None
+            case Const(name):
+                try:
+                    return self.model.const_interp[name]
+                except KeyError:
+                    raise SignatureMismatch(f"constant {name!r} not interpreted") from None
+            case App(fn, args):
+                table = self.model.fn_interp.get(fn)
+                if table is None:
+                    raise SignatureMismatch(f"function {fn!r} not interpreted")
+                return table.get(tuple([self.term(a, v) for a in args]))
+        raise TypeError(f"not a term: {t!r}")
+
+    def holds(self, f: Formula, v: Valuation) -> bool | None:
+        match f:
+            case Pred(name, args):
+                rel = self.model.pred_interp.get(name)
+                if rel is None:
+                    raise SignatureMismatch(f"predicate {name!r} not interpreted")
+                cell = tuple([self.term(a, v) for a in args])
+                if None in cell or cell in self.model.unknown.get(name, ()):
+                    return None
+                return cell in rel
+            case Rtc(_, _, _, s, t):
+                sv, tv = self.term(s, v), self.term(t, v)
+                if sv is None or tv is None:
+                    return None
+                if sv == tv:
+                    return True
+                lower, upper = self.reach(f, v)
+                if lower[sv] >> tv & 1:
+                    return True
+                return None if upper[sv] >> tv & 1 else False
+            case Implies(l, r):
+                a = self.holds(l, v)
+                if a is False:
+                    return True
+                b = self.holds(r, v)
+                return b if a else (True if b else None)
+            case Forall(x, b):
+                out = True
+                w = dict(v)
+                for a in range(self.model.domain_size):
+                    w[x] = a
+                    val = self.holds(b, w)
+                    if val is False:
+                        return False
+                    if val is None:
+                        out = None
+                return out
+            case Exists(x, b):
+                out: bool | None = False
+                w = dict(v)
+                for a in range(self.model.domain_size):
+                    w[x] = a
+                    val = self.holds(b, w)
+                    if val:
+                        return True
+                    if val is None:
+                        out = None
+                return out
+            case And(l, r):
+                a = self.holds(l, v)
+                if a is False:
+                    return False
+                b = self.holds(r, v)
+                return b if a else (False if b is False else None)
+            case Or(l, r):
+                a = self.holds(l, v)
+                if a is True:
+                    return True
+                b = self.holds(r, v)
+                return b if a is False else (True if b else None)
+            case Not(s):
+                a = self.holds(s, v)
+                return None if a is None else not a
+            case Eq(l, r):
+                a, b = self.term(l, v), self.term(r, v)
+                return None if a is None or b is None else a == b
+            case Top():
+                return True
+            case Bot():
+                return False
+        raise TypeError(f"not a formula: {f!r}")
+
+    def reach(self, f: Rtc, v: Valuation) -> tuple[list[int], list[int]]:
+        """(lower, upper) reachability bitmasks by >= 1 body steps known to
+        hold and not known to fail."""
+        relation, side = f.relation()
+        try:
+            key = relation, tuple(v[e] for e in side)
+        except KeyError as exc:
+            raise UnboundVariable(f"variable {exc.args[0]!r} has no value") from None
+        cached = self._reach.get(key)
+        if cached is None:
+            n, w = self.model.domain_size, dict(v)
+            adj = []
+            for a in range(n):
+                w[f.x] = a
+                row = []
+                for b in range(n):
+                    w[f.y] = b
+                    row.append(self.holds(f.body, w))
+                adj.append(row)
+            cached = self._reach[key] = (
+                _closure([sum(1 << b for b, e in enumerate(row) if e) for row in adj]),
+                _closure([sum(1 << b for b, e in enumerate(row) if e is not False)
+                          for row in adj]))
+        return cached
+
+
+def kleene_holds(m: FiniteModel, v: Valuation, f: Formula) -> bool | None:
+    """Reference for `Evaluator.holds`: True or False when f has that value
+    in every completion of m, None otherwise."""
+    return _KleeneInterpreter(m).holds(f, v)
 
 
 def iter_skeletons(sig: Signature, n: int) -> Iterator[tuple[dict, dict]]:
@@ -436,7 +570,7 @@ def search_unpruned(seq: Sequent, depth: int, ancestors: tuple[Ancestor, ...],
 def validate_formula(f: Formula, sig: Signature) -> None:
     """Check arities and declaredness of every symbol in f."""
     if isinstance(f, Pred):
-        ar = sig.pred_arity(f.name)
+        ar = dict(sig.predicates).get(f.name)
         if ar is None:
             raise UnknownSymbol(f"predicate {f.name!r} not declared")
         if ar != len(f.args):

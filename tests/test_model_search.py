@@ -1,5 +1,6 @@
 """The cell-by-cell counter-model search against the brute-force enumerator,
-and the soundness of three-valued evaluation over partial models."""
+the soundness of three-valued evaluation over partial models, and the
+compiled evaluator against the interpreter it replaced."""
 
 import itertools
 import os
@@ -10,15 +11,16 @@ import pytest
 
 from rtcproof import semantics
 from rtcproof.prooffile import load_theory
-from rtcproof.semantics import FiniteModel, evaluate, find_counter_model, used_signature
-from rtcproof.syntax import (And, App, Const, Eq, Exists, Forall, Implies, Not,
-                             Or, Pred, Rtc, Sequent, Signature, Var,
+from rtcproof.semantics import (Evaluator, FiniteModel, evaluate, find_counter_model,
+                                used_signature)
+from rtcproof.syntax import (And, App, Bot, Const, Eq, Exists, Forall, Implies, Not,
+                             Or, Pred, Rtc, Sequent, Signature, Top, Var, parts,
                              parse_sequent_infer)
 
 sys.path.insert(0, os.path.dirname(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
 import gen  # noqa: E402
-from oracles import evaluate_warshall, find_counter_model_brute  # noqa: E402
+from oracles import evaluate_warshall, find_counter_model_brute, kleene_holds  # noqa: E402
 
 SIG = Signature.make(constants={"c"}, functions={"f": 1}, predicates={"e": 2, "q": 1})
 FREE = ("a", "b")
@@ -166,12 +168,20 @@ def _random_model(rng, n):
          "q": frozenset((a,) for a in range(n) if rng.random() < 0.5)})
 
 
-def _hide(rng, m, k):
-    """m with k random cells made unknown."""
+def _cells(m):
     cells = [("f", (a,)) for a in range(m.domain_size)]
     cells += [("q", (a,)) for a in range(m.domain_size)]
-    cells += [("e", t) for t in itertools.product(range(m.domain_size), repeat=2)]
-    hidden = rng.sample(cells, min(k, len(cells)))
+    return cells + [("e", t) for t in itertools.product(range(m.domain_size), repeat=2)]
+
+
+def _hide(rng, m, k):
+    """m with k random cells made unknown."""
+    cells = _cells(m)
+    return _hidden(m, rng.sample(cells, min(k, len(cells))))
+
+
+def _hidden(m, hidden):
+    """m with the cells in `hidden` made unknown."""
     fn = {"f": {t: b for t, b in m.fn_interp["f"].items() if ("f", t) not in hidden}}
     unknown = {p: frozenset(t for s, t in hidden if s == p) for p in ("e", "q")}
     preds = {p: m.pred_interp[p] - unknown[p] for p in ("e", "q")}
@@ -210,6 +220,48 @@ def test_partial_evaluation_is_sound():
         definite += val is not None
     # most formulas are decided before every cell is known
     assert definite > 100, definite
+
+
+def _constructors(f, seen):
+    seen.add(type(f).__name__)
+    for g in parts(f)[1]:
+        _constructors(g, seen)
+
+
+def test_compiled_evaluator_matches_interpreter():
+    # the compiled closures give the interpreter's value, None included, on
+    # partial models: a value turned definite or turned None would change
+    # which search nodes are visited.  Each formula is evaluated in a
+    # partial model, then in a model that sets some of its unknown cells
+    # through an Evaluator built on the first one's, as the search does.
+    rng = random.Random(21)
+    formulas = [_formula(rng, FREE, rng.randrange(1, 5)) for _ in range(150)]
+    # nested rtc whose inner body reads the outer binder x as a side variable
+    inner = And(Pred("e", (Var("u"), Var("w"))), Pred("q", (Var("x"),)))
+    formulas += [Top(), Bot(), Or(Bot(), Pred("e", (Var("a"), App("f", (Var("b"),))))),
+                 Rtc("x", "y", Rtc("u", "w", inner, Var("x"), Var("y")), Var("a"), Const("c"))]
+    seen: set[str] = set()
+    for f in formulas:
+        _constructors(f, seen)
+    assert seen == {"Pred", "Eq", "Top", "Bot", "Not", "And", "Or", "Implies",
+                    "Forall", "Exists", "Rtc"}
+    compared = {True: 0, False: 0, None: 0}
+    for _ in range(300):
+        n = rng.randrange(1, 4)
+        full = _random_model(rng, n)
+        cells = _cells(full)
+        hidden = rng.sample(cells, rng.randrange(1, min(6, len(cells)) + 1))
+        parent = _hidden(full, hidden)
+        child = _hidden(full, hidden[:rng.randrange(len(hidden) + 1)])
+        parent_ev = Evaluator(parent)
+        child_ev = Evaluator(child, base=parent_ev)
+        for f in rng.sample(formulas, 8):
+            v = {x: rng.randrange(n) for x in FREE}
+            for ev, m in ((parent_ev, parent), (child_ev, child)):
+                want = kleene_holds(m, v, f)
+                assert ev.holds(f, v) is want, (str(f), m, v)
+                compared[want] += 1
+    assert min(compared.values()) > 100, compared
 
 
 def test_rtc_bounds_over_partial_edges():

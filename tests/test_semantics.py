@@ -3,10 +3,12 @@ import random
 
 import pytest
 
-from rtcproof.errors import BudgetExceeded, NotApplicable, UnboundVariable
+from rtcproof.errors import (BudgetExceeded, NotApplicable, SignatureMismatch,
+                             UnboundVariable)
 from rtcproof.kernel import RuleId, rule_instance
 from rtcproof.semantics import Evaluator, FiniteModel, evaluate, find_counter_model
-from rtcproof.syntax import (Rtc, Signature, Var, parse_formula, parse_sequent)
+from rtcproof.syntax import (App, Const, Eq, Or, Pred, Rtc, Signature, Var, parse_formula,
+                             parse_sequent)
 from rtcproof.tracecheck import edge_matrix
 
 import sys, os
@@ -60,6 +62,34 @@ class TestEvaluate:
     def test_unbound_variable(self):
         with pytest.raises(UnboundVariable):
             evaluate(CHAIN3, {}, F("q(v)"))
+
+    @pytest.mark.parametrize("f, v, error, message", [
+        (Pred("q", (Const("k"),)), {}, SignatureMismatch, "constant 'k' not interpreted"),
+        (Pred("q", (App("g", (Var("u"),)),)), {"u": 0}, SignatureMismatch,
+         "function 'g' not interpreted"),
+        (Pred("P", (Var("u"),)), {"u": 0}, SignatureMismatch, "predicate 'P' not interpreted"),
+        (Pred("E", (Var("u"), Var("w"))), {"u": 0}, UnboundVariable,
+         "variable 'w' has no value"),
+        (Eq(Var("u"), App("s", (Var("w"),))), {"u": 0}, UnboundVariable,
+         "variable 'w' has no value"),
+        (F("(rtc x y. E(x, y) /\\ q(z))(a, b)"), {"a": 0, "b": 1}, UnboundVariable,
+         "variable 'z' has no value"),
+    ])
+    def test_error_messages(self, f, v, error, message):
+        # raised when the formula is evaluated, not when it is compiled
+        m = FiniteModel(3, {}, {"s": {(0,): 1}}, dict(CHAIN3.pred_interp))
+        ev = Evaluator(m)
+        for _ in range(2):
+            with pytest.raises(error) as exc:
+                ev.holds(f, v)
+            assert str(exc.value) == message
+
+    def test_errors_are_lazy(self):
+        # an unbound side variable is not read in the reflexive case, and an
+        # uninterpreted symbol not on a branch that is cut short
+        m = FiniteModel(3, {}, {}, dict(CHAIN3.pred_interp))
+        assert evaluate(m, {"a": 1, "b": 1}, F("(rtc x y. E(x, y) /\\ q(z))(a, b)"))
+        assert evaluate(m, {}, Or(F("top"), Pred("P", ()))) is True
 
     def test_rtc_with_side_variable(self):
         # body references a variable bound outside the closure

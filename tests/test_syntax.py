@@ -85,7 +85,7 @@ class TestParse:
         s, sig = parse_sequent_infer("f(a) = b, r(a, b) |- r(b, f(a))",
                                      Signature.make())
         assert sig.fn_arity("f") == 1
-        assert sig.pred_arity("r") == 2
+        assert dict(sig.predicates)["r"] == 2
 
 
 class TestRoundTrip:
