@@ -59,18 +59,11 @@ class SchemaMismatch(RtcError):
 
 
 class FreshnessViolation(RtcError):
-    def __init__(self, var: str, detail: str = ""):
-        super().__init__(f"variable {var!r} is not fresh{': ' + detail if detail else ''}")
+    def __init__(self, var: str, detail: str):
+        super().__init__(f"variable {var!r} is not fresh: {detail}")
         self.var = var
 
 
 class UnknownTheoryAxiom(RtcError):
     pass
 
-
-class MissingPairSymbol(RtcError):
-    pass
-
-
-class VariableClash(RtcError):
-    pass

@@ -102,14 +102,6 @@ class Evaluator:
         model, None otherwise."""
         return _compile_formula(f)(self, v)
 
-    def adjacency(self, f: Rtc, v: Valuation) -> list[list[bool | None]]:
-        """Step relation of an rtc formula's body under v (None: unknown)."""
-        relation, side = f.relation()
-        key = relation, _values(side, v)
-        if key not in self._adj:
-            self._bounds(key, f.x, f.y, _compile_formula(f.body), v)
-        return self._adj[key]
-
     def _bounds(self, key: tuple, x: str, y: str, body: Compiled,
                 v: Valuation) -> tuple[list[int], list[int]]:
         """(lower, upper) as bitmasks per element: bit b of lower[a] is set
@@ -321,8 +313,8 @@ def used_signature(sequents: tuple[Sequent, ...], sig: Signature) -> Signature:
     return Signature.make(consts, fns, preds, pair, pair_const)
 
 
-def find_counter_model(s: Sequent, max_size: int, theory: tuple[Sequent, ...] = (),
-                       sig: Signature | None = None, budget: int = 2_000_000
+def find_counter_model(s: Sequent, max_size: int, theory: tuple[Sequent, ...],
+                       sig: Signature, budget: int = 2_000_000
                        ) -> tuple[FiniteModel, Valuation] | None:
     """First model/valuation (in enumeration order) satisfying the theory and
     every antecedent of s but no succedent; None if none exists within the
@@ -337,8 +329,6 @@ def find_counter_model(s: Sequent, max_size: int, theory: tuple[Sequent, ...] = 
     nodes, or reaches a size with more tuples of constant and variable
     values than `budget`.
     """
-    if sig is None:
-        raise SignatureMismatch("find_counter_model requires a signature")
     if sig.pair_symbol is not None:
         if sig.pair_constant is not None:
             return None

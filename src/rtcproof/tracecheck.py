@@ -63,22 +63,12 @@ class EdgeMatrix:
         return any(a == b and p for (a, b), p in self.d.items())
 
     def idempotent_power(self) -> "EdgeMatrix":
-        """The unique idempotent in the cyclic semigroup generated by self."""
-        powers = [self]
-        seen = {self._key: 0}
+        """The unique idempotent in the cyclic semigroup generated by self:
+        the first power that is its own square."""
         cur = self
-        while True:
+        while not cur.is_idempotent():
             cur = cur.compose(self)
-            k = cur._key
-            if k in seen:
-                first = seen[k]
-                period = len(powers) - first
-                exp = first
-                while (exp + 1) % period != 0:  # exponents are index+1
-                    exp += 1
-                return powers[exp]
-            seen[k] = len(powers)
-            powers.append(cur)
+        return cur
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, EdgeMatrix) and self._key == other._key

@@ -10,22 +10,20 @@
   a cyclic proof with one cycle per eliminated induction node.
 * `beta_translate` eliminates the transitive-closure operator over the
   arithmetic signature via a beta-function predicate.
-* `encode_rtc2` encodes closures of 4-ary relations using ordered pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import (MissingPairSymbol, NotApplicable, SignatureMismatch,
-                     VariableClash)
+from .errors import NotApplicable, SignatureMismatch
 from .kernel import (RuleId, RuleInstance, check_rule_instance, make_subst,
                      rule_instance)
 from .proofgraph import GraphBuilder, ProofGraph, renumber
 from .syntax import (And, App, Const, Eq, Exists, Forall, Formula, Implies,
                      Not, Or, Pred, Rtc, Sequent, Signature, Term, Var,
-                     all_names, formula_subterms, free_vars, fresh_name,
-                     parts, rebuild, substitute, term_vars)
+                     formula_subterms, free_vars, fresh_name, parts, rebuild,
+                     substitute, term_vars)
 
 ARITH_SIGNATURE = Signature.make(constants={"0"}, functions={"s": 1, "add": 2})
 
@@ -226,26 +224,3 @@ def beta_translate(f: Formula, cfg: BetaConfig | None = None, mode: str = "pa") 
 
     return tr(f, set())
 
-
-def encode_rtc2(x1: str, x2: str, y1: str, y2: str, phi: Formula,
-                s1: Term, s2: Term, t1: Term, t2: Term,
-                sig: Signature) -> Formula:
-    """Closure of a 4-ary relation via ordered pairs:
-    (rtc x y. exists x1 x2 y1 y2. x = <x1,x2> /\\ y = <y1,y2> /\\ phi)
-    applied to (<s1,s2>, <t1,t2>) with x, y fresh."""
-    if sig.pair_symbol is None:
-        raise MissingPairSymbol("signature has no pair symbol")
-    quad = (x1, x2, y1, y2)
-    if len(set(quad)) != 4:
-        raise VariableClash(f"component variables must be distinct: {quad}")
-    pair = sig.pair_symbol
-    used = (all_names(phi) | set(quad)
-            | term_vars(s1) | term_vars(s2) | term_vars(t1) | term_vars(t2))
-    x = fresh_name(used, hint="_p")
-    y = fresh_name(used | {x}, hint="_p")
-    body: Formula = _conj([Eq(Var(x), App(pair, (Var(x1), Var(x2)))),
-                           Eq(Var(y), App(pair, (Var(y1), Var(y2)))),
-                           phi])
-    for var in reversed(quad):
-        body = Exists(var, body)
-    return Rtc(x, y, body, App(pair, (s1, s2)), App(pair, (t1, t2)))

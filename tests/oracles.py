@@ -1,7 +1,8 @@
 """Test oracles: reference implementations that the tests compare the
 package against; the program never runs them.  `check_by_path_enumeration`
-cross-checks the trace-condition closure and `evaluate_warshall` the
-reachability evaluator.  `kleene_holds` is the per-constructor interpreter
+cross-checks the trace-condition closure, `idempotent_power_by_table`
+`EdgeMatrix.idempotent_power`, and `evaluate_warshall` the reachability
+evaluator.  `kleene_holds` is the per-constructor interpreter
 whose Kleene values the compiled closures of `semantics.Evaluator` must
 match.  `degree`, `minimal_chain`, `invalidates` and
 `descent_witness` build the descending counter-models of Brotherston &
@@ -29,8 +30,9 @@ from rtcproof.semantics import (Evaluator, FiniteModel, Valuation, _closure,
 from rtcproof.syntax import (And, App, Bot, Const, Eq, Exists, Forall, Formula,
                              Implies, Not, Or, Pred, Rtc, Sequent, Signature,
                              Term, Top, Var, parts, substitute, subterms)
-from rtcproof.tracecheck import (CycleReport, FlowEdge, _flow_root, _flow_succ,
-                                 _shortest_path, edge_matrix, flow_edges)
+from rtcproof.tracecheck import (CycleReport, EdgeMatrix, FlowEdge, _flow_root,
+                                 _flow_succ, _shortest_path, edge_matrix,
+                                 flow_edges)
 
 
 class NotAnRtcFormula(RtcError):
@@ -92,6 +94,27 @@ def check_by_path_enumeration(g: ProofGraph, max_period: int) -> CycleReport:
                     if needed is not None and len(walk) + 1 + needed <= max_period:
                         stack.append((e.dst, walk + (e,)))
     return CycleReport("accepted")
+
+
+def idempotent_power_by_table(m: EdgeMatrix) -> EdgeMatrix:
+    """The idempotent power of m, read off the table of its powers: the
+    powers repeat from index `first` with some period, and the idempotent is
+    the power whose exponent is the first multiple of the period from
+    there."""
+    powers = [m]
+    seen = {m: 0}
+    cur = m
+    while True:
+        cur = cur.compose(m)
+        if cur in seen:
+            first = seen[cur]
+            period = len(powers) - first
+            exp = first
+            while (exp + 1) % period != 0:  # exponents are index+1
+                exp += 1
+            return powers[exp]
+        seen[cur] = len(powers)
+        powers.append(cur)
 
 
 def evaluate_warshall(m: FiniteModel, v: Valuation, f: Formula) -> bool:
@@ -372,8 +395,9 @@ def minimal_chain(m: FiniteModel, v: Valuation, f: Formula) -> list[int] | None:
     sv, tv = ev.term(f.src, v), ev.term(f.dst, v)
     if sv == tv:
         return [sv]
-    adj = ev.adjacency(f, v)
     n = m.domain_size
+    adj = [[ev.holds(f.body, {**v, f.x: a, f.y: b}) for b in range(n)]
+           for a in range(n)]
     # BFS backwards from tv: dist[b] = fewest steps from b to tv
     dist: list[int | None] = [None] * n
     dist[tv] = 0

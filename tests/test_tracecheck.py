@@ -12,9 +12,9 @@ from rtcproof.syntax import Signature, Var, parse_formula, parse_sequent
 from rtcproof.tracecheck import (EdgeMatrix, _sccs, check_global_trace_condition,
                                  enumerate_basic_cycles, is_non_overlapping)
 
-from conftest import ACCEPTED, REJECTED, load_corpus
+from conftest import ACCEPTED, REJECTED
 from helpers import GraphBuilder, replay_witness
-from oracles import check_by_path_enumeration
+from oracles import check_by_path_enumeration, idempotent_power_by_table
 from preproofs import subst_chain, thread_proof
 
 SIG = Signature.make(predicates={"p": 2, "q": 1})
@@ -78,6 +78,16 @@ class TestEdgeMatrix:
         e2 = bad.idempotent_power()
         assert e2.is_idempotent()
         assert not e2.has_progressing_diagonal()
+
+    def test_idempotent_power_agrees_with_table(self):
+        # random relations over 4 keys; the powers of 266 of them repeat
+        # with period 2 or 3, so the idempotent is not the first repeat
+        rng = random.Random(22)
+        keys = "abcd"
+        for _ in range(2000):
+            m = EdgeMatrix({(a, b): rng.random() < 0.3
+                            for a in keys for b in keys if rng.random() < 0.35})
+            assert m.idempotent_power() == idempotent_power_by_table(m), m
 
 
 class TestVerdicts:

@@ -3,22 +3,20 @@ import time
 
 import pytest
 
-from rtcproof.errors import (FreshnessViolation, MissingPairSymbol,
-                             NotApplicable, RtcError, SignatureMismatch,
-                             VariableClash)
+from rtcproof.errors import (FreshnessViolation, NotApplicable, RtcError,
+                             SignatureMismatch)
 from rtcproof.kernel import RuleId, RuleInstance, RuleParams, rule_instance
 from rtcproof.proofgraph import (GraphBuilder, ProofGraph, ProofNode,
                                  validate_structure)
 from rtcproof.cli import main
-from rtcproof.prooffile import load_theory, parse_proof
+from rtcproof.prooffile import parse_proof
 from rtcproof.syntax import (And, App, Const, Eq, Exists, Forall, Implies,
-                             Not, Or, Pred, Rtc, Sequent, Signature, Var,
+                             Not, Or, Pred, Sequent, Signature, Var,
                              free_vars, parse_formula, parse_sequent, pretty)
 from rtcproof.tracecheck import (check_global_trace_condition,
                                  enumerate_basic_cycles, is_non_overlapping)
 from rtcproof.translate import (ARITH_SIGNATURE, BetaConfig, beta_translate,
-                                derive_induction, encode_rtc2,
-                                explicit_to_cyclic)
+                                derive_induction, explicit_to_cyclic)
 
 from conftest import INDUCTION_PROOFS, corpus_path, load_corpus
 
@@ -261,39 +259,3 @@ class TestBetaTranslate:
             expect = a <= b
             assert nat_eval(out, {"a": a, "b": b}, bounds) == expect, (a, b)
 
-
-class TestEncodeRtc2:
-    SIGP = Signature.make(constants={"c"}, functions={"pair": 2},
-                          predicates={"q4": 4}, pair_symbol="pair",
-                          pair_constant="c")
-
-    def test_displayed_shape(self):
-        phi = parse_formula("q4(x1, x2, y1, y2)", self.SIGP)
-        out = encode_rtc2("x1", "x2", "y1", "y2", phi,
-                          Var("s1"), Var("s2"), Var("t1"), Var("t2"), self.SIGP)
-        expected = parse_formula(
-            "(rtc x y. exists x1. exists x2. exists y1. exists y2."
-            " x = <x1, x2> /\\ y = <y1, y2> /\\ q4(x1, x2, y1, y2))"
-            "(<s1, s2>, <t1, t2>)",
-            self.SIGP.merge(Signature.make()))
-        assert out == expected
-
-    def test_free_component_vars_ok(self):
-        phi = parse_formula("c = c", self.SIGP)
-        out = encode_rtc2("x1", "x2", "y1", "y2", phi,
-                          Var("a"), Var("b"), Var("d"), Var("e"), self.SIGP)
-        assert isinstance(out, Rtc)
-        assert free_vars(out) == {"a", "b", "d", "e"}
-
-    def test_variable_clash(self):
-        phi = parse_formula("c = c", self.SIGP)
-        with pytest.raises(VariableClash):
-            encode_rtc2("x1", "x2", "x1", "y2", phi,
-                        Var("a"), Var("b"), Var("d"), Var("e"), self.SIGP)
-
-    def test_missing_pair(self):
-        sig = Signature.make(predicates={"q4": 4})
-        with pytest.raises(MissingPairSymbol):
-            encode_rtc2("x1", "x2", "y1", "y2",
-                        parse_formula("q4(x1, x2, y1, y2)", sig),
-                        Var("a"), Var("b"), Var("d"), Var("e"), sig)
