@@ -24,7 +24,8 @@ from .syntax import (Signature, parse_formula_infer, parse_sequent_infer,
                      pretty)
 from .tracecheck import (MAX_CYCLES, check_global_trace_condition,
                          enumerate_basic_cycles, is_non_overlapping)
-from .translate import BetaConfig, beta_translate, explicit_to_cyclic
+from .translate import (ARITH_SIGNATURE, BetaConfig, beta_translate,
+                        explicit_to_cyclic)
 
 EXIT_OK, EXIT_NEGATIVE, EXIT_UNKNOWN, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
@@ -147,12 +148,10 @@ def cmd_translate_ind(args) -> int:
 
 
 def cmd_translate_beta(args) -> int:
-    from .translate import ARITH_SIGNATURE
     formula, _ = parse_formula_infer(_read_input(args.formula), ARITH_SIGNATURE)
     cfg = BetaConfig()
     if args.beta_template:
-        base = ARITH_SIGNATURE
-        tmpl, _ = parse_formula_infer(_read_input("@" + args.beta_template), base)
+        tmpl, _ = parse_formula_infer(_read_input("@" + args.beta_template), ARITH_SIGNATURE)
         cfg = BetaConfig(tmpl)
     out = pretty(beta_translate(formula, cfg, mode=args.mode))
     # the translation nests each rtc body deeper: an output past the
@@ -206,9 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prove", help="search for a cyclic proof of a sequent")
     p.add_argument("goal", help="sequent text, or @file")
     p.add_argument("--theory")
-    p.add_argument("--depth", type=_count, default=12)
-    p.add_argument("--max-nodes", type=_count, default=100_000)
-    p.add_argument("--model-size", type=_count, default=3,
+    p.add_argument("--depth", type=_count, default=SearchConfig.max_depth)
+    p.add_argument("--max-nodes", type=_count, default=SearchConfig.max_nodes)
+    p.add_argument("--model-size", type=_count, default=SearchConfig.refute_size,
                    help="interleaved refutation size bound")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_prove)

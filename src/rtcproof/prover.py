@@ -346,6 +346,8 @@ def prove(goal: Sequent, cfg: SearchConfig) -> SearchOutcome:
                 errs = validate_structure(g, cfg.theory, cfg.sig)
                 if errs:
                     raise AssertionError(f"prover built an invalid graph: {errs[0]}")
+                if g.end_sequent() != goal:
+                    raise AssertionError(f"prover built a proof of {g.end_sequent()}")
                 if check_global_trace_condition(g).accepted:
                     return Proved(g)
         except BudgetExceeded:

@@ -93,10 +93,6 @@ class Evaluator:
         self._adj: dict[tuple, list[list[bool | None]]] = {}
         self._base_adj = base._adj if base else {}
 
-    def term(self, t: Term, v: Valuation) -> int | None:
-        """The value of t, or None when it depends on an unknown cell."""
-        return _compile_term(t)(self, v)
-
     def holds(self, f: Formula, v: Valuation) -> bool | None:
         """True or False when f has that value in every completion of the
         model, None otherwise."""
@@ -217,7 +213,8 @@ def _compile_formula(f: Formula) -> Compiled:
                     return None
                 return cell in rel
         case Rtc(x, y, body, src, dst):
-            relation, side = f.relation()
+            relation = positional_key(body, (x, y))
+            side = tuple(sorted(free_vars(body) - {x, y}))
             step, s, t = _compile_formula(body), _compile_term(src), _compile_term(dst)
             def run(ev, v):
                 sv, tv = s(ev, v), t(ev, v)

@@ -216,16 +216,6 @@ class Rtc(Formula):
     src: Term
     dst: Term
 
-    def relation(self) -> tuple[str, tuple[str, ...]]:
-        """Cached (alpha-invariant key of the step relation `x y. body`, the
-        body's free variables other than x and y, sorted)."""
-        r = self.__dict__.get("_relation")
-        if r is None:
-            r = (positional_key(self.body, (self.x, self.y)),
-                 tuple(sorted(free_vars(self.body) - {self.x, self.y})))
-            object.__setattr__(self, "_relation", r)
-        return r
-
 
 def term_key(t: Term, env: Mapping[str, int]) -> str:
     """Total-order key for terms; a variable bound at de Bruijn level n in

@@ -8,13 +8,13 @@ trace matrices (size-change termination, Lee, Jones & Ben-Amram, POPL 2001):
 the pre-proof is accepted iff every idempotent composed matrix describing a
 cycle contains a progressing diagonal pair.  There is one closure per
 companion, in id order, over the paths from it that follow only edges inside
-its strongly connected component; that is exact, since a cycle never leaves
-its component and always passes through a companion.  Each closure tests a
-loop back to its companion when it adds it and stops at the first bad one;
-CLOSURE_CAP counts path matrices across companions.  The closure, basic
-cycles and the normality test rest on one iterative SCC pass.  The tests
-cross-check the closure against a bounded enumeration of ultimately periodic
-paths (`tests/oracles.py`).
+its strongly connected component (`flow_edges`, the closure's edge list);
+that is exact, since a cycle never leaves its component and always passes
+through a companion.  Each closure tests a loop back to its companion when
+it adds it and stops at the first bad one; CLOSURE_CAP counts path matrices
+across companions.  The closure, basic cycles and the normality test rest
+on one iterative SCC pass.  The tests cross-check the closure against a
+bounded enumeration of ultimately periodic paths (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -141,12 +141,6 @@ def _flow_links(g: ProofGraph) -> Iterator[tuple[int, int, int]]:
             yield nid, i, (child.companion if child.is_bud else cid)
 
 
-def flow_edges(g: ProofGraph) -> list[FlowEdge]:
-    """Edges of the unfolded graph with their trace matrices."""
-    return [FlowEdge(src, dst, edge_matrix(g.instance(src), i))
-            for src, i, dst in _flow_links(g)]
-
-
 def _flow_succ(g: ProofGraph) -> dict[int, list[int]]:
     """Sorted successors of each non-bud node, each distinct flow edge once."""
     succ: dict[int, set[int]] = {n: set() for n in g.internal_ids()}
@@ -189,6 +183,14 @@ def _sccs(succ: dict[int, list[int]]) -> list[list[int]]:
     return out
 
 
+def flow_edges(g: ProofGraph) -> list[FlowEdge]:
+    """The flow edges that lie inside one strongly connected component, with
+    their trace matrices: every edge that a cycle can use, and no other."""
+    comp_of = {v: i for i, comp in enumerate(_sccs(_flow_succ(g))) for v in comp}
+    return [FlowEdge(src, dst, edge_matrix(g.instance(src), i))
+            for src, i, dst in _flow_links(g) if comp_of[src] == comp_of[dst]]
+
+
 def _flow_root(g: ProofGraph) -> int:
     node = g.nodes[g.root]
     return node.companion if node.is_bud else g.root
@@ -226,13 +228,9 @@ def check_global_trace_condition(g: ProofGraph) -> CycleReport:
     witness, after a shortest flow path from the root.  Above CLOSURE_CAP
     path matrices, counted across companions, the verdict is indeterminate.
     """
-    succ = _flow_succ(g)
-    comp_of = {v: i for i, comp in enumerate(_sccs(succ)) for v in comp}
     out: dict[int, list[FlowEdge]] = {}
-    for src, i, dst in _flow_links(g):
-        if comp_of[src] == comp_of[dst]:
-            out.setdefault(src, []).append(
-                FlowEdge(src, dst, edge_matrix(g.instance(src), i)))
+    for e in flow_edges(g):
+        out.setdefault(e.src, []).append(e)
     size = 0  # path matrices of all closures so far
     for c in sorted({n.companion for n in g.nodes.values() if n.is_bud}):
         # paths from c extended by single edges on the right (left-linear
@@ -253,7 +251,7 @@ def check_global_trace_condition(g: ProofGraph) -> CycleReport:
                 if (e.dst == c and not ext.has_progressing_diagonal()
                         and ext.is_idempotent()):
                     period = (c,) + tuple(f.dst for f in walk)
-                    prefix = _shortest_path(succ, _flow_root(g), c)
+                    prefix = _shortest_path(_flow_succ(g), _flow_root(g), c)
                     return CycleReport("rejected", prefix, period, walk,
                                        detail="idempotent cycle without progress")
                 queue.append((ext, walk))

@@ -29,7 +29,8 @@ from rtcproof.semantics import (Evaluator, FiniteModel, Valuation, _closure,
                                 sequent_holds, used_signature)
 from rtcproof.syntax import (And, App, Bot, Const, Eq, Exists, Forall, Formula,
                              Implies, Not, Or, Pred, Rtc, Sequent, Signature,
-                             Term, Top, Var, parts, substitute, subterms)
+                             Term, Top, Var, free_vars, parts, positional_key,
+                             substitute, subterms)
 from rtcproof.tracecheck import (CycleReport, EdgeMatrix, FlowEdge, _flow_root,
                                  _flow_succ, _shortest_path, edge_matrix,
                                  flow_edges)
@@ -119,8 +120,9 @@ def idempotent_power_by_table(m: EdgeMatrix) -> EdgeMatrix:
 
 def evaluate_warshall(m: FiniteModel, v: Valuation, f: Formula) -> bool:
     """Independent evaluator: rtc via Floyd-Warshall boolean closure; terms
-    are read through `Evaluator.term`."""
-    term = Evaluator(m).term
+    are read by `_KleeneInterpreter.term`, so none of `semantics.Evaluator`
+    takes part."""
+    term = _KleeneInterpreter(m).term
     match f:
         case Eq(l, r):
             return term(l, v) == term(r, v)
@@ -265,7 +267,8 @@ class _KleeneInterpreter:
     def reach(self, f: Rtc, v: Valuation) -> tuple[list[int], list[int]]:
         """(lower, upper) reachability bitmasks by >= 1 body steps known to
         hold and not known to fail."""
-        relation, side = f.relation()
+        relation = positional_key(f.body, (f.x, f.y))
+        side = tuple(sorted(free_vars(f.body) - {f.x, f.y}))
         try:
             key = relation, tuple(v[e] for e in side)
         except KeyError as exc:
@@ -392,7 +395,8 @@ def minimal_chain(m: FiniteModel, v: Valuation, f: Formula) -> list[int] | None:
     if not isinstance(f, Rtc):
         raise NotAnRtcFormula(f"degree is defined for rtc formulas, not {f}")
     ev = Evaluator(m)
-    sv, tv = ev.term(f.src, v), ev.term(f.dst, v)
+    term = _KleeneInterpreter(m).term
+    sv, tv = term(f.src, v), term(f.dst, v)
     if sv == tv:
         return [sv]
     n = m.domain_size
@@ -493,7 +497,8 @@ def descent_witness(r: RuleInstance, m: FiniteModel, v: Valuation
 
         case RuleId.Subst:
             theta = dict(p.substitution)
-            v2 = {x: ev.term(theta.get(x, Var(x)), v) for x in p.source.free_vars()}
+            term = _KleeneInterpreter(m).term
+            v2 = {x: term(theta.get(x, Var(x)), v) for x in p.source.free_vars()}
 
         case RuleId.RtcStep:
             f = p.principal

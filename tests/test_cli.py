@@ -11,7 +11,7 @@ import rtcproof.tracecheck
 from rtcproof.cli import main
 from rtcproof.prooffile import parse_proof, serialize_proof
 from rtcproof.render import latex_sequent, to_dot, to_latex
-from rtcproof.syntax import MAX_DEPTH
+from rtcproof.syntax import MAX_DEPTH, Signature
 from rtcproof.tracecheck import edge_matrix
 
 from conftest import corpus_path
@@ -144,6 +144,15 @@ def test_corpus_file_round_trips(name):
     with open(corpus_path(name), encoding="utf-8") as fh:
         text = fh.read()
     assert serialize_proof(parse_proof(text)) == text
+
+
+def test_empty_signature_round_trips():
+    # `sig -` declares no symbol; an equality of variables needs none
+    text = ("tcp 1\nsig -\ntheory -\nroot 0\n"
+            "node 0 : |- x = x ; rule=EqR ; params={} ; premises=[]\n")
+    pf = parse_proof(text)
+    assert pf.signature == Signature.make()
+    assert serialize_proof(pf) == text
 
 
 def test_deep_proof_render_and_translate(tmp_path, capsys):
@@ -792,7 +801,8 @@ def test_nesting_at_cap_runs(shape, tmp_path, capsys):
 @pytest.mark.parametrize("argv", [["prove", "q(a) |- q(a)", "--depth", "-1"],
                                   ["prove", "q(a) |- q(a)", "--max-nodes", "-5"],
                                   ["prove", "q(a) |- q(a)", "--model-size", "-1"],
-                                  ["refute", "q(a) |- q(b)", "--model-size", "-1"]])
+                                  ["refute", "q(a) |- q(b)", "--model-size", "-1"],
+                                  ["prove", "q(a) |- q(a)", "--depth", "abc"]])
 def test_negative_bound_is_usage_error(argv, capsys):
     assert main(argv) == 3
     out, err = capsys.readouterr()

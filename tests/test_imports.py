@@ -86,13 +86,6 @@ def unreached(sources: dict[str, str], exempt: frozenset[str] = frozenset()) -> 
             and total[node.name] <= reads(node)[node.name]]
 
 
-# names that only code outside src/ reads, with the file that reads each
-READ_OUTSIDE = {
-    "flow_edges": "perfbench/spans.py",  # patched on every traced pass
-    "end_sequent": "perfbench/run.py",
-}
-
-
 def test_every_definition_is_reached():
     # a definition that nothing calls is dead code, or a test oracle that
     # belongs under tests/; `__init__` re-exports count only through __all__
@@ -100,11 +93,7 @@ def test_every_definition_is_reached():
     for module in MODULES:
         with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
             sources[module] = fh.read()
-    assert unreached(sources, frozenset(rtcproof.__all__).union(READ_OUTSIDE)) == []
-    root = os.path.join(PACKAGE, "..", "..")
-    for name, path in READ_OUTSIDE.items():
-        with open(os.path.join(root, path), encoding="utf-8") as fh:
-            assert reads(ast.parse(fh.read()))[name] > 0, (name, path)
+    assert unreached(sources, frozenset(rtcproof.__all__)) == []
 
 
 def test_unreached_definition_is_found():

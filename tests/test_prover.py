@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+from rtcproof import prover
+from rtcproof.errors import BudgetExceeded
 from rtcproof.kernel import RuleId
 from rtcproof.prooffile import ProofFile, load_theory, parse_proof, serialize_proof
 from rtcproof.proofgraph import validate_structure
@@ -110,6 +112,29 @@ class TestProve:
         assert isinstance(out, Proved)
         assert len(out.graph.nodes) == 2
         assert out.graph.nodes[0].rule is RuleId.EqL1
+
+
+class TestRecheck:
+    def test_proof_of_another_sequent_is_refused(self, monkeypatch):
+        # a valid proof whose root is not the goal is a prover bug
+        other = prove(S("|- (rtc x y. p(x, y))(t, t)"), SearchConfig(sig=SIG)).graph
+        monkeypatch.setattr(prover, "assemble", lambda plan: other)
+        with pytest.raises(AssertionError, match="prover built a proof of"):
+            prove(S(TRANS), SearchConfig(sig=SIG))
+
+    def test_model_search_over_budget_leaves_the_proof(self, monkeypatch):
+        # the interleaved model search running out of budget is no verdict
+        want = serialize_proof(ProofFile(prove(S(TRANS), SearchConfig(sig=SIG)).graph, SIG))
+        calls = []
+
+        def over_budget(*args, **kwargs):
+            calls.append(args[1])
+            raise BudgetExceeded("planted")
+        monkeypatch.setattr(prover, "find_counter_model", over_budget)
+        out = prove(S(TRANS), SearchConfig(sig=SIG))
+        assert isinstance(out, Proved)
+        assert serialize_proof(ProofFile(out.graph, SIG)) == want
+        assert calls == [1]  # the proof is found at depth 2
 
 
 class TestDeterminism:

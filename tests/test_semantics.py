@@ -74,6 +74,8 @@ class TestEvaluate:
          "variable 'w' has no value"),
         (F("(rtc x y. E(x, y) /\\ q(z))(a, b)"), {"a": 0, "b": 1}, UnboundVariable,
          "variable 'z' has no value"),
+        (Pred("P", (App("s", (Var("u"),)),)), {"u": 0}, SignatureMismatch,
+         "predicate 'P' not interpreted"),
     ])
     def test_error_messages(self, f, v, error, message):
         # raised when the formula is evaluated, not when it is compiled
