@@ -236,8 +236,9 @@ def expected_premises(rule: RuleId, conclusion: Sequent, params: RuleParams,
         case RuleId.Subst:
             _need(p.substitution is not None, "Subst requires a substitution")
             _need(p.source is not None, "Subst requires its source sequent")
-            inst = p.source.substituted(dict(p.substitution))
-            _need(inst == conclusion, "conclusion is not the stated instance of the source")
+            inst = p.source.substituted_keys(dict(p.substitution))
+            _need(inst == conclusion.keys(),
+                  "conclusion is not the stated instance of the source")
             return [p.source]
         case RuleId.RtcRefl:
             _need(f.src == f.dst, "RtcRefl endpoints must be syntactically equal")
@@ -416,9 +417,12 @@ def match_sequent(pattern: Sequent, target: Sequent,
                   exact: bool = False) -> Iterator[dict[str, Term]]:
     """Substitutions theta with pattern.theta ⊆ target (== target when exact).
 
-    Every candidate is re-verified through `substitute`, so binder-related
-    corner cases in the matcher cannot produce false positives.
+    Every candidate is re-verified by comparing the keys of pattern.theta
+    (`Sequent.substituted_keys`) with target's, so binder-related corner
+    cases in the matcher cannot produce false positives.
     """
+    ant, suc = target.keys()
+    ant_set, suc_set = set(ant), set(suc)
     seen: set[tuple] = set()
     for th_a in _match_formula_sets(pattern.antecedent, target.antecedent, {}):
         for th in _match_formula_sets(pattern.succedent, target.succedent, th_a):
@@ -426,9 +430,9 @@ def match_sequent(pattern: Sequent, target: Sequent,
             if key in seen:
                 continue
             seen.add(key)
-            inst = pattern.substituted(th)
+            inst_ant, inst_suc = pattern.substituted_keys(th)
             if exact:
-                if inst == target:
+                if inst_ant == ant and inst_suc == suc:
                     yield th
-            elif target.contains(inst):
+            elif ant_set.issuperset(inst_ant) and suc_set.issuperset(inst_suc):
                 yield th

@@ -3,7 +3,13 @@
 Formulas are identified up to renaming of bound variables throughout the
 package: `Formula.__eq__`, `__hash__` and the ordering used inside sequents
 all go through a de-Bruijn-style canonical key, so two alpha-equivalent
-formulas are interchangeable everywhere.
+formulas are interchangeable everywhere.  The one key walk also keys under a
+substitution: `substitute_key(f, theta)` is the key of `substitute(f,
+theta)`, found without building that formula, and
+`Sequent.substituted_keys` keys a whole instance so.  Checking that one
+sequent is an instance of another, as the kernel's `Subst` rule,
+`kernel.match_sequent` and the trace pairs across `Subst` do, thus compares
+keys only.
 
 `parts(f)` gives the binders, subformulas and terms of f's top constructor
 and `rebuild(f, ...)` applies that constructor to new ones.  Their table,
@@ -217,46 +223,64 @@ class Rtc(Formula):
     dst: Term
 
 
-def term_key(t: Term, env: Mapping[str, int]) -> str:
+def term_key(t: Term, env: Mapping[str, int],
+             theta: Mapping[str, Term] = {}) -> str:
     """Total-order key for terms; a variable bound at de Bruijn level n in
-    `env` reads `(b n)`.  `term_key(t, {})` is the structural key."""
+    `env` reads `(b n)`.  `term_key(t, {})` is the structural key.  A
+    variable not in `env` that has an image in `theta` reads as the image's
+    structural key: a substitution acts on free occurrences only, and the
+    image's variables stay free."""
     match t:
         case Var(name):
             lvl = env.get(name)
-            return f"(b {lvl})" if lvl is not None else f"(v {name})"
+            if lvl is not None:
+                return f"(b {lvl})"
+            return term_key(theta[name], {}) if name in theta else f"(v {name})"
         case Const(name):
             return f"(c {name})"
         case App(fn, args):
-            return f"(f {fn} {' '.join(term_key(a, env) for a in args)})"
+            return f"(f {fn} {' '.join(term_key(a, env, theta) for a in args)})"
     raise TypeError(f"not a term: {t!r}")
 
 
-def _formula_key(f: Formula, env: Mapping[str, int], depth: int) -> str:
+def _formula_key(f: Formula, env: Mapping[str, int], depth: int,
+                 theta: Mapping[str, Term] = {}) -> str:
     match f:
         case Eq(l, r):
-            return f"(= {term_key(l, env)} {term_key(r, env)})"
+            return f"(= {term_key(l, env, theta)} {term_key(r, env, theta)})"
         case Pred(name, args):
-            return f"(p {name} {' '.join(term_key(a, env) for a in args)})"
+            return f"(p {name} {' '.join(term_key(a, env, theta) for a in args)})"
         case Top():
             return "(top)"
         case Bot():
             return "(bot)"
         case Not(s):
-            return f"(~ {_formula_key(s, env, depth)})"
+            return f"(~ {_formula_key(s, env, depth, theta)})"
         case And(l, r):
-            return f"(& {_formula_key(l, env, depth)} {_formula_key(r, env, depth)})"
+            return (f"(& {_formula_key(l, env, depth, theta)}"
+                    f" {_formula_key(r, env, depth, theta)})")
         case Or(l, r):
-            return f"(| {_formula_key(l, env, depth)} {_formula_key(r, env, depth)})"
+            return (f"(| {_formula_key(l, env, depth, theta)}"
+                    f" {_formula_key(r, env, depth, theta)})")
         case Implies(l, r):
-            return f"(> {_formula_key(l, env, depth)} {_formula_key(r, env, depth)})"
+            return (f"(> {_formula_key(l, env, depth, theta)}"
+                    f" {_formula_key(r, env, depth, theta)})")
         case Forall(x, b):
-            return f"(all {_formula_key(b, {**env, x: depth}, depth + 1)})"
+            return f"(all {_formula_key(b, {**env, x: depth}, depth + 1, theta)})"
         case Exists(x, b):
-            return f"(ex {_formula_key(b, {**env, x: depth}, depth + 1)})"
+            return f"(ex {_formula_key(b, {**env, x: depth}, depth + 1, theta)})"
         case Rtc(x, y, b, s, t):
-            bk = _formula_key(b, {**env, x: depth, y: depth + 1}, depth + 2)
-            return f"(rtc {bk} {term_key(s, env)} {term_key(t, env)})"
+            bk = _formula_key(b, {**env, x: depth, y: depth + 1}, depth + 2, theta)
+            return f"(rtc {bk} {term_key(s, env, theta)} {term_key(t, env, theta)})"
     raise TypeError(f"not a formula: {f!r}")
+
+
+def substitute_key(f: Formula, theta: Mapping[str, Term]) -> str:
+    """`substitute(f, theta).key()`, without building the substituted
+    formula: the walk reads each free variable of f through theta.  Since
+    `substitute` only renames binders, and keys ignore binder names, the two
+    agree."""
+    return _formula_key(f, {}, 0, theta) if theta else f.key()
 
 
 def positional_key(f: Formula, names: tuple[str, ...]) -> str:
@@ -547,10 +571,21 @@ class Sequent:
         return Sequent(tuple(substitute(f, theta) for f in self.antecedent),
                        tuple(substitute(f, theta) for f in self.succedent))
 
-    def contains(self, other: "Sequent") -> bool:
-        ant = set(self.antecedent)
-        suc = set(self.succedent)
-        return all(f in ant for f in other.antecedent) and all(f in suc for f in other.succedent)
+    def keys(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """Each side's formula keys, in order."""
+        return (tuple(f.key() for f in self.antecedent),
+                tuple(f.key() for f in self.succedent))
+
+    def substituted_keys(self, theta: Mapping[str, Term]
+                         ) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """`self.substituted(theta).keys()`, without building that sequent:
+        each side's distinct `substitute_key`s, sorted.  Each distinct
+        formula is keyed under theta once, even when both sides hold it."""
+        sides = (self.antecedent, self.succedent)
+        source = {f.key(): f for fs in sides for f in fs}
+        image = {k: substitute_key(f, theta) for k, f in source.items()}
+        ant, suc = (tuple(sorted({image[f.key()] for f in fs})) for fs in sides)
+        return ant, suc
 
 
 def _normalize(fs: Iterable[Formula]) -> tuple[Formula, ...]:

@@ -1,7 +1,10 @@
 """Deciding the global trace condition for cyclic pre-proofs.
 
 `edge_matrix` is the one definition of the trace pairs across an edge; the
-prover's cycle filter and the renderer's progress marks read it too.
+prover's cycle filter and the renderer's progress marks read it too.  Across
+`Subst` it keys each premise rtc formula under the substitution
+(`syntax.substitute_key`) and pairs it with the conclusion formula of that
+key, without building the instance.
 
 The primary procedure is a Ramsey-style composition closure over per-edge
 trace matrices (size-change termination, Lee, Jones & Ben-Amram, POPL 2001):
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from .errors import BudgetExceeded
 from .kernel import RuleId, RuleInstance
 from .proofgraph import ProofGraph
-from .syntax import Rtc, Sequent, Var, substitute
+from .syntax import Rtc, Sequent, Var, substitute_key
 
 MAX_CYCLES = 100_000   # basic cycles before `enumerate_basic_cycles` gives up
 CLOSURE_CAP = 500_000  # path matrices before the trace check is indeterminate
@@ -117,7 +120,7 @@ def edge_matrix(rule: RuleInstance, i: int) -> EdgeMatrix:
         concl = set(_rtc_keys(rule.conclusion))
         return EdgeMatrix({(k, f.key()): False
                            for f in rule.premises[i].antecedent if isinstance(f, Rtc)
-                           if (k := substitute(f, theta).key()) in concl})
+                           if (k := substitute_key(f, theta)) in concl})
     entries: dict[tuple[str, str], bool] = {}
     if rule.rule is RuleId.RtcCase and i == 1:
         f = rule.params.principal

@@ -596,6 +596,52 @@ def test_rtcind_step_variable_in_template(command, tmp_path, capsys):
     assert main(["refute", "a = x, (rtc u v. E(u, v))(a, b) |- b = x"]) == 1
 
 
+# one Subst node over an Axiom whose formula binds x, the image of z: the
+# instance keeps x free under a renamed binder, so it is forall y. p(y, x)
+SUBST_CAPTURE = """\
+tcp 1
+sig pred p/2
+theory -
+root 0
+node 0 : {concl} |- {concl} ; rule=Subst ; params={{subst=[{subst}] ; source=\
+(forall x. p(x, z) |- forall x. p(x, z))}} ; premises=[1]
+node 1 : forall x. p(x, z) |- forall x. p(x, z) ; rule=Axiom ; params={{}} ; premises=[]
+"""
+SUBST_FAULT = "Subst: conclusion is not the stated instance of the source"
+# (conclusion, substitution, exit code, stdout)
+SUBST_CASES = {
+    "renamed": ("forall y. p(y, x)", "z := x", 0, "accepted; 0 basic cycles; normal\n"),
+    "captured": ("forall x. p(x, x)", "z := x", 1,
+                 f"KernelError at node 0: {SUBST_FAULT}\ninvalid\n"),
+    # x is bound wherever it occurs in the source, so x := w changes nothing
+    "bound": ("forall y. p(y, x)", "z := x, x := w", 0, "accepted; 0 basic cycles; normal\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUBST_CASES))
+def test_subst_capture(case, tmp_path, capsys):
+    concl, subst, code, out = SUBST_CASES[case]
+    path = tmp_path / "subst.tcp"
+    path.write_text(SUBST_CAPTURE.format(concl=concl, subst=subst), encoding="utf-8")
+    assert main(["check", str(path)]) == code
+    assert capsys.readouterr() == (out, "")
+
+
+def test_subst_chain_with_edited_endpoint(tmp_path, capsys):
+    # node 30 concludes R(v31, w) |- R(v30, w): its parent's source no longer
+    # matches it, and [v31 := v30] does not give it from R(v31, w) |- R(v31, w)
+    text = subst_chain(50)
+    edited = text.replace("node 30 : (rtc x y. p(x, y))(v30, w)",
+                          "node 30 : (rtc x y. p(x, y))(v31, w)")
+    assert edited != text
+    path = tmp_path / "chain.tcp"
+    path.write_text(edited, encoding="utf-8")
+    assert main(["check", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("KernelError at node 29: Subst: premises ")
+    assert out[1:] == [f"KernelError at node 30: {SUBST_FAULT}", "invalid"]
+
+
 NAT_BETA = ("0 = n \\/ (exists z. exists c. {b}(c, 0, 0) /\\ {b}(c, s(z), n) /\\ (forall u."
             " u = z \\/ {lt} -> exists v. exists w. {b}(c, u, v) /\\ {b}(c, s(u), w)"
             " /\\ {step}))\n")

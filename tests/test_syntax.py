@@ -10,13 +10,14 @@ from rtcproof.syntax import (MAX_DEPTH, And, App, Bot, Const, Eq, Exists,
                              parse_formula_infer, parse_sequent,
                              parse_sequent_infer, parts, pretty,
                              pretty_sequent, rebuild, replace_terms,
-                             substitute, symbols, term_vars, tokenize)
+                             substitute, substitute_key, symbols, term_vars,
+                             tokenize)
 
 from helpers import NESTED
 from oracles import validate_formula
 
 SIG = Signature.make(constants={"0"},
-                     functions={"s": 1, "pair": 2},
+                     functions={"s": 1, "g": 2, "pair": 2},
                      predicates={"p": 2, "q": 1, "E": 2},
                      pair_symbol="pair")
 
@@ -181,37 +182,126 @@ def test_symbols():
 
 
 def _random_formula(rng, depth, vars_pool=("x", "y", "z", "w")):
+    """A random formula over every constructor, with terms built by the
+    1-ary `s` and the 2-ary `g`."""
     def term(d):
         r = rng.random()
         if d <= 0 or r < 0.5:
             return Var(rng.choice(vars_pool)) if rng.random() < 0.8 else Const("0")
-        return App("s", (term(d - 1),))
+        if r < 0.75:
+            return App("s", (term(d - 1),))
+        return App("g", (term(d - 1), term(d - 1)))
 
     if depth <= 0:
-        k = rng.randrange(3)
-        if k == 0:
+        k = rng.randrange(8)
+        if k < 2:
             return Eq(term(1), term(1))
-        if k == 1:
+        if k < 4:
             return Pred("q", (term(1),))
-        return Pred("p", (term(1), term(1)))
-    k = rng.randrange(7)
+        if k < 6:
+            return Pred("p", (term(1), term(1)))
+        return Top() if k == 6 else Bot()
+    k = rng.randrange(8)
     if k == 0:
         return Not(_random_formula(rng, depth - 1, vars_pool))
-    if k == 1:
-        return And(_random_formula(rng, depth - 1, vars_pool),
+    if k in (1, 2, 3):
+        cls = (And, Or, Implies)[k - 1]
+        return cls(_random_formula(rng, depth - 1, vars_pool),
                    _random_formula(rng, depth - 1, vars_pool))
-    if k == 2:
-        return Or(_random_formula(rng, depth - 1, vars_pool),
-                  _random_formula(rng, depth - 1, vars_pool))
-    if k == 3:
-        return Forall(rng.choice(vars_pool), _random_formula(rng, depth - 1, vars_pool))
     if k == 4:
-        return Exists(rng.choice(vars_pool), _random_formula(rng, depth - 1, vars_pool))
+        return Forall(rng.choice(vars_pool), _random_formula(rng, depth - 1, vars_pool))
     if k == 5:
+        return Exists(rng.choice(vars_pool), _random_formula(rng, depth - 1, vars_pool))
+    if k == 6:
         x = rng.choice(vars_pool)
         y = rng.choice([v for v in vars_pool if v != x])
         return Rtc(x, y, _random_formula(rng, depth - 1, vars_pool), term(1), term(1))
     return _random_formula(rng, 0, vars_pool)
+
+
+def _subformulas(f):
+    yield f
+    for g in parts(f)[1]:
+        yield from _subformulas(g)
+
+
+def _random_theta(rng, f):
+    """A substitution for f of up to three entries: a domain variable of f
+    (bound or free) or not in it; an image that is the variable itself, a
+    variable named as in f (binders included), a constant or an application
+    over such variables.  Sometimes two entries swap two names."""
+    names = sorted({b for g in _subformulas(f) for b in parts(g)[0]}
+                   | free_vars(f) | {"u", "x"})
+
+    def image(v):
+        r = rng.random()
+        if r < 0.2:
+            return Var(v)
+        if r < 0.6:
+            return Var(rng.choice(names))
+        if r < 0.7:
+            return Const("0")
+        if r < 0.85:
+            return App("s", (Var(rng.choice(names)),))
+        return App("g", (Var(rng.choice(names)), Var(rng.choice(names))))
+
+    theta = {}
+    for _ in range(rng.randrange(1, 4)):
+        v = rng.choice(names)
+        theta[v] = image(v)
+    if rng.random() < 0.3:
+        a, b = rng.sample(names, 2)
+        theta[a], theta[b] = Var(b), Var(a)
+    return theta
+
+
+class TestSubstituteKey:
+    """`substitute_key` and `Sequent.substituted_keys` against the keys of
+    the formulas and sequents that `substitute` builds."""
+
+    def test_agrees_with_substitute(self):
+        rng = random.Random(31)
+        classes = set()
+        # substitutions that: rename a binder to avoid capture, map a
+        # variable to itself, name a variable that f binds, swap two names
+        seen = dict.fromkeys(("capture", "identity", "bound", "swap"), 0)
+        for _ in range(2500):
+            f = _random_formula(rng, rng.randrange(5))
+            theta = _random_theta(rng, f)
+            g = substitute(f, theta)
+            assert substitute_key(f, theta) == g.key(), (pretty(f), theta)
+            classes.update(type(h) for h in _subformulas(f))
+            binders = {b for h in _subformulas(f) for b in parts(h)[0]}
+            seen["capture"] += any(b.startswith("_v")
+                                   for h in _subformulas(g) for b in parts(h)[0])
+            seen["identity"] += any(t == Var(v) for v, t in theta.items())
+            seen["bound"] += not binders.isdisjoint(theta)
+            seen["swap"] += any(theta.get(t.name) == Var(v) != t
+                                for v, t in theta.items() if isinstance(t, Var))
+        assert classes == {Eq, Pred, Top, Bot, Not, And, Or, Implies, Forall, Exists, Rtc}
+        assert min(seen.values()) >= 100, seen
+
+    def test_sequent_agrees_with_substituted(self):
+        rng = random.Random(37)
+        merged = 0   # sequents with two formulas of a side keyed alike
+        for _ in range(2000):
+            # the sides share formulas, as a Subst chain's do; the third is
+            # the first with a renamed, which theta often renames back
+            a, b = rng.sample(("x", "y", "z", "w"), 2)
+            pool = [_random_formula(rng, rng.randrange(3)) for _ in range(2)]
+            pool.append(substitute(pool[0], {a: Var(b)}))
+            s = Sequent(tuple(rng.sample(pool, rng.randrange(4))),
+                        tuple(rng.sample(pool, rng.randrange(4))))
+            theta = _random_theta(rng, And(pool[0], pool[1]))
+            if rng.random() < 0.5:
+                theta[b] = Var(a)
+            inst = s.substituted(theta)
+            want = (tuple(f.key() for f in inst.antecedent),
+                    tuple(f.key() for f in inst.succedent))
+            assert s.substituted_keys(theta) == want, (str(s), theta)
+            merged += (len(inst.antecedent) < len(s.antecedent)
+                       or len(inst.succedent) < len(s.succedent))
+        assert merged >= 20, merged
 
 
 class TestProperties:
