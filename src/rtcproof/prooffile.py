@@ -135,17 +135,29 @@ def _arity(p: _Parser) -> tuple[str, int]:
     return name, _expect_number(p, "arity")
 
 
+_SECTIONS = {"fn": "function", "pred": "predicate"}
+
+
 def _parse_sig_line(p: _Parser) -> Signature:
     consts: set[str] = set()
     arities: dict[str, dict[str, int]] = {"fn": {}, "pred": {}}
     pair: dict[str, str] = {}           # "pair" and "pairconst" -> symbol
+
+    def declare(p: _Parser, val: str) -> None:
+        """One `name/arity`; a symbol may be declared again with its arity."""
+        pos = p.peek()[2]
+        name, arity = _arity(p)
+        first = arities[val].setdefault(name, arity)
+        if first != arity:
+            raise ParseError(pos, f"{_SECTIONS[val]} {name!r} declared with"
+                                  f" arities {first} and {arity}")
 
     def section(p: _Parser) -> None:
         _, val, pos = p.next()
         if val == "const":
             consts.update(_separated(p, _Parser.expect_ident, ","))
         elif val in arities:
-            arities[val].update(_separated(p, _arity, ","))
+            _separated(p, lambda p: declare(p, val), ",")
         elif val in ("pair", "pairconst"):
             pair[val] = p.expect_ident()
         else:
@@ -180,9 +192,11 @@ def _sig_line(sig: Signature) -> str:
 # Theory files
 
 def parse_theory(text: str) -> TheoryFile:
+    """Parse a .tc file.  Its axioms are read after every header line, under
+    its signature wherever the `sig` line stands."""
     name = None
     sig = Signature.make()
-    axioms: list[Sequent] = []
+    lines: list[tuple[int, int, str]] = []      # (line, offset, axiom text)
     for lineno, at, keyword, rest in _lines(text, "theory", ("theory", "sig", "axiom"),
                                             ("theory", "sig")):
         with _on_line(lineno, at):
@@ -193,9 +207,13 @@ def parse_theory(text: str) -> TheoryFile:
             elif keyword == "sig":
                 sig = _parse_sig_line(_Parser(rest, Signature.make()))
             else:
-                axioms.append(parse_sequent(rest, sig))
+                lines.append((lineno, at, rest))
     if name is None:
         raise RtcError("theory file has no 'theory <name>' line")
+    axioms = []
+    for lineno, at, rest in lines:
+        with _on_line(lineno, at):
+            axioms.append(parse_sequent(rest, sig))
     return TheoryFile(name, sig, tuple(axioms))
 
 

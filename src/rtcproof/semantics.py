@@ -31,7 +31,8 @@ table cells depth-first in the same order and cuts every partial model in
 which no (constants, valuation) tuple can still be a counter-model (the
 cell-by-cell search of SEM, Zhang & Zhang 1995, and Mace4, McCune 2003).
 Its budget counts search nodes, one per cell assignment tried plus one
-root per domain size.
+root per domain size, and bounds the checks a size builds before its root:
+the goal's tuples and the theory's instances.
 
 Counterexample dump format:
 
@@ -323,8 +324,9 @@ def find_counter_model(s: Sequent, max_size: int, theory: tuple[Sequent, ...],
     equals (`PairConstAx`), there is no finite model and the result is None.
 
     Raises BudgetExceeded when the search would visit more than `budget`
-    nodes, or reaches a size with more tuples of constant and variable
-    values than `budget`.
+    nodes, or reaches a size where the tuples of constant and variable
+    values and the theory instances (one per tuple of constant values and
+    values of an axiom's own variables) together outnumber `budget`.
     """
     if sig.pair_symbol is not None:
         if sig.pair_constant is not None:
@@ -436,6 +438,12 @@ class _CellSearch:
             # outnumber the budget is out of reach, and would fill memory
             raise BudgetExceeded(f"counter-model search budget {self.budget} exhausted:"
                                  f" {count} tuples of constants and variables at size {n}")
+        # so are the theory checks, built once per tuple of constant values
+        instances = n ** len(self.cvars) * sum(n ** len(fvs) for _, fvs in self.theory_sides)
+        if count + instances > self.budget:
+            raise BudgetExceeded(f"counter-model search budget {self.budget} exhausted:"
+                                 f" {count} tuples of constants and variables and"
+                                 f" {instances} theory instances at size {n}")
         per_cvals = n ** len(self.goal_fvs)
         entries: dict = {}
         # one (goal check, theory checks) per tuple, in product order

@@ -13,9 +13,16 @@ keys only.
 
 `parts(f)` gives the binders, subformulas and terms of f's top constructor
 and `rebuild(f, ...)` applies that constructor to new ones.  Their table,
-`_SHAPES`, is the one place that knows each constructor's shape; every
-function that only collects or maps over structure walks through them.
-`pretty` does too: a `Notation` gives one format string per constructor.
+`_SHAPES`, is the one place that knows each constructor's shape.  Walks
+that collect read one iterator per syntax shape, `subformulas(f)` (every
+formula occurrence, children before their parent) and `subterms(t)`:
+`term_vars`, `formula_subterms`, `all_names` and `symbols` are
+comprehensions over them.  Walks that map (`substitute`, `replace_terms`,
+`translate.beta_translate`) apply `rebuild` to mapped `parts`.  Walks that
+track binder scope or build output keep their own recursion: `free_vars`,
+the key walk (`_formula_key`, `term_key`), `pretty`,
+`kernel.match_formula` and `semantics._compile_formula`.  `pretty` reads
+`parts` too: a `Notation` gives one format string per constructor.
 The walks other modules share live here, each once: `replace_terms`
 rewrites terms into terms (the prover's rewrite templates, the model
 search's constants), `symbols` lists the symbols that formulas use, and
@@ -72,7 +79,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .errors import ArityMismatch, ParseError, UnknownSymbol
+from .errors import ArityMismatch, ParseError, SignatureMismatch, UnknownSymbol
 
 # ---------------------------------------------------------------------------
 # Terms
@@ -98,20 +105,6 @@ class App(Term):
     args: tuple[Term, ...]
 
 
-def term_vars(t: Term) -> set[str]:
-    match t:
-        case Var(name):
-            return {name}
-        case Const(_):
-            return set()
-        case App(_, args):
-            out: set[str] = set()
-            for a in args:
-                out |= term_vars(a)
-            return out
-    raise TypeError(f"not a term: {t!r}")
-
-
 def subst_term(t: Term, theta: Mapping[str, Term]) -> Term:
     match t:
         case Var(name):
@@ -128,6 +121,10 @@ def subterms(t: Term) -> Iterator[Term]:
     if isinstance(t, App):
         for a in t.args:
             yield from subterms(a)
+
+
+def term_vars(t: Term) -> set[str]:
+    return {u.name for u in subterms(t) if u.__class__ is Var}
 
 
 # ---------------------------------------------------------------------------
@@ -352,15 +349,17 @@ def free_vars(f: Formula) -> set[str]:
     return out
 
 
+def subformulas(f: Formula) -> Iterator[Formula]:
+    """Every formula occurrence in f, children before their parent."""
+    for g in parts(f)[1]:
+        yield from subformulas(g)
+    yield f
+
+
 def all_names(f: Formula) -> set[str]:
     """Every variable name occurring in f, bound or free."""
-    binders, subs, terms = parts(f)
-    out = set(binders)
-    for g in subs:
-        out |= all_names(g)
-    for t in terms:
-        out |= term_vars(t)
-    return out
+    return ({b for g in subformulas(f) for b in parts(g)[0]}
+            | {t.name for t in formula_subterms(f) if t.__class__ is Var})
 
 
 def fresh_name(avoid: set[str], hint: str = "_v") -> str:
@@ -440,12 +439,9 @@ def replace_terms(f: Formula, mapping: Mapping[Term, Term]) -> Formula:
 
 
 def formula_subterms(f: Formula) -> Iterator[Term]:
-    """All term occurrences in f, including inside binders."""
-    _, subs, terms = parts(f)
-    for g in subs:
-        yield from formula_subterms(g)
-    for t in terms:
-        yield from subterms(t)
+    """All term occurrences in f, including inside binders: those of each
+    subformula in `subformulas` order."""
+    return (u for g in subformulas(f) for t in parts(g)[2] for u in subterms(t))
 
 
 def symbols(formulas: Iterable[Formula]
@@ -455,15 +451,9 @@ def symbols(formulas: Iterable[Formula]
     consts: set[str] = set()
     fns: dict[str, int] = {}
     preds: dict[str, int] = {}
-
-    def go(g: Formula) -> None:
-        if g.__class__ is Pred:
-            preds[g.name] = len(g.args)
-        for h in parts(g)[1]:
-            go(h)
-
     for f in formulas:
-        go(f)
+        preds.update((g.name, len(g.args)) for g in subformulas(f)
+                     if g.__class__ is Pred)
         for t in formula_subterms(f):
             if t.__class__ is Const:
                 consts.add(t.name)
@@ -516,6 +506,10 @@ class Signature:
         for n, a in other.predicates:
             if preds.setdefault(n, a) != a:
                 raise ArityMismatch(f"predicate {n!r} declared with arities {preds[n]} and {a}")
+        for what, mine, theirs in (("pair symbol", self.pair_symbol, other.pair_symbol),
+                                   ("pair constant", self.pair_constant, other.pair_constant)):
+            if mine and theirs and mine != theirs:
+                raise SignatureMismatch(f"{what} declared as {mine!r} and {theirs!r}")
         return Signature.make(
             constants=self.constants | other.constants,
             functions=fns, predicates=preds,

@@ -308,7 +308,7 @@ def test_gen_corpus_writes_the_corpus(tmp_path):
             assert (tmp_path / name).read_bytes() == fh.read(), name
 
 
-# one malformed rule parameter, signature or symbol per case: (corpus file,
+# one malformed rule parameter, signature, symbol or sequent per case: (corpus file,
 # text replaced, replacement, the line `rtcproof check` prints on stderr)
 PARAM_EDITS = {
     "unknown_key": ("nat_p.tcp", "principal=(", "principle=(",
@@ -347,6 +347,15 @@ PARAM_EDITS = {
                      "error: line 6, offset 70: repeated parameter 'principal'"),
     "subst_repeated_variable": ("nat_p.tcp", "subst=[n := _v0]", "subst=[n := _v0, n := 0]",
                                 "error: line 11, offset 93: repeated variable 'n'"),
+    # a symbol declared again with another arity, at the second declaration
+    "sig_repeated_arity": ("nat_p.tcp", "pred p/1", "pred p/2 ; pred p/1",
+                           "error: line 2, offset 39: predicate 'p' declared with arities 2 and 1"),
+    "sig_repeated_arity_list": ("nat_p.tcp", "pred p/1", "pred p/1, p/2",
+                                "error: line 2, offset 33: predicate 'p' declared with"
+                                " arities 1 and 2"),
+    # an unmatched `)` in a sequent: the field reader refuses the line
+    "sequent_unmatched_paren": ("nat_p.tcp", "|- p(n) ; rule=RtcCase", "|- p(n)) ; rule=RtcCase",
+                                "error: line 5, offset 48: expected ';', found ')'"),
 }
 
 
@@ -409,6 +418,9 @@ BAD_THEORIES = {
                         "error: line 2, offset 0: repeated 'theory' line (first on line 1)"),
     "repeated_sig": ("axiom |- q(0)", "sig pred q/1, r/1\naxiom |- q(0)",
                      "error: line 3, offset 0: repeated 'sig' line (first on line 2)"),
+    # an axiom before the `sig` line is read under it, its error on its line
+    "arity_before_sig": ("sig pred q/1\naxiom |- q(0)", "axiom |- q(0, 0)\nsig pred q/1",
+                         "error: line 2, offset 9: predicate 'q' expects 1 args, got 2"),
 }
 
 
@@ -422,10 +434,15 @@ def test_prove_malformed_theory(case, tmp_path, capsys):
 
 
 def test_prove_with_theory_file(tmp_path, capsys):
+    # the second theory has an axiom line before its `sig` line
     path = tmp_path / "t.tc"
-    path.write_text(THEORY, encoding="utf-8")
-    assert main(["prove", "|- q(0)", "--theory", str(path)]) == 0
-    assert capsys.readouterr().out.startswith("proved")
+    for theory in (THEORY, THEORY.replace("sig pred q/1\naxiom |- q(0)\n",
+                                          "axiom |- q(0)\nsig pred q/1\n")):
+        path.write_text(theory, encoding="utf-8")
+        assert main(["prove", "|- q(0)", "--theory", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("proved")
+        assert main(["refute", "|- q(a)", "--theory", str(path)]) == 2
+        assert capsys.readouterr().out.startswith("no counter-model up to size 5")
 
 
 R = "(rtc x y. p(x, y))"
@@ -554,6 +571,24 @@ def test_pairing_goals_not_refuted(command, tmp_path, capsys):
     assert capsys.readouterr().out.startswith("proved; 1 nodes; 0 cycle(s)\n")
 
 
+@pytest.mark.parametrize("proof_sig, theory_sig, message", [
+    ("fn qq/2 ; pair qq", "fn pr/2 ; pair pr", "pair symbol declared as 'qq' and 'pr'"),
+    ("const c ; fn pr/2 ; pair pr ; pairconst c", "const d ; fn pr/2 ; pair pr ; pairconst d",
+     "pair constant declared as 'c' and 'd'"),
+])
+def test_check_conflicting_pair_symbols(proof_sig, theory_sig, message, tmp_path, capsys):
+    """A proof file and its theory that name different pair symbols, or
+    pair constants, are refused, not merged."""
+    theory = tmp_path / "pairs.tc"
+    theory.write_text(f"theory pairs\nsig {theory_sig}\n", encoding="utf-8")
+    proof = tmp_path / "p.tcp"
+    proof.write_text(f"tcp 1\nsig {proof_sig}\ntheory {theory}\nroot 0\n"
+                     "node 0 : a = a |- a = a ; rule=Axiom ; params={} ; premises=[]\n",
+                     encoding="utf-8")
+    assert main(["check", str(proof)]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_prove_pair_injectivity(tmp_path, capsys):
     """Under a pair symbol the prover tries PairInj on the succedent: the
     pairs are equal, so their components are."""
@@ -664,6 +699,13 @@ def test_translate_beta_golden(case, tmp_path, capsys):
     options = [o.format(template=template) for o in options]
     assert main(["translate-beta", f"(rtc x y. {step} = y)(0, n)"] + options) == 0
     assert capsys.readouterr() == (out, "")
+
+
+def test_translate_beta_names_first_offender(capsys):
+    # the rtc body's terms are checked before its endpoints
+    assert main(["translate-beta", "(rtc x y. g(x) = y)(h(0), 0)"]) == 3
+    assert capsys.readouterr() == (
+        "", "error: function 'g'/1 outside the arithmetic signature\n")
 
 
 def test_translate_beta_past_cap_is_usage_error(tmp_path, capsys):

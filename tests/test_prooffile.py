@@ -210,6 +210,11 @@ def test_file_error_messages(case):
     assert str(info.value) == message
 
 
+def test_symbol_declared_again_with_its_arity():
+    again = TINY.replace("sig pred q/1", "sig pred q/1, q/1 ; pred q/1")
+    assert parse_proof(again).signature == parse_proof(TINY).signature
+
+
 def test_theory_file_error_messages(tmp_path, capsys):
     with pytest.raises(ParseError) as info:
         parse_theory("theory\nsig pred q/1\n")

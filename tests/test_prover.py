@@ -192,6 +192,19 @@ class TestExpandFair:
         rules = [r for r, _ in expand_fair(seq, SearchConfig(sig=SIG))]
         assert rules[0] is RuleId.Axiom
 
+    def test_theory_cut_needs_its_formula_bound(self):
+        # matching the rest of the axiom against p(a) |- r(a) binds x; a
+        # missing formula with a variable left unbound is not cut in
+        sig = Signature.make(predicates={"p": 1, "q": 1, "r": 1})
+        seq = S("p(a) |- r(a)", sig)
+
+        def cuts(axiom):
+            cfg = SearchConfig(sig=sig, theory=(S(axiom, sig),))
+            return [str(p.cut_formula) for r, p in expand_fair(seq, cfg) if r is RuleId.Cut]
+
+        assert cuts("p(x), q(x) |- r(x)") == ["q(a)"]
+        assert cuts("p(x), q(y) |- r(x)") == []
+
 
 R = "(rtc x y. p(x, y))"
 # (theory, goal): valid and invalid goals whose searches to depth 3 reach

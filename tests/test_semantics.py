@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -223,6 +224,17 @@ class TestCounterModel:
         assert find_counter_model(wide, 2, (), SIG, budget=100) is None
         with pytest.raises(BudgetExceeded, match="729 tuples"):
             find_counter_model(wide, 3, (), SIG, budget=100)
+        # the theory checks count too, built per size before any cell is
+        # set: 16 goal tuples and 4^6 instances at size 4
+        q_sig = Signature.make(predicates={"q": 1})
+        axiom = parse_sequent("q(x1), q(x2), q(x3), q(x4), q(x5) |- q(y)", q_sig)
+        goal = parse_sequent("q(a) |- q(b)", q_sig)
+        assert find_counter_model(goal, 3, (axiom,), q_sig, budget=2000) is None
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="16 tuples of constants and variables"
+                                                 " and 4096 theory instances at size 4"):
+            find_counter_model(goal, 4, (axiom,), q_sig, budget=2000)
+        assert time.perf_counter() - start < 1
 
     def test_agrees_with_brute_force(self):
         # the goals above, and their theory, against the enumerator

@@ -6,12 +6,12 @@ from rtcproof.errors import ArityMismatch, ParseError, UnknownSymbol
 from rtcproof.render import latex_sequent
 from rtcproof.syntax import (MAX_DEPTH, And, App, Bot, Const, Eq, Exists,
                              Forall, Implies, Not, Or, Pred, Rtc, Sequent,
-                             Signature, Top, Var, free_vars, parse_formula,
-                             parse_formula_infer, parse_sequent,
-                             parse_sequent_infer, parts, pretty,
-                             pretty_sequent, rebuild, replace_terms,
-                             substitute, substitute_key, symbols, term_vars,
-                             tokenize)
+                             Signature, Top, Var, all_names, formula_subterms,
+                             free_vars, parse_formula, parse_formula_infer,
+                             parse_sequent, parse_sequent_infer, parts,
+                             pretty, pretty_sequent, pretty_term, rebuild,
+                             replace_terms, subformulas, substitute,
+                             substitute_key, symbols, term_vars, tokenize)
 
 from helpers import NESTED
 from oracles import validate_formula
@@ -173,6 +173,16 @@ class TestReplaceTerms:
         assert pretty(f) == "E(b, a)"
 
 
+def test_collectors_read_children_first():
+    f = F("forall x. (rtc u v. E(u, s(v)))(x, g(x, 0)) /\\ q(0)")
+    assert [type(g) for g in subformulas(f)] == [Pred, Rtc, Pred, And, Forall]
+    # an rtc body's terms come before its endpoints
+    assert [pretty_term(t) for t in formula_subterms(f)] \
+        == ["u", "s(v)", "v", "x", "g(x, 0)", "x", "0", "0"]
+    assert all_names(f) == {"x", "u", "v"}
+    assert term_vars(App("g", (Var("x"), App("s", (Var("y"),))))) == {"x", "y"}
+
+
 def test_symbols():
     consts, fns, preds = symbols([F("forall x. q(s(0)) /\\ E(x, pair(a, 0))"),
                                   F("(rtc x y. p(x, y))(0, 0)")])
@@ -219,18 +229,12 @@ def _random_formula(rng, depth, vars_pool=("x", "y", "z", "w")):
     return _random_formula(rng, 0, vars_pool)
 
 
-def _subformulas(f):
-    yield f
-    for g in parts(f)[1]:
-        yield from _subformulas(g)
-
-
 def _random_theta(rng, f):
     """A substitution for f of up to three entries: a domain variable of f
     (bound or free) or not in it; an image that is the variable itself, a
     variable named as in f (binders included), a constant or an application
     over such variables.  Sometimes two entries swap two names."""
-    names = sorted({b for g in _subformulas(f) for b in parts(g)[0]}
+    names = sorted({b for g in subformulas(f) for b in parts(g)[0]}
                    | free_vars(f) | {"u", "x"})
 
     def image(v):
@@ -270,10 +274,10 @@ class TestSubstituteKey:
             theta = _random_theta(rng, f)
             g = substitute(f, theta)
             assert substitute_key(f, theta) == g.key(), (pretty(f), theta)
-            classes.update(type(h) for h in _subformulas(f))
-            binders = {b for h in _subformulas(f) for b in parts(h)[0]}
+            classes.update(type(h) for h in subformulas(f))
+            binders = {b for h in subformulas(f) for b in parts(h)[0]}
             seen["capture"] += any(b.startswith("_v")
-                                   for h in _subformulas(g) for b in parts(h)[0])
+                                   for h in subformulas(g) for b in parts(h)[0])
             seen["identity"] += any(t == Var(v) for v, t in theta.items())
             seen["bound"] += not binders.isdisjoint(theta)
             seen["swap"] += any(theta.get(t.name) == Var(v) != t

@@ -202,6 +202,10 @@ class TestBetaTranslate:
         f = parse_formula("f(k) = k", sig)
         with pytest.raises(SignatureMismatch):
             beta_translate(f)
+        with pytest.raises(SignatureMismatch, match="constant 'k' outside"):
+            beta_translate(parse_formula("k = 0", sig))
+        with pytest.raises(ValueError, match="unknown beta translation mode 'pb'"):
+            beta_translate(parse_formula("0 = 0", sig), mode="pb")
 
     def test_custom_template_validated(self):
         with pytest.raises(SignatureMismatch):
