@@ -310,8 +310,6 @@ def expected_premises(rule: RuleId, conclusion: Sequent, params: RuleParams,
             raise UnknownTheoryAxiom(
                 f"{conclusion} is not an instance of any theory axiom")
 
-    raise NotApplicable(f"unknown rule {rule}")
-
 
 def _check_fresh(z: str, context: Sequent, principal: Formula) -> None:
     if z in context.free_vars():
@@ -346,13 +344,14 @@ def check_rule_instance(r: RuleInstance, theory: tuple[Sequent, ...] = (),
 # ---------------------------------------------------------------------------
 # First-order matching (for theory axioms and cycle formation)
 
-def match_term(pat: Term, tgt: Term, theta: dict[str, Term],
-               bound: dict[str, str], tgt_bound: frozenset[str]) -> dict[str, Term] | None:
+def match_term(pat: Term, tgt: Term, theta: dict[str, Term], bound: Mapping[str, int],
+               tgt_bound: Mapping[str, int]) -> dict[str, Term] | None:
     match pat:
         case Var(name):
-            if name in bound:
-                return theta if tgt == Var(bound[name]) else None
-            if term_vars(tgt) & tgt_bound:
+            if name in bound:   # the target variable bound at the same level
+                ok = tgt.__class__ is Var and tgt_bound.get(tgt.name) == bound[name]
+                return theta if ok else None
+            if term_vars(tgt) & tgt_bound.keys():
                 return None  # image would escape a binder in the target
             if name in theta:
                 return theta if theta[name] == tgt else None
@@ -370,13 +369,14 @@ def match_term(pat: Term, tgt: Term, theta: dict[str, Term],
                     return None
                 theta = nxt
             return theta
-    return None
 
 
 def match_formula(pat: Formula, tgt: Formula, theta: dict[str, Term],
-                  bound: dict[str, str] | None = None,
-                  tgt_bound: frozenset[str] = frozenset()) -> dict[str, Term] | None:
-    """Match pat against tgt instantiating pat's free variables; None on failure."""
+                  bound: Mapping[str, int] = {}, tgt_bound: Mapping[str, int] = {},
+                  depth: int = 0) -> dict[str, Term] | None:
+    """Match pat against tgt instantiating pat's free variables; None on
+    failure.  `bound` and `tgt_bound` give the de Bruijn level, below
+    `depth`, of each variable bound around pat and tgt."""
     if pat.__class__ is not tgt.__class__:
         return None
     if pat.__class__ is Pred and pat.name != tgt.name:
@@ -385,13 +385,13 @@ def match_formula(pat: Formula, tgt: Formula, theta: dict[str, Term],
     tbind, tsubs, tterms = parts(tgt)
     if len(pterms) != len(tterms):
         return None
-    bound = bound or {}
     inner, inner_tgt = bound, tgt_bound
     if pbind:
-        inner = {**bound, **dict(zip(pbind, tbind))}
-        inner_tgt = tgt_bound | set(tbind)
+        levels = range(depth, depth + len(pbind))
+        inner = {**bound, **dict(zip(pbind, levels))}
+        inner_tgt = {**tgt_bound, **dict(zip(tbind, levels))}
     for p, t in zip(psubs, tsubs):
-        theta = match_formula(p, t, theta, inner, inner_tgt)
+        theta = match_formula(p, t, theta, inner, inner_tgt, depth + len(pbind))
         if theta is None:
             return None
     for p, t in zip(pterms, tterms):
@@ -419,17 +419,13 @@ def match_sequent(pattern: Sequent, target: Sequent,
 
     Every candidate is re-verified by comparing the keys of pattern.theta
     (`Sequent.substituted_keys`) with target's, so binder-related corner
-    cases in the matcher cannot produce false positives.
+    cases in the matcher cannot produce false positives.  No theta comes
+    twice: one theta matches a pattern formula to one key of the target.
     """
     ant, suc = target.keys()
     ant_set, suc_set = set(ant), set(suc)
-    seen: set[tuple] = set()
     for th_a in _match_formula_sets(pattern.antecedent, target.antecedent, {}):
         for th in _match_formula_sets(pattern.succedent, target.succedent, th_a):
-            key = tuple(sorted((v, t) for v, t in th.items()))
-            if key in seen:
-                continue
-            seen.add(key)
             inst_ant, inst_suc = pattern.substituted_keys(th)
             if exact:
                 if inst_ant == ant and inst_suc == suc:

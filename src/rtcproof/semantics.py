@@ -171,8 +171,6 @@ def _compile_term(t: Term) -> Compiled:
                     raise SignatureMismatch(f"function {fn!r} not interpreted")
                 # an argument tuple holding None is in no table
                 return table.get(tuple([a(ev, v) for a in subs]))
-        case _:
-            raise TypeError(f"not a term: {t!r}")
     object.__setattr__(t, "_value", run)
     return run
 
@@ -265,8 +263,6 @@ def _compile_formula(f: Formula) -> Compiled:
             value = f.__class__ is Top
             def run(ev, v):
                 return value
-        case _:
-            raise TypeError(f"not a formula: {f!r}")
     object.__setattr__(f, "_holds", run)
     return run
 

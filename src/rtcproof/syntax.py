@@ -368,7 +368,6 @@ def fresh_name(avoid: set[str], hint: str = "_v") -> str:
         cand = f"{hint}{i}"
         if cand not in avoid:
             return cand
-    raise AssertionError("unreachable")
 
 
 def substitute(f: Formula, theta: Mapping[str, Term]) -> Formula:
@@ -474,6 +473,11 @@ class Signature:
     pair_constant: str | None = None
 
     def __post_init__(self):
+        kinds = {"constant": self.constants, "function": dict(self.functions).keys(),
+                 "predicate": dict(self.predicates).keys()}
+        for (k1, names1), (k2, names2) in itertools.combinations(kinds.items(), 2):
+            if both := names1 & names2:
+                raise ParseError(None, f"symbol {min(both)!r} declared as both a {k1} and a {k2}")
         if self.pair_symbol is not None and self.fn_arity(self.pair_symbol) != 2:
             raise ArityMismatch(f"pair symbol {self.pair_symbol!r} must be a binary function")
         if self.pair_constant is not None and self.pair_constant not in self.constants:

@@ -128,3 +128,21 @@ def diamond_proof(k: int) -> str:
         f"node {ax2} : p(_v0, c) |- p(_v0, c) ; rule=Axiom ; params={{}} ; premises=[]",
     ]
     return _text(0, lines)
+
+
+def loop_below_root(k: int) -> str:
+    """A rejected pre-proof whose bad loop hangs k weakenings below the root:
+    nodes 0 .. k-1 weaken q(c0), ..., q(ck-1) away, and node k,
+    q(a), q(b) |- p(a, a), returns to itself through WL and Subst [b := a]
+    with no rtc formula to progress."""
+    loop, suc = ["q(a)", "q(b)"], ["p(a, a)"]
+    lines = [f"node {j} : {_seq([f'q(c{i})' for i in range(j, k)] + loop, suc)} ; rule=WL"
+             f" ; params={{principal=(q(c{j}))}} ; premises=[{j + 1}]" for j in range(k)]
+    lines += [
+        f"node {k} : {_seq(loop, suc)} ; rule=WL ; params={{principal=(q(b))}}"
+        f" ; premises=[{k + 1}]",
+        f"node {k + 1} : {_seq(['q(a)'], suc)} ; rule=Subst ; params={{subst=[b := a]"
+        f" ; source=({_seq(loop, suc)})}} ; premises=[{k + 2}]",
+        f"node {k + 2} : {_seq(loop, suc)} ; bud -> {k}",
+    ]
+    return _text(0, lines)

@@ -16,7 +16,7 @@ from rtcproof.tracecheck import edge_matrix
 
 from conftest import corpus_path
 from helpers import NESTED
-from preproofs import diamond_proof, subst_chain
+from preproofs import diamond_proof, loop_below_root, subst_chain
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -70,6 +70,15 @@ def test_check_corpus(name, capsys):
     code = main(["check", corpus_path(name)])
     first = capsys.readouterr().out.splitlines()[0]
     assert (code, first) == CORPUS_CHECK[name]
+
+
+def test_check_loop_below_root(tmp_path, capsys):
+    # the witness prefix is the shortest flow path from the root to the loop
+    path = tmp_path / "below.tcp"
+    path.write_text(loop_below_root(2), encoding="utf-8")
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr() == \
+        ("rejected; witness period: [2, 3, 2]; prefix: [0, 1, 2]\n", "")
 
 
 def test_check_normal_rejects_overlap(tmp_path, capsys):
@@ -353,6 +362,13 @@ PARAM_EDITS = {
     "sig_repeated_arity_list": ("nat_p.tcp", "pred p/1", "pred p/1, p/2",
                                 "error: line 2, offset 33: predicate 'p' declared with"
                                 " arities 1 and 2"),
+    # one name as two kinds of symbol: the line is named, as for the pair symbol
+    "sig_constant_and_function": ("nat_p.tcp", "sig const 0 ;", "sig const 0, s ;",
+                                  "error: line 2, offset 4: symbol 's' declared as both"
+                                  " a constant and a function"),
+    "sig_function_and_predicate": ("nat_p.tcp", "pred p/1", "pred p/1, s/1",
+                                   "error: line 2, offset 4: symbol 's' declared as both"
+                                   " a function and a predicate"),
     # an unmatched `)` in a sequent: the field reader refuses the line
     "sequent_unmatched_paren": ("nat_p.tcp", "|- p(n) ; rule=RtcCase", "|- p(n)) ; rule=RtcCase",
                                 "error: line 5, offset 48: expected ';', found ')'"),
@@ -527,6 +543,17 @@ def test_constant_apart_from_bound_names(command, tmp_path, capsys):
         assert capsys.readouterr() == (want, ""), goal
 
 
+@pytest.mark.parametrize("command", ["refute", "prove"])
+def test_goal_applies_theory_constant(command, tmp_path, capsys):
+    """A goal that applies a constant of its theory as a function is refused,
+    not searched with the constant as a function too."""
+    path = tmp_path / "c.tc"
+    path.write_text("theory t\nsig const c\n", encoding="utf-8")
+    assert main([command, "c(a) = b |-", "--theory", str(path)]) == 3
+    assert capsys.readouterr() == \
+        ("", "error: symbol 'c' declared as both a constant and a function\n")
+
+
 PAIRS = "theory pairs\nsig const c ; fn pr/2 ; pair pr ; pairconst c\n"
 # a proof of a goal that uses no pair symbol: the witness <c, c> differs
 # from c, by a Cut on <c, c> = c closed by PairConstAx
@@ -575,10 +602,11 @@ def test_pairing_goals_not_refuted(command, tmp_path, capsys):
     ("fn qq/2 ; pair qq", "fn pr/2 ; pair pr", "pair symbol declared as 'qq' and 'pr'"),
     ("const c ; fn pr/2 ; pair pr ; pairconst c", "const d ; fn pr/2 ; pair pr ; pairconst d",
      "pair constant declared as 'c' and 'd'"),
+    ("fn s/1", "pred s/1", "symbol 's' declared as both a function and a predicate"),
 ])
 def test_check_conflicting_pair_symbols(proof_sig, theory_sig, message, tmp_path, capsys):
     """A proof file and its theory that name different pair symbols, or
-    pair constants, are refused, not merged."""
+    pair constants, or one symbol as two kinds, are refused, not merged."""
     theory = tmp_path / "pairs.tc"
     theory.write_text(f"theory pairs\nsig {theory_sig}\n", encoding="utf-8")
     proof = tmp_path / "p.tcp"
@@ -629,6 +657,38 @@ def test_rtcind_step_variable_in_template(command, tmp_path, capsys):
     want = IND_PARAM_FAULT + ("invalid\n" if command == "check" else "")
     assert capsys.readouterr() == (want, "")
     assert main(["refute", "a = x, (rtc u v. E(u, v))(a, b) |- b = x"]) == 1
+
+
+# proofs of refutable sequents whose first node fits no schema, though a
+# kernel missing that refusal accepts it: (sig line, node lines, the fault)
+UNSOUND = {
+    "axiom": ("pred p/1, q/1", ["node 0 : p(a) |- q(a) ; rule=Axiom ; params={} ; premises=[]"],
+              "Axiom: Axiom conclusion must be exactly phi |- phi"),
+    "eqr": ("-", ["node 0 : |- a = b ; rule=EqR ; params={} ; premises=[]"],
+            "EqR: EqR needs t = t in the succedent"),
+    # the step premise proves the template's step, but the conclusion lacks
+    # the template at b in its succedent
+    "rtcind": ("pred e/2", [
+        "node 0 : (rtc x y. e(x, y))(a, b), a = a |- ; rule=RtcInd ; params={principal="
+        "((rtc x y. e(x, y))(a, b)) ; template=((h = h), h) ; eigenvar=u ; eigenvar2=v}"
+        " ; premises=[1]",
+        "node 1 : u = u, e(u, v) |- v = v ; rule=WL ; params={principal=(u = u)} ; premises=[2]",
+        "node 2 : e(u, v) |- v = v ; rule=WL ; params={principal=(e(u, v))} ; premises=[3]",
+        "node 3 : |- v = v ; rule=EqR ; params={} ; premises=[]"],
+        "RtcInd: b = b not in succedent"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNSOUND))
+def test_check_refuses_unsound_instance(case, tmp_path, capsys):
+    sig, nodes, fault = UNSOUND[case]
+    path = tmp_path / "unsound.tcp"
+    path.write_text("\n".join(["tcp 1", f"sig {sig}", "theory -", "root 0", *nodes, ""]),
+                    encoding="utf-8")
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr() == (f"KernelError at node 0: {fault}\ninvalid\n", "")
+    goal = nodes[0].split(" : ")[1].split(" ; ")[0]
+    assert main(["refute", goal]) == 1
 
 
 # one Subst node over an Axiom whose formula binds x, the image of z: the

@@ -4,8 +4,8 @@ from rtcproof.errors import (FreshnessViolation, NotApplicable, SchemaMismatch,
                              UnknownTheoryAxiom)
 from rtcproof.kernel import (SCHEMA, RuleId, RuleInstance, RuleParams,
                              check_rule_instance, expected_premises, make_subst,
-                             match_sequent, rule_instance)
-from rtcproof.syntax import (App, Eq, Rtc, Sequent, Signature, Var,
+                             match_formula, match_sequent, rule_instance)
+from rtcproof.syntax import (App, Eq, Pred, Rtc, Sequent, Signature, Var,
                              parse_formula, parse_sequent)
 
 SIG = Signature.make(constants={"c0", "0"},
@@ -243,6 +243,45 @@ def test_side_condition_messages(case):
     assert str(exc.value) == message
 
 
+# instances that fit no schema, each with the premises that a kernel missing
+# the refusal would derive: (rule, conclusion, premises, params, theory, the
+# error's type and text).  The first five are locally unsound: some model
+# satisfies the premises and not the conclusion.  The last two would only
+# build in weakening.
+REFUSED = {
+    "axiom_sides_differ": (RuleId.Axiom, "q(a) |- q(b)", [], {}, (), SchemaMismatch,
+                           "Axiom: Axiom conclusion must be exactly phi |- phi"),
+    "eqr_sides_differ": (RuleId.EqR, "|- a = b", [], {}, (), SchemaMismatch,
+                         "EqR: EqR needs t = t in the succedent"),
+    "rtcind_no_goal": (
+        RuleId.RtcInd, "(rtc x y. E(x, y))(a, b), a = a |-", ["u = u, E(u, v) |- v = v"],
+        dict(principal="(rtc x y. E(x, y))(a, b)", template=("h = h", "h"),
+             eigenvar="u", eigenvar2="v"), (),
+        SchemaMismatch, "RtcInd: b = b not in succedent"),
+    "principal_absent": (RuleId.AndL, "|- q(a)", ["q(a), q(b) |- q(a)"],
+                         dict(principal="q(a) /\\ q(b)"), (), SchemaMismatch,
+                         "AndL: principal q(a) /\\ q(b) not in antecedent"),
+    "eql_shown_absent": (RuleId.EqL1, "a = b |- r0", ["|- q(a), r0"],
+                         dict(principal="a = b", template=("q(h)", "h")), (),
+                         SchemaMismatch, "EqL1: rewritten formula q(b) not in succedent"),
+    "eqr_with_context": (RuleId.EqR, "q(a) |- a = a", [], {}, (), SchemaMismatch,
+                         "EqR: EqR conclusion must be exactly |- t = t"),
+    "theory_axiom_extra_formula": (
+        RuleId.TheoryAxiom, "p(a, s(a)), q(a), q(0) |- q(s(a))", [], {}, AX,
+        UnknownTheoryAxiom,
+        "p(a, s(a)), q(0), q(a) |- q(s(a)) is not an instance of any theory axiom"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_refused_instances(case):
+    rule, concl, prems, raw, theory, error, message = REFUSED[case]
+    r = RuleInstance(rule, S(concl), tuple(map(S, prems)), RuleParams(**_params(raw)))
+    with pytest.raises(error) as exc:
+        check_rule_instance(r, theory, SIG)
+    assert str(exc.value) == message
+
+
 class TestRoundTrip:
     def test_expected_equals_premises(self):
         for rule, (concl, raw, theory) in POSITIVE.items():
@@ -312,6 +351,20 @@ class TestMatching:
         tgt = S("forall w. p(w, w) |-")
         # x would have to be the bound w: no capture-escaping match allowed
         assert list(match_sequent(pat, tgt, exact=True)) == []
+
+    def test_inner_binder_hides_outer_one(self):
+        # forall y. forall y. q(y) reads the inner y: it is not an instance of
+        # forall x. forall z. q(x), whose one match is the other target
+        pat = S("forall x. forall z. q(x) |-")
+        tgt = S("forall y. forall y. q(y), forall a. forall b. q(a) |-")
+        assert match_formula(pat.antecedent[0], F("forall y. forall y. q(y)"), {}) is None
+        assert list(match_sequent(pat, tgt)) == [{}]
+
+    def test_predicate_arity_differs(self):
+        # a signature gives each predicate one arity; the matcher does not
+        # rely on it
+        pat, tgt = Pred("p", (Var("x"),)), Pred("p", (Var("a"), Var("b")))
+        assert match_formula(pat, tgt, {}) is None
 
 
 class TestLocalSoundness:

@@ -1,5 +1,6 @@
 import pytest
 
+from rtcproof.errors import RtcError
 from rtcproof.kernel import RuleId, make_subst, rule_instance
 from rtcproof.prooffile import parse_proof
 from rtcproof.proofgraph import (GraphBuilder, ProofGraph, ProofNode, renumber,
@@ -169,6 +170,14 @@ def test_unfold_expands_each_node_once():
     assert sorted(first) == sorted(g.nodes)
     for nid, node in g.nodes.items():
         assert all(first[c] < first[nid] for c in node.children), nid
+
+
+def test_unfold_missing_node():
+    # a premise link to a node that is not in the graph
+    s = S("q(a) |- q(a)")
+    g = ProofGraph({0: ProofNode(s, RuleId.WL, children=(7,))}, 0)
+    with pytest.raises(RtcError, match="^node 7 does not exist$"):
+        list(g.unfold())
 
 
 class TestRenumber:

@@ -6,7 +6,7 @@ from rtcproof import prover
 from rtcproof.errors import BudgetExceeded
 from rtcproof.kernel import RuleId
 from rtcproof.prooffile import ProofFile, load_theory, parse_proof, serialize_proof
-from rtcproof.proofgraph import validate_structure
+from rtcproof.proofgraph import ProofGraph, ProofNode, validate_structure
 from rtcproof.prover import (Proved, Refuted, SearchConfig, Unknown, _Budget,
                              _search, assemble, prove)
 from rtcproof.semantics import find_counter_model
@@ -115,6 +115,14 @@ class TestProve:
 
 
 class TestRecheck:
+    def test_invalid_graph_is_refused(self, monkeypatch):
+        # a graph the kernel refuses is a prover bug
+        bad = ProofGraph({0: ProofNode(S(TRANS), RuleId.Axiom)}, 0)
+        monkeypatch.setattr(prover, "assemble", lambda plan: bad)
+        with pytest.raises(AssertionError,
+                           match="prover built an invalid graph: KernelError at node 0: Axiom"):
+            prove(S(TRANS), SearchConfig(sig=SIG))
+
     def test_proof_of_another_sequent_is_refused(self, monkeypatch):
         # a valid proof whose root is not the goal is a prover bug
         other = prove(S("|- (rtc x y. p(x, y))(t, t)"), SearchConfig(sig=SIG)).graph

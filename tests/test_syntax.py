@@ -5,13 +5,14 @@ import pytest
 from rtcproof.errors import ArityMismatch, ParseError, UnknownSymbol
 from rtcproof.render import latex_sequent
 from rtcproof.syntax import (MAX_DEPTH, And, App, Bot, Const, Eq, Exists,
-                             Forall, Implies, Not, Or, Pred, Rtc, Sequent,
-                             Signature, Top, Var, all_names, formula_subterms,
-                             free_vars, parse_formula, parse_formula_infer,
-                             parse_sequent, parse_sequent_infer, parts,
-                             pretty, pretty_sequent, pretty_term, rebuild,
-                             replace_terms, subformulas, substitute,
-                             substitute_key, symbols, term_vars, tokenize)
+                             Forall, Formula, Implies, Not, Or, Pred, Rtc,
+                             Sequent, Signature, Top, Var, all_names,
+                             formula_subterms, free_vars, parse_formula,
+                             parse_formula_infer, parse_sequent,
+                             parse_sequent_infer, parts, pretty, pretty_sequent,
+                             pretty_term, rebuild, replace_terms, subformulas,
+                             subst_term, substitute, substitute_key, symbols,
+                             term_key, term_vars, tokenize)
 
 from helpers import NESTED
 from oracles import validate_formula
@@ -352,6 +353,28 @@ class TestSequent:
         assert pretty_sequent(parse_sequent("|- q(a)", SIG)) == "|- q(a)"
         assert pretty_sequent(parse_sequent("q(a) |-", SIG)) == "q(a) |-"
         assert pretty_sequent(Sequent((), ())) == "|- "
+
+    def test_alpha_variants_share_a_dict_slot(self):
+        s1 = parse_sequent("forall x. q(x) |- exists y. p(y, a)", SIG)
+        s2 = parse_sequent("forall z. q(z) |- exists w. p(w, a)", SIG)
+        assert s1 == s2 and hash(s1) == hash(s2)
+        assert {s1: "first"}[s2] == "first" and len({s1, s2}) == 1
+
+
+# a value outside the closed term and formula classes is an error, never a
+# key or a printed text of None
+NOT_SYNTAX = {
+    "subst_term": lambda: subst_term(object(), {}),
+    "term_key": lambda: term_key(object(), {}),
+    "formula_key": lambda: Formula().key(),
+    "pretty_term": lambda: pretty_term(object()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_SYNTAX))
+def test_not_syntax_is_type_error(case):
+    with pytest.raises(TypeError, match="^not a (term|formula): "):
+        NOT_SYNTAX[case]()
 
 
 class TestShape:

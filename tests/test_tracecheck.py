@@ -15,7 +15,7 @@ from rtcproof.tracecheck import (EdgeMatrix, _sccs, check_global_trace_condition
 from conftest import ACCEPTED, REJECTED
 from helpers import GraphBuilder, replay_witness
 from oracles import check_by_path_enumeration, idempotent_power_by_table
-from preproofs import subst_chain, thread_proof
+from preproofs import loop_below_root, subst_chain, thread_proof
 
 SIG = Signature.make(predicates={"p": 2, "q": 1})
 
@@ -67,6 +67,10 @@ class TestEdgeMatrix:
         i = EdgeMatrix({("t", "t"): False, ("u", "u"): False})
         a = EdgeMatrix({("t", "u"): True})
         assert i.compose(a) == a and a.compose(i) == a
+
+    def test_repr_lists_sorted_pairs(self):
+        m = EdgeMatrix({("u", "t"): True, ("t", "u"): False})
+        assert repr(m) == "EdgeMatrix([(('t', 'u'), False), (('u', 't'), True)])"
 
     def test_idempotent_power(self):
         # M swaps two formulas with progress on one leg
@@ -289,6 +293,7 @@ class TestRestrictedClosure:
     def test_rejection_witness(self, corpus_graphs):
         graphs = {name: corpus_graphs[name][0] for name in REJECTED}
         graphs.update(thread_graphs(range(1, 6), True))
+        graphs["loop_below_root"] = parse_proof(loop_below_root(2)).graph
         for name, g in graphs.items():
             rep = check_global_trace_condition(g)
             assert replay_witness(rep), name
@@ -301,3 +306,12 @@ class TestRestrictedClosure:
             assert len(prefix) == dist[period[0]] + 1, name
             for path in (prefix, period):
                 assert all(b in succ[a] for a, b in zip(path, path[1:])), name
+
+    def test_no_prefix_when_root_does_not_reach_the_loop(self):
+        # validation would refuse the unreachable loop; the library call
+        # still rejects it, with no path from the root
+        text = loop_below_root(0).replace("root 0", "root 9") + \
+            "node 9 : q(a) |- q(a) ; rule=Axiom ; params={} ; premises=[]\n"
+        rep = check_global_trace_condition(parse_proof(text).graph)
+        assert (rep.verdict, rep.witness_prefix, rep.witness_period) == \
+            ("rejected", (), (0, 1, 0))
