@@ -132,14 +132,21 @@ def _rule(rid: RuleId, seq: Sequent, cfg: SearchConfig,
     yield inst
 
 
-def _term_pool(seq: Sequent) -> list[Term]:
+def _fresh(taken: set[str], cfg: SearchConfig, hint: str = "_v") -> str:
+    """A name for the prover to invent, apart from `taken` and from the
+    signature's constants: a proof file reads such a name back as the
+    constant."""
+    return fresh_name(taken | cfg.sig.constants, hint)
+
+
+def _term_pool(seq: Sequent, cfg: SearchConfig) -> list[Term]:
     """The sequent's terms in key order, then one fresh variable."""
     terms: dict[str, Term] = {}
     for f in seq.antecedent + seq.succedent:
         for t in formula_subterms(f):
             terms.setdefault(term_key(t, {}), t)
     pool = [terms[k] for k in sorted(terms)]
-    return pool + [Var(fresh_name(seq.free_vars(), hint="_v"))]
+    return pool + [Var(_fresh(seq.free_vars(), cfg))]
 
 
 @dataclass
@@ -205,7 +212,7 @@ def _principal_moves(seq: Sequent, cfg: SearchConfig, phases,
         for f in getattr(seq, side):
             rid = rules.get(f.__class__)
             if rid is not None and "eigenvar" in SCHEMA[rid].params:
-                z = fresh_name(seq.free_vars(), hint="_v")
+                z = _fresh(seq.free_vars(), cfg)
                 yield from _rule(rid, seq, cfg, principal=f, eigenvar=z)
             elif rid is not None:
                 yield from _rule(rid, seq, cfg, principal=f, **params)
@@ -258,7 +265,7 @@ def moves(seq: Sequent, ancestors: tuple[Ancestor, ...], cfg: SearchConfig,
             continue
         # apart from bound names too: `replace_terms` leaves alone a scope
         # that binds the hole
-        hole = fresh_name(set().union(*map(all_names, ant + suc)), hint="_h")
+        hole = _fresh(set().union(*map(all_names, ant + suc)), cfg, hint="_h")
         for target in suc:
             tmpl1 = replace_terms(target, {eq.rhs: Var(hole)})
             if tmpl1 != target:
@@ -273,7 +280,7 @@ def moves(seq: Sequent, ancestors: tuple[Ancestor, ...], cfg: SearchConfig,
             yield from _rule(RuleId.PairInj, seq, cfg, principal=f)
 
     # 7. witness rules, round-robined so every (rule, witness) pair appears
-    for w in _term_pool(seq):
+    for w in _term_pool(seq, cfg):
         yield from _principal_moves(seq, cfg, _WITNESS_PHASES, witness=w)
 
     # 8. analytic cuts driven by theory axioms: when all but one antecedent

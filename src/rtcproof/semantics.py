@@ -376,54 +376,48 @@ class _CellSearch:
     its own free variables.  Its Kleene value is True when some antecedent
     is definitely false or some succedent definitely true.  A tuple dies
     when its goal check is True or a theory check of its constants is
-    False.  A branch with no live tuple is cut.
+    False.  A branch with no live tuple is cut.  Each tuple keeps its values
+    and shares its theory checks with every tuple of its constant values;
+    a node judges those checks once per tuple of constant values.
 
-    Definite values stay definite down a branch: formula values are
-    memoised per (formula, values of its free variables) in `known` and
-    undone on backtracking, and a node's evaluator inherits its parent's
-    definite rtc steps.  A node re-evaluates each formula of its live
-    tuples that is not yet definite."""
+    Each formula is one (closure, free variables, shape) record, its shape
+    the `positional_key` under its free variables.  Definite values stay
+    definite down a branch: they are memoised per (shape, values of the
+    free variables) in `known` and undone on backtracking, and a node's
+    evaluator inherits its parent's definite rtc steps.  A node re-evaluates
+    each formula of its live tuples that is not yet definite."""
 
     def __init__(self, goal: Sequent, theory: tuple[Sequent, ...], sig: Signature,
                  cvars: list[str], goal_fvs: list[str], budget: int):
         self.sig, self.cvars, self.goal_fvs = sig, cvars, goal_fvs
         self.budget, self.nodes = budget, 0
-        self.compiled: list[Compiled] = []
-        self.fvs: list[tuple[str, ...]] = []
-        self.shapes: list[str] = []
         self.goal_sides = self._sides(goal)
         self.theory_sides = [(self._sides(ax), sorted(ax.free_vars() - set(cvars)))
                              for ax in theory]
 
-    def _sides(self, seq: Sequent) -> tuple[list[int], list[int]]:
-        """Indices of seq's formulas in `self.compiled`, added here."""
-        def add(f: Formula) -> int:
+    def _sides(self, seq: Sequent) -> tuple[list[tuple], list[tuple]]:
+        """Each side of seq as (closure, free variables, shape) records."""
+        def record(f: Formula) -> tuple[Compiled, tuple[str, ...], str]:
             fvs = tuple(sorted(free_vars(f)))
-            self.compiled.append(_compile_formula(f))
-            self.fvs.append(fvs)
-            # formulas that differ only in the names of their free
-            # variables share memo entries
-            self.shapes.append(positional_key(f, fvs))
-            return len(self.compiled) - 1
-        return [add(f) for f in seq.antecedent], [add(f) for f in seq.succedent]
+            return _compile_formula(f), fvs, positional_key(f, fvs)
+        return [record(f) for f in seq.antecedent], [record(f) for f in seq.succedent]
 
-    def _check(self, sides: tuple[list[int], list[int]], v: Valuation,
-                entries: dict) -> tuple:
+    def _check(self, sides: tuple[list[tuple], list[tuple]], v: Valuation,
+               entries: dict) -> tuple:
         """The check of the sequent with these `sides` under v: one entry
         per formula, (the value that makes the sequent true, the formula's
         closure, memo key, the formula's own valuation), shared through
-        `entries` by every check with the same values of that formula's
-        free variables."""
-        def entry(want: bool, i: int) -> tuple:
-            vals = tuple(v[x] for x in self.fvs[i])
-            found = entries.get((want, i, vals))
+        `entries` by every check with the same wanted value, shape and
+        values of the formula's free variables."""
+        def entry(want: bool, run: Compiled, fvs: tuple[str, ...], shape: str) -> tuple:
+            vals = tuple([v[x] for x in fvs])
+            found = entries.get((want, shape, vals))
             if found is None:
-                found = entries[want, i, vals] = (want, self.compiled[i],
-                                                  (self.shapes[i], vals),
-                                                  dict(zip(self.fvs[i], vals)))
+                found = entries[want, shape, vals] = (want, run, (shape, vals),
+                                                      dict(zip(fvs, vals)))
             return found
         ant, suc = sides
-        return tuple([entry(False, i) for i in ant] + [entry(True, i) for i in suc])
+        return tuple([entry(False, *r) for r in ant] + [entry(True, *r) for r in suc])
 
     def run(self, n: int):
         """(constant values, valuation values, fn tables, predicate tables)
@@ -440,9 +434,9 @@ class _CellSearch:
             raise BudgetExceeded(f"counter-model search budget {self.budget} exhausted:"
                                  f" {count} tuples of constants and variables and"
                                  f" {instances} theory instances at size {n}")
-        per_cvals = n ** len(self.goal_fvs)
         entries: dict = {}
-        # one (goal check, theory checks) per tuple, in product order
+        # (goal check, theory checks, constant values, valuation values) per
+        # tuple, in product order
         tuples = []
         for cvals in itertools.product(range(n), repeat=len(self.cvars)):
             base = dict(zip(self.cvars, cvals))
@@ -450,7 +444,7 @@ class _CellSearch:
                   for sides, fvs in self.theory_sides
                   for vals in itertools.product(range(n), repeat=len(fvs))]
             tuples += [(self._check(self.goal_sides, {**base, **dict(zip(self.goal_fvs, vals))},
-                                    entries), th)
+                                    entries), th, cvals, vals)
                        for vals in itertools.product(range(n), repeat=len(self.goal_fvs))]
 
         fns, preds = self.sig.functions, self.sig.predicates
@@ -488,11 +482,15 @@ class _CellSearch:
             self.nodes += 1
             if self.nodes > self.budget:
                 raise BudgetExceeded(f"counter-model search budget {self.budget} exhausted")
-            ev, undecided = Evaluator(model, base), set()
-            return [j for j in live
-                    if value(tuples[j][0], ev, undecided) is not True
-                    and all(value(t, ev, undecided) is not False
-                            for t in tuples[j][1])], ev
+            ev, undecided, consistent = Evaluator(model, base), set(), {}
+
+            def alive(goal: tuple, th: list[tuple], cvals: tuple[int, ...], _) -> bool:
+                if value(goal, ev, undecided) is True:
+                    return False
+                if cvals not in consistent:
+                    consistent[cvals] = all(value(t, ev, undecided) is not False for t in th)
+                return consistent[cvals]
+            return [j for j in live if alive(*tuples[j])], ev
 
         def values(d: int):
             return iter(cells[d][2] if d < len(cells) else ())
@@ -507,8 +505,7 @@ class _CellSearch:
             if d == len(cells):
                 # every cell is set: the first live tuple is the first
                 # counter-model in enumeration order
-                c, j = divmod(live[0], per_cvals)
-                return (_digits(c, n, len(self.cvars)), _digits(j, n, len(self.goal_fvs)),
+                return (*tuples[live[0]][2:],
                         {f: dict(sorted(tab.items())) for f, tab in tables.items()},
                         {p: frozenset(ts) for p, ts in true.items()})
             sym, t, _ = cells[d]
@@ -534,11 +531,3 @@ class _CellSearch:
             stack.append((d + 1, values(d + 1), nxt, len(log), child))
         return None
 
-
-def _digits(index: int, n: int, k: int) -> tuple[int, ...]:
-    """The index-th tuple of itertools.product(range(n), repeat=k)."""
-    out = []
-    for _ in range(k):
-        index, d = divmod(index, n)
-        out.append(d)
-    return tuple(reversed(out))

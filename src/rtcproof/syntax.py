@@ -19,10 +19,14 @@ formula occurrence, children before their parent) and `subterms(t)`:
 `term_vars`, `formula_subterms`, `all_names` and `symbols` are
 comprehensions over them.  Walks that map (`substitute`, `replace_terms`,
 `translate.beta_translate`) apply `rebuild` to mapped `parts`.  Walks that
-track binder scope or build output keep their own recursion: `free_vars`,
-the key walk (`_formula_key`, `term_key`), `pretty`,
-`kernel.match_formula` and `semantics._compile_formula`.  `pretty` reads
-`parts` too: a `Notation` gives one format string per constructor.
+track binder scope or build output recurse over `parts` themselves:
+`free_vars`, the key walk (`_formula_key`, with a tag per constructor in
+`_TAGS`), `pretty` (a `Notation` gives one format string per constructor)
+and `kernel.match_formula`.  So every formula walk reads `parts` except the
+compiler `semantics._compile_formula`, which turns a formula into its
+evaluation closure once and keeps a `match` per constructor, since each
+means something different there; so do the test oracles `evaluate_warshall`
+and `kleene_holds` in `tests/oracles.py` (truth conditions).
 The walks other modules share live here, each once: `replace_terms`
 rewrites terms into terms (the prover's rewrite templates, the model
 search's constants), `symbols` lists the symbols that formulas use, and
@@ -30,12 +34,7 @@ search's constants), `symbols` lists the symbols that formulas use, and
 One precedence table, `_PRECEDENCE`, serves the parser and the printer: the
 parser climbs it to group binary connectives, and the printer reads it to
 parenthesise, in both notations, plain text (`TEXT`) and LaTeX
-(`render.TEX`).  A few functions keep a `match` per constructor,
-because each constructor means something different there: `_formula_key`
-(its strings fix sequent order, and so the printed output), the compiler
-`semantics._compile_formula`, which turns a formula into its evaluation
-closure once, and the test oracles `evaluate_warshall` and `kleene_holds`
-in `tests/oracles.py` (truth conditions).
+(`render.TEX`).
 
 The parser checks each symbol against the signature as it reads it; the
 tests keep an independent check, `validate_formula` in `tests/oracles.py`.
@@ -242,34 +241,18 @@ def term_key(t: Term, env: Mapping[str, int],
 
 def _formula_key(f: Formula, env: Mapping[str, int], depth: int,
                  theta: Mapping[str, Term] = {}) -> str:
-    match f:
-        case Eq(l, r):
-            return f"(= {term_key(l, env, theta)} {term_key(r, env, theta)})"
-        case Pred(name, args):
-            return f"(p {name} {' '.join(term_key(a, env, theta) for a in args)})"
-        case Top():
-            return "(top)"
-        case Bot():
-            return "(bot)"
-        case Not(s):
-            return f"(~ {_formula_key(s, env, depth, theta)})"
-        case And(l, r):
-            return (f"(& {_formula_key(l, env, depth, theta)}"
-                    f" {_formula_key(r, env, depth, theta)})")
-        case Or(l, r):
-            return (f"(| {_formula_key(l, env, depth, theta)}"
-                    f" {_formula_key(r, env, depth, theta)})")
-        case Implies(l, r):
-            return (f"(> {_formula_key(l, env, depth, theta)}"
-                    f" {_formula_key(r, env, depth, theta)})")
-        case Forall(x, b):
-            return f"(all {_formula_key(b, {**env, x: depth}, depth + 1, theta)})"
-        case Exists(x, b):
-            return f"(ex {_formula_key(b, {**env, x: depth}, depth + 1, theta)})"
-        case Rtc(x, y, b, s, t):
-            bk = _formula_key(b, {**env, x: depth, y: depth + 1}, depth + 2, theta)
-            return f"(rtc {bk} {term_key(s, env, theta)} {term_key(t, env, theta)})"
-    raise TypeError(f"not a formula: {f!r}")
+    """`(tag subformula-keys term-keys)`, binders at levels depth, ...; a
+    predicate's symbol, which is not one of its parts, follows its tag."""
+    if f.__class__ is Pred:
+        return f"(p {f.name} {' '.join([term_key(a, env, theta) for a in f.args])})"
+    binders, subs, terms = parts(f)
+    keys = [_TAGS[f.__class__]]
+    inner = {**env, **dict(zip(binders, itertools.count(depth)))} if binders else env
+    for g in subs:
+        keys.append(_formula_key(g, inner, depth + len(binders), theta))
+    for t in terms:
+        keys.append(term_key(t, env, theta))
+    return f"({' '.join(keys)})"
 
 
 def substitute_key(f: Formula, theta: Mapping[str, Term]) -> str:
@@ -317,6 +300,9 @@ _SHAPES = {
 }
 _PARTS = {cls: p for cls, (p, _) in _SHAPES.items()}
 _REBUILD = {cls: r for cls, (_, r) in _SHAPES.items()}
+# the key's tag of each constructor but `Pred`, whose key names its symbol
+_TAGS = {Eq: "=", Top: "top", Bot: "bot", Not: "~", And: "&", Or: "|", Implies: ">",
+         Forall: "all", Exists: "ex", Rtc: "rtc"}
 
 
 def parts(f: Formula) -> tuple[tuple[str, ...], tuple[Formula, ...], tuple[Term, ...]]:
@@ -712,6 +698,15 @@ class _Parser:
         self.next()
         return val
 
+    def binder(self) -> str:
+        """A bound variable's name, which the signature must not declare as
+        a constant: the body would read the constant, and bind nothing."""
+        pos = self.peek()[2]
+        x = self.expect_ident()
+        if x in self.sig.constants:
+            raise ParseError(pos, f"constant {x!r} cannot be bound")
+        return x
+
     # -- terms
 
     def term(self) -> Term:
@@ -806,7 +801,7 @@ class _Parser:
         if val == "~":
             f = Not(self._unary())
         elif val != "(":
-            x = self.expect_ident()
+            x = self.binder()
             self.expect(".")
             body = self.formula()
             f = Forall(x, body) if val == "forall" else Exists(x, body)
@@ -817,8 +812,7 @@ class _Parser:
             self.expect(")")
         else:
             self.next()
-            x = self.expect_ident()
-            y = self.expect_ident()
+            x, y = self.binder(), self.binder()
             if x == y:
                 raise ParseError(pos, "rtc binders must be distinct")
             self.expect(".")

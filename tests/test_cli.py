@@ -554,6 +554,29 @@ def test_goal_applies_theory_constant(command, tmp_path, capsys):
         ("", "error: symbol 'c' declared as both a constant and a function\n")
 
 
+@pytest.mark.parametrize("command", ["refute", "prove"])
+def test_binder_named_like_a_constant(command, tmp_path, capsys):
+    """A quantifier that binds a declared constant would bind nothing, since
+    its body reads the constant: the goal is refused at the binder."""
+    path = tmp_path / "c.tc"
+    path.write_text("theory t\nsig const c ; pred p/1\n", encoding="utf-8")
+    assert main([command, "p(c) |- forall c. p(c)", "--theory", str(path)]) == 3
+    assert capsys.readouterr() == ("", "error: at offset 15: constant 'c' cannot be bound\n")
+
+
+def test_invented_names_apart_from_constants(tmp_path, capsys):
+    """The prover names its eigenvariable apart from the constant _v0, which
+    the proof file would read it back as, so the proof it writes checks."""
+    theory, proof = tmp_path / "v.tc", tmp_path / "f.tcp"
+    theory.write_text("theory t\nsig const _v0 ; pred p/1\n", encoding="utf-8")
+    assert main(["prove", "|- forall x. (p(x) -> p(x))", "--theory", str(theory),
+                 "--out", str(proof)]) == 0
+    assert "eigenvar=_v1" in proof.read_text(encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", str(proof), "--theory", str(theory)]) == 0
+    assert capsys.readouterr() == ("accepted; 0 basic cycles; normal\n", "")
+
+
 PAIRS = "theory pairs\nsig const c ; fn pr/2 ; pair pr ; pairconst c\n"
 # a proof of a goal that uses no pair symbol: the witness <c, c> differs
 # from c, by a Cut on <c, c> = c closed by PairConstAx

@@ -1,5 +1,6 @@
 import pytest
 
+from rtcproof import kernel
 from rtcproof.errors import (FreshnessViolation, NotApplicable, SchemaMismatch,
                              UnknownTheoryAxiom)
 from rtcproof.kernel import (SCHEMA, RuleId, RuleInstance, RuleParams,
@@ -359,6 +360,20 @@ class TestMatching:
         tgt = S("forall y. forall y. q(y), forall a. forall b. q(a) |-")
         assert match_formula(pat.antecedent[0], F("forall y. forall y. q(y)"), {}) is None
         assert list(match_sequent(pat, tgt)) == [{}]
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_each_side_is_reverified(self, exact, monkeypatch):
+        # a matcher that proposes wrong substitutions: the first instance
+        # misses the target's antecedent, the second its succedent, and the
+        # key comparison drops each on its own side
+        pat, tgt = S("q(x) |- q(y)"), S("q(a) |- q(b)")
+        right = {"x": Var("a"), "y": Var("b")}
+        proposals = [{"x": Var("c"), "y": Var("b")}, {"x": Var("a"), "y": Var("c")}, right]
+
+        def propose(pats, targets, theta):
+            yield from (theta,) if theta else proposals
+        monkeypatch.setattr(kernel, "_match_formula_sets", propose)
+        assert list(match_sequent(pat, tgt, exact)) == [right]
 
     def test_predicate_arity_differs(self):
         # a signature gives each predicate one arity; the matcher does not

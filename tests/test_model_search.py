@@ -284,3 +284,35 @@ def test_found_models_are_rechecked(monkeypatch):
                         lambda self, n: ((), (0,), {}, {"q": frozenset()}))
     with pytest.raises(AssertionError):
         find_counter_model(goal, 1, (), sig)
+
+
+
+def test_theory_checks_read_once_per_constant_tuple(monkeypatch):
+    # all tuples with the same constant values share one list of theory
+    # checks, and a node reads it once: a goal variable x that gives each
+    # constant tuple 3 goal tuples at size 3, all alike since x = x holds,
+    # leaves the reads as they are
+    reads = [0]
+
+    class Counted(tuple):
+        def __iter__(self):
+            reads[0] += 1
+            return super().__iter__()
+
+    build = semantics._CellSearch._check
+    monkeypatch.setattr(semantics._CellSearch, "_check", lambda self, sides, v, entries: (
+        build(self, sides, v, entries) if sides is self.goal_sides
+        else Counted(build(self, sides, v, entries))))
+    sig = Signature.make(predicates={"q": 1})
+    axiom, _ = parse_sequent_infer("q(x1), q(x2) |- q(y)", sig)
+
+    def theory_reads(goal_text: str) -> int:
+        """Theory check reads over every model up to size 3."""
+        reads[0] = 0
+        goal, _ = parse_sequent_infer(goal_text, sig)
+        assert find_counter_model(goal, 3, (axiom,), sig) is None
+        return reads[0]
+
+    plain = theory_reads("q(a) |- q(b)")
+    assert plain > 0
+    assert theory_reads("q(a), x = x |- q(b)") == plain

@@ -8,9 +8,9 @@ from rtcproof.kernel import RuleId
 from rtcproof.prooffile import ProofFile, load_theory, parse_proof, serialize_proof
 from rtcproof.proofgraph import ProofGraph, ProofNode, validate_structure
 from rtcproof.prover import (Proved, Refuted, SearchConfig, Unknown, _Budget,
-                             _search, assemble, prove)
+                             _search, _term_pool, assemble, prove)
 from rtcproof.semantics import find_counter_model
-from rtcproof.syntax import Signature, parse_sequent
+from rtcproof.syntax import Signature, Var, parse_sequent
 from rtcproof.tracecheck import (check_global_trace_condition,
                                  enumerate_basic_cycles, is_non_overlapping)
 
@@ -183,8 +183,7 @@ class TestExpandFair:
     def test_every_witness_pair_proposed(self):
         seq = S("forall x. q(x) |- (rtc x y. p(x, y))(a, b), exists y. q(y)")
         pairs = expand_fair(seq, SearchConfig(sig=SIG))
-        from rtcproof.prover import _term_pool
-        pool = _term_pool(seq)
+        pool = _term_pool(seq, SearchConfig(sig=SIG))
         for rid, want in ((RuleId.AllL, len(pool)), (RuleId.ExR, len(pool)),
                           (RuleId.RtcStep, len(pool))):
             got = [p.witness for r, p in pairs if r is rid]
@@ -194,6 +193,24 @@ class TestExpandFair:
                          if r in (RuleId.AllL, RuleId.ExR, RuleId.RtcStep)]
         first_three = witness_rules[:3]
         assert len(set(first_three)) == 3
+
+    def test_invented_names_avoid_constants(self):
+        # a name the prover invents is read back from its proof file as a
+        # constant when the signature declares one so
+        sig = SIG.merge(Signature.make(constants={"_v0", "_h0"}))
+        seq = S("a = b, (rtc x y. p(x, y))(a, b) |- forall z. q(z), exists z. q(z), q(b)", sig)
+        pairs = expand_fair(seq, SearchConfig(sig=sig))
+        eigen = {p.eigenvar for r, p in pairs if r in (RuleId.RtcCase, RuleId.AllR)}
+        holes = {p.template[1] for r, p in pairs if r in (RuleId.EqL1, RuleId.EqL2)}
+        fresh = _term_pool(seq, SearchConfig(sig=sig))[-1]
+        assert (eigen, holes, fresh) == ({"_v1"}, {"_h1"}, Var("_v1"))
+
+    @pytest.mark.parametrize("goal", ["|- forall x. (q(x) -> q(x))", "a = b, q(a) |- q(b)"])
+    def test_proof_with_invented_names_checks(self, goal):
+        sig = SIG.merge(Signature.make(constants={"_v0", "_h0"}))
+        out = prove(S(goal, sig), SearchConfig(sig=sig))
+        pf = parse_proof(serialize_proof(ProofFile(out.graph, sig, None)))
+        assert validate_structure(pf.graph, (), pf.signature) == []
 
     def test_axioms_first(self):
         seq = S("q(a), q(b) |- q(a)")

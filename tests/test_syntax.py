@@ -9,10 +9,11 @@ from rtcproof.syntax import (MAX_DEPTH, And, App, Bot, Const, Eq, Exists,
                              Sequent, Signature, Top, Var, all_names,
                              formula_subterms, free_vars, parse_formula,
                              parse_formula_infer, parse_sequent,
-                             parse_sequent_infer, parts, pretty, pretty_sequent,
-                             pretty_term, rebuild, replace_terms, subformulas,
-                             subst_term, substitute, substitute_key, symbols,
-                             term_key, term_vars, tokenize)
+                             parse_sequent_infer, parts, positional_key,
+                             pretty, pretty_sequent, pretty_term, rebuild,
+                             replace_terms, subformulas, subst_term, substitute,
+                             substitute_key, symbols, term_key, term_vars,
+                             tokenize)
 
 from helpers import NESTED
 from oracles import validate_formula
@@ -82,6 +83,18 @@ class TestParse:
     def test_rtc_binders_distinct(self):
         with pytest.raises(ParseError):
             F("(rtc x x. p(x, x))(a, b)")
+
+    @pytest.mark.parametrize("text, offset", [
+        ("forall 0. q(0)", 7), ("exists 0. q(0)", 7),
+        ("(rtc 0 y. p(0, y))(a, b)", 5), ("(rtc x 0. p(x, 0))(a, b)", 7),
+    ])
+    def test_binder_is_not_a_constant(self, text, offset):
+        # a binder named like a constant would bind nothing: the body reads
+        # the constant
+        for parse in (F, lambda t: parse_formula_infer(t, SIG)):
+            with pytest.raises(ParseError, match="constant '0' cannot be bound") as exc:
+                parse(text)
+            assert exc.value.position == offset
 
     def test_infer(self):
         s, sig = parse_sequent_infer("f(a) = b, r(a, b) |- r(b, f(a))",
@@ -258,6 +271,42 @@ def _random_theta(rng, f):
         a, b = rng.sample(names, 2)
         theta[a], theta[b] = Var(b), Var(a)
     return theta
+
+
+# exact key strings, which fix sequent order and so every printed proof
+KEY_SIG = Signature.make(constants={"a"}, functions={"f": 1},
+                         predicates={"p": 2, "q": 1, "r": 0})
+KEYS = {
+    "a = f(x)": "(= (c a) (f f (v x)))",
+    "p(x, a)": "(p p (v x) (c a))",
+    "r": "(p r )",
+    "top": "(top)",
+    "bot": "(bot)",
+    "~ q(x)": "(~ (p q (v x)))",
+    "q(x) /\\ r": "(& (p q (v x)) (p r ))",
+    "q(x) \\/ r": "(| (p q (v x)) (p r ))",
+    "q(x) -> r": "(> (p q (v x)) (p r ))",
+    "forall x. p(x, y)": "(all (p p (b 0) (v y)))",
+    "exists x. p(x, y)": "(ex (p p (b 0) (v y)))",
+    "(rtc u v. p(u, v))(a, y)": "(rtc (p p (b 0) (b 1)) (c a) (v y))",
+    "forall x. exists y. (rtc u v. p(u, x) /\\ p(y, v))(x, f(y))":
+        "(all (ex (rtc (& (p p (b 2) (b 0)) (p p (b 1) (b 3))) (b 0) (f f (b 1)))))",
+    "forall x. forall x. p(x, y)": "(all (all (p p (b 1) (v y))))",
+    "(rtc x y. forall y. p(x, y))(y, x)": "(rtc (all (p p (b 0) (b 2))) (v y) (v x))",
+}
+
+
+@pytest.mark.parametrize("text", KEYS)
+def test_key_strings(text):
+    assert parse_formula(text, KEY_SIG).key() == KEYS[text]
+
+
+def test_substitute_and_positional_key_strings():
+    f = parse_formula("forall x. p(x, y) /\\ q(z)", KEY_SIG)
+    theta = {"y": App("f", (Var("x"),)), "z": Const("a"), "x": Var("w")}
+    assert substitute_key(f, theta) == "(all (& (p p (b 0) (f f (v x))) (p q (c a))))"
+    g = parse_formula("p(b, c) /\\ exists d. p(d, b)", KEY_SIG)
+    assert positional_key(g, ("b", "c")) == "(& (p p (b 0) (b 1)) (ex (p p (b 2) (b 0))))"
 
 
 class TestSubstituteKey:

@@ -5,6 +5,7 @@ from collections import deque
 import pytest
 
 from rtcproof import tracecheck
+from rtcproof.errors import BudgetExceeded
 from rtcproof.kernel import RuleId, make_subst, rule_instance
 from rtcproof.prooffile import parse_proof
 from rtcproof.proofgraph import ProofGraph, validate_structure
@@ -15,7 +16,7 @@ from rtcproof.tracecheck import (EdgeMatrix, _sccs, check_global_trace_condition
 from conftest import ACCEPTED, REJECTED
 from helpers import GraphBuilder, replay_witness
 from oracles import check_by_path_enumeration, idempotent_power_by_table
-from preproofs import loop_below_root, subst_chain, thread_proof
+from preproofs import diamond_proof, loop_below_root, subst_chain, thread_proof
 
 SIG = Signature.make(predicates={"p": 2, "q": 1})
 
@@ -248,6 +249,19 @@ def flow_distances(g: ProofGraph) -> tuple[dict[int, list[int]], dict[int, int]]
     return succ, dist
 
 
+@pytest.mark.parametrize("cap", [7, 8])
+def test_cycle_cap_boundary(cap, monkeypatch):
+    # diamond_proof(3) has exactly 8 basic cycles: a cap of 8 lists them,
+    # a cap of 7 gives up
+    g = parse_proof(diamond_proof(3)).graph
+    monkeypatch.setattr(tracecheck, "MAX_CYCLES", cap)
+    if cap < 8:
+        with pytest.raises(BudgetExceeded, match="^more than 7 basic cycles$"):
+            enumerate_basic_cycles(g)
+    else:
+        assert len(enumerate_basic_cycles(g)) == 8
+
+
 class TestRestrictedClosure:
     def test_long_acyclic_chain_needs_no_closure(self, monkeypatch):
         g = parse_proof(subst_chain(3000)).graph
@@ -274,6 +288,13 @@ class TestRestrictedClosure:
         assert rep.verdict == full.verdict == "rejected"
         assert (rep.witness_prefix, rep.witness_period) == \
             (full.witness_prefix, full.witness_period)
+
+    @pytest.mark.parametrize("cap, verdict", [(62, "indeterminate"), (63, "accepted")])
+    def test_cap_boundary(self, cap, verdict, monkeypatch):
+        # the closure of thread_proof(3) holds exactly 63 path matrices
+        g = parse_proof(thread_proof(3)).graph
+        monkeypatch.setattr(tracecheck, "CLOSURE_CAP", cap)
+        assert check_global_trace_condition(g).verdict == verdict
 
     def test_past_cap_is_indeterminate(self, monkeypatch):
         g = parse_proof(thread_proof(2)).graph
