@@ -247,7 +247,7 @@ def two_loops():
     import rtcproof.prooffile as pfm
     with open(os.path.join(OUT, "ind_double.tcp"), encoding="utf-8") as fh:
         pf = pfm.parse_proof(fh.read())
-    out = explicit_to_cyclic(pf.graph)
+    out = explicit_to_cyclic(pf.graph, pf.signature.constants)
     save("two_loops.tcp", out, pf.signature)
 
 

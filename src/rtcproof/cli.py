@@ -141,7 +141,7 @@ def cmd_translate_ind(args) -> int:
     pf = _load_valid_proof(args)
     if pf is None:
         return EXIT_NEGATIVE
-    out = explicit_to_cyclic(pf.graph)
+    out = explicit_to_cyclic(pf.graph, pf.signature.constants)
     _write_output(serialize_proof(ProofFile(out, pf.signature, pf.theory_name)),
                   args.out)
     return EXIT_OK

@@ -251,7 +251,7 @@ def _parse_template(p: _Parser) -> tuple[Formula, str]:
     f = p.formula()
     p.expect(")")
     p.expect(",")
-    return f, p.expect_ident()
+    return f, p.binder()
 
 
 def _parse_subst(p: _Parser) -> tuple[tuple[str, Term], ...]:
@@ -271,7 +271,8 @@ def _parse_subst(p: _Parser) -> tuple[tuple[str, Term], ...]:
 
 # kind -> (opening bracket, closing bracket, printer, parser of what lies between)
 _KINDS = {
-    "ident": ("", "", lambda x, sig: x, _Parser.expect_ident),
+    # a rule's eigenvariables are variables, so no declared constant
+    "ident": ("", "", lambda x, sig: x, _Parser.binder),
     "formula": ("(", ")", pretty, _Parser.formula),
     "term": ("(", ")", pretty_term, _Parser.term),
     "sequent": ("(", ")", pretty_sequent, _Parser.sequent),

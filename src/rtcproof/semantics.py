@@ -30,9 +30,16 @@ order, enumerated ascending (so the empty relation comes first).
 table cells depth-first in the same order and cuts every partial model in
 which no (constants, valuation) tuple can still be a counter-model (the
 cell-by-cell search of SEM, Zhang & Zhang 1995, and Mace4, McCune 2003).
-Its budget counts search nodes, one per cell assignment tried plus one
-root per domain size, and bounds the checks a size builds before its root:
-the goal's tuples and the theory's instances.
+It also cuts every partial model whose tables a swap of two domain
+elements makes lexicographically smaller in that order, whatever the
+unset cells hold (lex-leader symmetry breaking, Crawford, Ginsberg, Luks &
+Roy 1996).  The first model stays the same: counter-models, the theory and
+the pairing rules are closed under permutations of the domain, so the
+first counter-model's tables are the least of their isomorphic copies,
+and no swap makes them smaller.  Its budget counts search nodes, one per
+cell assignment tried and not cut by a swap, plus one root per domain
+size, and bounds the checks a size builds before its root: the goal's
+tuples and the theory's instances.
 
 Counterexample dump format:
 
@@ -322,7 +329,9 @@ def find_counter_model(s: Sequent, max_size: int, theory: tuple[Sequent, ...],
     Raises BudgetExceeded when the search would visit more than `budget`
     nodes, or reaches a size where the tuples of constant and variable
     values and the theory instances (one per tuple of constant values and
-    values of an axiom's own variables) together outnumber `budget`.
+    values of an axiom's own variables) together outnumber `budget`.  A
+    node is a root per size or a cell assignment tried; an assignment that
+    a swap of two domain elements cuts is not a node.
     """
     if sig.pair_symbol is not None:
         if sig.pair_constant is not None:
@@ -370,6 +379,17 @@ def _recheck(m: FiniteModel, v: Valuation, s: Sequent, theory: tuple[Sequent, ..
 
 class _CellSearch:
     """Depth-first search over the table cells of models of one size.
+
+    It also cuts every assignment whose tables T a transposition pi of the
+    domain makes lexicographically smaller: cell j of pi(T) holds the value
+    of T's cell at pi of j's tuple, a function value mapped through pi, and
+    once pi(T) is smaller at the first cell where the two differ, so is
+    every completion.  The first counter-model is never cut, since no swap
+    makes its tables smaller (see the module docstring).  Cells are set in
+    order, so each frame keeps the transpositions still tied with T with
+    the first cell not yet compared: a comparison stops at a cell that
+    reads an unset one and resumes there one level down, and a
+    transposition that makes T larger is dropped for the subtree.
 
     A check is a sequent under one valuation: the goal under a (constants,
     valuation) tuple, or a theory axiom under the constants and values of
@@ -496,9 +516,41 @@ class _CellSearch:
             return iter(cells[d][2] if d < len(cells) else ())
 
         root, ev = visit(list(range(len(tuples))), None)
-        stack = [(0, values(0), root, len(log), ev)]
+        # the values of the set cells, and each transposition pi of the
+        # domain as (src, vmap, first cell not yet compared): cell j of pi(T)
+        # holds vmap[j] of T's cell src[j], vmap[j] being pi for a function
+        # cell and leaving a predicate cell's value as it is.  A root with no
+        # live tuple needs none.
+        cur: list = [None] * len(cells)
+        tied = []
+        if root:
+            index = {(sym, t): j for j, (sym, t, _) in enumerate(cells)}
+            for i, k in itertools.combinations(range(n), 2):
+                pi = list(range(n))
+                pi[i], pi[k] = k, i
+                tied.append(([index[sym, tuple([pi[a] for a in t])] for sym, t, _ in cells],
+                             [pi if sym in tables else (False, True) for sym, _, _ in cells],
+                             0))
+
+        def leader(tied: list[tuple], d: int) -> list[tuple] | None:
+            """The transpositions still tied with T once cells 0..d are set;
+            None when one of them makes T lexicographically smaller."""
+            out = []
+            for src, vmap, j in tied:
+                while j <= d and src[j] <= d:
+                    theirs, mine = vmap[j][cur[src[j]]], cur[j]
+                    if theirs < mine:
+                        return None
+                    if theirs > mine:
+                        break
+                    j += 1
+                else:
+                    out.append((src, vmap, j))
+            return out
+
+        stack = [(0, values(0), root, len(log), ev, tied)]
         while stack:
-            d, vals, live, mark, ev = stack[-1]
+            d, vals, live, mark, ev, tied = stack[-1]
             if not live:
                 stack.pop()
                 continue
@@ -527,7 +579,12 @@ class _CellSearch:
                 unknown[sym].discard(t)
                 if val:
                     true[sym].add(t)
+            cur[d] = val
+            kept = leader(tied, d)
+            if kept is None:
+                # every completion has a smaller isomorphic copy: no node
+                continue
             nxt, child = visit(live, ev)
-            stack.append((d + 1, values(d + 1), nxt, len(log), child))
+            stack.append((d + 1, values(d + 1), nxt, len(log), child, kept))
         return None
 

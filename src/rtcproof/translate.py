@@ -38,9 +38,12 @@ def _pick(hints: tuple[str, ...], taken: set[str]) -> list[str]:
     return out
 
 
-def derive_induction(b: GraphBuilder, ind: RuleInstance, step: int) -> int:
+def derive_induction(b: GraphBuilder, ind: RuleInstance, step: int,
+                     constants: frozenset[str] = frozenset()) -> int:
     """Add to b the cyclic simulation of the explicit induction instance
-    `ind` and return the id of its root.
+    `ind` and return the id of its root.  The variables it adds are named
+    apart from the signature's `constants`, which a proof file would read
+    them as.
 
     ind is an RtcInd instance, checked here by the kernel.  Its conclusion
     is Γ, ψ(s), (rtc u v. φ)(s, t) |- Δ, ψ(t), and its one premise, the
@@ -63,7 +66,7 @@ def derive_induction(b: GraphBuilder, ind: RuleInstance, step: int) -> int:
     psi_t = substitute(psi, {x: t})
     gamma = tuple(f for f in ind.conclusion.antecedent if f not in (psi_s, prin))
     delta = tuple(f for f in ind.conclusion.succedent if f != psi_t)
-    v, w, z = _pick(("v", "w", "z"), ind.conclusion.free_vars() | {x, y})
+    v, w, z = _pick(("v", "w", "z"), ind.conclusion.free_vars() | {x, y} | constants)
 
     closure = Rtc(x, y, phi, Var(v), Var(w))
     psi_v = substitute(psi, {x: Var(v)})
@@ -111,8 +114,9 @@ def derive_induction(b: GraphBuilder, ind: RuleInstance, step: int) -> int:
     return b.add_internal(root_rule, (companion,))
 
 
-def explicit_to_cyclic(p: ProofGraph) -> ProofGraph:
-    """Replace every explicit-induction node by its cyclic simulation.
+def explicit_to_cyclic(p: ProofGraph, constants: frozenset[str] = frozenset()) -> ProofGraph:
+    """Replace every explicit-induction node by its cyclic simulation, its
+    new variables named apart from the signature's `constants`.
 
     The input must be a finite proof (no buds); the output has the same
     end-sequent, no RtcInd node, and one extra cycle per replaced node.
@@ -132,7 +136,7 @@ def explicit_to_cyclic(p: ProofGraph) -> ProofGraph:
         if node.rule is not RuleId.RtcInd:
             done[nid] = b.add_internal(p.instance(nid), kids)
             continue
-        done[nid] = derive_induction(b, p.instance(nid), kids[0])
+        done[nid] = derive_induction(b, p.instance(nid), kids[0], constants)
 
     return renumber(b.graph(done[p.root]))
 

@@ -577,6 +577,34 @@ def test_invented_names_apart_from_constants(tmp_path, capsys):
     assert capsys.readouterr() == ("accepted; 0 basic cycles; normal\n", "")
 
 
+def test_rule_parameter_named_like_a_constant(tmp_path, capsys):
+    """An RtcInd eigenvariable that the signature declares as a constant is
+    a usage error at the parameter, not a kernel error whose two premise
+    lists print alike."""
+    path = tmp_path / "ind.tcp"
+    with open(corpus_path("ind_double.tcp"), encoding="utf-8") as fh:
+        path.write_text(fh.read().replace("sig pred e/2", "sig const v, w, z ; pred e/2"),
+                        encoding="utf-8")
+    assert main(["check", str(path)]) == 3
+    assert capsys.readouterr() == ("", "error: line 6, offset 174: constant 'v' cannot be bound\n")
+
+
+@pytest.mark.parametrize("name,cycles", [("double", "2 basic cycles"),
+                                         ("extend", "1 basic cycle"),
+                                         ("step_theory", "1 basic cycle")])
+def test_translate_ind_names_apart_from_constants(name, cycles, tmp_path, capsys):
+    """With w and z declared as constants, the variables translate-ind adds
+    are named apart from them, and its output checks.  (v is the files'
+    own eigenvariable, which no constant may name.)"""
+    source, out = tmp_path / "ind.tcp", tmp_path / "cyclic.tcp"
+    with open(corpus_path(f"ind_{name}.tcp"), encoding="utf-8") as fh:
+        source.write_text(fh.read().replace("sig pred", "sig const w, z ; pred"),
+                          encoding="utf-8")
+    assert main(["translate-ind", str(source), "--out", str(out)]) == 0
+    assert main(["check", str(out)]) == 0
+    assert capsys.readouterr() == (f"accepted; {cycles}; normal\n", "")
+
+
 PAIRS = "theory pairs\nsig const c ; fn pr/2 ; pair pr ; pairconst c\n"
 # a proof of a goal that uses no pair symbol: the witness <c, c> differs
 # from c, by a Cut on <c, c> = c closed by PairConstAx

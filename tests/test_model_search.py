@@ -106,6 +106,97 @@ def _same(goal, theory, sig, size):
     return got
 
 
+def _tables(m, sig, pi):
+    """The tables of pi(m), for pi a permutation of m's domain that is its
+    own inverse, as one list of cell values in enumeration order: function
+    tables by argument tuple ascending, then predicate tables by tuple
+    descending, each group by symbol name."""
+    out = []
+    for f, tab in sorted(m.fn_interp.items()):
+        out += [pi[tab[tuple([pi[a] for a in t])]] for t in sorted(tab)]
+    arity = dict(sig.predicates)
+    for p, rel in sorted(m.pred_interp.items()):
+        out += [tuple([pi[a] for a in t]) in rel for t in
+                reversed(list(itertools.product(range(m.domain_size), repeat=arity[p])))]
+    return out
+
+
+def _is_leader(m, sig) -> bool:
+    """Whether no transposition of m's domain makes m's tables
+    lexicographically smaller."""
+    n = m.domain_size
+    mine = _tables(m, sig, list(range(n)))
+    for i, k in itertools.combinations(range(n), 2):
+        pi = list(range(n))
+        pi[i], pi[k] = k, i
+        if _tables(m, sig, pi) < mine:
+            return False
+    return True
+
+
+def test_found_tables_are_lex_leaders():
+    # the first counter-model in enumeration order is lex-least among its
+    # isomorphic copies, so the search may cut every table that a swap of
+    # two elements makes smaller; three elements apart make most goals
+    # refuted at size 3, where there are three swaps
+    apart, _ = parse_sequent_infer("~ a = b, ~ a = c, ~ b = c |-", SIG)
+    rng = random.Random(20261020)
+    found = 0
+    for _ in range(300):
+        goal, theory = random_goal(rng)
+        goal = Sequent(apart.antecedent + goal.antecedent, goal.succedent)
+        got = find_counter_model(goal, 3, theory, SIG)
+        if got is not None:
+            assert _is_leader(got[0], SIG), (str(goal), got[0].dump())
+            found += 1
+    assert 150 < found < 300, found
+
+
+# goals over a constant, a unary function and a unary predicate whose
+# smallest counter-model has size 4
+SIZE4_GOALS = (
+    "~ c = f(c), ~ c = f(f(c)), ~ f(c) = f(f(c)), ~ c = f(f(f(c))),"
+    " ~ f(c) = f(f(f(c))), ~ f(f(c)) = f(f(f(c))) |-",
+    "f(f(c)) = c, ~ f(c) = c, ~ a = c, ~ a = f(c), ~ f(a) = a, ~ f(a) = c, ~ f(a) = f(c) |-",
+    "~ a = b, ~ a = c, ~ b = c, ~ f(c) = a, ~ f(c) = b, ~ f(c) = c, q(f(a)) |- q(b)",
+    "q(a), ~ q(f(a)), q(f(f(a))), ~ q(f(f(f(a)))), ~ f(f(a)) = a, ~ f(f(f(a))) = f(a) |-",
+    "~ (rtc x y. f(x) = y)(a, c), ~ (rtc x y. f(x) = y)(c, a), ~ f(a) = a, ~ f(c) = c,"
+    " ~ f(a) = f(c) |-",
+    "forall x. ~ f(x) = x, forall x. ~ f(f(x)) = x, ~ (rtc x y. f(x) = y)(a, c) |- q(a)",
+    "q(c), ~ q(a), ~ q(b), ~ a = b, f(a) = b, f(b) = a, ~ f(c) = a, ~ f(c) = b,"
+    " ~ f(c) = c |- exists x. f(x) = c",
+)
+
+
+@pytest.mark.parametrize("goal", SIZE4_GOALS)
+def test_size4_goals_agree_with_brute_force(goal):
+    """Swaps of two elements move function values as well as cells; at
+    size 4 there are six swaps, each with a value map."""
+    sig = Signature.make(constants={"c"}, functions={"f": 1}, predicates={"q": 1})
+    goal_seq, _ = parse_sequent_infer(goal, sig)
+    got = _same(goal_seq, (), sig, 4)
+    assert got[0].domain_size == 4 and _is_leader(got[0], sig)
+
+
+def test_valid_transitivity_nodes(monkeypatch):
+    # the nodes after sizes 1, 2 and 3: a root per size and one per cell
+    # assignment tried, but none for an assignment that a swap of two
+    # elements cuts; without the swaps, size 3 takes 447 nodes, not 191
+    nodes = []
+    run = semantics._CellSearch.run
+
+    def counted(self, n):
+        out = run(self, n)
+        nodes.append(self.nodes)
+        return out
+    monkeypatch.setattr(semantics._CellSearch, "run", counted)
+    sig = Signature.make(predicates={"p": 2})
+    R = "(rtc x y. p(x, y))"
+    goal, _ = parse_sequent_infer(f"{R}(a, b), {R}(b, c) |- {R}(a, c)", sig)
+    assert find_counter_model(goal, 3, (), sig) is None
+    assert nodes == [1, 16, 207]
+
+
 def test_random_goals_agree_with_brute_force():
     rng = random.Random(20261018)
     found = 0

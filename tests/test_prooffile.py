@@ -15,7 +15,7 @@ from rtcproof.cli import main
 from rtcproof.errors import ParseError, RtcError
 from rtcproof.prooffile import load_theory, parse_proof, parse_theory
 from rtcproof.proofgraph import validate_structure
-from rtcproof.syntax import MAX_DEPTH, _Parser, parse_formula, tokenize
+from rtcproof.syntax import MAX_DEPTH, Signature, _Parser, parse_formula, tokenize
 
 from conftest import CORPUS
 from helpers import NESTED
@@ -208,6 +208,32 @@ def test_file_error_messages(case):
     with pytest.raises(RtcError) as info:
         parse_proof(TINY.replace(old, new))
     assert str(info.value) == message
+
+
+# ind_double.tcp's first RtcInd node (line 6) with the signature declaring
+# one of its parameters as a constant: (the constant, text ending in it)
+RULE_PARAMETERS = (("u", "eigenvar=u"), ("v", "eigenvar2=v"), ("h", ")), h"))
+
+
+@pytest.mark.parametrize("name,marker", RULE_PARAMETERS)
+def test_rule_parameter_is_not_a_constant(name, marker, monkeypatch):
+    # an eigenvariable or a template's variable is a variable: both readers
+    # refuse a constant there, at the parameter
+    with open(os.path.join(CORPUS, "ind_double.tcp"), encoding="utf-8") as fh:
+        text = fh.read().replace("sig pred e/2", f"sig const {name} ; pred e/2")
+    line = text.splitlines()[5]
+    sig = Signature.make(constants={name}, predicates={"e": 2})
+    assert prooffile._Fields(sig).node(line.split(":", 1)[1]) is None
+    errors = []
+    for refuse in (False, True):
+        with monkeypatch.context() as m:
+            if refuse:
+                m.setattr(prooffile._Fields, "node", _refused)
+            with pytest.raises(ParseError) as info:
+                parse_proof(text)
+        errors.append((info.value.line, info.value.position, info.value.message))
+    assert errors[0] == errors[1] == (
+        6, line.index(marker) + len(marker) - 1, f"constant {name!r} cannot be bound")
 
 
 def test_symbol_declared_again_with_its_arity():
