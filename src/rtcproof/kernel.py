@@ -13,7 +13,8 @@ class of its principal formula, the message for a principal of another
 class, and the parameters it takes besides its principal; an instance
 that sets any other parameter fails `check_rule_instance`.
 `expected_premises` finds, checks and removes the principal from the table
-before it builds the premises, and the prover selects its moves by it.
+before it builds the premises, and the prover selects its moves by it; no
+rule finds its principal outside `SCHEMA`.
 """
 
 from __future__ import annotations
@@ -96,9 +97,10 @@ SCHEMA: dict[RuleId, Schema] = {
                           ("template", "eigenvar", "eigenvar2")),
     RuleId.RtcCase: Schema(2, ANT, Rtc, "RtcCase principal must be an rtc formula",
                            ("eigenvar",)),
-    # the pairing rules check the signature, then find their principal themselves
-    RuleId.PairInj: Schema(1, params=("principal",)),
-    RuleId.PairConstAx: Schema(0, params=("principal",)),
+    RuleId.PairInj: Schema(1, SUC, And,
+                           "PairInj principal must be a conjunction of two equations"),
+    RuleId.PairConstAx: Schema(0, ANT, Eq, "PairConstAx principal must equate a pair"
+                                           " with the designated constant"),
     RuleId.TheoryAxiom: Schema(0),
 }
 
@@ -151,13 +153,6 @@ def _need(cond: bool, detail: str) -> None:
         raise NotApplicable(detail)
 
 
-def _principal_in(f: Formula | None, side: tuple[Formula, ...], where: str) -> Formula:
-    _need(f is not None, "principal formula required")
-    if f not in side:
-        raise NotApplicable(f"principal {f} not in {where}")
-    return f
-
-
 def expected_premises(rule: RuleId, conclusion: Sequent, params: RuleParams,
                       theory: tuple[Sequent, ...] = (),
                       sig: Signature | None = None) -> list[Sequent]:
@@ -173,7 +168,10 @@ def expected_premises(rule: RuleId, conclusion: Sequent, params: RuleParams,
     if schema.side is not None:
         # the principal: found on its side, of its class, and removed to
         # leave the premises' context `base`; `add` adds to base on that side
-        f = _principal_in(p.principal, getattr(conclusion, schema.side), schema.side)
+        f = p.principal
+        _need(f is not None, "principal formula required")
+        if f not in getattr(conclusion, schema.side):
+            raise NotApplicable(f"principal {f} not in {schema.side}")
         if schema.cls is not None:
             _need(isinstance(f, schema.cls), schema.wrong)
         if schema.premises:
@@ -286,22 +284,17 @@ def expected_premises(rule: RuleId, conclusion: Sequent, params: RuleParams,
         case RuleId.PairInj:
             _need(sig is not None and sig.pair_symbol is not None,
                   "PairInj needs a signature with a pair symbol")
-            f = _principal_in(p.principal, suc, SUC)
-            _need(isinstance(f, And) and isinstance(f.left, Eq) and isinstance(f.right, Eq),
-                  "PairInj principal must be a conjunction of two equations")
+            _need(isinstance(f.left, Eq) and isinstance(f.right, Eq), schema.wrong)
             pr = sig.pair_symbol
-            lhs = App(pr, (f.left.lhs, f.right.lhs))
-            rhs = App(pr, (f.left.rhs, f.right.rhs))
-            return [conclusion.without_succ(f).with_succ(Eq(lhs, rhs))]
+            return [add(Eq(App(pr, (f.left.lhs, f.right.lhs)),
+                           App(pr, (f.left.rhs, f.right.rhs))))]
         case RuleId.PairConstAx:
             _need(sig is not None and sig.pair_symbol is not None
                   and sig.pair_constant is not None,
                   "PairConstAx needs a pair symbol and a designated constant")
-            f = _principal_in(p.principal, ant, ANT)
-            _need(isinstance(f, Eq) and isinstance(f.lhs, App)
-                  and f.lhs.fn == sig.pair_symbol and len(f.lhs.args) == 2
-                  and f.rhs == Const(sig.pair_constant),
-                  "PairConstAx principal must equate a pair with the designated constant")
+            _need(isinstance(f.lhs, App) and f.lhs.fn == sig.pair_symbol
+                  and len(f.lhs.args) == 2 and f.rhs == Const(sig.pair_constant),
+                  schema.wrong)
             return []
         case RuleId.TheoryAxiom:
             for ax in theory:

@@ -117,18 +117,6 @@ def _expect_number(p: _Parser, what: str) -> int:
     return _number(p.expect_ident(), pos, what)
 
 
-def _separated(p: _Parser, item, sep: str, closing: str | None = None) -> list:
-    """Items read by `item`, each after the first preceded by `sep`: one or
-    more, or none when the next token is `closing`, which is left unread."""
-    if closing is not None and p.peek()[1] == closing:
-        return []
-    out = [item(p)]
-    while p.peek()[1] == sep:
-        p.next()
-        out.append(item(p))
-    return out
-
-
 def _arity(p: _Parser) -> tuple[str, int]:
     name = p.expect_ident()
     p.expect("/")
@@ -155,9 +143,9 @@ def _parse_sig_line(p: _Parser) -> Signature:
     def section(p: _Parser) -> None:
         _, val, pos = p.next()
         if val == "const":
-            consts.update(_separated(p, _Parser.expect_ident, ","))
+            consts.update(p.separated(_Parser.expect_ident, ","))
         elif val in arities:
-            _separated(p, lambda p: declare(p, val), ",")
+            p.separated(lambda p: declare(p, val), ",")
         elif val in ("pair", "pairconst"):
             pair[val] = p.expect_ident()
         else:
@@ -166,7 +154,7 @@ def _parse_sig_line(p: _Parser) -> Signature:
     if p.peek()[1] == "-":
         p.next()
     else:
-        _separated(p, section, ";")
+        p.separated(section, ";")
     if not p.at_eof():
         raise ParseError(p.peek()[2], "trailing input after signature")
     return Signature.make(consts, arities["fn"], arities["pred"],
@@ -266,7 +254,7 @@ def _parse_subst(p: _Parser) -> tuple[tuple[str, Term], ...]:
         p.expect(":=")
         return v, p.term()
 
-    return tuple(sorted(_separated(p, binding, ",", "]")))
+    return tuple(sorted(p.separated(binding, ",", ("]",))))
 
 
 # kind -> (opening bracket, closing bracket, printer, parser of what lies between)
@@ -329,7 +317,7 @@ def _parse_param(p: _Parser, params: dict[str, object]) -> None:
 def _parse_params(p: _Parser) -> RuleParams:
     p.expect("{")
     params: dict[str, object] = {}
-    _separated(p, lambda p: _parse_param(p, params), ";", "}")
+    p.separated(lambda p: _parse_param(p, params), ";", ("}",))
     p.expect("}")
     return RuleParams(**params)
 
@@ -374,7 +362,7 @@ def _parse_node(p: _Parser) -> ProofNode:
     p.expect(";")
     _prefix(p, "premises")
     p.expect("[")
-    children = _separated(p, lambda p: _expect_number(p, "premise id"), ",", "]")
+    children = p.separated(lambda p: _expect_number(p, "premise id"), ",", ("]",))
     p.expect("]")
     return ProofNode(seq, rid, params, tuple(children))
 

@@ -128,11 +128,8 @@ class Evaluator:
             adj.append(row)
         self._adj[key] = adj
         lower = _closure([sum(1 << b for b, e in enumerate(row) if e) for row in adj])
-        if any(None in row for row in adj):
-            upper = _closure([sum(1 << b for b, e in enumerate(row) if e is not False)
-                              for row in adj])
-        else:
-            upper = lower
+        upper = _closure([sum(1 << b for b, e in enumerate(row) if e is not False)
+                          for row in adj])
         self._reach[key] = (lower, upper)
         return lower, upper
 

@@ -38,6 +38,8 @@ parenthesise, in both notations, plain text (`TEXT`) and LaTeX
 
 The parser checks each symbol against the signature as it reads it; the
 tests keep an independent check, `validate_formula` in `tests/oracles.py`.
+The parser refuses a binder that the signature declares as a constant, and
+`pretty` prints one (`substitute` can make it) under a fresh name.
 
 A parser tokenises its whole text before it reads a token, so a character
 that starts no token is reported before any syntax error, at its own
@@ -58,6 +60,9 @@ Concrete grammar (ASCII):
            | "forall" ident "." form | "exists" ident "." form
            | "(" "rtc" ident ident "." form ")" "(" term "," term ")" | "(" form ")"
     sequent := form ("," form)* "|-" form ("," form)*    (either side may be empty)
+
+`_Parser.separated` reads every `item (sep item)*` list, in `prooffile` too,
+bar argument lists, which `_Parser._args` reads inline, on `check`'s hot path.
 
 Precedence: ~ > /\\ > \\/ > -> (right associative); quantifier and rtc
 bodies extend maximally to the right.  A bare identifier is an atom only
@@ -742,8 +747,20 @@ class _Parser:
             return Const(name)
         return Var(name)
 
+    def separated(self, item, sep: str, closing: tuple[str, ...] = ()) -> list:
+        """Items read by `item(self)` and separated by `sep`: one or more, or
+        none when the next token, left unread, is in `closing` ('' at the end)."""
+        if self.peek()[1] in closing:
+            return []
+        out = [item(self)]
+        while self.peek()[1] == sep:
+            self.next()
+            out.append(item(self))
+        return out
+
     def _args(self) -> tuple[Term, ...]:
-        """The parenthesised argument list of a function or predicate."""
+        """The parenthesised argument list of a function or predicate, read
+        inline: it is on `check`'s hot path, where `separated` was slower."""
         self.expect("(")
         args = [self.term()]
         while self.peek()[1] == ",":
@@ -874,19 +891,9 @@ class _Parser:
         return Eq(lhs, rhs)
 
     def sequent(self) -> Sequent:
-        ant: list[Formula] = []
-        suc: list[Formula] = []
-        if self.peek()[1] != "|-":
-            ant.append(self.formula())
-            while self.peek()[1] == ",":
-                self.next()
-                ant.append(self.formula())
+        ant = self.separated(_Parser.formula, ",", ("|-",))
         self.expect("|-")
-        if self.peek()[0] != "eof" and self.peek()[1] not in (";", ")"):
-            suc.append(self.formula())
-            while self.peek()[1] == ",":
-                self.next()
-                suc.append(self.formula())
+        suc = self.separated(_Parser.formula, ",", ("", ";", ")"))
         return Sequent(tuple(ant), tuple(suc))
 
     def at_eof(self) -> bool:
@@ -975,6 +982,15 @@ def pretty(f: Formula, sig: Signature | None = None, notation: Notation = TEXT) 
                 text = formats[App].format(text, ", ".join(map(term, g.args)))
             return text
         binders, subs, terms = parts(g)
+        if binders and sig is not None and not sig.constants.isdisjoint(binders):
+            # such a binder would read back as the constant: rename it
+            names, avoid = list(binders), all_names(g) | sig.constants
+            for i, b in enumerate(binders):
+                if b in sig.constants:
+                    names[i] = fresh_name(avoid)
+                    avoid.add(names[i])
+            subs = (substitute(subs[0], dict(zip(binders, map(Var, names)))),)
+            binders = names
         own, sublevels = _PRECEDENCE.get(cls, (_ATOM, ()))
         text = formats[cls].format(*map(name, binders), *map(go, subs, sublevels),
                                    *map(term, terms))

@@ -577,6 +577,20 @@ def test_invented_names_apart_from_constants(tmp_path, capsys):
     assert capsys.readouterr() == ("accepted; 0 basic cycles; normal\n", "")
 
 
+def test_renamed_binder_apart_from_constants(tmp_path, capsys):
+    """`substitute` renames the binder y of the AllL premise to _v0, which
+    knows no signature; the proof file prints it apart from the constant
+    _v0, so the proof it writes checks."""
+    theory, proof = tmp_path / "v.tc", tmp_path / "s.tcp"
+    theory.write_text("theory t\nsig const _v0 ; pred p/2\n", encoding="utf-8")
+    assert main(["prove", "forall x. forall y. p(x, y) |- p(y, y)", "--theory", str(theory),
+                 "--out", str(proof)]) == 0
+    assert capsys.readouterr() == ("proved; 3 nodes; 0 cycle(s)\n", "")
+    assert "node 1 : forall _v1. p(y, _v1) |- p(y, y)" in proof.read_text(encoding="utf-8")
+    assert main(["check", str(proof), "--theory", str(theory)]) == 0
+    assert capsys.readouterr() == ("accepted; 0 basic cycles; normal\n", "")
+
+
 def test_rule_parameter_named_like_a_constant(tmp_path, capsys):
     """An RtcInd eigenvariable that the signature declares as a constant is
     a usage error at the parameter, not a kernel error whose two premise

@@ -244,6 +244,42 @@ def test_side_condition_messages(case):
     assert str(exc.value) == message
 
 
+NO_PAIR = Signature.make(constants={"c0"}, functions={"pair": 2},
+                         predicates={"q": 1, "E": 2})
+NO_PAIR_CONSTANT = Signature.make(constants={"c0"}, functions={"pair": 2},
+                                  predicates={"q": 1, "E": 2}, pair_symbol="pair")
+RTC_IND = dict(principal="(rtc x y. E(x, y))(a, b)", template=("q(h)", "h"))
+
+# guards on parameters and on the signature, each met with a principal of
+# the right class on its side, so that the guard is what refuses: (rule,
+# conclusion, params, signature, the NotApplicable text)
+GUARDS = {
+    "rtcind_only_eigenvar": (
+        RuleId.RtcInd, "q(a), (rtc x y. E(x, y))(a, b) |- q(b)",
+        dict(RTC_IND, eigenvar="u"), SIG, "RtcInd requires its two variables"),
+    "rtcind_only_eigenvar2": (
+        RuleId.RtcInd, "q(a), (rtc x y. E(x, y))(a, b) |- q(b)",
+        dict(RTC_IND, eigenvar2="w"), SIG, "RtcInd requires its two variables"),
+    "pairinj_no_pair_symbol": (
+        RuleId.PairInj, "|- a = u /\\ b = v", dict(principal="a = u /\\ b = v"), NO_PAIR,
+        "PairInj needs a signature with a pair symbol"),
+    "pairconstax_no_pair_constant": (
+        RuleId.PairConstAx, "<a, b> = c0 |-", dict(principal="<a, b> = c0"), NO_PAIR_CONSTANT,
+        "PairConstAx needs a pair symbol and a designated constant"),
+    "pairconstax_no_signature": (
+        RuleId.PairConstAx, "<a, b> = c0 |-", dict(principal="<a, b> = c0"), None,
+        "PairConstAx needs a pair symbol and a designated constant"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GUARDS))
+def test_guard_messages(case):
+    rule, concl, raw, sig, message = GUARDS[case]
+    with pytest.raises(NotApplicable) as exc:
+        expected_premises(rule, S(concl), RuleParams(**_params(raw)), sig=sig)
+    assert str(exc.value) == message
+
+
 # instances that fit no schema, each with the premises that a kernel missing
 # the refusal would derive: (rule, conclusion, premises, params, theory, the
 # error's type and text).  The first five are locally unsound: some model

@@ -379,6 +379,28 @@ class TestProperties:
             printed = pretty(f, SIG)
             assert parse_formula(printed, SIG) == f
 
+    def test_roundtrip_binders_named_like_constants(self):
+        """A binder that the signature declares as a constant is printed
+        under a fresh name, apart from the constants, so that the text
+        parses back to the formula; the parser refuses such a binder, so
+        the formulas are built directly.  The free occurrences of those
+        names are made the constants themselves."""
+        rng = random.Random(41)
+        renamed = 0
+        for _ in range(300):
+            f = _random_formula(rng, rng.randrange(1, 5))
+            binders = sorted({b for g in subformulas(f) for b in parts(g)[0]})
+            if not binders:
+                continue
+            clash = set(rng.sample(binders, rng.randrange(1, len(binders) + 1)))
+            f = substitute(f, {c: Const(c) for c in clash})
+            sig = Signature.make(SIG.constants | clash | {"_v0"}, dict(SIG.functions),
+                                 dict(SIG.predicates), SIG.pair_symbol)
+            printed = pretty(f, sig)
+            assert parse_formula(printed, sig) == f, printed
+            renamed += printed != pretty(f)
+        assert renamed >= 100, renamed
+
     def test_alpha_eq_requires_same_free(self):
         assert F("q(x)") != F("q(y)")
         assert F("forall x. q(x)") == F("forall z. q(z)")
