@@ -6,18 +6,21 @@ prover's cycle filter and the renderer's progress marks read it too.  Across
 (`syntax.substitute_key`) and pairs it with the conclusion formula of that
 key, without building the instance.
 
-The primary procedure is a Ramsey-style composition closure over per-edge
-trace matrices (size-change termination, Lee, Jones & Ben-Amram, POPL 2001):
-the pre-proof is accepted iff every idempotent composed matrix describing a
-cycle contains a progressing diagonal pair.  There is one closure per
-companion, in id order, over the paths from it that follow only edges inside
-its strongly connected component (`flow_edges`, the closure's edge list);
-that is exact, since a cycle never leaves its component and always passes
-through a companion.  Each closure tests a loop back to its companion when
-it adds it and stops at the first bad one; CLOSURE_CAP counts path matrices
-across companions.  The closure, basic cycles and the normality test rest
-on one iterative SCC pass.  The tests cross-check the closure against a
-bounded enumeration of ultimately periodic paths (`tests/oracles.py`).
+The decision procedure, `check_global_trace_condition`, is a Ramsey-style
+closure over per-edge trace matrices (size-change termination, Lee, Jones &
+Ben-Amram, POPL 2001), pruned to antichains of ⊆-minimal matrices as in
+Ramsey-based inclusion checking (Abdulla et al., CAV 2010; Fogarty & Vardi,
+TACAS 2010).  The pre-proof is accepted iff no loop at a companion has an
+idempotent power without a progressing diagonal pair.  There is one closure
+per companion, over the paths from it that follow only edges inside its
+strongly connected component (`flow_edges`, the closure's edge list).  The
+pruning is exact, since composition and the idempotent power are monotone
+under ⊆ (`EdgeMatrix.within`), and a rejection is a real bad path, since the
+power tested is the matrix of the loop's path repeated.  CLOSURE_CAP counts
+kept matrices across companions.  The closure, basic cycles and the
+normality test rest on one iterative SCC pass.  The tests cross-check the
+closure against the full closure and a bounded enumeration of ultimately
+periodic paths (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .proofgraph import ProofGraph
 from .syntax import Rtc, Sequent, Var, substitute_key
 
 MAX_CYCLES = 100_000   # basic cycles before `enumerate_basic_cycles` gives up
-CLOSURE_CAP = 500_000  # path matrices before the trace check is indeterminate
+CLOSURE_CAP = 500_000  # kept path matrices before the trace check is indeterminate
 
 
 class EdgeMatrix:
@@ -40,11 +43,10 @@ class EdgeMatrix:
     edge or path, with a progress flag per pair; composition keeps the
     maximal progress over connecting chains."""
 
-    __slots__ = ("d", "_key")
+    __slots__ = ("d",)
 
     def __init__(self, entries: dict[tuple[str, str], bool]):
         self.d = entries
-        self._key = frozenset(entries.items())
 
     def compose(self, other: "EdgeMatrix") -> "EdgeMatrix":
         by_src: dict[str, list[tuple[str, bool]]] = {}
@@ -58,6 +60,12 @@ class EdgeMatrix:
                 if flag or key not in out:
                     out[key] = out.get(key, False) or flag
         return EdgeMatrix(out)
+
+    def within(self, other: "EdgeMatrix") -> bool:
+        """self ⊆ other: every pair of self is in other, with no more progress."""
+        d = other.d
+        return len(self.d) <= len(d) and all(
+            k in d and (d[k] or not p) for k, p in self.d.items())
 
     def is_idempotent(self) -> bool:
         return self.compose(self) == self
@@ -74,10 +82,10 @@ class EdgeMatrix:
         return cur
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, EdgeMatrix) and self._key == other._key
+        return isinstance(other, EdgeMatrix) and self.d == other.d
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(frozenset(self.d.items()))
 
     def __repr__(self) -> str:
         return f"EdgeMatrix({sorted(self.d.items())!r})"
@@ -219,45 +227,70 @@ def _shortest_path(succ: dict[int, list[int]], src: int, dst: int) -> tuple[int,
 
 
 def check_global_trace_condition(g: ProofGraph) -> CycleReport:
-    """Composition-closure decision of the global trace condition.
+    """Antichain decision of the global trace condition.
 
-    Accepted iff every idempotent path matrix looping at a companion has a
+    Accepted iff no loop at a companion has an idempotent power without a
     progressing diagonal pair.  Each companion, in id order, gets a closure
     of its paths along flow edges inside its SCC; this is exact, since every
     infinite path ends in one SCC and visits some companion infinitely often
     (every flow cycle enters a companion from a bud).  Paths grow breadth
-    first, one per (end node, matrix), and the check stops at the first bad
-    loop added, the shortest at the smallest companion that has one: the
+    first by single edges on the right.  At each end node only the
+    ⊆-minimal path matrices are kept (an antichain): a matrix that reaches a
+    node holding some M′ ⊆ it is skipped, a newly kept matrix evicts the
+    kept ones that contain it, and a queued path whose matrix was evicted is
+    not extended.
+
+    The pruning is exact.  Composition is monotone under ⊆, so by induction
+    on paths every path matrix from the companion has a kept matrix below
+    it.  The idempotent power is monotone too, so a bad loop L has a kept
+    loop M′ ⊆ L whose power lies in L's, and lacks progress as well.  A kept
+    loop need not be idempotent, so each is tested by its idempotent power,
+    and the check stops at the first bad one kept.  That power is the matrix
+    of the loop's path repeated, so a rejection is a real bad path: the
     witness, after a shortest flow path from the root.  Above CLOSURE_CAP
-    path matrices, counted across companions, the verdict is indeterminate.
+    kept matrices, counted across companions with evicted ones included,
+    the verdict is indeterminate.
     """
+    companions = sorted({n.companion for n in g.nodes.values() if n.is_bud})
+    report = trace_closure(flow_edges(g), companions)
+    if report.witness_period:
+        report.witness_prefix = _shortest_path(_flow_succ(g), _flow_root(g),
+                                               report.witness_period[0])
+    return report
+
+
+def trace_closure(edges: list[FlowEdge], companions: list[int]) -> CycleReport:
+    """The closure of `check_global_trace_condition` on a plain edge list,
+    one per companion in the order given; a rejection has no prefix."""
     out: dict[int, list[FlowEdge]] = {}
-    for e in flow_edges(g):
+    for e in edges:
         out.setdefault(e.src, []).append(e)
-    size = 0  # path matrices of all closures so far
-    for c in sorted({n.companion for n in g.nodes.values() if n.is_bud}):
-        # paths from c extended by single edges on the right (left-linear
-        # closure is enough: every path is a left fold of its edges)
-        seen: set[tuple[int, frozenset]] = set()  # (end node, matrix key)
-        queue: deque[tuple[EdgeMatrix | None, tuple[FlowEdge, ...]]] = deque([(None, ())])
+    size = 0  # matrices kept by all closures so far
+    for c in companions:
+        kept: dict[int, list[EdgeMatrix]] = {}  # end node -> antichain
+        queue: deque[tuple[int, EdgeMatrix | None, tuple[FlowEdge, ...]]] = \
+            deque([(c, None, ())])
         while queue:
-            mat, path = queue.popleft()
-            for e in out.get(path[-1].dst if path else c, ()):
+            v, mat, path = queue.popleft()
+            if path and not any(m is mat for m in kept[v]):
+                continue  # evicted since it was queued
+            for e in out.get(v, ()):
                 ext = mat.compose(e.matrix) if path else e.matrix
-                if (e.dst, ext._key) in seen:
+                here = kept.setdefault(e.dst, [])
+                if any(m.within(ext) for m in here):
                     continue
                 if size >= CLOSURE_CAP:
                     return CycleReport("indeterminate", detail="closure cap exceeded")
                 size += 1
-                seen.add((e.dst, ext._key))
+                here[:] = [m for m in here if not ext.within(m)]
+                here.append(ext)
                 walk = path + (e,)
                 if (e.dst == c and not ext.has_progressing_diagonal()
-                        and ext.is_idempotent()):
-                    period = (c,) + tuple(f.dst for f in walk)
-                    prefix = _shortest_path(_flow_succ(g), _flow_root(g), c)
-                    return CycleReport("rejected", prefix, period, walk,
-                                       detail="idempotent cycle without progress")
-                queue.append((ext, walk))
+                        and not ext.idempotent_power().has_progressing_diagonal()):
+                    return CycleReport("rejected", (), (c,) + tuple(f.dst for f in walk),
+                                       walk, detail="cycle whose idempotent power"
+                                                    " has no progress")
+                queue.append((e.dst, ext, walk))
     return CycleReport("accepted")
 
 

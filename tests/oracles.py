@@ -1,10 +1,11 @@
 """Test oracles: reference implementations that the tests compare the
-package against; the program never runs them.  `check_by_path_enumeration`
-cross-checks the trace-condition closure, `idempotent_power_by_table`
-`EdgeMatrix.idempotent_power`, and `evaluate_warshall` the reachability
-evaluator.  `kleene_holds` is the per-constructor interpreter
-whose Kleene values the compiled closures of `semantics.Evaluator` must
-match.  `degree`, `minimal_chain`, `invalidates` and
+package against; the program never runs them.  `full_closure` is the
+composition closure that the antichain of `tracecheck.trace_closure`
+prunes; `check_by_path_enumeration` cross-checks both.
+`idempotent_power_by_table` cross-checks `EdgeMatrix.idempotent_power`,
+and `evaluate_warshall` the reachability evaluator.  `kleene_holds` is the
+per-constructor interpreter whose Kleene values the compiled closures of
+`semantics.Evaluator` must match.  `degree`, `minimal_chain`, `invalidates` and
 `descent_witness` build the descending counter-models of Brotherston &
 Simpson (J. Logic Comput. 2011).  `find_counter_model_brute` enumerates
 complete models (`iter_skeletons`) for the cell search to agree with.
@@ -18,6 +19,7 @@ import itertools
 from collections import deque
 from collections.abc import Iterator
 
+from rtcproof import tracecheck
 from rtcproof.errors import (ArityMismatch, NotApplicable, ParseError, RtcError,
                              SignatureMismatch, UnboundVariable, UnknownSymbol)
 from rtcproof.kernel import (RuleId, RuleInstance, make_subst, match_sequent,
@@ -94,6 +96,40 @@ def check_by_path_enumeration(g: ProofGraph, max_period: int) -> CycleReport:
                     needed = back.get(e.dst)
                     if needed is not None and len(walk) + 1 + needed <= max_period:
                         stack.append((e.dst, walk + (e,)))
+    return CycleReport("accepted")
+
+
+def full_closure(edges: list[FlowEdge], companions: list[int]) -> CycleReport:
+    """Reference for `tracecheck.trace_closure`: the Ramsey-style composition
+    closure (Lee, Jones & Ben-Amram, POPL 2001) that keeps every distinct
+    path matrix.  Per companion, in the given order, paths grow breadth
+    first, one per (end node, matrix), and the check stops at the first loop
+    added that is idempotent without a progressing diagonal pair; it counts
+    against `tracecheck.CLOSURE_CAP` as the antichain does."""
+    out: dict[int, list[FlowEdge]] = {}
+    for e in edges:
+        out.setdefault(e.src, []).append(e)
+    size = 0
+    for c in companions:
+        seen: set[tuple[int, frozenset]] = set()  # (end node, matrix entries)
+        queue: deque[tuple[EdgeMatrix | None, tuple[FlowEdge, ...]]] = deque([(None, ())])
+        while queue:
+            mat, path = queue.popleft()
+            for e in out.get(path[-1].dst if path else c, ()):
+                ext = mat.compose(e.matrix) if path else e.matrix
+                key = (e.dst, frozenset(ext.d.items()))
+                if key in seen:
+                    continue
+                if size >= tracecheck.CLOSURE_CAP:
+                    return CycleReport("indeterminate", detail="closure cap exceeded")
+                size += 1
+                seen.add(key)
+                walk = path + (e,)
+                if (e.dst == c and not ext.has_progressing_diagonal()
+                        and ext.is_idempotent()):
+                    return CycleReport("rejected", (), (c,) + tuple(f.dst for f in walk),
+                                       walk, detail="idempotent cycle without progress")
+                queue.append((ext, walk))
     return CycleReport("accepted")
 
 

@@ -280,6 +280,27 @@ def test_guard_messages(case):
     assert str(exc.value) == message
 
 
+# principals of the right class on their side but of the wrong shape, under
+# SIG's pair symbol and pair constant, so that the shape test is what
+# refuses: (rule, conclusion, principal).  A PairConstAx that let the first
+# two through would close refutable leaves.
+WRONG_SHAPE = {
+    "pairconstax_other_rhs": (RuleId.PairConstAx, "<a, b> = d |-", "<a, b> = d"),
+    "pairconstax_other_function": (RuleId.PairConstAx, "s(a) = c0 |-", "s(a) = c0"),
+    "pairconstax_variable_lhs": (RuleId.PairConstAx, "a = c0 |-", "a = c0"),
+    "pairinj_right_not_equation": (RuleId.PairInj, "|- a = u /\\ q(b)", "a = u /\\ q(b)"),
+    "pairinj_left_not_equation": (RuleId.PairInj, "|- q(b) /\\ a = u", "q(b) /\\ a = u"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_SHAPE))
+def test_wrong_shape_of_right_class(case):
+    rule, concl, principal = WRONG_SHAPE[case]
+    with pytest.raises(NotApplicable) as exc:
+        expected_premises(rule, S(concl), RuleParams(principal=F(principal)), sig=SIG)
+    assert str(exc.value) == SCHEMA[rule].wrong
+
+
 # instances that fit no schema, each with the premises that a kernel missing
 # the refusal would derive: (rule, conclusion, premises, params, theory, the
 # error's type and text).  The first five are locally unsound: some model

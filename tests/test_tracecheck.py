@@ -10,12 +10,12 @@ from rtcproof.kernel import RuleId, make_subst, rule_instance
 from rtcproof.prooffile import parse_proof
 from rtcproof.proofgraph import ProofGraph, validate_structure
 from rtcproof.syntax import Signature, Var, parse_formula, parse_sequent
-from rtcproof.tracecheck import (EdgeMatrix, _sccs, check_global_trace_condition,
-                                 enumerate_basic_cycles, is_non_overlapping)
+from rtcproof.tracecheck import (EdgeMatrix, FlowEdge, _sccs, check_global_trace_condition,
+                                 enumerate_basic_cycles, is_non_overlapping, trace_closure)
 
 from conftest import ACCEPTED, REJECTED
 from helpers import GraphBuilder, replay_witness
-from oracles import check_by_path_enumeration, idempotent_power_by_table
+from oracles import check_by_path_enumeration, full_closure, idempotent_power_by_table
 from preproofs import diamond_proof, loop_below_root, subst_chain, thread_proof
 
 SIG = Signature.make(predicates={"p": 2, "q": 1})
@@ -83,6 +83,30 @@ class TestEdgeMatrix:
         e2 = bad.idempotent_power()
         assert e2.is_idempotent()
         assert not e2.has_progressing_diagonal()
+
+    def test_within(self):
+        m = EdgeMatrix({("t", "t"): False, ("t", "u"): True})
+        assert m.within(m) and EdgeMatrix({}).within(m)
+        assert EdgeMatrix({("t", "u"): False}).within(m)
+        assert not EdgeMatrix({("t", "t"): True}).within(m)   # more progress
+        assert not EdgeMatrix({("u", "u"): False}).within(m)  # a pair m lacks
+        assert not m.within(EdgeMatrix({("t", "t"): False}))
+
+    def test_compose_and_power_are_monotone(self):
+        # the antichain's exactness rests on these: M' within M gives M'X
+        # within MX, XM' within XM, and the idempotent powers in the same order
+        rng = random.Random(31)
+        keys = "abc"
+        for _ in range(2000):
+            big, x = (EdgeMatrix({(a, b): rng.random() < 0.4
+                                  for a in keys for b in keys if rng.random() < 0.5})
+                      for _ in range(2))
+            small = EdgeMatrix({k: p and rng.random() < 0.5
+                                for k, p in big.d.items() if rng.random() < 0.7})
+            assert small.within(big)
+            assert small.compose(x).within(big.compose(x))
+            assert x.compose(small).within(x.compose(big))
+            assert small.idempotent_power().within(big.idempotent_power())
 
     def test_idempotent_power_agrees_with_table(self):
         # random relations over 4 keys; the powers of 266 of them repeat
@@ -271,6 +295,8 @@ class TestRestrictedClosure:
 
     @pytest.mark.parametrize("rejected", [False, True])
     def test_six_threads_within_small_cap(self, rejected, monkeypatch):
+        # the antichain keeps 28 matrices when accepted and 31 up to the bad
+        # loop when rejected; the full closure of the accepted one has 1,087
         g = parse_proof(thread_proof(6, rejected)).graph
         monkeypatch.setattr(tracecheck, "CLOSURE_CAP", 2000)
         rep = check_global_trace_condition(g)
@@ -278,9 +304,10 @@ class TestRestrictedClosure:
 
     @pytest.mark.parametrize("k", [6, 8])
     def test_rejection_within_cap_of_its_first_bad_loop(self, k, monkeypatch):
-        # the closure stops at its first bad loop, after 57 and 107 path
-        # matrices; the whole closure has 1,280 and 6,656, so a check that
-        # built it all would be indeterminate under a cap of 200
+        # the check stops at its first bad loop, after 31 and 41 kept
+        # matrices (the full closure, after 57 and 107); the whole full
+        # closure has 1,280 and 6,656, so a check that built it all would be
+        # indeterminate under a cap of 200
         g = parse_proof(thread_proof(k, rejected=True)).graph
         full = check_global_trace_condition(g)
         monkeypatch.setattr(tracecheck, "CLOSURE_CAP", 200)
@@ -289,10 +316,19 @@ class TestRestrictedClosure:
         assert (rep.witness_prefix, rep.witness_period) == \
             (full.witness_prefix, full.witness_period)
 
-    @pytest.mark.parametrize("cap, verdict", [(62, "indeterminate"), (63, "accepted")])
+    @pytest.mark.parametrize("cap, verdict", [(12, "indeterminate"), (13, "accepted")])
     def test_cap_boundary(self, cap, verdict, monkeypatch):
-        # the closure of thread_proof(3) holds exactly 63 path matrices
+        # the antichain of thread_proof(3) keeps exactly 13 path matrices,
+        # where the full closure holds 63
         g = parse_proof(thread_proof(3)).graph
+        monkeypatch.setattr(tracecheck, "CLOSURE_CAP", cap)
+        assert check_global_trace_condition(g).verdict == verdict
+
+    @pytest.mark.parametrize("cap, verdict", [(57, "indeterminate"), (58, "accepted")])
+    def test_twelve_threads_keep_58_matrices(self, cap, verdict, monkeypatch):
+        # a count of work, not of time: the full closure of thread_proof(12)
+        # composes 188,414 times
+        g = parse_proof(thread_proof(12)).graph
         monkeypatch.setattr(tracecheck, "CLOSURE_CAP", cap)
         assert check_global_trace_condition(g).verdict == verdict
 
@@ -336,3 +372,46 @@ class TestRestrictedClosure:
         rep = check_global_trace_condition(parse_proof(text).graph)
         assert (rep.verdict, rep.witness_prefix, rep.witness_period) == \
             ("rejected", (), (0, 1, 0))
+
+
+def random_flow_graph(rng: random.Random) -> tuple[list[FlowEdge], list[int]]:
+    """Up to 6 nodes, 3 trace keys and 10 edges with random matrices, every
+    node a companion."""
+    n = rng.randint(1, 6)
+    keys = "abc"[:rng.randint(1, 3)]
+    edges = [FlowEdge(rng.randrange(n), rng.randrange(n),
+                      EdgeMatrix({(a, b): rng.random() < 0.3
+                                  for a in keys for b in keys if rng.random() < 0.4}))
+             for _ in range(rng.randint(1, 10))]
+    return edges, list(range(n))
+
+
+class TestAgainstFullClosure:
+    """The antichain against the full composition closure it prunes."""
+
+    def test_proof_graphs(self, corpus_graphs, monkeypatch):
+        graphs = {name: entry[0] for name, entry in corpus_graphs.items()}
+        for rejected in (False, True):
+            graphs.update(thread_graphs(range(1, 9), rejected))
+        for k in range(2, 7):
+            graphs[f"diamond{k}"] = parse_proof(diamond_proof(k)).graph
+        reports = {name: check_global_trace_condition(g) for name, g in graphs.items()}
+        monkeypatch.setattr(tracecheck, "trace_closure", full_closure)
+        for name, g in graphs.items():
+            a, b = reports[name], check_global_trace_condition(g)
+            assert (a.verdict, a.witness_prefix, a.witness_period) == \
+                (b.verdict, b.witness_prefix, b.witness_period), name
+
+    def test_random_edge_lists(self):
+        # 2,261 of the 3,000 are rejected.  The loops then differ on 498: a
+        # kept loop need not be idempotent, and a matrix can be evicted by a
+        # smaller one from a longer path.  The companion is the same, since
+        # each companion's verdict is exact, and the loop is a bad one.
+        rng = random.Random(7)
+        for trial in range(3000):
+            edges, companions = random_flow_graph(rng)
+            a, b = trace_closure(edges, companions), full_closure(edges, companions)
+            assert a.verdict == b.verdict, trial
+            if a.verdict == "rejected":
+                assert a.witness_period[0] == b.witness_period[0], trial
+                assert replay_witness(a), trial
