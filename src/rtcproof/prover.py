@@ -10,13 +10,16 @@ round-robined over a finite term pool, then analytic cuts on theory
 axioms.  The phases of rules with a principal, the pairing rules too, are
 built from `kernel.SCHEMA`: each passes over one side of the sequent and
 picks a formula's rule by its class; `RtcRefl` alone is pre-checked by hand,
-for speed.  Buds close only against ancestors, so a subgoal's proofs depend
-on the subgoal and its ancestors alone.  Cycle formation is pre-filtered by
-the trace matrix of the would-be cycle: the ancestor's matrix composed with
-each edge's `tracecheck.edge_matrix` down to the bud.  Every complete
-candidate is re-checked by the structural validator and the global trace
-condition before being accepted.  Counter-model search runs interleaved
-with the deepening, so invalid goals are refuted quickly.
+for speed.  Buds close only against ancestors, and a bud names its companion
+by its depth on the search path, its index in the ancestor tuple, so a
+subgoal's plans depend on the subgoal and its ancestors' sequents and trace
+matrices alone, not on the search call that found them; `assemble` reads
+each bud's companion off the search nodes of its path.  Cycle formation is
+pre-filtered by the trace matrix of the would-be cycle: the ancestor's
+matrix composed with each edge's `tracecheck.edge_matrix` down to the bud.
+Every complete candidate is re-checked by the structural validator and the
+global trace condition before being accepted.  Counter-model search runs
+interleaved with the deepening, so invalid goals are refuted quickly.
 
 Three cut-offs drop only work that can yield no plan, so the plans and
 their order stay those of the search without them:
@@ -27,8 +30,8 @@ their order stay those of the search without them:
   it never progress;
 - when the premises after premise i find no plan for the first solution of
   premise i, the move ends, since their searches do not read that solution.
-The node budget counts the moves that `moves` yields, so it counts only
-moves that the node can use.
+The node budget is one counter across the deepening iterations.  It counts
+the moves that `moves` yields, so it counts only moves that the node can use.
 """
 
 from __future__ import annotations
@@ -83,9 +86,9 @@ SearchOutcome = Proved | Refuted | Unknown
 class Plan:
     rule: RuleInstance | None            # None for buds
     children: tuple["Plan", ...] = ()
-    companion_token: int | None = None
+    companion: int | None = None         # a bud's companion, by its depth
     sequent: Sequent | None = None
-    token: int | None = None
+    node: bool = False                   # a search node's open move: an ancestor
 
     def conclusion(self) -> Sequent:
         return self.rule.conclusion if self.rule is not None else self.sequent
@@ -100,22 +103,22 @@ def _weaken_plan(target: Sequent, inner: Plan) -> Plan:
 
 
 def assemble(plan: Plan) -> ProofGraph:
-    """The plan tree as a graph numbered in preorder from the root 0."""
+    """The plan tree as a graph numbered in preorder from the root 0.  A
+    bud's companion is the search node at its depth on the bud's path."""
     b = GraphBuilder()
-    token2id: dict[int, int] = {}
 
-    def walk(p: Plan) -> int:
+    def walk(p: Plan, path: tuple[int, ...]) -> int:
         nid = b.reserve()
-        if p.token is not None:
-            token2id[p.token] = nid
+        if p.node:
+            path += (nid,)
         if p.rule is None:
-            b.fill_bud(nid, p.sequent, token2id[p.companion_token])
+            b.fill_bud(nid, p.sequent, path[p.companion])
         else:
-            kids = tuple(walk(c) for c in p.children)
+            kids = tuple(walk(c, path) for c in p.children)
             b.fill_internal(nid, p.rule, kids)
         return nid
 
-    root = walk(plan)
+    root = walk(plan, ())
     return b.graph(root)
 
 
@@ -152,7 +155,6 @@ def _term_pool(seq: Sequent, cfg: SearchConfig) -> list[Term]:
 @dataclass
 class Ancestor:
     sequent: Sequent
-    token: int
     matrix: EdgeMatrix  # composed from the ancestor node down to the current node
 
 
@@ -171,11 +173,11 @@ def _bud_moves(seq: Sequent, ancestors: tuple[Ancestor, ...],
     """Buds closing seq against an ancestor whose cycle progresses.  Subst
     and weakening steps never progress, so an ancestor whose path down to
     seq has no progressing entry cannot close a good cycle."""
-    for anc in ancestors:
+    for depth, anc in enumerate(ancestors):
         if not any(anc.matrix.d.values()):
             continue
         for theta in match_sequent(anc.sequent, seq):
-            bud = Plan(None, (), anc.token, anc.sequent)
+            bud = Plan(None, (), depth, anc.sequent)
             inst = anc.sequent.substituted(theta)
             inner = bud if not theta and inst == anc.sequent else Plan(
                 rule_instance(RuleId.Subst, inst, cfg.theory, cfg.sig,
@@ -302,36 +304,23 @@ def moves(seq: Sequent, ancestors: tuple[Ancestor, ...], cfg: SearchConfig,
 # ---------------------------------------------------------------------------
 # Search
 
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def spend(self) -> None:
-        self.used += 1
-        if self.used > self.limit:
-            raise BudgetExceeded("search node budget exhausted")
-
-
 def _search(seq: Sequent, depth: int, ancestors: tuple[Ancestor, ...],
-            cfg: SearchConfig, budget: _Budget, tokens: itertools.count) -> Iterator[Plan]:
-    token = next(tokens)
+            cfg: SearchConfig, spent: Iterator[int]) -> Iterator[Plan]:
     for move in moves(seq, ancestors, cfg, depth):
-        budget.spend()
+        if next(spent) > cfg.max_nodes:
+            raise BudgetExceeded("search node budget exhausted")
         if isinstance(move, Plan):
-            move.token = token
             yield move
             continue
-        mats = [edge_matrix(move, i) for i in range(len(move.premises))]
 
         def expand(i: int, acc: tuple[Plan, ...]) -> Iterator[Plan]:
             if i == len(move.premises):
-                yield Plan(move, acc, token=token)
+                yield Plan(move, acc, node=True)
                 return
-            next_anc = tuple(Ancestor(a.sequent, a.token, a.matrix.compose(mats[i]))
-                             for a in ancestors)
-            next_anc += (Ancestor(seq, token, mats[i]),)
-            for sub in _search(move.premises[i], depth - 1, next_anc, cfg, budget, tokens):
+            mat = edge_matrix(move, i)
+            below = tuple(Ancestor(a.sequent, a.matrix.compose(mat)) for a in ancestors)
+            below += (Ancestor(seq, mat),)
+            for sub in _search(move.premises[i], depth - 1, below, cfg, spent):
                 closed = False
                 for plan in expand(i + 1, acc + (sub,)):
                     closed = True
@@ -347,11 +336,11 @@ def _search(seq: Sequent, depth: int, ancestors: tuple[Ancestor, ...],
 def prove(goal: Sequent, cfg: SearchConfig) -> SearchOutcome:
     """Search for a checker-accepted proof of goal, interleaved with bounded
     counter-model search; deterministic for a fixed configuration."""
-    budget = _Budget(cfg.max_nodes)
+    spent = itertools.count(1)
     exhausted_depth = True
     for depth in range(1, cfg.max_depth + 1):
         try:
-            for plan in _search(goal, depth, (), cfg, budget, itertools.count()):
+            for plan in _search(goal, depth, (), cfg, spent):
                 g = assemble(plan)
                 errs = validate_structure(g, cfg.theory, cfg.sig)
                 if errs:

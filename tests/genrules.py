@@ -1,12 +1,15 @@
 """Seeded random generator of kernel-valid rule instances over small
 signatures (at most two predicates and one function), used by the descent
-and local-soundness harnesses."""
+and local-soundness harnesses, and of ill-formed ones: a valid instance
+perturbed in one place, for the kernel to refuse."""
 
+import dataclasses
 import random
 
-from rtcproof.kernel import RuleId, make_subst, rule_instance
+from rtcproof.kernel import SCHEMA, RuleId, make_subst, rule_instance
 from rtcproof.syntax import (And, App, Eq, Exists, Forall, Implies, Not, Or,
-                             Pred, Rtc, Sequent, Signature, Var, substitute)
+                             Pred, Rtc, Sequent, Signature, Var, parts, rebuild,
+                             subformulas, substitute)
 
 SIG = Signature.make(functions={"g": 1}, predicates={"e": 2, "q": 1})
 
@@ -156,4 +159,145 @@ def generate_instances(seed, count):
         inst = generate_instance(rng)
         if inst is not None:
             out.append(inst)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Ill-formed instances: one perturbation of a kernel-valid one
+
+
+def _leaf(rng):
+    """A kernel-valid Axiom, EqR or RtcRefl instance."""
+    rule = rng.choice((RuleId.Axiom, RuleId.EqR, RuleId.RtcRefl))
+    if rule is RuleId.Axiom:
+        f = _formula(rng, 1)
+        return rule_instance(rule, Sequent((f,), (f,)))
+    if rule is RuleId.EqR:
+        t = _term(rng)
+        return rule_instance(rule, Sequent((), (Eq(t, t),)))
+    r = _rtc(rng)
+    prin = Rtc(r.x, r.y, r.body, r.src, r.src)
+    concl = Sequent(_context(rng, rng.randrange(2)), _context(rng, rng.randrange(2)) + (prin,))
+    return rule_instance(rule, concl, sig=SIG, principal=prin)
+
+
+def _sides_differ(rng, inst):
+    """A leaf whose two sides, or whose rtc endpoints, differ."""
+    if inst.rule is RuleId.Axiom:
+        f, g = inst.conclusion.antecedent[0], _formula(rng, 1)
+        return None if g == f else dataclasses.replace(inst, conclusion=Sequent((f,), (g,)))
+    if inst.rule is RuleId.EqR:
+        t, u = _term(rng), _term(rng)
+        return None if t == u else dataclasses.replace(inst, conclusion=Sequent((), (Eq(t, u),)))
+    if inst.rule is RuleId.RtcRefl:
+        old, u = inst.params.principal, _term(rng)
+        if u == old.src:
+            return None
+        new = Rtc(old.x, old.y, old.body, old.src, u)
+        concl = inst.conclusion.without_succ(old).with_succ(new)
+        return dataclasses.replace(inst, conclusion=concl,
+                                   params=dataclasses.replace(inst.params, principal=new))
+    return None
+
+
+def _principal_moved(rng, inst):
+    """The conclusion with its principal on the wrong side, or dropped."""
+    side, f = SCHEMA[inst.rule].side, inst.params.principal
+    if side is None:
+        return None
+    c = inst.conclusion
+    rest = c.without_ant(f) if side == "antecedent" else c.without_succ(f)
+    if rng.random() < 0.5:
+        return dataclasses.replace(inst, conclusion=rest)
+    moved = rest.with_succ(f) if side == "antecedent" else rest.with_ant(f)
+    return dataclasses.replace(inst, conclusion=moved)
+
+
+def _premise_changed(rng, inst):
+    """One premise with a formula dropped or added."""
+    if not inst.premises:
+        return None
+    i = rng.randrange(len(inst.premises))
+    prem = inst.premises[i]
+    formulas = [(side, f) for side in ("antecedent", "succedent") for f in getattr(prem, side)]
+    if formulas and rng.random() < 0.5:
+        side, f = rng.choice(formulas)
+        prem = prem.without_ant(f) if side == "antecedent" else prem.without_succ(f)
+    else:
+        g = _formula(rng, 1)
+        prem = prem.with_ant(g) if rng.random() < 0.5 else prem.with_succ(g)
+    premises = inst.premises[:i] + (prem,) + inst.premises[i + 1:]
+    return dataclasses.replace(inst, premises=premises)
+
+
+def _eigenvar_taken(rng, inst):
+    """An eigenvariable made free in the context of the conclusion and of
+    every premise."""
+    names = [v for v in (inst.params.eigenvar, inst.params.eigenvar2) if v is not None]
+    if not names:
+        return None
+    taken = Pred("q", (Var(rng.choice(names)),))
+    return dataclasses.replace(inst, conclusion=inst.conclusion.with_ant(taken),
+                               premises=tuple(p.with_ant(taken) for p in inst.premises))
+
+
+def _swapped(f, k):
+    """f with the two terms of its k-th two-term atom swapped: an equation,
+    an `e` atom or an rtc formula's endpoints."""
+    def go(g):
+        nonlocal k
+        binders, subs, terms = parts(g)
+        if len(terms) == 2:
+            k -= 1
+            if k == -1:
+                return rebuild(g, binders, subs, terms[::-1])
+        return rebuild(g, binders, tuple(go(h) for h in subs), terms)
+
+    return go(f)
+
+
+def _args_swapped(rng, inst):
+    """One two-term atom of the conclusion or of one premise, its terms
+    swapped."""
+    i = rng.randrange(1 + len(inst.premises))
+    seq = (inst.conclusion,) + inst.premises
+    side = rng.choice(("antecedent", "succedent"))
+    fs = getattr(seq[i], side)
+    if not fs:
+        return None
+    f = rng.choice(fs)
+    n = sum(len(parts(g)[2]) == 2 for g in subformulas(f))
+    if n == 0:
+        return None
+    g = _swapped(f, rng.randrange(n))
+    if g == f:
+        return None
+    new = seq[i].without_ant(f).with_ant(g) if side == "antecedent" \
+        else seq[i].without_succ(f).with_succ(g)
+    if i == 0:
+        return dataclasses.replace(inst, conclusion=new)
+    return dataclasses.replace(inst, premises=seq[1:i] + (new,) + seq[i + 1:])
+
+
+PERTURBATIONS = {
+    "principal": _principal_moved,
+    "premise": _premise_changed,
+    "eigenvariable": _eigenvar_taken,
+    "sides": _sides_differ,
+    "swap": _args_swapped,
+}
+
+
+def perturbed_instances(seed, count):
+    """Exactly `count` (perturbation, instance) pairs, deterministic per seed:
+    each instance is a kernel-valid one (a leaf one time in four) changed in
+    one place by the named perturbation."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        inst = _leaf(rng) if rng.random() < 0.25 else generate_instance(rng)
+        name = rng.choice(list(PERTURBATIONS))
+        bad = None if inst is None else PERTURBATIONS[name](rng, inst)
+        if bad is not None and bad != inst:
+            out.append((name, bad))
     return out

@@ -590,18 +590,17 @@ def expand_fair(node: Sequent, cfg: SearchConfig) -> list[tuple[RuleId, object]]
 
 
 def search_unpruned(seq: Sequent, depth: int, ancestors: tuple[Ancestor, ...],
-                    cfg: SearchConfig, tokens: Iterator[int]) -> Iterator[Plan]:
+                    cfg: SearchConfig) -> Iterator[Plan]:
     """The prover's search without its cut-offs: every move is built at a
     leaf and the open ones are skipped there, every ancestor is tried for a
     bud and kept when the composed cycle matrix progresses, and each
     solution of a premise is combined with the search of the next premise,
     however often that search fails."""
-    token = next(tokens)
     every = list(moves(seq, (), cfg, 1))
     buds = []
-    for anc in ancestors:
+    for at, anc in enumerate(ancestors):
         for theta in match_sequent(anc.sequent, seq):
-            bud = Plan(None, (), anc.token, anc.sequent)
+            bud = Plan(None, (), at, anc.sequent)
             inst = anc.sequent.substituted(theta)
             if theta or inst != anc.sequent:
                 bud = Plan(rule_instance(RuleId.Subst, inst, cfg.theory, cfg.sig,
@@ -613,7 +612,6 @@ def search_unpruned(seq: Sequent, depth: int, ancestors: tuple[Ancestor, ...],
     closed = [m for m in every if isinstance(m, Plan)]
     for move in closed + buds + every[len(closed):]:
         if isinstance(move, Plan):
-            move.token = token
             yield move
             continue
         if depth == 0:
@@ -622,11 +620,11 @@ def search_unpruned(seq: Sequent, depth: int, ancestors: tuple[Ancestor, ...],
 
         def expand(i: int, acc: tuple[Plan, ...]) -> Iterator[Plan]:
             if i == len(move.premises):
-                yield Plan(move, acc, token=token)
+                yield Plan(move, acc, node=True)
                 return
-            below = tuple(Ancestor(a.sequent, a.token, a.matrix.compose(mats[i]))
-                          for a in ancestors) + (Ancestor(seq, token, mats[i]),)
-            for sub in search_unpruned(move.premises[i], depth - 1, below, cfg, tokens):
+            below = tuple(Ancestor(a.sequent, a.matrix.compose(mats[i]))
+                          for a in ancestors) + (Ancestor(seq, mats[i]),)
+            for sub in search_unpruned(move.premises[i], depth - 1, below, cfg):
                 yield from expand(i + 1, acc + (sub,))
 
         yield from expand(0, ())

@@ -1,7 +1,7 @@
 import pytest
 
 from rtcproof import kernel
-from rtcproof.errors import (FreshnessViolation, NotApplicable, SchemaMismatch,
+from rtcproof.errors import (FreshnessViolation, NotApplicable, RtcError, SchemaMismatch,
                              UnknownTheoryAxiom)
 from rtcproof.kernel import (SCHEMA, RuleId, RuleInstance, RuleParams,
                              check_rule_instance, expected_premises, make_subst,
@@ -439,32 +439,57 @@ class TestMatching:
         assert match_formula(pat, tgt, {}) is None
 
 
+def count_sound_models(inst, size=2):
+    """The number of models up to `size` over inst's symbols where every
+    premise is valid, after asserting that the conclusion is valid in each
+    of them."""
+    from test_semantics import _models_for, _valuations
+    from rtcproof.semantics import Evaluator, sequent_holds
+
+    def valid_in(ev, seq, n):
+        fvs = sorted(seq.free_vars())
+        return all(sequent_holds(ev, v, seq) for v in _valuations(fvs, n))
+
+    checked = 0
+    for m in _models_for(inst, size):
+        ev = Evaluator(m)
+        n = m.domain_size
+        if all(valid_in(ev, p, n) for p in inst.premises):
+            assert valid_in(ev, inst.conclusion, n), (
+                f"{inst.rule.value}: premises valid but conclusion "
+                f"fails in {m.dump()}")
+            checked += 1
+    return checked
+
+
 class TestLocalSoundness:
     def test_premise_validity_implies_conclusion_validity(self):
         # bridge to the semantics oracle over generated instances: in every
         # small model where each premise holds under all valuations, the
         # conclusion holds under all valuations too
-        import os
-        import sys
-
-        sys.path.insert(0, os.path.dirname(__file__))
         from genrules import generate_instances
-        from test_semantics import _models_for, _valuations
-        from rtcproof.semantics import Evaluator, sequent_holds
 
-        def valid_in(ev, seq, n):
-            fvs = sorted(seq.free_vars())
-            return all(sequent_holds(ev, v, seq) for v in _valuations(fvs, n))
-
-        insts = generate_instances(99, 60)
-        checked = 0
-        for inst in insts:
-            for m in _models_for(inst, 2):
-                ev = Evaluator(m)
-                n = m.domain_size
-                if all(valid_in(ev, p, n) for p in inst.premises):
-                    assert valid_in(ev, inst.conclusion, n), (
-                        f"{inst.rule.value}: premises valid but conclusion "
-                        f"fails in {m.dump()}")
-                    checked += 1
+        checked = sum(count_sound_models(inst) for inst in generate_instances(99, 60))
         assert checked > 100
+
+    def test_perturbed_instances_are_refused_or_sound(self):
+        # valid instances changed in one place (genrules.PERTURBATIONS): a
+        # principal moved or dropped, a premise formula dropped or added, an
+        # eigenvariable made free in the context, a leaf's sides made to
+        # differ, or a two-term atom's terms swapped.  The kernel refuses
+        # 992 of the 1,000; the eight it accepts swap terms in the context
+        # of RtcRefl, so they are valid instances still, and must be sound
+        from genrules import PERTURBATIONS, SIG as GEN_SIG, perturbed_instances
+
+        refused, accepted, checked = {}, 0, 0
+        for name, inst in perturbed_instances(5, 1000):
+            try:
+                check_rule_instance(inst, sig=GEN_SIG)
+            except RtcError:
+                refused[name] = refused.get(name, 0) + 1
+                continue
+            checked += count_sound_models(inst)
+            accepted += 1
+        assert refused.keys() == PERTURBATIONS.keys()
+        assert accepted <= 10
+        assert checked > 0

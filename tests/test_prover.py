@@ -4,13 +4,13 @@ import pytest
 
 from rtcproof import prover
 from rtcproof.errors import BudgetExceeded
-from rtcproof.kernel import RuleId
+from rtcproof.kernel import RuleId, make_subst, rule_instance
 from rtcproof.prooffile import ProofFile, load_theory, parse_proof, serialize_proof
-from rtcproof.proofgraph import ProofGraph, ProofNode, validate_structure
-from rtcproof.prover import (Proved, Refuted, SearchConfig, Unknown, _Budget,
-                             _search, _term_pool, assemble, prove)
+from rtcproof.proofgraph import ProofGraph, ProofNode, validate_structure, weakenings
+from rtcproof.prover import (Plan, Proved, Refuted, SearchConfig, Unknown, _search,
+                             _term_pool, _weaken_plan, assemble, prove)
 from rtcproof.semantics import find_counter_model
-from rtcproof.syntax import Signature, Var, parse_sequent
+from rtcproof.syntax import Sequent, Signature, Var, parse_sequent
 from rtcproof.tracecheck import (check_global_trace_condition,
                                  enumerate_basic_cycles, is_non_overlapping)
 
@@ -261,7 +261,35 @@ def test_search_matches_unpruned(theory, goal):
         return serialize_proof(ProofFile(assemble(plan), sig, theory))
 
     for depth in (1, 2, 3):
-        got = [text(p) for p in _search(seq, depth, (), cfg, _Budget(cfg.max_nodes),
-                                         itertools.count())]
-        want = [text(p) for p in search_unpruned(seq, depth, (), cfg, itertools.count())]
+        got = [text(p) for p in _search(seq, depth, (), cfg, itertools.count(1))]
+        want = [text(p) for p in search_unpruned(seq, depth, (), cfg)]
         assert got == want, depth
+
+
+def test_bud_companion_is_the_search_node_at_its_depth():
+    """A bud names its companion by depth: the search nodes of its path are
+    counted, and the weakening and Subst steps between them are not.  Search
+    nodes 1 and 2 have the same sequent, and a bud below both names each."""
+    t, s1, s0 = S("q(x) |- p(x, x)"), S("q(a) |- p(a, a)"), S("q(b), q(a) |- p(a, a)")
+
+    def cut(seq, f, right, left=None):
+        """A search node cutting on f, which seq already has on the left:
+        its right premise is seq again, and its left one an axiom on f
+        unless `left` is given."""
+        inst = rule_instance(RuleId.Cut, seq, cut_formula=f)
+        if left is None:
+            left = Plan(rule_instance(RuleId.Axiom, Sequent((f,), (f,))))
+        return Plan(inst, (_weaken_plan(inst.premises[0], left), right), node=True)
+
+    q_x, q_a = t.antecedent[0], s1.antecedent[0]
+    node2 = cut(t, q_x, Plan(None, (), 1, t), left=Plan(None, (), 2, t))
+    node1 = cut(t, q_x, node2)
+    subst = Plan(rule_instance(RuleId.Subst, s1, substitution=make_subst({"x": Var("a")}),
+                               source=t), (node1,))
+    (wl,) = weakenings(s1, s0)
+    node0 = cut(s0, q_a, Plan(wl, (subst,)))
+    g = assemble(node0)
+    assert validate_structure(g) == []
+    cuts = [nid for nid, n in sorted(g.nodes.items()) if n.rule is RuleId.Cut]
+    buds = {nid: n.companion for nid, n in g.nodes.items() if n.is_bud}
+    assert cuts == [0, 6, 9] and buds == {11: 9, 12: 6}

@@ -373,6 +373,21 @@ class TestRestrictedClosure:
         assert (rep.verdict, rep.witness_prefix, rep.witness_period) == \
             ("rejected", (), (0, 1, 0))
 
+    def test_evicted_path_is_not_extended(self):
+        # from companion 0, the path 0 -> 0 -> 1 composes to the empty
+        # matrix, which evicts the matrices of both one-edge paths 0 -> 1
+        # while they are queued; the first bad loop is then 0 -> 0 -> 1 -> 0,
+        # not (0, 1, 0) by an evicted path; this graph is trial 2803 of
+        # test_random_edge_lists
+        m = EdgeMatrix
+        edges = [FlowEdge(0, 0, m({("a", "a"): True})),
+                 FlowEdge(0, 1, m({("b", "a"): False})),
+                 FlowEdge(1, 0, m({("a", "a"): True, ("b", "a"): False, ("b", "b"): False})),
+                 FlowEdge(0, 1, m({("a", "a"): True})),
+                 FlowEdge(0, 1, m({("a", "a"): True, ("a", "b"): False}))]
+        rep = trace_closure(edges, [0, 1])
+        assert (rep.verdict, rep.witness_period) == ("rejected", (0, 0, 1, 0))
+
 
 def random_flow_graph(rng: random.Random) -> tuple[list[FlowEdge], list[int]]:
     """Up to 6 nodes, 3 trace keys and 10 edges with random matrices, every
