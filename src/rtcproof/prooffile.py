@@ -155,8 +155,6 @@ def _parse_sig_line(p: _Parser) -> Signature:
         p.next()
     else:
         p.separated(section, ";")
-    if not p.at_eof():
-        raise ParseError(p.peek()[2], "trailing input after signature")
     return Signature.make(consts, arities["fn"], arities["pred"],
                           pair.get("pair"), pair.get("pairconst"))
 
@@ -193,7 +191,7 @@ def parse_theory(text: str) -> TheoryFile:
                     raise ParseError(0, "expected a theory name")
                 name = rest
             elif keyword == "sig":
-                sig = _parse_sig_line(_Parser(rest, Signature.make()))
+                sig = _Parser(rest, Signature.make()).whole(_parse_sig_line, "signature")
             else:
                 lines.append((lineno, at, rest))
     if name is None:
@@ -382,18 +380,12 @@ class _Fields:
         self.formulas: dict[str, Formula] = {}
         self.sides: dict[str, tuple[Formula, ...]] = {}
 
-    def _whole(self, text: str, item):
-        p = _Parser(text, self.sig)
-        out = item(p)
-        if not p.at_eof():
-            raise ValueError(text)
-        return out
-
     def formula(self, text: str) -> Formula:
         text = text.strip()
         f = self.formulas.get(text)
         if f is None:
-            f = self.formulas[text] = self._whole(text, _Parser.formula)
+            f = self.formulas[text] = _Parser(text, self.sig).whole(
+                _Parser.formula, "formula")
         return f
 
     def side(self, text: str) -> tuple[Formula, ...]:
@@ -418,7 +410,7 @@ class _Fields:
         return Sequent(self.side(left), self.side(right))
 
     def subst(self, text: str) -> tuple[tuple[str, Term], ...]:
-        return self._whole(text, _parse_subst) if text.strip() else ()
+        return _Parser(text, self.sig).whole(_parse_subst, "subst") if text.strip() else ()
 
     def params(self, text: str) -> RuleParams:
         params: dict[str, object] = {}
@@ -433,7 +425,7 @@ class _Fields:
                 raise ValueError(value)
             inner = value[len(opening):len(value) - len(closing)]
             read = getattr(self, kind, None)      # formula, sequent and subst
-            params[field] = read(inner) if read else self._whole(inner, parse)
+            params[field] = read(inner) if read else _Parser(inner, self.sig).whole(parse, kind)
         return RuleParams(**params)
 
     def node(self, body: str) -> ProofNode | None:
@@ -466,7 +458,7 @@ def parse_proof(text: str) -> ProofFile:
                     raise ParseError(0, f"unsupported proof format version {rest!r}")
                 version = True
             elif keyword == "sig":
-                sig = _parse_sig_line(_Parser(rest, Signature.make()))
+                sig = _Parser(rest, Signature.make()).whole(_parse_sig_line, "signature")
             elif keyword == "theory":
                 if not rest:
                     raise ParseError(0, "expected a theory name or '-'")
@@ -493,10 +485,7 @@ def parse_proof(text: str) -> ProofFile:
         node = fields.node(body)
         if node is None:
             with _on_line(lineno, at):
-                p = _Parser(body, sig)
-                node = _parse_node(p)
-                if not p.at_eof():
-                    raise ParseError(p.peek()[2], "trailing input after node")
+                node = _Parser(body, sig).whole(_parse_node, "node")
         nodes[nid] = node
     for nid, node in nodes.items():
         for c in node.children:

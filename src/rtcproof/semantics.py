@@ -38,8 +38,8 @@ the pairing rules are closed under permutations of the domain, so the
 first counter-model's tables are the least of their isomorphic copies,
 and no swap makes them smaller.  Its budget counts search nodes, one per
 cell assignment tried and not cut by a swap, plus one root per domain
-size, and bounds the checks a size builds before its root: the goal's
-tuples and the theory's instances.
+size, and bounds what a size builds before its root: the goal's tuples,
+the theory's instances and the table cells.
 
 Counterexample dump format:
 
@@ -326,9 +326,10 @@ def find_counter_model(s: Sequent, max_size: int, theory: tuple[Sequent, ...],
     Raises BudgetExceeded when the search would visit more than `budget`
     nodes, or reaches a size where the tuples of constant and variable
     values and the theory instances (one per tuple of constant values and
-    values of an axiom's own variables) together outnumber `budget`.  A
-    node is a root per size or a cell assignment tried; an assignment that
-    a swap of two domain elements cuts is not a node.
+    values of an axiom's own variables) together outnumber `budget`, or
+    where the table cells of the used symbols do.  A node is a root per
+    size or a cell assignment tried; an assignment that a swap of two
+    domain elements cuts is not a node.
     """
     if sig.pair_symbol is not None:
         if sig.pair_constant is not None:
@@ -451,6 +452,13 @@ class _CellSearch:
             raise BudgetExceeded(f"counter-model search budget {self.budget} exhausted:"
                                  f" {count} tuples of constants and variables and"
                                  f" {instances} theory instances at size {n}")
+        # a leaf sets every cell, one node each: past the budget no
+        # counter-model is in reach, and building the cells could fill memory
+        fns, preds = self.sig.functions, self.sig.predicates
+        cells = sum(n ** ar for _, ar in fns + preds)
+        if cells > self.budget:
+            raise BudgetExceeded(f"counter-model search budget {self.budget} exhausted:"
+                                 f" {cells} table cells at size {n}")
         entries: dict = {}
         # (goal check, theory checks, constant values, valuation values) per
         # tuple, in product order
@@ -464,7 +472,6 @@ class _CellSearch:
                                     entries), th, cvals, vals)
                        for vals in itertools.product(range(n), repeat=len(self.goal_fvs))]
 
-        fns, preds = self.sig.functions, self.sig.predicates
         tables: dict[str, dict[tuple[int, ...], int]] = {f: {} for f, _ in fns}
         true: dict[str, set[tuple[int, ...]]] = {p: set() for p, _ in preds}
         unknown = {p: set(itertools.product(range(n), repeat=ar)) for p, ar in preds}

@@ -32,9 +32,8 @@ rewrites terms into terms (the prover's rewrite templates, the model
 search's constants), `symbols` lists the symbols that formulas use, and
 `positional_key` keys a formula with given variables read by position.
 One precedence table, `_PRECEDENCE`, serves the parser and the printer: the
-parser climbs it to group binary connectives, and the printer reads it to
-parenthesise, in both notations, plain text (`TEXT`) and LaTeX
-(`render.TEX`).
+parser reads it to group binary connectives, and the printer to parenthesise,
+in both notations, plain text (`TEXT`) and LaTeX (`render.TEX`).
 
 The parser checks each symbol against the signature as it reads it; the
 tests keep an independent check, `validate_formula` in `tests/oracles.py`.
@@ -72,8 +71,10 @@ digit, so arithmetic constants like `0` parse as plain identifiers.
 Nesting is capped at `MAX_DEPTH` levels, where a level is a connective,
 quantifier, rtc, parenthesis, function application or pair around a
 formula or term: `~~q(s(a))` nests 3 levels deep.  Deeper text raises a
-`ParseError`, since the parser and the walks over formulas recurse up to
-three times per level and would otherwise hit the recursion limit.
+`ParseError`, since the walks over formulas recurse up to three times per
+level and would otherwise hit the recursion limit.  Every recursive call of
+the parser opens a level through `_open`, so the cap bounds its recursion
+too; a chain of binary connectives, which opens none, waits on a stack.
 """
 
 from __future__ import annotations
@@ -655,7 +656,8 @@ def _formula_end(text: str, pos: int) -> int:
 
 
 class _Parser:
-    """A recursive-descent parser over the tokens of one text."""
+    """A parser over the tokens of one text.  Every recursive call opens a
+    nesting level through `_open`, so `MAX_DEPTH` bounds its recursion."""
 
     def __init__(self, text: str, sig: Signature, infer: bool = False):
         self.toks = tokenize(text)
@@ -772,7 +774,7 @@ class _Parser:
     # -- nesting: `depth` counts the levels open on the way down, bounding
     # the recursion, and `reach` is its maximum since last reset; `height`,
     # that of the formula just built, is counted on the way up, since a
-    # left-associative chain q /\ q /\ ... nests deeper without recursion
+    # chain of binary connectives nests deeper without recursion
 
     def _open(self, pos: int) -> None:
         self.depth += 1
@@ -786,23 +788,28 @@ class _Parser:
         if self.height > MAX_DEPTH:
             raise ParseError(self.peek()[2], _TOO_DEEP)
 
-    # -- formulas (precedence climbing over `_PRECEDENCE`)
+    # -- formulas (operator precedence over `_PRECEDENCE`, on one stack)
 
-    def formula(self, level: int = 1) -> Formula:
-        """The longest formula from here whose outermost binary connectives
-        all have at least `level` in `_PRECEDENCE`."""
+    def formula(self) -> Formula:
+        """The longest formula from here.  Its binary connectives wait on one
+        stack between their operands, each operand with its height; the top
+        connective is joined to its operands once the next one binds looser
+        than the level of its right operand, so a chain recurses no deeper."""
         f = self._unary()
+        if self.peek()[1] not in _BINARY:
+            return f
+        stack: list = [(f, self.height)]    # operand, connective, operand, ...
         while True:
             cls = _BINARY.get(self.peek()[1])
+            own = _PRECEDENCE[cls][0] if cls else 0
+            while len(stack) > 1 and own < _PRECEDENCE[stack[-2]][1][1]:
+                (right, h), op, (left, g) = stack.pop(), stack.pop(), stack.pop()
+                self._rise(max(g, h))
+                stack.append((op(left, right), self.height))
             if cls is None:
-                return f
-            own, (_, right) = _PRECEDENCE[cls]
-            if own < level:
-                return f
-            height = self.height
+                return stack[0][0]
             self.next()
-            f = cls(f, self.formula(right))
-            self._rise(max(height, self.height))
+            stack += cls, (self._unary(), self.height)
 
     def _unary(self) -> Formula:
         """An atom, or a formula opened by `~`, a quantifier or a
@@ -896,38 +903,35 @@ class _Parser:
         suc = self.separated(_Parser.formula, ",", ("", ";", ")"))
         return Sequent(tuple(ant), tuple(suc))
 
-    def at_eof(self) -> bool:
-        return self.peek()[0] == "eof"
-
-
-def _parse_whole(text: str, sig: Signature, item: str, infer: bool = False):
-    """All of text read as one `item` ('formula' or 'sequent'), with every
-    symbol checked against sig and, when infer is set, the symbols it
-    declared; returns the item and the signature it was checked against."""
-    p = _Parser(text, sig, infer)
-    out = getattr(p, item)()
-    if not p.at_eof():
-        raise ParseError(p.peek()[2], f"trailing input after {item}")
-    return out, p.inferred_signature()
+    def whole(self, item, what: str):
+        """What `item(self)` reads, which must be all of the text: the one
+        check for trailing input, `what` naming the item in its error."""
+        out = item(self)
+        if self.peek()[0] != "eof":
+            raise ParseError(self.peek()[2], f"trailing input after {what}")
+        return out
 
 
 def parse_formula(text: str, sig: Signature) -> Formula:
-    return _parse_whole(text, sig, "formula")[0]
+    return _Parser(text, sig).whole(_Parser.formula, "formula")
 
 
 def parse_sequent(text: str, sig: Signature) -> Sequent:
-    return _parse_whole(text, sig, "sequent")[0]
+    return _Parser(text, sig).whole(_Parser.sequent, "sequent")
 
 
 def parse_sequent_infer(text: str, base: Signature) -> tuple[Sequent, Signature]:
     """Parse a sequent, inferring undeclared applied symbols: an application
     followed by '=' is a function, otherwise a predicate; bare undeclared
-    identifiers are variables."""
-    return _parse_whole(text, base, "sequent", infer=True)
+    identifiers are variables.  Returns it with the signature it was checked
+    against: `base` and the symbols it declared."""
+    p = _Parser(text, base, infer=True)
+    return p.whole(_Parser.sequent, "sequent"), p.inferred_signature()
 
 
 def parse_formula_infer(text: str, base: Signature) -> tuple[Formula, Signature]:
-    return _parse_whole(text, base, "formula", infer=True)
+    p = _Parser(text, base, infer=True)
+    return p.whole(_Parser.formula, "formula"), p.inferred_signature()
 
 
 # ---------------------------------------------------------------------------

@@ -84,9 +84,6 @@ class EdgeMatrix:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, EdgeMatrix) and self.d == other.d
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self.d.items()))
-
     def __repr__(self) -> str:
         return f"EdgeMatrix({sorted(self.d.items())!r})"
 

@@ -1,8 +1,14 @@
 import os
+import signal
 
 import pytest
 
 from rtcproof.prooffile import load_theory, parse_proof
+
+# a test that runs this long fails, so that a fault which makes some search
+# run away fails the suite instead of hanging it; the slowest test takes
+# about 3 s
+TIME_LIMIT = 120
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -35,3 +41,19 @@ def load_corpus(name: str):
 @pytest.fixture(scope="session")
 def corpus_graphs():
     return {name: load_corpus(name) for name in ACCEPTED + REJECTED}
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail the test past TIME_LIMIT seconds, where the platform has SIGALRM."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"test ran past its time limit of {TIME_LIMIT} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TIME_LIMIT)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

@@ -139,18 +139,19 @@ def idempotent_power_by_table(m: EdgeMatrix) -> EdgeMatrix:
     the power whose exponent is the first multiple of the period from
     there."""
     powers = [m]
-    seen = {m: 0}
+    seen = {frozenset(m.d.items()): 0}     # a power's pairs -> its index
     cur = m
     while True:
         cur = cur.compose(m)
-        if cur in seen:
-            first = seen[cur]
+        key = frozenset(cur.d.items())
+        if key in seen:
+            first = seen[key]
             period = len(powers) - first
             exp = first
             while (exp + 1) % period != 0:  # exponents are index+1
                 exp += 1
             return powers[exp]
-        seen[cur] = len(powers)
+        seen[key] = len(powers)
         powers.append(cur)
 
 

@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 
@@ -994,6 +995,50 @@ def test_nesting_past_cap_is_usage_error(case, command, capsys):
     assert main([command, TOO_DEEP[case] + " |-"]) == 3
     assert capsys.readouterr() == (
         "", f"error: at offset {MAX_DEPTH}: formula nested more than {MAX_DEPTH} levels deep\n")
+
+
+def _chain(connectives: list[str], links: int) -> str:
+    """`links` copies of q(a) joined by the connectives in turn."""
+    return "q(a)" + "".join(f" {connectives[i % len(connectives)]} q(a)"
+                            for i in range(links - 1))
+
+
+# chains of each binary connective and of all three in turn, past the cap
+# however long: the parser keeps a chain on a stack, not on the interpreter's
+CHAINS = {f"{name}{links}": _chain(connectives, links)
+          for name, connectives in [("conjunctions", ["/\\"]), ("disjunctions", ["\\/"]),
+                                    ("implications", ["->"]), ("mixed", ["/\\", "\\/", "->"])]
+          for links in (1000, 10_000)}
+
+
+@pytest.mark.parametrize("command", ["refute", "prove", "check", "translate-beta"])
+@pytest.mark.parametrize("case", sorted(CHAINS))
+def test_long_chain_past_cap_is_usage_error(case, command, tmp_path, capsys):
+    f = CHAINS[case]
+    if command == "check":
+        path = tmp_path / "chain.tcp"
+        path.write_text("tcp 1\nsig pred q/1\ntheory -\nroot 0\n"
+                        f"node 0 : {f} |- {f} ; rule=Axiom ; params={{}} ; premises=[]\n",
+                        encoding="utf-8")
+        argv = ["check", str(path)]
+    else:
+        argv = [command, f if command == "translate-beta" else f + " |-"]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    where = "line 5, offset" if command == "check" else "at offset"
+    assert out == "" and "internal error" not in err
+    assert re.fullmatch(rf"error: {where} \d+: formula nested more than {MAX_DEPTH}"
+                        r" levels deep\n", err), err[:200]
+
+
+@pytest.mark.parametrize("connective, offset", [("->", 1997), ("/\\", 1613), ("\\/", 1613)])
+def test_chain_past_cap_offset(connective, offset, capsys):
+    # 250 links: a chain of `->` nests past the cap once its last link is
+    # read, at the `|-`; a chain of `/\` or `\/` once its 202nd
+    # connective is, at offset 5 + 8 * 201
+    assert main(["refute", _chain([connective], 250) + " |-"]) == 3
+    assert capsys.readouterr() == (
+        "", f"error: at offset {offset}: formula nested more than {MAX_DEPTH} levels deep\n")
 
 
 @pytest.mark.parametrize("shape", sorted(NESTED))

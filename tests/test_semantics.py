@@ -236,6 +236,31 @@ class TestCounterModel:
             find_counter_model(goal, 4, (axiom,), q_sig, budget=2000)
         assert time.perf_counter() - start < 1
 
+    def test_budget_counts_table_cells(self):
+        # a leaf sets every cell, one node each: 2^7 cells of a 7-ary
+        # predicate are past a budget of 100 before any is built, while
+        # the goal has only two tuples
+        p_sig = Signature.make(predicates={"p": 7})
+        atom = "p(" + ", ".join(["a"] * 7) + ")"
+        goal = parse_sequent(f"|- {atom} \\/ ~{atom}", p_sig)
+        assert find_counter_model(goal, 1, (), p_sig, budget=100) is None
+        with pytest.raises(BudgetExceeded, match="^counter-model search budget 100"
+                                                 " exhausted: 128 table cells at size 2$"):
+            find_counter_model(goal, 2, (), p_sig, budget=100)
+        # function cells count too: f/2, g/2 and q/1 have 10 cells at size 2
+        # and 21 at size 3; this goal dies at the root, one node per size
+        f_sig = Signature.make(functions={"f": 2, "g": 2}, predicates={"q": 1})
+        goal = parse_sequent("bot, q(f(a, g(a, a))) |-", f_sig)
+        assert find_counter_model(goal, 2, (), f_sig, budget=20) is None
+        with pytest.raises(BudgetExceeded, match=" 21 table cells at size 3$"):
+            find_counter_model(goal, 3, (), f_sig, budget=20)
+        # with fewer cells than the budget, the search nodes still count:
+        # size 2 has 4 cells of E, and spends more than 5 nodes
+        e_sig = Signature.make(predicates={"E": 2})
+        valid = parse_sequent("E(a, a) |- E(a, a)", e_sig)
+        with pytest.raises(BudgetExceeded, match="^counter-model search budget 5 exhausted$"):
+            find_counter_model(valid, 2, (), e_sig, budget=5)
+
     def test_agrees_with_brute_force(self):
         # the goals above, and their theory, against the enumerator
         e_sig = Signature.make(predicates={"E": 2})

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import itertools
 import random
 from collections import deque
 
@@ -117,6 +119,41 @@ class TestEdgeMatrix:
             m = EdgeMatrix({(a, b): rng.random() < 0.3
                             for a in keys for b in keys if rng.random() < 0.35})
             assert m.idempotent_power() == idempotent_power_by_table(m), m
+
+
+# a fault that stops the antichain from pruning makes a closure that should
+# take a few compositions run for minutes; with this limit it fails at once.
+# The most any graph checked under it takes is 152, trial 2087 of
+# test_random_edge_lists; accepted thread_proof(12) takes 80.
+COMPOSE_LIMIT = 1000
+
+
+@contextlib.contextmanager
+def compose_limit():
+    """Within the block, the call of `EdgeMatrix.compose` past COMPOSE_LIMIT
+    fails the test."""
+    compose, calls = EdgeMatrix.compose, itertools.count(1)
+
+    def counted(self, other):
+        if next(calls) > COMPOSE_LIMIT:
+            pytest.fail(f"more than {COMPOSE_LIMIT} compositions in one closure")
+        return compose(self, other)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(EdgeMatrix, "compose", counted)
+        yield
+
+
+def test_closures_compose_little(corpus_graphs):
+    # the first test to check a graph, so that under `pytest -x` a runaway
+    # closure fails here rather than hanging a later test
+    graphs = {name: entry[0] for name, entry in corpus_graphs.items()}
+    graphs.update(thread_graphs(range(1, 13), False))
+    graphs.update(thread_graphs(range(1, 13), True))
+    graphs.update((f"diamond{k}", parse_proof(diamond_proof(k)).graph) for k in range(2, 7))
+    for name, g in graphs.items():
+        with compose_limit():
+            rep = check_global_trace_condition(g)
+        assert rep.accepted != (name in REJECTED or "_bad" in name), name
 
 
 class TestVerdicts:
@@ -425,7 +462,9 @@ class TestAgainstFullClosure:
         rng = random.Random(7)
         for trial in range(3000):
             edges, companions = random_flow_graph(rng)
-            a, b = trace_closure(edges, companions), full_closure(edges, companions)
+            with compose_limit():
+                a = trace_closure(edges, companions)
+            b = full_closure(edges, companions)
             assert a.verdict == b.verdict, trial
             if a.verdict == "rejected":
                 assert a.witness_period[0] == b.witness_period[0], trial
