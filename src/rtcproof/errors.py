@@ -6,9 +6,10 @@ class RtcError(Exception):
 
 
 class ParseError(RtcError):
-    """Input text does not conform to the grammar or to its signature;
-    `position` is the offset of the fault and `line` the 1-based line of a
-    multi-line input, where known."""
+    """Input text does not conform to the grammar or to its signature, a
+    symbol fault too, read from a goal or a file alike; `position` is the
+    offset of the fault and `line` the 1-based line of a multi-line input,
+    where known."""
 
     def __init__(self, position: int | None, message: str, line: int | None = None):
         if position is None:
@@ -21,21 +22,6 @@ class ParseError(RtcError):
         self.position = position
         self.message = message
         self.line = line
-
-
-class UnknownSymbol(ParseError):
-    """A symbol the signature does not declare; `position` is set when the
-    symbol was read from text."""
-
-    def __init__(self, message: str, position: int | None = None):
-        super().__init__(position, message)
-
-
-class ArityMismatch(ParseError):
-    """A symbol applied to, or declared with, the wrong number of arguments."""
-
-    def __init__(self, message: str, position: int | None = None):
-        super().__init__(position, message)
 
 
 class UnboundVariable(RtcError):

@@ -25,13 +25,15 @@ from typing import Iterator, Mapping, NamedTuple
 
 from .errors import (FreshnessViolation, NotApplicable, SchemaMismatch,
                      UnknownTheoryAxiom)
-from .syntax import (And, App, Const, Eq, Exists, Forall, Formula, Implies,
-                     Not, Or, Pred, Rtc, Sequent, Signature, Term, Var,
-                     free_vars, parts, substitute, term_vars)
+from .syntax import (And, App, Bot, Const, Eq, Exists, Forall, Formula,
+                     Implies, Not, Or, Pred, Rtc, Sequent, Signature, Term,
+                     Top, Var, free_vars, parts, substitute, term_vars)
 
 
 class RuleId(Enum):
     Axiom = "Axiom"
+    TopR = "TopR"
+    BotL = "BotL"
     WL = "WL"
     WR = "WR"
     AndL = "AndL"
@@ -72,6 +74,8 @@ ANT, SUC = "antecedent", "succedent"
 
 SCHEMA: dict[RuleId, Schema] = {
     RuleId.Axiom: Schema(0),
+    RuleId.TopR: Schema(0, SUC, Top, "TopR principal must be top"),
+    RuleId.BotL: Schema(0, ANT, Bot, "BotL principal must be bot"),
     RuleId.WL: Schema(1, ANT),
     RuleId.WR: Schema(1, SUC),
     RuleId.AndL: Schema(1, ANT, And, "AndL principal must be a conjunction"),
@@ -206,7 +210,8 @@ def expected_premises(rule: RuleId, conclusion: Sequent, params: RuleParams,
         case RuleId.ExL | RuleId.AllR:
             z = p.eigenvar
             _need(z is not None, f"{rule.value} requires an eigenvariable")
-            _check_fresh(z, base, f)
+            _check_fresh((z,), ("context", base.free_vars()),
+                         ("principal formula", free_vars(f)))
             return [add(substitute(f.body, {f.var: Var(z)}))]
         case RuleId.AllL | RuleId.ExR:
             _need(p.witness is not None, f"{rule.value} requires a witness term")
@@ -250,7 +255,8 @@ def expected_premises(rule: RuleId, conclusion: Sequent, params: RuleParams,
         case RuleId.RtcCase:
             z = p.eigenvar
             _need(z is not None, "RtcCase requires a fresh variable")
-            _check_fresh(z, base, f)
+            _check_fresh((z,), ("context", base.free_vars()),
+                         ("principal formula", free_vars(f)))
             ancestor = Rtc(f.x, f.y, f.body, f.src, Var(z))
             step = substitute(f.body, {f.x: Var(z), f.y: f.dst})
             return [base.with_ant(Eq(f.src, f.dst)),
@@ -272,12 +278,9 @@ def expected_premises(rule: RuleId, conclusion: Sequent, params: RuleParams,
                 raise NotApplicable(f"{psi_t} not in succedent")
             delta_side = base.without_ant(psi_s).without_succ(psi_t)
             # the step premise must hold for arbitrary x and y
-            for where, taken in (("context", delta_side.free_vars()),
-                                 ("induction template", free_vars(psi) - {tvar}),
-                                 ("closure body", free_vars(f.body) - {f.x, f.y})):
-                for v in (x, y):
-                    if v in taken:
-                        raise FreshnessViolation(v, f"occurs free in the {where}")
+            _check_fresh((x, y), ("context", delta_side.free_vars()),
+                         ("induction template", free_vars(psi) - {tvar}),
+                         ("closure body", free_vars(f.body) - {f.x, f.y}))
             body_inst = substitute(f.body, {f.x: Var(x), f.y: Var(y)})
             psi_y = substitute(psi_x, {x: Var(y)})
             return [delta_side.with_ant(psi_x, body_inst).with_succ(psi_y)]
@@ -302,13 +305,18 @@ def expected_premises(rule: RuleId, conclusion: Sequent, params: RuleParams,
                     return []
             raise UnknownTheoryAxiom(
                 f"{conclusion} is not an instance of any theory axiom")
+        case RuleId.TopR | RuleId.BotL:
+            return []
 
 
-def _check_fresh(z: str, context: Sequent, principal: Formula) -> None:
-    if z in context.free_vars():
-        raise FreshnessViolation(z, "occurs free in the context")
-    if z in free_vars(principal):
-        raise FreshnessViolation(z, "occurs free in the principal formula")
+def _check_fresh(names: tuple[str, ...], *places: tuple[str, set[str]]) -> None:
+    """The one eigenvariable check: raise FreshnessViolation for the first
+    of `names` free in a place, the places, (what, free variables) pairs,
+    taken in order."""
+    for what, taken in places:
+        for v in names:
+            if v in taken:
+                raise FreshnessViolation(v, f"occurs free in the {what}")
 
 
 def check_rule_instance(r: RuleInstance, theory: tuple[Sequent, ...] = (),

@@ -61,7 +61,7 @@ Concrete grammar (ASCII):
     sequent := form ("," form)* "|-" form ("," form)*    (either side may be empty)
 
 `_Parser.separated` reads every `item (sep item)*` list, in `prooffile` too,
-bar argument lists, which `_Parser._args` reads inline, on `check`'s hot path.
+bar argument lists, which `_Parser._applied` reads inline, on `check`'s hot path.
 
 Precedence: ~ > /\\ > \\/ > -> (right associative); quantifier and rtc
 bodies extend maximally to the right.  A bare identifier is an atom only
@@ -84,7 +84,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .errors import ArityMismatch, ParseError, SignatureMismatch, UnknownSymbol
+from .errors import ParseError, SignatureMismatch
 
 # ---------------------------------------------------------------------------
 # Terms
@@ -471,9 +471,9 @@ class Signature:
             if both := names1 & names2:
                 raise ParseError(None, f"symbol {min(both)!r} declared as both a {k1} and a {k2}")
         if self.pair_symbol is not None and self.fn_arity(self.pair_symbol) != 2:
-            raise ArityMismatch(f"pair symbol {self.pair_symbol!r} must be a binary function")
+            raise ParseError(None, f"pair symbol {self.pair_symbol!r} must be a binary function")
         if self.pair_constant is not None and self.pair_constant not in self.constants:
-            raise UnknownSymbol(f"pair constant {self.pair_constant!r} not declared")
+            raise ParseError(None, f"pair constant {self.pair_constant!r} not declared")
 
     @staticmethod
     def make(constants: Iterable[str] = (), functions: Mapping[str, int] | None = None,
@@ -494,14 +494,12 @@ class Signature:
         return None
 
     def merge(self, other: "Signature") -> "Signature":
-        fns = dict(self.functions)
-        for n, a in other.functions:
-            if fns.setdefault(n, a) != a:
-                raise ArityMismatch(f"function {n!r} declared with arities {fns[n]} and {a}")
-        preds = dict(self.predicates)
-        for n, a in other.predicates:
-            if preds.setdefault(n, a) != a:
-                raise ArityMismatch(f"predicate {n!r} declared with arities {preds[n]} and {a}")
+        fns, preds = dict(self.functions), dict(self.predicates)
+        for what, mine, theirs in (("function", fns, other.functions),
+                                   ("predicate", preds, other.predicates)):
+            for n, a in theirs:
+                if mine.setdefault(n, a) != a:
+                    raise ParseError(None, f"{what} {n!r} declared with arities {mine[n]} and {a}")
         for what, mine, theirs in (("pair symbol", self.pair_symbol, other.pair_symbol),
                                    ("pair constant", self.pair_constant, other.pair_constant)):
             if mine and theirs and mine != theirs:
@@ -726,7 +724,7 @@ class _Parser:
             b = self.term()
             self.expect(">")
             if self.sig.pair_symbol is None:
-                raise UnknownSymbol("pair syntax used but signature has no pair symbol", pos)
+                raise ParseError(pos, "pair syntax used but signature has no pair symbol")
             self.depth -= 1
             return App(self.sig.pair_symbol, (a, b))
         if kind != "ident" or val in _KEYWORDS:
@@ -734,17 +732,9 @@ class _Parser:
         name = self.expect_ident()
         if self.peek()[1] == "(":
             self._open(pos)
-            args = self._args()
-            ar = self.fns.get(name)
-            if ar is None:
-                if not self.infer or name in self.preds:
-                    raise UnknownSymbol(f"function {name!r} not declared", pos)
-                self.fns[name] = ar = len(args)
-            if ar != len(args):
-                raise ArityMismatch(
-                    f"function {name!r} expects {ar} args, got {len(args)}", pos)
+            t = self._applied(App, name, pos)
             self.depth -= 1
-            return App(name, args)
+            return t
         if name in self.sig.constants:
             return Const(name)
         return Var(name)
@@ -760,16 +750,27 @@ class _Parser:
             out.append(item(self))
         return out
 
-    def _args(self) -> tuple[Term, ...]:
-        """The parenthesised argument list of a function or predicate, read
-        inline: it is on `check`'s hot path, where `separated` was slower."""
+    def _applied(self, cls: type, name: str, pos: int) -> App | Pred:
+        """`name(args)` at pos as an `App` or a `Pred`: the one arity check
+        of both kinds of symbol, against the declared arity or, in inference
+        mode, that of the symbol's first application.  The argument list is
+        read inline: it is on `check`'s hot path, where `separated` was slower."""
+        own, other, what = ((self.fns, self.preds, "function") if cls is App
+                            else (self.preds, self.fns, "predicate"))
         self.expect("(")
         args = [self.term()]
         while self.peek()[1] == ",":
             self.next()
             args.append(self.term())
         self.expect(")")
-        return tuple(args)
+        ar = own.get(name)
+        if ar is None:
+            if not self.infer or name in other:
+                raise ParseError(pos, f"{what} {name!r} not declared")
+            own[name] = ar = len(args)
+        if ar != len(args):
+            raise ParseError(pos, f"{what} {name!r} expects {ar} args, got {len(args)}")
+        return cls(name, tuple(args))
 
     # -- nesting: `depth` counts the levels open on the way down, bounding
     # the recursion, and `reach` is its maximum since last reset; `height`,
@@ -874,14 +875,7 @@ class _Parser:
                     as_pred = True
                 if as_pred:
                     self.next()
-                    args = self._args()
-                    ar = self.preds.get(name)
-                    if ar is None:
-                        self.preds[name] = ar = len(args)
-                    if ar != len(args):
-                        raise ArityMismatch(
-                            f"predicate {name!r} expects {ar} args, got {len(args)}", pos)
-                    return Pred(name, args)
+                    return self._applied(Pred, name, pos)
                 return self._equation()
             if self.preds.get(name) == 0:
                 self.next()

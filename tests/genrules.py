@@ -7,9 +7,9 @@ import dataclasses
 import random
 
 from rtcproof.kernel import SCHEMA, RuleId, make_subst, rule_instance
-from rtcproof.syntax import (And, App, Eq, Exists, Forall, Implies, Not, Or,
-                             Pred, Rtc, Sequent, Signature, Var, parts, rebuild,
-                             subformulas, substitute)
+from rtcproof.syntax import (And, App, Bot, Eq, Exists, Forall, Implies, Not,
+                             Or, Pred, Rtc, Sequent, Signature, Top, Var, parts,
+                             rebuild, subformulas, substitute)
 
 SIG = Signature.make(functions={"g": 1}, predicates={"e": 2, "q": 1})
 
@@ -20,6 +20,7 @@ RULES = [
     RuleId.ImpL, RuleId.ImpR, RuleId.NotL, RuleId.NotR, RuleId.ExL,
     RuleId.ExR, RuleId.AllL, RuleId.AllR, RuleId.EqL1, RuleId.EqL2,
     RuleId.Cut, RuleId.Subst, RuleId.RtcStep, RuleId.RtcCase, RuleId.RtcInd,
+    RuleId.TopR, RuleId.BotL,
 ]
 
 
@@ -116,6 +117,10 @@ def generate_instance(rng):
             concl = Sequent(gamma + (eq,), delta + (shown,))
             return rule_instance(rule, concl, sig=SIG, principal=eq,
                                  template=(tmpl, hole))
+        if rule is RuleId.TopR:
+            return rule_instance(rule, Sequent(gamma, delta + (Top(),)), principal=Top())
+        if rule is RuleId.BotL:
+            return rule_instance(rule, Sequent(gamma + (Bot(),), delta), principal=Bot())
         if rule is RuleId.Cut:
             cf = _formula(rng, 1)
             concl = Sequent(gamma, delta)

@@ -20,8 +20,8 @@ from collections import deque
 from collections.abc import Iterator
 
 from rtcproof import tracecheck
-from rtcproof.errors import (ArityMismatch, NotApplicable, ParseError, RtcError,
-                             SignatureMismatch, UnboundVariable, UnknownSymbol)
+from rtcproof.errors import (NotApplicable, ParseError, RtcError, SignatureMismatch,
+                             UnboundVariable)
 from rtcproof.kernel import (RuleId, RuleInstance, make_subst, match_sequent,
                              rule_instance)
 from rtcproof.proofgraph import ProofGraph
@@ -636,9 +636,10 @@ def validate_formula(f: Formula, sig: Signature) -> None:
     if isinstance(f, Pred):
         ar = dict(sig.predicates).get(f.name)
         if ar is None:
-            raise UnknownSymbol(f"predicate {f.name!r} not declared")
+            raise ParseError(None, f"predicate {f.name!r} not declared")
         if ar != len(f.args):
-            raise ArityMismatch(f"predicate {f.name!r} expects {ar} args, got {len(f.args)}")
+            raise ParseError(None, f"predicate {f.name!r} expects {ar} args,"
+                                   f" got {len(f.args)}")
     binders, subs, terms = parts(f)
     if len(set(binders)) != len(binders):
         raise ParseError(0, "rtc binders must be distinct")
@@ -647,11 +648,11 @@ def validate_formula(f: Formula, sig: Signature) -> None:
     for t in terms:
         for u in subterms(t):
             if isinstance(u, Const) and u.name not in sig.constants:
-                raise UnknownSymbol(f"constant {u.name!r} not declared")
+                raise ParseError(None, f"constant {u.name!r} not declared")
             if isinstance(u, App):
                 ar = sig.fn_arity(u.fn)
                 if ar is None:
-                    raise UnknownSymbol(f"function {u.fn!r} not declared")
+                    raise ParseError(None, f"function {u.fn!r} not declared")
                 if ar != len(u.args):
-                    raise ArityMismatch(f"function {u.fn!r} expects {ar} args,"
-                                        f" got {len(u.args)}")
+                    raise ParseError(None, f"function {u.fn!r} expects {ar} args,"
+                                           f" got {len(u.args)}")

@@ -592,6 +592,24 @@ def test_renamed_binder_apart_from_constants(tmp_path, capsys):
     assert capsys.readouterr() == ("accepted; 0 basic cycles; normal\n", "")
 
 
+@pytest.mark.parametrize("goal", ["|- top", "bot |-", "q(a), bot |- q(b), top"])
+def test_top_and_bot_close_any_context(goal, capsys):
+    """`top` in the succedent (TopR) and `bot` in the antecedent (BotL)
+    close a sequent whatever else it holds, with no weakening."""
+    assert main(["prove", goal]) == 0
+    assert capsys.readouterr().out.startswith("proved; 1 nodes; 0 cycle(s)\n")
+
+
+def test_top_and_bot_round_trip(tmp_path, capsys):
+    proof = tmp_path / "tb.tcp"
+    assert main(["prove", "|- ~bot /\\ top", "--out", str(proof)]) == 0
+    assert capsys.readouterr() == ("proved; 4 nodes; 0 cycle(s)\n", "")
+    text = proof.read_text(encoding="utf-8")
+    assert "rule=TopR" in text and "rule=BotL" in text
+    assert main(["check", str(proof)]) == 0
+    assert capsys.readouterr() == ("accepted; 0 basic cycles; normal\n", "")
+
+
 def test_rule_parameter_named_like_a_constant(tmp_path, capsys):
     """An RtcInd eigenvariable that the signature declares as a constant is
     a usage error at the parameter, not a kernel error whose two premise

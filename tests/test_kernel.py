@@ -34,6 +34,8 @@ AX = (S("p(x, y), q(x) |- q(y)"),)
 # (rule, conclusion, params, theory) for one positive instance per rule
 POSITIVE = {
     RuleId.Axiom: ("q(a) |- q(a)", {}, ()),
+    RuleId.TopR: ("q(a) |- top, q(b)", {"principal": "top"}, ()),
+    RuleId.BotL: ("bot, q(a) |- q(b)", {"principal": "bot"}, ()),
     RuleId.WL: ("q(a), q(b) |- q(a)", {"principal": "q(b)"}, ()),
     RuleId.WR: ("q(a) |- q(a), q(b)", {"principal": "q(b)"}, ()),
     RuleId.AndL: ("q(a) /\\ q(b) |- q(a)", {"principal": "q(a) /\\ q(b)"}, ()),
@@ -131,9 +133,12 @@ class TestEveryRule:
 
 
 # each rule with a principal of a fixed class, given the atom q(a) on the
-# principal's side: (conclusion, the NotApplicable text); the texts are
-# those the kernel raised before its rules were read from one schema table
+# principal's side: (conclusion, the NotApplicable text); the texts, bar
+# TopR's and BotL's, are those the kernel raised before its rules were read
+# from one schema table
 WRONG_PRINCIPAL = {
+    RuleId.TopR: ("|- q(a)", "TopR principal must be top"),
+    RuleId.BotL: ("q(a) |-", "BotL principal must be bot"),
     RuleId.AndL: ("q(a) |-", "AndL principal must be a conjunction"),
     RuleId.AndR: ("|- q(a)", "AndR principal must be a conjunction"),
     RuleId.OrL: ("q(a) |-", "OrL principal must be a disjunction"),
@@ -212,6 +217,60 @@ class TestFreshness:
                               RuleParams(principal=F("exists x. q(x)"), eigenvar="w"))
 
 
+RTC_CASE = dict(principal="(rtc x y. s(x) = y)(0, n)", eigenvar="z")
+RTC_IND = dict(principal="(rtc x y. E(x, y))(a, b)", template=("q(h)", "h"))
+
+# every eigenvariable condition: (rule, conclusion, params, the variable
+# and the place the error names).
+# The places are taken in order, and RtcInd's x before its y within each,
+# so y in the context is named before x in the template
+FRESHNESS = {
+    "exl_context": (RuleId.ExL, "exists x. q(x), q(z) |- r0",
+                    dict(principal="exists x. q(x)", eigenvar="z"), "z", "context"),
+    "exl_principal": (RuleId.ExL, "exists x. p(x, z) |- r0",
+                      dict(principal="exists x. p(x, z)", eigenvar="z"),
+                      "z", "principal formula"),
+    "exl_context_and_principal": (RuleId.ExL, "exists x. p(x, z), q(z) |- r0",
+                                  dict(principal="exists x. p(x, z)", eigenvar="z"),
+                                  "z", "context"),
+    "allr_context": (RuleId.AllR, "q(z) |- forall x. q(x)",
+                     dict(principal="forall x. q(x)", eigenvar="z"), "z", "context"),
+    "allr_principal": (RuleId.AllR, "r0 |- forall x. p(x, z)",
+                       dict(principal="forall x. p(x, z)", eigenvar="z"),
+                       "z", "principal formula"),
+    "rtccase_context": (RuleId.RtcCase, "(rtc x y. s(x) = y)(0, n), q(z) |- r0",
+                        RTC_CASE, "z", "context"),
+    "rtccase_principal": (RuleId.RtcCase, "(rtc x y. s(x) = y)(0, z) |- r0",
+                          dict(RTC_CASE, principal="(rtc x y. s(x) = y)(0, z)"),
+                          "z", "principal formula"),
+    "rtcind_context_x_and_y": (
+        RuleId.RtcInd, "q(u), q(v), q(a), (rtc x y. E(x, y))(a, b) |- q(b)",
+        dict(RTC_IND, eigenvar="u", eigenvar2="v"), "u", "context"),
+    "rtcind_context_y_before_template_x": (
+        RuleId.RtcInd, "q(v), p(u, a), (rtc x y. E(x, y))(a, b) |- p(u, b)",
+        dict(RTC_IND, template=("p(u, h)", "h"), eigenvar="u", eigenvar2="v"),
+        "v", "context"),
+    "rtcind_template_x_and_y": (
+        RuleId.RtcInd, "p(u, a) /\\ p(v, a), (rtc x y. E(x, y))(a, b) |- p(u, b) /\\ p(v, b)",
+        dict(RTC_IND, template=("p(u, h) /\\ p(v, h)", "h"), eigenvar="u", eigenvar2="v"),
+        "u", "induction template"),
+    "rtcind_body_x_and_y": (
+        RuleId.RtcInd, "q(a), (rtc x y. p(x, u) /\\ p(v, y))(a, b) |- q(b)",
+        dict(RTC_IND, principal="(rtc x y. p(x, u) /\\ p(v, y))(a, b)",
+             eigenvar="u", eigenvar2="v"),
+        "u", "closure body"),
+}
+
+
+@pytest.mark.parametrize("case", list(FRESHNESS))
+def test_freshness_messages(case):
+    rule, concl, raw, var, place = FRESHNESS[case]
+    with pytest.raises(FreshnessViolation) as exc:
+        expected_premises(rule, S(concl), RuleParams(**_params(raw)), sig=SIG)
+    assert exc.value.var == var
+    assert str(exc.value) == f"variable {var!r} is not fresh: occurs free in the {place}"
+
+
 # side conditions of the rules with eigenvariables: (rule, conclusion,
 # params, the error's type and text)
 SIDE_CONDITIONS = {
@@ -248,7 +307,6 @@ NO_PAIR = Signature.make(constants={"c0"}, functions={"pair": 2},
                          predicates={"q": 1, "E": 2})
 NO_PAIR_CONSTANT = Signature.make(constants={"c0"}, functions={"pair": 2},
                                   predicates={"q": 1, "E": 2}, pair_symbol="pair")
-RTC_IND = dict(principal="(rtc x y. E(x, y))(a, b)", template=("q(h)", "h"))
 
 # guards on parameters and on the signature, each met with a principal of
 # the right class on its side, so that the guard is what refuses: (rule,
@@ -477,8 +535,9 @@ class TestLocalSoundness:
         # principal moved or dropped, a premise formula dropped or added, an
         # eigenvariable made free in the context, a leaf's sides made to
         # differ, or a two-term atom's terms swapped.  The kernel refuses
-        # 992 of the 1,000; the eight it accepts swap terms in the context
-        # of RtcRefl, so they are valid instances still, and must be sound
+        # 990 of the 1,000; the ten it accepts swap terms in the context
+        # of RtcRefl, TopR or BotL, so they are valid instances still, and
+        # must be sound
         from genrules import PERTURBATIONS, SIG as GEN_SIG, perturbed_instances
 
         refused, accepted, checked = {}, 0, 0

@@ -15,7 +15,8 @@ from rtcproof.cli import main
 from rtcproof.errors import ParseError, RtcError
 from rtcproof.prooffile import load_theory, parse_proof, parse_theory
 from rtcproof.proofgraph import validate_structure
-from rtcproof.syntax import MAX_DEPTH, Signature, _Parser, parse_formula, tokenize
+from rtcproof.syntax import (MAX_DEPTH, Signature, _Parser, parse_formula, parse_sequent,
+                             tokenize)
 
 from conftest import CORPUS
 from helpers import NESTED
@@ -234,6 +235,38 @@ def test_rule_parameter_is_not_a_constant(name, marker, monkeypatch):
         errors.append((info.value.line, info.value.position, info.value.message))
     assert errors[0] == errors[1] == (
         6, line.index(marker) + len(marker) - 1, f"constant {name!r} cannot be bound")
+
+
+# a symbol fault in a sequent: (the sig line, its signature, the sequent,
+# the error's message)
+SYMBOL_FAULTS = {
+    "function_undeclared": ("pred q/1", dict(predicates={"q": 1}),
+                            "q(a) |- f(a) = a", "function 'f' not declared"),
+    "function_arity": ("fn s/1 ; pred q/1", dict(functions={"s": 1}, predicates={"q": 1}),
+                       "q(a) |- s(a, a) = a", "function 's' expects 1 args, got 2"),
+    "predicate_arity": ("pred q/1", dict(predicates={"q": 1}),
+                        "q(a) |- q(a, a)", "predicate 'q' expects 1 args, got 2"),
+    "pair_without_pair_symbol": ("fn pr/2 ; pred q/1",
+                                 dict(functions={"pr": 2}, predicates={"q": 1}),
+                                 "q(<a, b>) |- q(a)",
+                                 "pair syntax used but signature has no pair symbol"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SYMBOL_FAULTS))
+def test_symbol_fault_reads_alike_from_text_and_file(case):
+    # a plain ParseError with one message, from a goal's text and from a
+    # node line, where it also names the line and the offset in it
+    sig_line, sig, seq, message = SYMBOL_FAULTS[case]
+    with pytest.raises(ParseError) as from_text:
+        parse_sequent(seq, Signature.make(**sig))
+    node = f"node 0 : {seq} ; rule=Axiom ; params={{}} ; premises=[]"
+    with pytest.raises(ParseError) as from_file:
+        parse_proof(f"tcp 1\nsig {sig_line}\ntheory -\nroot 0\n{node}\n")
+    assert type(from_text.value) is type(from_file.value) is ParseError
+    assert from_text.value.message == from_file.value.message == message
+    assert (from_file.value.line, from_file.value.position) \
+        == (5, node.index(seq) + from_text.value.position)
 
 
 def test_symbol_declared_again_with_its_arity():
