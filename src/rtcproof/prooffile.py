@@ -29,10 +29,10 @@ terms are parsed.  Each formula text and each side of a sequent is parsed
 once per file, through memos dropped when `parse_proof` returns; under the
 file's one signature the same text parses to the same formula.  The cuts
 are exact, since no formula, term or sequent holds a `;` and the commas
-between formulas are those at nesting depth 0 (see `syntax`).  A line the
-field reader does not wholly accept is read again by the token reader,
-`_parse_node`, which raises the error: errors have one source, and their
-text, line, offset and order are the token reader's.
+between formulas are those where the brackets balance (see `syntax`).  A
+line the field reader does not wholly accept is read again by the token
+reader, `_parse_node`, which raises the error: errors have one source, and
+their text, line, offset and order are the token reader's.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ from typing import Iterator
 from .errors import ParseError, RtcError
 from .kernel import RuleId, RuleParams
 from .proofgraph import ProofGraph, ProofNode
-from .syntax import (_IDENT, Formula, Sequent, Signature, Term, _formula_end,
-                     _Parser, parse_sequent, pretty, pretty_sequent, pretty_term)
+from .syntax import (_IDENT, Formula, Sequent, Signature, Term, _Parser, parse_sequent,
+                     pretty, pretty_sequent, pretty_term)
 
 
 @dataclass(frozen=True)
@@ -113,8 +113,9 @@ def _number(text: str, pos: int, what: str) -> int:
 
 
 def _expect_number(p: _Parser, what: str) -> int:
-    pos = p.peek()[2]
-    return _number(p.expect_ident(), pos, what)
+    i = p.i
+    text = p.expect_ident()
+    return int(text) if text.isascii() and text.isdigit() else _number(text, p.at(i), what)
 
 
 def _arity(p: _Parser) -> tuple[str, int]:
@@ -133,15 +134,16 @@ def _parse_sig_line(p: _Parser) -> Signature:
 
     def declare(p: _Parser, val: str) -> None:
         """One `name/arity`; a symbol may be declared again with its arity."""
-        pos = p.peek()[2]
+        i = p.i
         name, arity = _arity(p)
         first = arities[val].setdefault(name, arity)
         if first != arity:
-            raise ParseError(pos, f"{_SECTIONS[val]} {name!r} declared with"
-                                  f" arities {first} and {arity}")
+            raise ParseError(p.at(i), f"{_SECTIONS[val]} {name!r} declared with"
+                                      f" arities {first} and {arity}")
 
     def section(p: _Parser) -> None:
-        _, val, pos = p.next()
+        i = p.i
+        val = p.next()
         if val == "const":
             consts.update(p.separated(_Parser.expect_ident, ","))
         elif val in arities:
@@ -149,9 +151,9 @@ def _parse_sig_line(p: _Parser) -> Signature:
         elif val in ("pair", "pairconst"):
             pair[val] = p.expect_ident()
         else:
-            raise ParseError(pos, f"unknown signature section {val!r}")
+            raise ParseError(p.at(i), f"unknown signature section {val!r}")
 
-    if p.peek()[1] == "-":
+    if p.peek() == "-":
         p.next()
     else:
         p.separated(section, ";")
@@ -225,9 +227,8 @@ def load_theory(name_or_path: str) -> TheoryFile:
 
 def _prefix(p: _Parser, key: str, expected: str = "") -> None:
     """Read `key=`; the error says what was expected, by default `'key='`."""
-    _, val, pos = p.peek()
-    if val != key:
-        raise ParseError(pos, "expected " + (expected or f"'{key}='"))
+    if p.peek() != key:
+        raise ParseError(p.at(p.i), "expected " + (expected or f"'{key}='"))
     p.next()
     p.expect("=")
 
@@ -244,10 +245,10 @@ def _parse_subst(p: _Parser) -> tuple[tuple[str, Term], ...]:
     bound: set[str] = set()
 
     def binding(p: _Parser) -> tuple[str, Term]:
-        pos = p.peek()[2]
+        i = p.i
         v = p.expect_ident()
         if v in bound:
-            raise ParseError(pos, f"repeated variable {v!r}")
+            raise ParseError(p.at(i), f"repeated variable {v!r}")
         bound.add(v)
         p.expect(":=")
         return v, p.term()
@@ -296,14 +297,14 @@ def _params_text(params: RuleParams, sig: Signature) -> str:
 def _parse_param(p: _Parser, params: dict[str, object]) -> None:
     """One `key=value` of a params list, stored in params under its
     RuleParams field; a key may appear once."""
-    pos = p.peek()[2]
+    i = p.i
     key = p.expect_ident()
     p.expect("=")
     if key not in _PARAM_KEYS:
-        raise ParseError(p.peek()[2], f"unknown parameter {key!r}")
+        raise ParseError(p.at(p.i), f"unknown parameter {key!r}")
     field, kind = _PARAM_KEYS[key]
     if field in params:
-        raise ParseError(pos, f"repeated parameter {key!r}")
+        raise ParseError(p.at(i), f"repeated parameter {key!r}")
     opening, closing, _, parse = _KINDS[kind]
     if opening:
         p.expect(opening)
@@ -343,17 +344,17 @@ def _parse_node(p: _Parser) -> ProofNode:
     """The node of a node body; a bud has a companion and no rule."""
     seq = p.sequent()
     p.expect(";")
-    if p.peek()[1] == "bud":
+    if p.peek() == "bud":
         p.next()
         p.expect("->")
         return ProofNode(seq, companion=_expect_number(p, "companion id"))
     _prefix(p, "rule", "'rule=' or 'bud ->'")
-    pos = p.peek()[2]
+    i = p.i
     rule_name = p.expect_ident()
     try:
         rid = RuleId(rule_name)
     except ValueError:
-        raise ParseError(pos, f"unknown rule id {rule_name!r}") from None
+        raise ParseError(p.at(i), f"unknown rule id {rule_name!r}") from None
     p.expect(";")
     _prefix(p, "params")
     params = _parse_params(p)
@@ -389,19 +390,26 @@ class _Fields:
         return f
 
     def side(self, text: str) -> tuple[Formula, ...]:
-        """The formulas between the commas at nesting depth 0."""
+        """The formulas between the commas at nesting depth 0: the pieces
+        between commas, each joined to the next until its brackets balance.
+        `(` and `<` open a bracket, `)` and `>` close one, and the `>` of
+        `->` neither; a side whose brackets never balance is refused.  Only
+        a side that holds a `<` or a `>` has its angles counted."""
         text = text.strip()
         fs = self.sides.get(text)
         if fs is None:
-            fs, pos = [], 0
-            while text:
-                end = _formula_end(text, pos)
-                fs.append(self.formula(text[pos:end]))
-                if end == len(text):
-                    break
-                if text[end] != ",":
-                    raise ValueError(text)
-                pos = end + 1
+            fs, pieces, depth = [], [], 0
+            angled = "<" in text or ">" in text
+            for piece in text.split(",") if text else ():
+                pieces.append(piece)
+                depth += piece.count("(") - piece.count(")")
+                if angled:
+                    depth += piece.count("<") + piece.count("->") - piece.count(">")
+                if not depth:
+                    fs.append(self.formula(",".join(pieces)))
+                    pieces = []
+            if pieces:
+                raise ValueError(text)
             fs = self.sides[text] = tuple(fs)
         return fs
 

@@ -42,14 +42,22 @@ The parser refuses a binder that the signature declares as a constant, and
 
 A parser tokenises its whole text before it reads a token, so a character
 that starts no token is reported before any syntax error, at its own
-offset.  The parser keeps no memo: `prooffile` parses each formula text of
-a proof file once, and cuts a sequent's sides at the commas `_formula_end`
-finds by a scan alone.  This is exact: how the parser reads a formula at
-nesting depth 0 depends on the formula's tokens and on the one token after
-it, and the delimiters around such a text (`,`, `;`, `|-`, a closing
-bracket) are none of the tokens the parser reads on at (a binary
-connective, `(` or `=`).  A formula text read whole thus gives the formula
-the parser reads from it inside any line, ending where the text does.
+offset.  A token is a plain string and a position is a token's index; the
+text is scanned for character offsets only when an error is raised.  The
+parser keeps no memo: `prooffile` parses each formula text of a proof file
+once, and cuts a sequent's side at its commas, each piece joined to the next
+until its brackets balance: `(` and `<` count up, `)` and `>` down, and the
+`>` of `->` not at all.  This is exact.  The brackets of a formula balance,
+and a comma inside it lies inside an argument list, a pair or an rtc's
+endpoints, where more brackets are open than closed; so a side the parser
+reads is cut at the commas between its formulas and nowhere else.  And how
+the parser reads a formula at nesting depth 0 depends on the formula's
+tokens and on the one token after it, and the delimiters around such a text
+(`,`, `;`, `|-`, a closing bracket) are none of the tokens the parser reads
+on at (a binary connective, `(` or `=`).  A formula text read whole thus
+gives the formula the parser reads from it inside any line, ending where the
+text does; a cut the parser would not read so leaves a piece that does not
+parse whole, or brackets that never balance.
 
 Concrete grammar (ASCII):
 
@@ -613,52 +621,41 @@ _TOO_DEEP = f"formula nested more than {MAX_DEPTH} levels deep"
 _SYM = r"\|-|->|/\\|\\/|:=|[()\[\]{},.=~<>;/-]"
 _IDENT = r"[A-Za-z0-9_][A-Za-z0-9_']*"
 _TOKEN_RE = re.compile(rf"\s*(?:(?P<sym>{_SYM})|(?P<ident>{_IDENT})|(?P<bad>\S))")
-# the tokens that end a top-level formula or open or close a level; `->` is
-# matched so that its `>` is not taken for a bracket
-_DELIM_RE = re.compile(r"->|\|-|[(),;<>]")
+# every token, as one string each; a character that starts none is skipped
+_TOKENS_RE = re.compile(rf"{_SYM}|{_IDENT}")
+# the characters an identifier starts with
+_WORD = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
 
 _KEYWORDS = {"forall", "exists", "rtc", "bot", "top"}
 
 
-def tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Returns (kind, value, position) triples; kind in {'sym','ident','eof'}.
-    One pass reads every token; the first character that starts no token
-    matches the `bad` alternative and raises ParseError at its offset."""
-    out = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ParseError(m.start(kind), f"unexpected character {m[kind]!r}")
-        out.append((kind, m[kind], m.start(kind)))
-    out.append(("eof", "", len(text)))
-    return out
-
-
-def _formula_end(text: str, pos: int) -> int:
-    """Where a formula starting at pos at nesting depth 0 must end: at the
-    first `,`, `;` or `|-` outside brackets, at an unmatched `)` or `>`, or
-    at the end of text.  The parser stops there if it reads the formula
-    without error, since no binary connective or `(` or `=` lies there."""
-    depth = 0
-    for m in _DELIM_RE.finditer(text, pos):
-        d = m[0]
-        if d in "(<":
-            depth += 1
-        elif d in ")>":
-            if not depth:
-                return m.start()
-            depth -= 1
-        elif not depth and d != "->":
-            return m.start()
-    return len(text)
+def tokenize(text: str) -> list[str]:
+    """The token strings of text, then '' for its end.  A token is an
+    identifier when its first character is in `_WORD`, and a symbol
+    otherwise.  One `findall` reads every token and skips a character that
+    starts none, so the tokens and the spaces fall short of the text only
+    where it holds such a character (or whitespace other than a space); a
+    slower scan then finds the first one and raises ParseError at its
+    offset."""
+    toks = _TOKENS_RE.findall(text)
+    if len("".join(toks)) + text.count(" ") != len(text):
+        for m in _TOKEN_RE.finditer(text):
+            if m.lastgroup == "bad":
+                raise ParseError(m.start("bad"), f"unexpected character {m['bad']!r}")
+    toks.append("")
+    return toks
 
 
 class _Parser:
-    """A parser over the tokens of one text.  Every recursive call opens a
-    nesting level through `_open`, so `MAX_DEPTH` bounds its recursion."""
+    """A parser over the tokens of one text.  A position is a token's index,
+    read as a character offset by `at` only where an error is raised.  Every
+    recursive call opens a nesting level through `_open`, so `MAX_DEPTH`
+    bounds its recursion."""
 
     def __init__(self, text: str, sig: Signature, infer: bool = False):
+        self.text = text
         self.toks = tokenize(text)
+        self.offsets: list[int] | None = None
         self.i = 0
         self.sig = sig
         self.infer = infer
@@ -667,109 +664,122 @@ class _Parser:
         self.preds = dict(sig.predicates)
         self.depth = self.reach = self.height = 0
 
+    def at(self, i: int) -> int:
+        """The character offset of token i; the text is scanned for every
+        token's offset once, when the first is asked for."""
+        if self.offsets is None:
+            self.offsets = [m.start(m.lastgroup) for m in _TOKEN_RE.finditer(self.text)]
+            self.offsets.append(len(self.text))
+        return self.offsets[i]
+
     def _after_matching_paren(self) -> str:
-        """Token value right after the parenthesized group starting at i+1."""
+        """Token right after the parenthesized group starting at i+1."""
         depth = 0
         for j in range(self.i + 1, len(self.toks)):
-            depth += {"(": 1, ")": -1}.get(self.toks[j][1], 0)
+            depth += {"(": 1, ")": -1}.get(self.toks[j], 0)
             if depth == 0:
-                return self.toks[j + 1][1]
+                return self.toks[j + 1]
         return ""
 
     def inferred_signature(self) -> Signature:
         return Signature.make(self.sig.constants, self.fns, self.preds,
                               self.sig.pair_symbol, self.sig.pair_constant)
 
-    def peek(self):
+    def peek(self) -> str:
         return self.toks[self.i]
 
-    def next(self):
+    def next(self) -> str:
         t = self.toks[self.i]
         self.i += 1
         return t
 
-    def expect(self, value: str):
-        kind, val, pos = self.peek()
-        if val != value or kind == "eof":
-            raise ParseError(pos, f"expected {value!r}, found {val or 'end of input'!r}")
-        return self.next()
+    def expect(self, value: str) -> str:
+        val = self.toks[self.i]
+        if val != value:
+            raise ParseError(self.at(self.i),
+                             f"expected {value!r}, found {val or 'end of input'!r}")
+        self.i += 1
+        return val
 
     def expect_ident(self) -> str:
-        kind, val, pos = self.peek()
-        if kind != "ident":
-            raise ParseError(pos, f"expected identifier, found {val or 'end of input'!r}")
+        val = self.toks[self.i]
+        if val[:1] not in _WORD:
+            raise ParseError(self.at(self.i),
+                             f"expected identifier, found {val or 'end of input'!r}")
         if val in _KEYWORDS:
-            raise ParseError(pos, f"keyword {val!r} cannot be used as an identifier")
-        self.next()
+            raise ParseError(self.at(self.i), f"keyword {val!r} cannot be used as an identifier")
+        self.i += 1
         return val
 
     def binder(self) -> str:
         """A bound variable's name, which the signature must not declare as
         a constant: the body would read the constant, and bind nothing."""
-        pos = self.peek()[2]
+        i = self.i
         x = self.expect_ident()
         if x in self.sig.constants:
-            raise ParseError(pos, f"constant {x!r} cannot be bound")
+            raise ParseError(self.at(i), f"constant {x!r} cannot be bound")
         return x
 
     # -- terms
 
     def term(self) -> Term:
-        kind, val, pos = self.peek()
+        i = self.i
+        val = self.toks[i]
         if val == "<":
-            self._open(pos)
-            self.next()
+            self._open(i)
+            self.i += 1
             a = self.term()
             self.expect(",")
             b = self.term()
             self.expect(">")
             if self.sig.pair_symbol is None:
-                raise ParseError(pos, "pair syntax used but signature has no pair symbol")
+                raise ParseError(self.at(i), "pair syntax used but signature has no pair symbol")
             self.depth -= 1
             return App(self.sig.pair_symbol, (a, b))
-        if kind != "ident" or val in _KEYWORDS:
-            raise ParseError(pos, f"expected term, found {val or 'end of input'!r}")
-        name = self.expect_ident()
-        if self.peek()[1] == "(":
-            self._open(pos)
-            t = self._applied(App, name, pos)
+        if val[:1] not in _WORD or val in _KEYWORDS:
+            raise ParseError(self.at(i), f"expected term, found {val or 'end of input'!r}")
+        self.i += 1
+        if self.toks[self.i] == "(":
+            self._open(i)
+            t = self._applied(App, val, i)
             self.depth -= 1
             return t
-        if name in self.sig.constants:
-            return Const(name)
-        return Var(name)
+        if val in self.sig.constants:
+            return Const(val)
+        return Var(val)
 
     def separated(self, item, sep: str, closing: tuple[str, ...] = ()) -> list:
         """Items read by `item(self)` and separated by `sep`: one or more, or
         none when the next token, left unread, is in `closing` ('' at the end)."""
-        if self.peek()[1] in closing:
+        if self.toks[self.i] in closing:
             return []
         out = [item(self)]
-        while self.peek()[1] == sep:
-            self.next()
+        while self.toks[self.i] == sep:
+            self.i += 1
             out.append(item(self))
         return out
 
-    def _applied(self, cls: type, name: str, pos: int) -> App | Pred:
-        """`name(args)` at pos as an `App` or a `Pred`: the one arity check
-        of both kinds of symbol, against the declared arity or, in inference
-        mode, that of the symbol's first application.  The argument list is
-        read inline: it is on `check`'s hot path, where `separated` was slower."""
+    def _applied(self, cls: type, name: str, i: int) -> App | Pred:
+        """`name(args)` at token i as an `App` or a `Pred`: the one arity
+        check of both kinds of symbol, against the declared arity or, in
+        inference mode, that of the symbol's first application.  The argument
+        list is read inline: it is on `check`'s hot path, where `separated`
+        was slower."""
         own, other, what = ((self.fns, self.preds, "function") if cls is App
                             else (self.preds, self.fns, "predicate"))
         self.expect("(")
         args = [self.term()]
-        while self.peek()[1] == ",":
-            self.next()
+        while self.toks[self.i] == ",":
+            self.i += 1
             args.append(self.term())
         self.expect(")")
         ar = own.get(name)
         if ar is None:
             if not self.infer or name in other:
-                raise ParseError(pos, f"{what} {name!r} not declared")
+                raise ParseError(self.at(i), f"{what} {name!r} not declared")
             own[name] = ar = len(args)
         if ar != len(args):
-            raise ParseError(pos, f"{what} {name!r} expects {ar} args, got {len(args)}")
+            raise ParseError(self.at(i), f"{what} {name!r} expects {ar} args, got {len(args)}")
         return cls(name, tuple(args))
 
     # -- nesting: `depth` counts the levels open on the way down, bounding
@@ -777,17 +787,18 @@ class _Parser:
     # that of the formula just built, is counted on the way up, since a
     # chain of binary connectives nests deeper without recursion
 
-    def _open(self, pos: int) -> None:
+    def _open(self, i: int) -> None:
+        """Open a level at token i."""
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            raise ParseError(pos, _TOO_DEEP)
+            raise ParseError(self.at(i), _TOO_DEEP)
         self.reach = max(self.reach, self.depth)
 
     def _rise(self, height: int) -> None:
         """Record a formula one level above `height`."""
         self.height = height + 1
         if self.height > MAX_DEPTH:
-            raise ParseError(self.peek()[2], _TOO_DEEP)
+            raise ParseError(self.at(self.i), _TOO_DEEP)
 
     # -- formulas (operator precedence over `_PRECEDENCE`, on one stack)
 
@@ -797,11 +808,11 @@ class _Parser:
         connective is joined to its operands once the next one binds looser
         than the level of its right operand, so a chain recurses no deeper."""
         f = self._unary()
-        if self.peek()[1] not in _BINARY:
+        if self.toks[self.i] not in _BINARY:
             return f
         stack: list = [(f, self.height)]    # operand, connective, operand, ...
         while True:
-            cls = _BINARY.get(self.peek()[1])
+            cls = _BINARY.get(self.toks[self.i])
             own = _PRECEDENCE[cls][0] if cls else 0
             while len(stack) > 1 and own < _PRECEDENCE[stack[-2]][1][1]:
                 (right, h), op, (left, g) = stack.pop(), stack.pop(), stack.pop()
@@ -809,20 +820,21 @@ class _Parser:
                 stack.append((op(left, right), self.height))
             if cls is None:
                 return stack[0][0]
-            self.next()
+            self.i += 1
             stack += cls, (self._unary(), self.height)
 
     def _unary(self) -> Formula:
         """An atom, or a formula opened by `~`, a quantifier or a
         parenthesis, each of which nests one level deeper."""
-        kind, val, pos = self.peek()
+        i = self.i
+        val = self.toks[i]
         if val not in ("~", "forall", "exists", "("):
             self.reach = self.depth
             f = self._atom()
             self.height = self.reach - self.depth   # that of its deepest term
             return f
-        self._open(pos)
-        self.next()
+        self._open(i)
+        self.i += 1
         if val == "~":
             f = Not(self._unary())
         elif val != "(":
@@ -830,16 +842,16 @@ class _Parser:
             self.expect(".")
             body = self.formula()
             f = Forall(x, body) if val == "forall" else Exists(x, body)
-        elif self.peek()[1] != "rtc":
+        elif self.toks[self.i] != "rtc":
             f = self.formula()
             # a parenthesized term-in-equality, e.g. "(x) = y", is not in the
             # grammar, so a closing paren always ends a formula here
             self.expect(")")
         else:
-            self.next()
+            self.i += 1
             x, y = self.binder(), self.binder()
             if x == y:
-                raise ParseError(pos, "rtc binders must be distinct")
+                raise ParseError(self.at(i), "rtc binders must be distinct")
             self.expect(".")
             body = self.formula()
             self.expect(")")
@@ -856,16 +868,17 @@ class _Parser:
         return f
 
     def _atom(self) -> Formula:
-        kind, val, pos = self.peek()
+        i = self.i
+        val = self.toks[i]
         if val == "bot":
-            self.next()
+            self.i += 1
             return Bot()
         if val == "top":
-            self.next()
+            self.i += 1
             return Top()
-        if kind == "ident":
+        if val[:1] in _WORD:
             name = val
-            nxt = self.toks[self.i + 1][1]
+            nxt = self.toks[i + 1]
             if nxt == "(":
                 # predicate or function application; decide by signature, or
                 # in inference mode by whether an equation follows
@@ -874,16 +887,16 @@ class _Parser:
                         and self._after_matching_paren() != "="):
                     as_pred = True
                 if as_pred:
-                    self.next()
-                    return self._applied(Pred, name, pos)
+                    self.i += 1
+                    return self._applied(Pred, name, i)
                 return self._equation()
             if self.preds.get(name) == 0:
-                self.next()
+                self.i += 1
                 return Pred(name, ())
             return self._equation()
         if val == "<":
             return self._equation()
-        raise ParseError(pos, f"expected formula, found {val or 'end of input'!r}")
+        raise ParseError(self.at(i), f"expected formula, found {val or 'end of input'!r}")
 
     def _equation(self) -> Formula:
         lhs = self.term()
@@ -901,8 +914,8 @@ class _Parser:
         """What `item(self)` reads, which must be all of the text: the one
         check for trailing input, `what` naming the item in its error."""
         out = item(self)
-        if self.peek()[0] != "eof":
-            raise ParseError(self.peek()[2], f"trailing input after {what}")
+        if self.toks[self.i]:
+            raise ParseError(self.at(self.i), f"trailing input after {what}")
         return out
 
 

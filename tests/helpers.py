@@ -1,5 +1,6 @@
 """Test-only helpers: a graph builder with weakening chains, a replay of
-rejection witnesses, and formulas nested to a given depth."""
+rejection witnesses, formulas nested to a given depth, and the kind of a
+token."""
 
 from rtcproof import proofgraph
 from rtcproof.syntax import Sequent
@@ -38,3 +39,9 @@ NESTED = {
     "mixed": lambda n: ("(" * (n // 2) + "~" * (n // 4) + "q(a)"
                         + " /\\ q(a)" * (n - n // 2 - n // 4) + ")" * (n // 2)),
 }
+
+
+def token_kind(tok: str) -> str:
+    """'ident' or 'sym': a token of `syntax.tokenize` is an identifier when
+    it starts with a letter, a digit or `_`."""
+    return "ident" if tok[0].isalnum() or tok[0] == "_" else "sym"

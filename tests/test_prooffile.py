@@ -19,7 +19,7 @@ from rtcproof.syntax import (MAX_DEPTH, Signature, _Parser, parse_formula, parse
                              tokenize)
 
 from conftest import CORPUS
-from helpers import NESTED
+from helpers import NESTED, token_kind
 from preproofs import subst_chain, thread_proof
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -91,6 +91,44 @@ def test_field_reader_reads_as_token_reader(tmp_path, monkeypatch):
     # every kind of parameter was read, the template's formula and identifier too
     kinds = {kind for _, field, kind in prooffile._PARAMS if field in fields}
     assert kinds == set(prooffile._KINDS), kinds
+
+
+# sides the field reader cuts at commas by bracket counts: (antecedent,
+# whether both readers accept it); `<` and `>` are brackets, the `>` of `->`
+# is not, and a side's brackets may go negative before they balance
+SIDES = [
+    ("E(<a, b>, c), q(<a, <b, c>>)", True),
+    ("q(<a, b>) -> q(<b, a>), q(a)", True),
+    ("(rtc x y. E(x, y) -> q(y))(<a, b>, c), q(a)", True),
+    ("(rtc x y. E(<x, y>, x) -> q(y) -> q(x))(a, b)", True),
+    ("q(a) -> (rtc x y. E(x, y))(a, <b, c>), q(b)", True),
+    ("(q(a)), ((q(b)))", True),
+    ("q(a)), (q(b)", False),
+    ("q(a)>, <q(b)", False),
+    ("q(<a, b)), (q(c>)", False),
+    ("q(a), (q(b)", False),
+    ("q(a), q(b))", False),
+    ("q(<a, b), q(c)", False),
+    ("q(a), , q(b)", False),
+    ("q(a),", False),
+]
+
+
+@pytest.mark.parametrize("side, valid", SIDES)
+def test_sides_cut_by_bracket_counts(side, valid, monkeypatch):
+    # each side gives what the token reader gives, or its error; a side both
+    # accept is read by the field reader alone
+    text = ("tcp 1\nsig const c ; fn pr/2 ; pred E/2, q/1 ; pair pr\ntheory -\nroot 0\n"
+            f"node 0 : {side} |- {side} ; rule=Axiom ; params={{}} ; premises=[]\n")
+    fallbacks = []
+    token_reader = prooffile._parse_node
+    monkeypatch.setattr(prooffile, "_parse_node",
+                        lambda p: fallbacks.append(p) or token_reader(p))
+    got = _outcome(text)
+    assert (got[0] == "parsed") == valid and len(fallbacks) == (not valid), got
+    with monkeypatch.context() as m:
+        m.setattr(prooffile._Fields, "node", _refused)
+        assert _outcome(text) == got
 
 
 # a node line with a formula {f} in its sequent, in a `source` and in a
@@ -303,8 +341,9 @@ POOL = {
 
 def _mutate(rng, tokens, ops=("delete", "insert", "replace", "swap"), pool=POOL):
     """tokens, one or two of them deleted, inserted, replaced by one of the
-    same kind or swapped with their right neighbour, joined by spaces."""
-    tokens = list(tokens)
+    same kind or swapped with their right neighbour, joined by spaces.  An
+    inserted token has no kind, so it is never replaced."""
+    tokens = [(token_kind(tok), tok) for tok in tokens]
     for _ in range(rng.randrange(1, 3)):
         if not tokens:
             break
@@ -313,12 +352,12 @@ def _mutate(rng, tokens, ops=("delete", "insert", "replace", "swap"), pool=POOL)
         if op == "delete":
             del tokens[i]
         elif op == "insert":
-            tokens.insert(i, ("", rng.choice(pool[rng.choice(sorted(pool))]), 0))
+            tokens.insert(i, ("", rng.choice(pool[rng.choice(sorted(pool))])))
         elif op == "swap" and i + 1 < len(tokens):
             tokens[i], tokens[i + 1] = tokens[i + 1], tokens[i]
         elif tokens[i][0] in pool:
-            tokens[i] = ("", rng.choice(pool[tokens[i][0]]), 0)
-    return " ".join(val for _, val, _ in tokens)
+            tokens[i] = ("", rng.choice(pool[tokens[i][0]]))
+    return " ".join(val for _, val in tokens)
 
 
 def _mutant(rng, text):
@@ -333,15 +372,17 @@ def _mutant(rng, text):
     if not colon:
         head, body = "", lines[j]
     tokens = tokenize(body)[:-1]
-    idents = [i for i, tok in enumerate(tokens) if tok[0] == "ident"]
+    idents = [i for i, tok in enumerate(tokens) if token_kind(tok) == "ident"]
     if not colon or rng.randrange(2):
         lines[j] = head + colon + _mutate(rng, tokens)
         return "\n".join(lines) + "\n"
     i, k = sorted(rng.sample(idents, 2))
-    run = tokens[i:k + 1][:8]
-    while run[-1][0] != "ident":
-        run.pop()
-    old = body[run[0][2]:run[-1][2] + len(run[-1][1])]
+    k = min(k, i + 7)
+    while token_kind(tokens[k]) != "ident":
+        k -= 1
+    at = _Parser(body, Signature.make()).at
+    old = body[at(i):at(k) + len(tokens[k])]
+    run = tokens[i:k + 1]
     new = _mutate(rng, run, ("replace",), {"ident": NAMES})
     # at word boundaries, where tokens start and end: `p` is replaced, but
     # not the p of `premises`

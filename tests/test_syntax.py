@@ -15,7 +15,7 @@ from rtcproof.syntax import (MAX_DEPTH, And, App, Bot, Const, Eq, Exists,
                              substitute_key, symbols, term_key, term_vars,
                              tokenize)
 
-from helpers import NESTED
+from helpers import NESTED, token_kind
 from oracles import validate_formula
 
 SIG = Signature.make(constants={"0"},
@@ -41,6 +41,24 @@ class TestParse:
         with pytest.raises(ParseError) as exc:
             F("p(x")
         assert exc.value.position == 3
+
+    def test_tokens_are_strings(self):
+        # whitespace other than a space, here a tab and a newline, is skipped
+        # as spaces are
+        assert tokenize("q(a)\t/\\ x' ->\n|-") == ["q", "(", "a", ")", "/\\", "x'", "->",
+                                                   "|-", ""]
+        assert tokenize("   ") == [""]
+
+    @pytest.mark.parametrize("text, offset", [
+        ("q(a) $", 5), ("q(a)\t|", 5), ("q(a) \\ q(b)", 5), ("x := y:", 6),
+        ("x' 'y", 3), ("é", 0),
+    ])
+    def test_character_that_starts_no_token(self, text, offset):
+        # reported before any syntax error, at its own offset
+        with pytest.raises(ParseError) as exc:
+            parse_sequent("(" + text, SIG)
+        assert exc.value.position == offset + 1
+        assert exc.value.message == f"unexpected character {text[offset]!r}"
 
     def test_unknown_symbol(self):
         with pytest.raises(ParseError) as exc:
@@ -587,15 +605,14 @@ def _mutate(rng, text):
             del toks[i]
         elif op == 1:
             kind = rng.choice(sorted(MUTANTS))
-            toks.insert(i, (kind, rng.choice(MUTANTS[kind]), 0))
+            toks.insert(i, rng.choice(MUTANTS[kind]))
         elif op == 4 and i + 1 < len(toks):
             toks[i], toks[i + 1] = toks[i + 1], toks[i]
         else:
-            kind = toks[i][0]
-            toks[i] = (kind, rng.choice(MUTANTS[kind]), 0)
+            toks[i] = rng.choice(MUTANTS[token_kind(toks[i])])
         if not toks:
             break
-    return " ".join(val for _, val, _ in toks)
+    return " ".join(toks)
 
 
 def test_parsed_formulas_pass_the_oracle():
