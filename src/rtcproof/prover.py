@@ -16,7 +16,7 @@ subgoal's plans depend on the subgoal and its ancestors' sequents and trace
 matrices alone, not on the search call that found them; `assemble` reads
 each bud's companion off the search nodes of its path.  Cycle formation is
 pre-filtered by the trace matrix of the would-be cycle: the ancestor's
-matrix composed with each edge's `tracecheck.edge_matrix` down to the bud.
+matrix, composed with the bud's Subst edge's `tracecheck.edge_matrix` if any.
 Every complete candidate is re-checked by the structural validator and the
 global trace condition before being accepted.  Counter-model search runs
 interleaved with the deepening, so invalid goals are refuted quickly.
@@ -158,34 +158,26 @@ class Ancestor:
     matrix: EdgeMatrix  # composed from the ancestor node down to the current node
 
 
-def _cycle_matrix(anc: Ancestor, plan: Plan) -> EdgeMatrix:
-    """The ancestor's matrix composed down a linear plan chain (each node
-    one child) to its bud: the trace matrix of the cycle the bud closes."""
-    mat, p = anc.matrix, plan
-    while p.rule is not None:
-        mat = mat.compose(edge_matrix(p.rule, 0))
-        p = p.children[0]
-    return mat
-
-
 def _bud_moves(seq: Sequent, ancestors: tuple[Ancestor, ...],
                cfg: SearchConfig) -> Iterator[Plan]:
     """Buds closing seq against an ancestor whose cycle progresses.  Subst
     and weakening steps never progress, so an ancestor whose path down to
-    seq has no progressing entry cannot close a good cycle."""
+    seq has no progressing entry cannot close a good cycle.  The cycle's
+    matrix skips the weakenings: they drop only pairs that end outside the
+    ancestor, which compose no further and are not diagonal."""
     for depth, anc in enumerate(ancestors):
         if not any(anc.matrix.d.values()):
             continue
         for theta in match_sequent(anc.sequent, seq):
             bud = Plan(None, (), depth, anc.sequent)
             inst = anc.sequent.substituted(theta)
-            inner = bud if not theta and inst == anc.sequent else Plan(
-                rule_instance(RuleId.Subst, inst, cfg.theory, cfg.sig,
-                              substitution=make_subst(theta), source=anc.sequent),
-                (bud,))
-            plan = _weaken_plan(seq, inner)
-            if _cycle_matrix(anc, plan).idempotent_power().has_progressing_diagonal():
-                yield plan
+            inner, mat = bud, anc.matrix
+            if theta or inst != anc.sequent:
+                subst = rule_instance(RuleId.Subst, inst, cfg.theory, cfg.sig,
+                                      substitution=make_subst(theta), source=anc.sequent)
+                inner, mat = Plan(subst, (bud,)), mat.compose(edge_matrix(subst, 0))
+            if mat.idempotent_power().has_progressing_diagonal():
+                yield _weaken_plan(seq, inner)
 
 
 def _phase(*rules: RuleId) -> tuple[str, dict[type, RuleId]]:

@@ -18,7 +18,8 @@ closures for code generation", 1987), so no evaluation dispatches on
 constructors; an rtc closure holds its step relation's key and side
 variables, and an atom over variables alone reads its cell from the
 valuation.  Unknown symbols and unbound variables raise when the closure
-runs, not when it is built.
+runs, not when it is built: closures read the valuation unguarded, and
+`Evaluator.holds` turns its `KeyError` into `UnboundVariable`.
 
 Model enumeration order (documented contract): by domain size, then per
 size lexicographically over table encodings in the order (function tables,
@@ -104,7 +105,11 @@ class Evaluator:
     def holds(self, f: Formula, v: Valuation) -> bool | None:
         """True or False when f has that value in every completion of the
         model, None otherwise."""
-        return _compile_formula(f)(self, v)
+        try:
+            return _compile_formula(f)(self, v)
+        except KeyError as exc:
+            # a valuation's: the Const closure catches its own lookup
+            raise UnboundVariable(f"variable {exc.args[0]!r} has no value") from None
 
     def _bounds(self, key: tuple, x: str, y: str, body: Compiled,
                 v: Valuation) -> tuple[list[int], list[int]]:
@@ -141,13 +146,6 @@ class Evaluator:
 Compiled = Callable[[Evaluator, Valuation], "bool | int | None"]
 
 
-def _values(names: tuple[str, ...], v: Valuation) -> tuple[int, ...]:
-    try:
-        return tuple([v[x] for x in names])
-    except KeyError as exc:
-        raise UnboundVariable(f"variable {exc.args[0]!r} has no value") from None
-
-
 def _compile_term(t: Term) -> Compiled:
     """t's closure (ev, v) -> its value or None, built at its first use and
     kept on t, as `Formula.key` keeps its key."""
@@ -157,10 +155,7 @@ def _compile_term(t: Term) -> Compiled:
     match t:
         case Var(name):
             def run(ev, v):
-                try:
-                    return v[name]
-                except KeyError:
-                    raise UnboundVariable(f"variable {name!r} has no value") from None
+                return v[name]
         case Const(name):
             def run(ev, v):
                 try:
@@ -199,10 +194,7 @@ def _compile_formula(f: Formula) -> Compiled:
                 rel = m.pred_interp.get(name)
                 if rel is None:
                     raise SignatureMismatch(f"predicate {name!r} not interpreted")
-                try:
-                    cell = tuple([v[x] for x in names])
-                except KeyError as exc:
-                    raise UnboundVariable(f"variable {exc.args[0]!r} has no value") from None
+                cell = tuple([v[x] for x in names])
                 return None if cell in m.unknown.get(name, ()) else cell in rel
         case Pred(name, args):
             terms = [_compile_term(a) for a in args]
@@ -225,7 +217,7 @@ def _compile_formula(f: Formula) -> Compiled:
                     return None
                 if sv == tv:
                     return True
-                key = relation, _values(side, v)
+                key = relation, tuple([v[x] for x in side])
                 bounds = ev._reach.get(key) or ev._bounds(key, x, y, step, v)
                 if bounds[0][sv] >> tv & 1:
                     return True
@@ -302,13 +294,10 @@ def sequent_holds(ev: Evaluator, v: Valuation, s: Sequent) -> bool:
 # ---------------------------------------------------------------------------
 # Counter-model search
 
-def used_signature(sequents: tuple[Sequent, ...], sig: Signature) -> Signature:
-    """The sub-signature of symbols actually occurring in the sequents."""
-    consts, fns, preds = symbols(f for seq in sequents
-                                 for f in seq.antecedent + seq.succedent)
-    pair = sig.pair_symbol if sig.pair_symbol in fns else None
-    pair_const = sig.pair_constant if pair and sig.pair_constant in consts else None
-    return Signature.make(consts, fns, preds, pair, pair_const)
+def used_signature(sequents: tuple[Sequent, ...]) -> Signature:
+    """The symbols actually occurring in the sequents, with no pair fields."""
+    return Signature.make(*symbols(f for seq in sequents
+                                   for f in seq.antecedent + seq.succedent))
 
 
 def find_counter_model(s: Sequent, max_size: int, theory: tuple[Sequent, ...],
@@ -337,7 +326,7 @@ def find_counter_model(s: Sequent, max_size: int, theory: tuple[Sequent, ...],
         max_size = min(max_size, 1)
     # symbols absent from goal and theory cannot affect satisfaction; skip
     # their tables so the search stays small
-    sig = used_signature((s,) + tuple(theory), sig)
+    sig = used_signature((s,) + tuple(theory))
     consts = sorted(sig.constants)
     # each constant becomes a variable named apart from every name, bound
     # ones included, so that no binder captures it
@@ -441,24 +430,18 @@ class _CellSearch:
         """(constant values, valuation values, fn tables, predicate tables)
         of the first counter-model of size n, or None."""
         count = n ** (len(self.cvars) + len(self.goal_fvs))
-        if count > self.budget:
-            # every tuple is checked at the root: a size whose tuples
-            # outnumber the budget is out of reach, and would fill memory
-            raise BudgetExceeded(f"counter-model search budget {self.budget} exhausted:"
-                                 f" {count} tuples of constants and variables at size {n}")
-        # so are the theory checks, built once per tuple of constant values
         instances = n ** len(self.cvars) * sum(n ** len(fvs) for _, fvs in self.theory_sides)
-        if count + instances > self.budget:
-            raise BudgetExceeded(f"counter-model search budget {self.budget} exhausted:"
-                                 f" {count} tuples of constants and variables and"
-                                 f" {instances} theory instances at size {n}")
-        # a leaf sets every cell, one node each: past the budget no
-        # counter-model is in reach, and building the cells could fill memory
         fns, preds = self.sig.functions, self.sig.predicates
         cells = sum(n ** ar for _, ar in fns + preds)
-        if cells > self.budget:
-            raise BudgetExceeded(f"counter-model search budget {self.budget} exhausted:"
-                                 f" {cells} table cells at size {n}")
+        # the root builds every tuple and theory check, and a leaf sets every
+        # cell, one node each: past the budget none is in reach, and memory could fill
+        tuples = f"{count} tuples of constants and variables"
+        for size, what in ((count, tuples),
+                           (count + instances, f"{tuples} and {instances} theory instances"),
+                           (cells, f"{cells} table cells")):
+            if size > self.budget:
+                raise BudgetExceeded(f"counter-model search budget {self.budget} exhausted:"
+                                     f" {what} at size {n}")
         entries: dict = {}
         # (goal check, theory checks, constant values, valuation values) per
         # tuple, in product order

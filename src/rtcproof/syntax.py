@@ -97,7 +97,6 @@ from .errors import ParseError, SignatureMismatch
 # ---------------------------------------------------------------------------
 # Terms
 
-@dataclass(frozen=True)
 class Term:
     pass
 
@@ -143,7 +142,6 @@ def term_vars(t: Term) -> set[str]:
 # ---------------------------------------------------------------------------
 # Formulas
 
-@dataclass(frozen=True, eq=False)
 class Formula:
     def key(self) -> str:
         """Cached de-Bruijn-style canonical print; alpha-invariant."""

@@ -18,9 +18,9 @@ pruning is exact, since composition and the idempotent power are monotone
 under ⊆ (`EdgeMatrix.within`), and a rejection is a real bad path, since the
 power tested is the matrix of the loop's path repeated.  CLOSURE_CAP counts
 kept matrices across companions.  The closure, basic cycles and the
-normality test rest on one iterative SCC pass.  The tests cross-check the
-closure against the full closure and a bounded enumeration of ultimately
-periodic paths (`tests/oracles.py`).
+normality test read one map of cycle steps, `_cycle_succ`.  The tests
+cross-check the closure against the full closure and a bounded enumeration
+of ultimately periodic paths (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -191,12 +191,26 @@ def _sccs(succ: dict[int, list[int]]) -> list[list[int]]:
     return out
 
 
+def _cycle_succ(g: ProofGraph) -> dict[int, list[int]]:
+    """Each non-bud node's sorted flow successors inside its own strongly
+    connected component: the steps a cycle can take."""
+    succ = _flow_succ(g)
+    out: dict[int, list[int]] = {}
+    for comp in _sccs(succ):
+        if len(comp) == 1:  # most nodes: a comprehension each made `check` slower
+            out[comp[0]] = comp if comp[0] in succ[comp[0]] else []
+            continue
+        members = set(comp)
+        out.update((v, [w for w in succ[v] if w in members]) for v in comp)
+    return out
+
+
 def flow_edges(g: ProofGraph) -> list[FlowEdge]:
     """The flow edges that lie inside one strongly connected component, with
     their trace matrices: every edge that a cycle can use, and no other."""
-    comp_of = {v: i for i, comp in enumerate(_sccs(_flow_succ(g))) for v in comp}
+    steps = _cycle_succ(g)
     return [FlowEdge(src, dst, edge_matrix(g.instance(src), i))
-            for src, i, dst in _flow_links(g) if comp_of[src] == comp_of[dst]]
+            for src, i, dst in _flow_links(g) if dst in steps[src]]
 
 
 def _flow_root(g: ProofGraph) -> int:
@@ -294,37 +308,29 @@ def trace_closure(edges: list[FlowEdge], companions: list[int]) -> CycleReport:
 def enumerate_basic_cycles(g: ProofGraph) -> list[tuple[int, ...]]:
     """All basic cycles of the unfolded graph, canonically rotated so the
     smallest node id comes first, in deterministic order.  Each is found once
-    from its smallest node, by a DFS over simple paths through larger members
-    of that node's SCC."""
-    succ = _flow_succ(g)
+    from its smallest node, by a DFS over simple paths of cycle steps through
+    larger nodes."""
+    succ = _cycle_succ(g)
     out: list[tuple[int, ...]] = []
-    for comp in _sccs(succ):
-        members = set(comp)
-        for start in sorted(comp):
-            path, work = [start], [iter(succ[start])]
-            while work:
-                w = next(work[-1], None)
-                if w is None:
-                    work.pop()
-                    path.pop()
-                elif w == start:
-                    out.append(tuple(path))
-                    if len(out) > MAX_CYCLES:
-                        raise BudgetExceeded(f"more than {MAX_CYCLES} basic cycles")
-                elif w > start and w in members and w not in path:
-                    path.append(w)
-                    work.append(iter(succ[w]))
+    for start in sorted(succ):
+        path, work = [start], [iter(succ[start])]
+        while work:
+            w = next(work[-1], None)
+            if w is None:
+                work.pop()
+                path.pop()
+            elif w == start:
+                out.append(tuple(path))
+                if len(out) > MAX_CYCLES:
+                    raise BudgetExceeded(f"more than {MAX_CYCLES} basic cycles")
+            elif w > start and w not in path:
+                path.append(w)
+                work.append(iter(succ[w]))
     out.sort(key=lambda c: (len(c), c))
     return out
 
 
 def is_non_overlapping(g: ProofGraph) -> bool:
-    """True iff no two distinct basic cycles share a node: iff no SCC has more
-    distinct internal edges than nodes (else it holds a cycle and an ear on it)."""
-    succ = _flow_succ(g)
-    for comp in _sccs(succ):
-        members = set(comp)
-        if sum(w in members for v in comp for w in succ[v]) > len(comp):
-            return False
-    return True
-
+    """True iff no two distinct basic cycles share a node: iff no node has
+    two cycle steps (else its SCC holds a cycle and an ear on it)."""
+    return all(len(s) < 2 for s in _cycle_succ(g).values())

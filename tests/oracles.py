@@ -9,8 +9,9 @@ per-constructor interpreter whose Kleene values the compiled closures of
 `descent_witness` build the descending counter-models of Brotherston &
 Simpson (J. Logic Comput. 2011).  `find_counter_model_brute` enumerates
 complete models (`iter_skeletons`) for the cell search to agree with.
-`expand_fair` lists the prover's moves in search order, and
-`search_unpruned` is the prover's search without its cut-offs.
+`expand_fair` lists the prover's moves in search order,
+`search_unpruned` is the prover's search without its cut-offs, and
+`chain_buds` its buds, each cycle matrix folded down the bud's chain.
 `validate_formula` checks a parsed formula's symbols against a signature,
 apart from the parser that checked them as it read them.  `NotAnRtcFormula`
 and `NoCounterexample` are raised by these oracles alone."""
@@ -25,8 +26,7 @@ from rtcproof.errors import (NotApplicable, ParseError, RtcError, SignatureMisma
 from rtcproof.kernel import (RuleId, RuleInstance, make_subst, match_sequent,
                              rule_instance)
 from rtcproof.proofgraph import ProofGraph
-from rtcproof.prover import (Ancestor, Plan, SearchConfig, _cycle_matrix,
-                             _weaken_plan, moves)
+from rtcproof.prover import Ancestor, Plan, SearchConfig, _weaken_plan, moves
 from rtcproof.semantics import (Evaluator, FiniteModel, Valuation, _closure,
                                 sequent_holds, used_signature)
 from rtcproof.syntax import (And, App, Bot, Const, Eq, Exists, Forall, Formula,
@@ -367,7 +367,7 @@ def find_counter_model_brute(s: Sequent, max_size: int, theory: tuple[Sequent, .
     antecedent but no succedent.  When sig has a pair symbol, the models
     interpret it and its constant too, and only those that obey the pairing
     rules count; the model returned keeps the used symbols alone."""
-    used = used_signature((s,) + tuple(theory), sig)
+    used = used_signature((s,) + tuple(theory))
     full = used
     if sig.pair_symbol is not None:
         full = used.merge(Signature.make(
@@ -590,14 +590,12 @@ def expand_fair(node: Sequent, cfg: SearchConfig) -> list[tuple[RuleId, object]]
     return out
 
 
-def search_unpruned(seq: Sequent, depth: int, ancestors: tuple[Ancestor, ...],
-                    cfg: SearchConfig) -> Iterator[Plan]:
-    """The prover's search without its cut-offs: every move is built at a
-    leaf and the open ones are skipped there, every ancestor is tried for a
-    bud and kept when the composed cycle matrix progresses, and each
-    solution of a premise is combined with the search of the next premise,
-    however often that search fails."""
-    every = list(moves(seq, (), cfg, 1))
+def chain_buds(seq: Sequent, ancestors: tuple[Ancestor, ...],
+               cfg: SearchConfig) -> list[Plan]:
+    """Reference for `prover._bud_moves`: every (ancestor, theta) is tried,
+    and a bud is kept when its cycle matrix progresses, that matrix folded
+    from the ancestor's through every step of the bud's chain, the
+    weakenings included."""
     buds = []
     for at, anc in enumerate(ancestors):
         for theta in match_sequent(anc.sequent, seq):
@@ -608,8 +606,23 @@ def search_unpruned(seq: Sequent, depth: int, ancestors: tuple[Ancestor, ...],
                                          substitution=make_subst(theta),
                                          source=anc.sequent), (bud,))
             plan = _weaken_plan(seq, bud)
-            if _cycle_matrix(anc, plan).idempotent_power().has_progressing_diagonal():
+            mat, p = anc.matrix, plan
+            while p.rule is not None:
+                mat = mat.compose(edge_matrix(p.rule, 0))
+                p = p.children[0]
+            if mat.idempotent_power().has_progressing_diagonal():
                 buds.append(plan)
+    return buds
+
+
+def search_unpruned(seq: Sequent, depth: int, ancestors: tuple[Ancestor, ...],
+                    cfg: SearchConfig) -> Iterator[Plan]:
+    """The prover's search without its cut-offs: every move is built at a
+    leaf and the open ones are skipped there, every ancestor is tried for a
+    bud (`chain_buds`), and each solution of a premise is combined with the
+    search of the next premise, however often that search fails."""
+    every = list(moves(seq, (), cfg, 1))
+    buds = chain_buds(seq, ancestors, cfg)
     closed = [m for m in every if isinstance(m, Plan)]
     for move in closed + buds + every[len(closed):]:
         if isinstance(move, Plan):

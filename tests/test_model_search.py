@@ -95,7 +95,7 @@ def random_goal(rng) -> tuple[Sequent, tuple[Sequent, ...]]:
 
 def _max_size(goal, theory, cap=600):
     """The largest size <= 3 whose models the brute force can afford."""
-    used = used_signature((goal,) + theory, SIG)
+    used = used_signature((goal,) + theory)
     return max(n for n in (1, 2, 3) if n == 1 or _models(used, n) <= cap)
 
 
@@ -241,7 +241,7 @@ def test_benchmark_goals_agree_with_brute_force(command):
     a prove goal whose size-3 models number over 1000 up to 2."""
     for g, goal, theory, sig in _suite(command):
         size = g.model_size if command == "refute" else 3
-        if command == "prove" and _models(used_signature((goal,) + theory, sig), 3) > 1000:
+        if command == "prove" and _models(used_signature((goal,) + theory), 3) > 1000:
             size = 2
         got = _same(goal, theory, sig, size)
         assert (got is None) == (g.status == "valid"), g.name

@@ -1,4 +1,6 @@
 import itertools
+import os
+import sys
 
 import pytest
 
@@ -10,11 +12,14 @@ from rtcproof.proofgraph import ProofGraph, ProofNode, validate_structure, weake
 from rtcproof.prover import (Plan, Proved, Refuted, SearchConfig, Unknown, _search,
                              _term_pool, _weaken_plan, assemble, prove)
 from rtcproof.semantics import find_counter_model
-from rtcproof.syntax import Sequent, Signature, Var, parse_sequent
+from rtcproof.syntax import Sequent, Signature, Var, parse_sequent, parse_sequent_infer
 from rtcproof.tracecheck import (check_global_trace_condition,
                                  enumerate_basic_cycles, is_non_overlapping)
 
-from oracles import expand_fair, invalidates, search_unpruned
+from oracles import chain_buds, expand_fair, invalidates, search_unpruned
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+import gen  # noqa: E402
 
 SIG = Signature.make(predicates={"p": 2, "q": 1, "E": 2})
 
@@ -264,6 +269,33 @@ def test_search_matches_unpruned(theory, goal):
         got = [text(p) for p in _search(seq, depth, (), cfg, itertools.count(1))]
         want = [text(p) for p in search_unpruned(seq, depth, (), cfg)]
         assert got == want, depth
+
+
+def test_bud_filter_agrees_with_chain_fold(monkeypatch):
+    """On the benchmark's prove goals under three seeds, each bud the search
+    tries is kept exactly when the matrix folded through every step of its
+    chain progresses: the ancestor's matrix composed across the Subst edge
+    alone decides the same."""
+    subst_buds = 0
+
+    def checked(seq, ancestors, cfg):
+        nonlocal subst_buds
+        got = list(bud_moves(seq, ancestors, cfg))
+        assert got == chain_buds(seq, ancestors, cfg), seq
+        for p in got:
+            while p.rule is not None:
+                subst_buds += p.rule.rule is RuleId.Subst
+                p = p.children[0]
+        return got
+
+    bud_moves = prover._bud_moves
+    monkeypatch.setattr(prover, "_bud_moves", checked)
+    for seed in (1, 5, 11):
+        for g in gen.goal_inputs("prove", seed):
+            th = load_theory(g.theory) if g.theory else None
+            goal, sig = parse_sequent_infer(g.text, th.signature if th else Signature.make())
+            prove(goal, SearchConfig(theory=th.axioms if th else (), sig=sig))
+    assert subst_buds > 0
 
 
 def test_bud_companion_is_the_search_node_at_its_depth():
