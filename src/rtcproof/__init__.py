@@ -2,9 +2,7 @@
 
 `__all__` is the library API: the names below, re-exported from the modules
 that define them.  Every other definition under `rtcproof` has a caller in
-the package, or in the benchmark under `perfbench/` for the two that
-`tests/test_imports.py` names; test-only code (oracles, generators) lives
-under `tests/`.
+the package; test-only code (oracles, generators) lives under `tests/`.
 """
 
 from .errors import RtcError

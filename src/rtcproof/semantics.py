@@ -7,10 +7,10 @@ counter-model witness for locally valid rule instances are test oracles in
 `tests/oracles.py`, as is the brute-force enumerator
 `find_counter_model_brute` that the search is tested against.
 
-A model may be partial: a function table without an entry for some argument
-tuple, or a predicate tuple listed in `FiniteModel.unknown`, is a cell whose
-value is not yet chosen.  `Evaluator.holds` reads such models in Kleene's
-three-valued logic and returns None where the answer depends on unknown
+A model may be partial: an argument tuple missing from its symbol's table,
+a function's or a predicate's, is an unset cell, whose value is not yet
+chosen.  `Evaluator.holds` reads such models in Kleene's
+three-valued logic and returns None where the answer depends on unset
 cells; a definite answer holds in every completion, and a complete model
 never yields None.  Each formula and term is compiled once, at its first
 evaluation, into a tree of closures kept on it (Feeley & Lapalme, "Using
@@ -64,15 +64,14 @@ Valuation = dict[str, int]
 
 @dataclass
 class FiniteModel:
-    """Explicit finite structure over domain {0..domain_size-1}.  A model is
-    partial when a function table lacks an argument tuple or `unknown` lists
-    predicate tuples whose membership is not yet decided."""
+    """Explicit finite structure over domain {0..domain_size-1}.  Each symbol
+    has a table from argument tuple to value, an element or a bool; a tuple
+    missing from its table is an unset cell, and makes the model partial."""
 
     domain_size: int
     const_interp: dict[str, int] = field(default_factory=dict)
     fn_interp: dict[str, dict[tuple[int, ...], int]] = field(default_factory=dict)
-    pred_interp: dict[str, frozenset[tuple[int, ...]]] = field(default_factory=dict)
-    unknown: dict[str, frozenset[tuple[int, ...]]] = field(default_factory=dict)
+    pred_interp: dict[str, dict[tuple[int, ...], bool]] = field(default_factory=dict)
 
     def dump(self) -> str:
         parts = [f"size = {self.domain_size};"]
@@ -83,7 +82,7 @@ class FiniteModel:
             flat = [str(table[a]) for a in sorted(table)]
             parts.append(f"fn {f} = [{', '.join(flat)}];")
         for p in sorted(self.pred_interp):
-            tuples = sorted(self.pred_interp[p])
+            tuples = sorted(t for t, b in self.pred_interp[p].items() if b)
             shown = ", ".join("(" + ", ".join(map(str, t)) + ")" for t in tuples)
             parts.append(f"pred {p} = {{ {shown} }};" if shown else f"pred {p} = {{ }};")
         return "model { " + " ".join(parts) + " }"
@@ -103,8 +102,8 @@ class Evaluator:
         self._base_adj = base._adj if base else {}
 
     def holds(self, f: Formula, v: Valuation) -> bool | None:
-        """True or False when f has that value in every completion of the
-        model, None otherwise."""
+        """True or False when f has that value however the unset cells (tuples
+        missing from their symbols' tables) are filled, None otherwise."""
         try:
             return _compile_formula(f)(self, v)
         except KeyError as exc:
@@ -190,23 +189,18 @@ def _compile_formula(f: Formula) -> Compiled:
         case Pred(name, args) if all(a.__class__ is Var for a in args):
             names = [a.name for a in args]
             def run(ev, v):
-                m = ev.model
-                rel = m.pred_interp.get(name)
+                rel = ev.model.pred_interp.get(name)
                 if rel is None:
                     raise SignatureMismatch(f"predicate {name!r} not interpreted")
-                cell = tuple([v[x] for x in names])
-                return None if cell in m.unknown.get(name, ()) else cell in rel
+                return rel.get(tuple([v[x] for x in names]))
         case Pred(name, args):
             terms = [_compile_term(a) for a in args]
             def run(ev, v):
-                m = ev.model
-                rel = m.pred_interp.get(name)
+                rel = ev.model.pred_interp.get(name)
                 if rel is None:
                     raise SignatureMismatch(f"predicate {name!r} not interpreted")
-                cell = tuple([t(ev, v) for t in terms])
-                if None in cell or cell in m.unknown.get(name, ()):
-                    return None
-                return cell in rel
+                # an argument tuple holding None is in no table
+                return rel.get(tuple([t(ev, v) for t in terms]))
         case Rtc(x, y, body, src, dst):
             relation = positional_key(body, (x, y))
             side = tuple(sorted(free_vars(body) - {x, y}))
@@ -281,7 +275,7 @@ def _closure(step: list[int]) -> list[int]:
 
 def evaluate(m: FiniteModel, v: Valuation, f: Formula) -> bool | None:
     """Truth of f in m as it is now, under v; rtc via graph reachability.
-    None only when m is partial and the value depends on its unknown cells."""
+    None only when the value depends on a tuple missing from m's tables."""
     return Evaluator(m).holds(f, v)
 
 
@@ -365,7 +359,8 @@ def _recheck(m: FiniteModel, v: Valuation, s: Sequent, theory: tuple[Sequent, ..
 
 
 class _CellSearch:
-    """Depth-first search over the table cells of models of one size.
+    """Depth-first search over the table cells of models of one size, in one
+    table per used symbol; a cell is unset while its tuple is missing there.
 
     It also cuts every assignment whose tables T a transposition pi of the
     domain makes lexicographically smaller: cell j of pi(T) holds the value
@@ -455,10 +450,9 @@ class _CellSearch:
                                     entries), th, cvals, vals)
                        for vals in itertools.product(range(n), repeat=len(self.goal_fvs))]
 
-        tables: dict[str, dict[tuple[int, ...], int]] = {f: {} for f, _ in fns}
-        true: dict[str, set[tuple[int, ...]]] = {p: set() for p, _ in preds}
-        unknown = {p: set(itertools.product(range(n), repeat=ar)) for p, ar in preds}
-        model = FiniteModel(n, {}, tables, true, unknown)
+        # one table per used symbol, shared with the model
+        tables: dict[str, dict[tuple[int, ...], int]] = {sym: {} for sym, _ in fns + preds}
+        model = FiniteModel(n, {}, *({s: tables[s] for s, _ in group} for group in (fns, preds)))
         # cells in enumeration order: each function's tuples ascending with
         # values 0..n-1, then each predicate's tuples descending, false first
         cells = [(f, t, range(n)) for f, ar in fns
@@ -516,8 +510,8 @@ class _CellSearch:
                 pi = list(range(n))
                 pi[i], pi[k] = k, i
                 tied.append(([index[sym, tuple([pi[a] for a in t])] for sym, t, _ in cells],
-                             [pi if sym in tables else (False, True) for sym, _, _ in cells],
-                             0))
+                             [pi if sym in model.fn_interp else (False, True)
+                              for sym, _, _ in cells], 0))
 
         def leader(tied: list[tuple], d: int) -> list[tuple] | None:
             """The transpositions still tied with T once cells 0..d are set;
@@ -545,27 +539,18 @@ class _CellSearch:
                 # every cell is set: the first live tuple is the first
                 # counter-model in enumeration order
                 return (*tuples[live[0]][2:],
-                        {f: dict(sorted(tab.items())) for f, tab in tables.items()},
-                        {p: frozenset(ts) for p, ts in true.items()})
+                        *({s: dict(sorted(tables[s].items())) for s, _ in group}
+                          for group in (fns, preds)))
             sym, t, _ = cells[d]
             # undo the previous value of cell d and what it made known
-            if sym in tables:
-                tables[sym].pop(t, None)
-            else:
-                unknown[sym].add(t)
-                true[sym].discard(t)
+            tables[sym].pop(t, None)
             while len(log) > mark:
                 del known[log.pop()]
             val = next(vals, None)
             if val is None:
                 stack.pop()
                 continue
-            if sym in tables:
-                tables[sym][t] = val
-            else:
-                unknown[sym].discard(t)
-                if val:
-                    true[sym].add(t)
+            tables[sym][t] = val
             cur[d] = val
             kept = leader(tied, d)
             if kept is None:

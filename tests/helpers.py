@@ -1,6 +1,8 @@
 """Test-only helpers: a graph builder with weakening chains, a replay of
-rejection witnesses, formulas nested to a given depth, and the kind of a
-token."""
+rejection witnesses, formulas nested to a given depth, the kind of a
+token, and complete predicate tables."""
+
+import itertools
 
 from rtcproof import proofgraph
 from rtcproof.syntax import Sequent
@@ -45,3 +47,10 @@ def token_kind(tok: str) -> str:
     """'ident' or 'sym': a token of `syntax.tokenize` is an identifier when
     it starts with a letter, a digit or `_`."""
     return "ident" if tok[0].isalnum() or tok[0] == "_" else "sym"
+
+
+def table(n: int, arity: int, true=()) -> dict[tuple[int, ...], bool]:
+    """The complete table, every tuple set, of a predicate over the domain
+    {0..n-1} whose true argument tuples are `true`."""
+    true = set(true)
+    return {t: t in true for t in itertools.product(range(n), repeat=arity)}

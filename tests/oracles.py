@@ -156,9 +156,9 @@ def idempotent_power_by_table(m: EdgeMatrix) -> EdgeMatrix:
 
 
 def evaluate_warshall(m: FiniteModel, v: Valuation, f: Formula) -> bool:
-    """Independent evaluator: rtc via Floyd-Warshall boolean closure; terms
-    are read by `_KleeneInterpreter.term`, so none of `semantics.Evaluator`
-    takes part."""
+    """Independent evaluator of a complete model, every cell set: rtc via
+    Floyd-Warshall boolean closure; terms are read by
+    `_KleeneInterpreter.term`, so none of `semantics.Evaluator` takes part."""
     term = _KleeneInterpreter(m).term
     match f:
         case Eq(l, r):
@@ -167,7 +167,7 @@ def evaluate_warshall(m: FiniteModel, v: Valuation, f: Formula) -> bool:
             rel = m.pred_interp.get(name)
             if rel is None:
                 raise SignatureMismatch(f"predicate {name!r} not interpreted")
-            return tuple(term(a, v) for a in args) in rel
+            return rel[tuple(term(a, v) for a in args)]
         case Top():
             return True
         case Bot():
@@ -235,10 +235,8 @@ class _KleeneInterpreter:
                 rel = self.model.pred_interp.get(name)
                 if rel is None:
                     raise SignatureMismatch(f"predicate {name!r} not interpreted")
-                cell = tuple([self.term(a, v) for a in args])
-                if None in cell or cell in self.model.unknown.get(name, ()):
-                    return None
-                return cell in rel
+                # a tuple missing from the table, or holding None, is unset
+                return rel.get(tuple([self.term(a, v) for a in args]))
             case Rtc(_, _, _, s, t):
                 sv, tv = self.term(s, v), self.term(t, v)
                 if sv is None or tv is None:
@@ -350,7 +348,7 @@ def iter_skeletons(sig: Signature, n: int) -> Iterator[tuple[dict, dict]]:
     def pred_tables() -> Iterator[dict]:
         sizes = [2 ** (n ** ar) for _, ar in preds]
         for masks in itertools.product(*(range(sz) for sz in sizes)):
-            yield {name: frozenset(t for i, t in enumerate(tuples_of[ar]) if masks[k] >> i & 1)
+            yield {name: {t: bool(masks[k] >> i & 1) for i, t in enumerate(tuples_of[ar])}
                    for k, (name, ar) in enumerate(preds)}
 
     for fn_i in fn_tables():

@@ -1,4 +1,10 @@
-"""Synthetic pre-proofs in the .tcp text format, for the trace-check tests."""
+"""Synthetic pre-proofs in the .tcp text format, for the trace-check tests,
+and the proof of first-step unfolding, built node by node."""
+
+from rtcproof.kernel import RuleId, make_subst, rule_instance
+from rtcproof.prooffile import ProofFile, serialize_proof
+from rtcproof.proofgraph import GraphBuilder, renumber
+from rtcproof.syntax import Sequent, Signature, Var, parse_formula
 
 R = "(rtc x y. p(x, y))"
 
@@ -146,3 +152,72 @@ def loop_below_root(k: int) -> str:
         f"node {k + 2} : {_seq(loop, suc)} ; bud -> {k}",
     ]
     return _text(0, lines)
+
+
+def first_step_unfold() -> str:
+    """A cyclic proof of first-step unfolding,  R(a, b) |- G(b)  with
+    G(t) = a = t \\/ (exists w. p(a, w) /\\ R(w, t)).
+
+    RtcCase on R(a, b) with eigenvariable z. The step premise
+    R(a, z), p(z, b) |- G(b) cuts in G(z): the left premise R(a, z) |- G(z)
+    is the root under Subst [b := z] and buds back to the root, an induction
+    hypothesis whose cycle progresses on R(a, b) -> R(a, z). The right
+    premise splits G(z) by OrL and proves G(b) by its right disjunct: with
+    witness b after rewriting by a = z, or with witness w and RtcStep.
+    """
+    sig = Signature.make(predicates={"p": 2})
+
+    def F(text):
+        return parse_formula(text, sig)
+
+    def G(t):
+        return F(f"a = {t} \\/ (exists w. p(a, w) /\\ {R}(w, {t}))")
+
+    b = GraphBuilder()
+
+    def disjunct(seq, w, close):
+        """seq |- G(b), a = b aside, by OrR, ExR with witness w and AndR,
+        whose two premises `close` closes."""
+        orr = rule_instance(RuleId.OrR, seq, principal=G("b"))
+        exr = rule_instance(RuleId.ExR, orr.premises[0], principal=G("b").right,
+                            witness=Var(w))
+        andr = rule_instance(RuleId.AndR, exr.premises[0],
+                             principal=F(f"p(a, {w}) /\\ {R}({w}, b)"))
+        nid = b.add_internal(andr, close(*andr.premises))
+        return b.add_internal(orr, (b.add_internal(exr, (nid,)),))
+
+    def by_rewrite(left, right):
+        # p(a, b) from p(z, b) by a = z, and R(b, b) by reflexivity
+        eq = rule_instance(RuleId.EqL2, left, principal=F("a = z"), template=(F("p(_h, b)"), "_h"))
+        refl = rule_instance(RuleId.RtcRefl, right, principal=F(f"{R}(b, b)"))
+        return (b.add_internal(eq, (b.add_axiom_closure(eq.premises[0], F("p(z, b)")),)),
+                b.add_internal(refl))
+
+    def by_step(left, right):
+        # p(a, w) is assumed, and R(w, b) is R(w, z) and one step p(z, b)
+        step = rule_instance(RuleId.RtcStep, right, principal=F(f"{R}(w, b)"), witness=Var("z"))
+        return (b.add_axiom_closure(left, F("p(a, w)")),
+                b.add_internal(step, (b.add_axiom_closure(step.premises[0], F(f"{R}(w, z)")),
+                                      b.add_axiom_closure(step.premises[1], F("p(z, b)")))))
+
+    goal = Sequent((F(f"{R}(a, b)"),), (G("b"),))
+    root = b.reserve()
+    case = rule_instance(RuleId.RtcCase, goal, principal=F(f"{R}(a, b)"), eigenvar="z")
+    orr = rule_instance(RuleId.OrR, case.premises[0], principal=G("b"))
+    base = b.add_internal(orr, (b.add_axiom_closure(orr.premises[0], F("a = b")),))
+
+    step = case.premises[1]
+    cut = rule_instance(RuleId.Cut, step, cut_formula=G("z"),
+                        cut_left=Sequent((F(f"{R}(a, z)"),), ()), cut_right=step)
+    subst = rule_instance(RuleId.Subst, cut.premises[0],
+                          substitution=make_subst({"b": Var("z")}), source=goal)
+    hypothesis = b.add_internal(subst, (b.add_bud(goal, root),))
+    orl = rule_instance(RuleId.OrL, cut.premises[1], principal=G("z"))
+    exl = rule_instance(RuleId.ExL, orl.premises[1], principal=G("z").right, eigenvar="w")
+    andl = rule_instance(RuleId.AndL, exl.premises[0], principal=F(f"p(a, w) /\\ {R}(w, z)"))
+    split = b.add_internal(orl, (
+        disjunct(orl.premises[0], "b", by_rewrite),
+        b.add_internal(exl, (b.add_internal(andl, (disjunct(andl.premises[0], "w", by_step),)),))))
+    b.fill_internal(root, case, (base, b.add_internal(cut, (hypothesis, split))))
+
+    return serialize_proof(ProofFile(renumber(b.graph(root)), sig))

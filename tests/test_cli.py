@@ -17,7 +17,7 @@ from rtcproof.tracecheck import edge_matrix
 
 from conftest import corpus_path
 from helpers import NESTED
-from preproofs import diamond_proof, loop_below_root, subst_chain
+from preproofs import diamond_proof, first_step_unfold, loop_below_root, subst_chain
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -500,6 +500,17 @@ def test_prove_golden_proofs_check(case, tmp_path, capsys):
     assert main(["check", str(path)]) == 0
     first = capsys.readouterr().out.splitlines()[0]
     assert first.startswith(f"accepted; {cycles} basic cycle")
+
+
+def test_check_first_step_unfold(capsys):
+    # R(a, b) |- a = b \/ (exists w. p(a, w) /\ R(w, b)), whose step premise
+    # cuts in an induction hypothesis that buds back to the root; the golden
+    # file is what the builder in preproofs.py writes
+    path = os.path.join(GOLDEN, "first_step_unfold.tcp")
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == first_step_unfold()
+    assert main(["check", path]) == 0
+    assert capsys.readouterr() == ("accepted; 1 basic cycle; normal\n", "")
 
 
 @pytest.mark.parametrize("flag", ["--allow-cut", "--global-companions"])

@@ -20,6 +20,7 @@ from rtcproof.syntax import (And, App, Bot, Const, Eq, Exists, Forall, Implies, 
 sys.path.insert(0, os.path.dirname(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
 import gen  # noqa: E402
+from helpers import table  # noqa: E402
 from oracles import evaluate_warshall, find_counter_model_brute, kleene_holds  # noqa: E402
 
 SIG = Signature.make(constants={"c"}, functions={"f": 1}, predicates={"e": 2, "q": 1})
@@ -116,7 +117,7 @@ def _tables(m, sig, pi):
         out += [pi[tab[tuple([pi[a] for a in t])]] for t in sorted(tab)]
     arity = dict(sig.predicates)
     for p, rel in sorted(m.pred_interp.items()):
-        out += [tuple([pi[a] for a in t]) in rel for t in
+        out += [rel[tuple([pi[a] for a in t])] for t in
                 reversed(list(itertools.product(range(m.domain_size), repeat=arity[p])))]
     return out
 
@@ -255,8 +256,8 @@ def _random_model(rng, n):
     cells = list(itertools.product(range(n), repeat=2))
     return FiniteModel(
         n, {"c": rng.randrange(n)}, {"f": {(a,): rng.randrange(n) for a in range(n)}},
-        {"e": frozenset(t for t in cells if rng.random() < 0.4),
-         "q": frozenset((a,) for a in range(n) if rng.random() < 0.5)})
+        {"e": {t: rng.random() < 0.4 for t in cells},
+         "q": {(a,): rng.random() < 0.5 for a in range(n)}})
 
 
 def _cells(m):
@@ -272,22 +273,23 @@ def _hide(rng, m, k):
 
 
 def _hidden(m, hidden):
-    """m with the cells in `hidden` made unknown."""
+    """m with the cells in `hidden` made unknown: dropped from their tables."""
     fn = {"f": {t: b for t, b in m.fn_interp["f"].items() if ("f", t) not in hidden}}
-    unknown = {p: frozenset(t for s, t in hidden if s == p) for p in ("e", "q")}
-    preds = {p: m.pred_interp[p] - unknown[p] for p in ("e", "q")}
-    return FiniteModel(m.domain_size, m.const_interp, fn, preds, unknown)
+    preds = {p: {t: b for t, b in m.pred_interp[p].items() if (p, t) not in hidden}
+             for p in ("e", "q")}
+    return FiniteModel(m.domain_size, m.const_interp, fn, preds)
 
 
 def _completions(m):
     n = m.domain_size
     fn_missing = [(a,) for a in range(n) if (a,) not in m.fn_interp["f"]]
-    pred_cells = [(p, t) for p in ("e", "q") for t in sorted(m.unknown.get(p, ()))]
+    pred_cells = [(p, t) for p, ar in (("e", 2), ("q", 1))
+                  for t in itertools.product(range(n), repeat=ar) if t not in m.pred_interp[p]]
     for fvals in itertools.product(range(n), repeat=len(fn_missing)):
         for bits in itertools.product((False, True), repeat=len(pred_cells)):
             fn = {"f": {**m.fn_interp["f"], **dict(zip(fn_missing, fvals))}}
-            preds = {p: m.pred_interp[p] | {t for (q, t), b in zip(pred_cells, bits)
-                                             if q == p and b}
+            preds = {p: {**m.pred_interp[p], **{t: b for (q, t), b in zip(pred_cells, bits)
+                                                 if q == p}}
                      for p in ("e", "q")}
             yield FiniteModel(n, m.const_interp, fn, preds)
 
@@ -360,7 +362,9 @@ def test_rtc_bounds_over_partial_edges():
     sig = Signature.make(predicates={"e": 2})
     goal, _ = parse_sequent_infer("|- (rtc x y. e(x, y))(a, b)", sig)
     f = goal.succedent[0]
-    m = FiniteModel(3, {}, {}, {"e": frozenset({(0, 1)})}, {"e": frozenset({(1, 2)})})
+    e = table(3, 2, {(0, 1)})
+    del e[1, 2]
+    m = FiniteModel(3, {}, {}, {"e": e})
     assert evaluate(m, {"a": 0, "b": 1}, f) is True
     assert evaluate(m, {"a": 0, "b": 2}, f) is None
     assert evaluate(m, {"a": 2, "b": 0}, f) is False
@@ -372,7 +376,7 @@ def test_found_models_are_rechecked(monkeypatch):
     sig = Signature.make(predicates={"q": 1})
     goal, _ = parse_sequent_infer("q(a) |- q(a)", sig)
     monkeypatch.setattr(semantics._CellSearch, "run",
-                        lambda self, n: ((), (0,), {}, {"q": frozenset()}))
+                        lambda self, n: ((), (0,), {}, {"q": table(1, 1)}))
     with pytest.raises(AssertionError):
         find_counter_model(goal, 1, (), sig)
 

@@ -87,7 +87,7 @@ def test_field_reader_reads_as_token_reader(tmp_path, monkeypatch):
         fields.update(f for node in pf.graph.nodes.values()
                       for f, v in vars(node.params).items() if v is not None)
         count += 1
-    assert count == 19 + 10 + 3 * 16
+    assert count == 19 + 11 + 3 * 16
     # every kind of parameter was read, the template's formula and identifier too
     kinds = {kind for _, field, kind in prooffile._PARAMS if field in fields}
     assert kinds == set(prooffile._KINDS), kinds

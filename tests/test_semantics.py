@@ -15,6 +15,7 @@ from rtcproof.tracecheck import edge_matrix
 import sys, os
 sys.path.insert(0, os.path.dirname(__file__))
 from genrules import SIG as GEN_SIG, generate_instances
+from helpers import table
 from oracles import (NoCounterexample, NotAnRtcFormula, degree, descent_witness,
                      evaluate_warshall, find_counter_model_brute, invalidates,
                      iter_models, minimal_chain)
@@ -32,8 +33,8 @@ def S(text, sig=SIG):
 
 def model(n, E=(), q=(), r0=False):
     return FiniteModel(n, {}, {}, {
-        "E": frozenset(E), "q": frozenset((x,) for x in q),
-        "r0": frozenset([()] if r0 else []),
+        "E": table(n, 2, E), "q": table(n, 1, ((x,) for x in q)),
+        "r0": table(n, 0, [()] if r0 else []),
     })
 
 
@@ -106,7 +107,7 @@ class TestEvaluate:
         f = F("(rtc x y. E(x, y))(a, b)")
         m, v = model(2), {"a": 0, "b": 1}
         assert evaluate(m, v, f) is False
-        m.pred_interp["E"] = {(0, 1)}
+        m.pred_interp["E"] = table(2, 2, {(0, 1)})
         assert Evaluator(m).holds(f, v) is True
         assert evaluate(m, v, f) is True
 
@@ -182,7 +183,7 @@ class TestCounterModel:
         res = find_counter_model(parse_sequent("|- p(a)", sig), 1, (), sig)
         assert res is not None
         m, v = res
-        assert m.domain_size == 1 and m.pred_interp["p"] == frozenset()
+        assert m.domain_size == 1 and m.pred_interp["p"] == table(1, 1)
 
     def test_tautology_none(self):
         sig = Signature.make(constants={"a"}, predicates={"p": 1})
@@ -194,7 +195,7 @@ class TestCounterModel:
         res = find_counter_model(s, 3, (), sig)
         m, v = res
         assert m.domain_size == 2
-        assert m.pred_interp["E"] == frozenset({(0, 1)})
+        assert m.pred_interp["E"] == table(2, 2, {(0, 1)})
         assert v == {"a": 0, "b": 1}
 
     def test_iso_pruning_same_answer(self):
@@ -282,7 +283,7 @@ class TestCounterModel:
 
     def test_dump_format(self):
         m = FiniteModel(2, {"a": 0}, {"s": {(0,): 1, (1,): 0}},
-                        {"E": frozenset({(0, 1)})})
+                        {"E": table(2, 2, {(0, 1)})})
         assert m.dump() == ("model { size = 2; const a = 0;"
                             " fn s = [1, 0]; pred E = { (0, 1) }; }")
 

@@ -4,18 +4,23 @@ descent argument (Brotherston & Simpson, J. Logic Comput. 2011), a model
 falsifying the root follows falsified premises down an infinite path whose
 progressing trace would lower an rtc degree forever.
 
-The pre-proofs here are Cut loops over refutable sequents: a Cut on a formula
-A that Γ already holds, its left premise closed by an axiom and its right
-premise, the root again, a bud back to the root.  Such a loop is kernel-valid
-over any sequent and never progresses.  Γ holds an idle rtc atom, so that a
-trace check that marked every pair progressing would accept the loop."""
+The pre-proofs here are loops of two kinds.  A Cut loop cuts on a formula A
+that Γ already holds, closes its left premise by an axiom and buds its right
+premise, the root again, back to the root.  A Subst loop is a root Subst node
+whose source is the root sequent, under the empty substitution or a renaming
+of a variable the sequent lacks, and whose premise buds back to the root.
+Such loops are kernel-valid over any sequent and never progress, so the
+trace check rejects them over refutable and valid sequents alike.  Γ holds an
+idle rtc atom, so that a trace check that marked every pair progressing
+would accept a loop."""
 
+import functools
 import random
 
 from rtcproof import tracecheck
-from rtcproof.kernel import RuleId, rule_instance
+from rtcproof.kernel import RuleId, make_subst, rule_instance
 from rtcproof.proofgraph import GraphBuilder, ProofGraph, validate_structure
-from rtcproof.syntax import Formula, Sequent, Signature, parse_formula, parse_sequent
+from rtcproof.syntax import Formula, Sequent, Signature, Var, parse_formula, parse_sequent
 from rtcproof.tracecheck import EdgeMatrix, check_global_trace_condition
 
 from oracles import find_counter_model_brute
@@ -34,18 +39,19 @@ def _formula(rng: random.Random, depth: int) -> str:
     return f"({_formula(rng, depth - 1)} {op} {_formula(rng, depth - 1)})"
 
 
-def refutable_sequents(seed: int, tries: int) -> list[tuple[Sequent, Formula]]:
-    """Of `tries` seeded sequents  IDLE, A, Γ' ⊢ Δ, those with a counter-model
-    of size at most 2, each with its A."""
+@functools.cache
+def sequents(seed: int, tries: int) -> dict[bool, list[tuple[Sequent, Formula]]]:
+    """`tries` seeded sequents  IDLE, A, Γ' ⊢ Δ, each with its A, under True
+    when it has a counter-model of size at most 2 and under False when not."""
     rng = random.Random(seed)
-    out = []
+    out = {True: [], False: []}
     for _ in range(tries):
         a = _formula(rng, 2)
         ant = [IDLE, a] + rng.sample(ATOMS, rng.randint(0, 1))
         suc = rng.sample(ATOMS, rng.randint(0, 2))
         seq = parse_sequent(f"{', '.join(ant)} |- {', '.join(suc)}", SIG)
-        if find_counter_model_brute(seq, 2, (), SIG) is not None:
-            out.append((seq, parse_formula(a, SIG)))
+        out[find_counter_model_brute(seq, 2, (), SIG) is not None].append(
+            (seq, parse_formula(a, SIG)))
     return out
 
 
@@ -58,9 +64,20 @@ def cut_loop(seq: Sequent, a: Formula) -> ProofGraph:
     return b.graph(root)
 
 
-def test_cut_loops_over_refutable_sequents_are_rejected(monkeypatch):
-    loops = [cut_loop(seq, a) for seq, a in refutable_sequents(7, 160)]
-    assert len(loops) >= 100
+def subst_loops(seq: Sequent) -> list[ProofGraph]:
+    """The root under the empty substitution, and under [d := a] with d
+    absent from seq, each budding back to the root."""
+    out = []
+    for theta in ((), make_subst({"d": Var("a")})):
+        b = GraphBuilder()
+        root = b.reserve()
+        sub = rule_instance(RuleId.Subst, seq, substitution=theta, source=seq)
+        b.fill_internal(root, sub, (b.add_bud(seq, root),))
+        out.append(b.graph(root))
+    return out
+
+
+def _rejected_unless_every_pair_progresses(loops: list[ProofGraph], monkeypatch) -> None:
     for g in loops:
         assert validate_structure(g) == [], g.end_sequent()
         assert not check_global_trace_condition(g).accepted, g.end_sequent()
@@ -71,3 +88,22 @@ def test_cut_loops_over_refutable_sequents_are_rejected(monkeypatch):
     monkeypatch.setattr(tracecheck, "edge_matrix", lambda rule, i: EdgeMatrix(
         dict.fromkeys(edge_matrix(rule, i).d, True)))
     assert any(check_global_trace_condition(g).accepted for g in loops)
+
+
+def test_cut_loops_over_refutable_sequents_are_rejected(monkeypatch):
+    loops = [cut_loop(seq, a) for seq, a in sequents(7, 160)[True]]
+    assert len(loops) >= 100
+    _rejected_unless_every_pair_progresses(loops, monkeypatch)
+
+
+def test_subst_loops_over_refutable_sequents_are_rejected(monkeypatch):
+    loops = [g for seq, _ in sequents(7, 160)[True] for g in subst_loops(seq)]
+    assert len(loops) >= 200
+    _rejected_unless_every_pair_progresses(loops, monkeypatch)
+
+
+def test_loops_over_valid_sequents_are_rejected(monkeypatch):
+    loops = [g for seq, a in sequents(7, 160)[False]
+             for g in [cut_loop(seq, a)] + subst_loops(seq)]
+    assert len(loops) >= 60
+    _rejected_unless_every_pair_progresses(loops, monkeypatch)
